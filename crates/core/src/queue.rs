@@ -28,6 +28,8 @@
 //! name space (Section 5.3.2) — and re-broadcasts when the data arrives,
 //! plus the configured replay penalty.
 
+use std::sync::Arc;
+
 use mos_isa::FuKind;
 use mos_metrics::Hist;
 
@@ -88,7 +90,9 @@ enum EntryState {
 #[derive(Debug, Clone)]
 struct Entry {
     gen: u64,
-    uops: Vec<SchedUop>,
+    /// Shared with every [`Issued`] grant of this entry, so a grant only
+    /// bumps a reference count; mutation goes through `Arc::make_mut`.
+    uops: Arc<Vec<SchedUop>>,
     /// Merged source tags (internal MOP edges removed).
     srcs: Vec<Tag>,
     dst: Option<Tag>,
@@ -249,6 +253,45 @@ impl TagTable {
     }
 }
 
+/// Entry indices of the set bits of word `w` of a bitset, lowest first.
+/// The iterator owns a copy of the word, so the queue may update its
+/// bitsets while walking.
+struct Bits {
+    base: usize,
+    word: u64,
+}
+
+impl Bits {
+    fn of(w: usize, word: u64) -> Bits {
+        Bits { base: w * 64, word }
+    }
+}
+
+impl Iterator for Bits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.word == 0 {
+            return None;
+        }
+        let b = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.base + b)
+    }
+}
+
+fn set_bit(words: &mut [u64], idx: usize) {
+    words[idx / 64] |= 1 << (idx % 64);
+}
+
+fn clear_bit(words: &mut [u64], idx: usize) {
+    words[idx / 64] &= !(1 << (idx % 64));
+}
+
+fn test_bit(words: &[u64], idx: usize) -> bool {
+    words[idx / 64] & (1 << (idx % 64)) != 0
+}
+
 /// One issue decision returned by [`IssueQueue::cycle`].
 #[derive(Debug, Clone)]
 pub struct Issued {
@@ -256,8 +299,9 @@ pub struct Issued {
     pub entry: EntryId,
     /// The original uops in sequencing order (head first). The caller
     /// executes `uops[k]` in cycle `issue_cycle + k` (payload-RAM
-    /// sequencing, Section 5.3.1).
-    pub uops: Vec<SchedUop>,
+    /// sequencing, Section 5.3.1). Shared with the queue entry, so a
+    /// grant allocates nothing.
+    pub uops: Arc<Vec<SchedUop>>,
     /// Cycle of selection.
     pub issue_cycle: u64,
 }
@@ -346,6 +390,12 @@ pub struct IssueQueue {
     config: SchedConfig,
     entries: Vec<Option<Entry>>,
     free: Vec<usize>,
+    /// One bit per entry index in [`EntryState::Waiting`] (DESIGN §6).
+    /// Every per-cycle loop walks these bitsets in ascending index order
+    /// instead of scanning all `entries`, so its cost follows occupancy.
+    waiting: Vec<u64>,
+    /// One bit per entry index in [`EntryState::Issued`].
+    issued: Vec<u64>,
     tags: TagTable,
     now: u64,
     next_gen: u64,
@@ -381,6 +431,8 @@ impl IssueQueue {
         IssueQueue {
             entries: (0..cap).map(|_| None).collect(),
             free: (0..cap).rev().collect(),
+            waiting: vec![0; cap.div_ceil(64)],
+            issued: vec![0; cap.div_ceil(64)],
             tags: TagTable::default(),
             now: 0,
             next_gen: 1,
@@ -555,8 +607,9 @@ impl IssueQueue {
             confirm_at: None,
             spec_broadcast: false,
             woken_at: None,
-            uops: vec![uop],
+            uops: Arc::new(vec![uop]),
         });
+        set_bit(&mut self.waiting, idx);
         Ok(EntryId { index: idx, gen })
     }
 
@@ -593,7 +646,7 @@ impl IssueQueue {
         // Head and tail share one MOP ID; formation's translation table
         // aliases the tail's destination to it, so no new tag is made.
         e.pending_tail = false;
-        e.uops.push(tail);
+        Arc::make_mut(&mut e.uops).push(tail);
         if self.trace {
             let e = self.entries[head.index].as_ref().expect("fused above");
             let tail = e.uops.last().expect("just pushed");
@@ -663,17 +716,21 @@ impl IssueQueue {
             self.stats.cycles == 0 || now == self.now + 1,
             "cycles must be consecutive"
         );
+        debug_assert!(self.bitsets_agree(), "bitsets disagree with entry states");
         self.now = now;
         self.stats.cycles += 1;
 
         // Release entries whose execution is known good.
-        for idx in 0..self.entries.len() {
-            let release = self.entries[idx].as_ref().is_some_and(|e| {
-                e.state == EntryState::Issued && e.confirm_at.is_some_and(|c| c <= now)
-            });
-            if release {
-                self.entries[idx] = None;
-                self.free.push(idx);
+        for w in 0..self.issued.len() {
+            for idx in Bits::of(w, self.issued[w]) {
+                let release = self.entries[idx]
+                    .as_ref()
+                    .is_some_and(|e| e.confirm_at.is_some_and(|c| c <= now));
+                if release {
+                    self.entries[idx] = None;
+                    clear_bit(&mut self.issued, idx);
+                    self.free.push(idx);
+                }
             }
         }
         let occ = self.occupancy() as u64;
@@ -687,33 +744,33 @@ impl IssueQueue {
         // Speculative wakeup phase (select-free and speculative-wakeup
         // schedulers): broadcast at wake time, before selection confirms.
         if select_free {
-            for idx in 0..self.entries.len() {
-                let Some(e) = self.entries[idx].as_ref() else {
-                    continue;
-                };
-                if e.state != EntryState::Waiting || e.pending_tail || e.spec_broadcast {
-                    continue;
-                }
-                if !e.srcs.iter().all(|&t| self.tags.ready(t, now)) {
-                    continue;
-                }
-                let lat = u64::from(e.latency(&self.config).max(1));
-                let dst = e.dst;
-                let is_load = e.uops[0].is_load;
-                if let Some(e) = self.entries[idx].as_mut() {
-                    e.spec_broadcast = true;
-                }
-                if let Some(d) = dst {
-                    if let Some(s) = self.tags.ensure(d) {
-                        s.ready_at = Some(now + lat);
-                        s.load_unresolved = is_load;
-                        if self.trace {
-                            self.trace_buf.push(TraceEvent::Wakeup {
-                                cycle: now,
-                                tag: d,
-                                ready_at: now + lat,
-                                speculative: true,
-                            });
+            for w in 0..self.waiting.len() {
+                for idx in Bits::of(w, self.waiting[w]) {
+                    let e = self.entries[idx].as_ref().expect("waiting entry exists");
+                    if e.pending_tail || e.spec_broadcast {
+                        continue;
+                    }
+                    if !e.srcs.iter().all(|&t| self.tags.ready(t, now)) {
+                        continue;
+                    }
+                    let lat = u64::from(e.latency(&self.config).max(1));
+                    let dst = e.dst;
+                    let is_load = e.uops[0].is_load;
+                    if let Some(e) = self.entries[idx].as_mut() {
+                        e.spec_broadcast = true;
+                    }
+                    if let Some(d) = dst {
+                        if let Some(s) = self.tags.ensure(d) {
+                            s.ready_at = Some(now + lat);
+                            s.load_unresolved = is_load;
+                            if self.trace {
+                                self.trace_buf.push(TraceEvent::Wakeup {
+                                    cycle: now,
+                                    tag: d,
+                                    ready_at: now + lat,
+                                    speculative: true,
+                                });
+                            }
                         }
                     }
                 }
@@ -723,19 +780,19 @@ impl IssueQueue {
         // Request phase (the scratch vector is queue-owned and reused).
         let mut requesters = std::mem::take(&mut self.req_buf);
         requesters.clear();
-        for idx in 0..self.entries.len() {
-            let Some(e) = self.entries[idx].as_ref() else {
-                continue;
-            };
-            if e.state != EntryState::Waiting || e.pending_tail || e.hold_until > now {
-                continue;
-            }
-            if e.srcs.iter().all(|&t| self.tags.ready(t, now)) {
-                requesters.push((e.age, idx));
-                if self.metrics.is_some() {
-                    if let Some(e) = self.entries[idx].as_mut() {
-                        if e.woken_at.is_none() {
-                            e.woken_at = Some(now);
+        for w in 0..self.waiting.len() {
+            for idx in Bits::of(w, self.waiting[w]) {
+                let e = self.entries[idx].as_ref().expect("waiting entry exists");
+                if e.pending_tail || e.hold_until > now {
+                    continue;
+                }
+                if e.srcs.iter().all(|&t| self.tags.ready(t, now)) {
+                    requesters.push((e.age, idx));
+                    if self.metrics.is_some() {
+                        if let Some(e) = self.entries[idx].as_mut() {
+                            if e.woken_at.is_none() {
+                                e.woken_at = Some(now);
+                            }
                         }
                     }
                 }
@@ -859,6 +916,8 @@ impl IssueQueue {
 
             let e = self.entries[idx].as_mut().expect("entry exists");
             e.state = EntryState::Issued;
+            clear_bit(&mut self.waiting, idx);
+            set_bit(&mut self.issued, idx);
             e.confirm_at =
                 Some(now + u64::from(self.config.confirm_window) + (e.uops.len() as u64 - 1));
             if let Some(m) = self.metrics.as_deref_mut() {
@@ -871,7 +930,7 @@ impl IssueQueue {
                     index: idx,
                     gen: e.gen,
                 },
-                uops: e.uops.clone(),
+                uops: Arc::clone(&e.uops),
                 issue_cycle: now,
             });
             if self.trace {
@@ -901,6 +960,19 @@ impl IssueQueue {
         }
     }
 
+    /// Every free slot has neither bit set and every occupied entry has
+    /// exactly the bit of its state. Checked at the start of every debug
+    /// cycle, which covers the previous cycle's grants and releases and
+    /// every insert, fuse, replay and squash since.
+    fn bitsets_agree(&self) -> bool {
+        self.entries.iter().enumerate().all(|(idx, e)| {
+            let expected = e.as_ref().map_or((false, false), |e| {
+                (e.state == EntryState::Waiting, e.state == EntryState::Issued)
+            });
+            (test_bit(&self.waiting, idx), test_bit(&self.issued, idx)) == expected
+        })
+    }
+
     /// Charge this cycle's `issue_width` slots to causes: grants are
     /// useful, MOP payload-sequencing blocks are fusion overhead, slots
     /// burned by select-free mis-speculation (stale-grant cancels, pileup
@@ -922,11 +994,11 @@ impl IssueQueue {
         acc.empty = 0;
         if idle > 0 {
             acc.cause_buf.clear();
-            for e in self.entries.iter().flatten() {
-                if e.state != EntryState::Waiting {
-                    continue;
+            for (w, &word) in self.waiting.iter().enumerate() {
+                for idx in Bits::of(w, word) {
+                    let e = self.entries[idx].as_ref().expect("waiting entry exists");
+                    acc.cause_buf.push((e.age, self.stall_cause(e, now)));
                 }
-                acc.cause_buf.push((e.age, self.stall_cause(e, now)));
             }
             acc.cause_buf.sort_unstable_by_key(|&(age, _)| age);
             let attributed = acc.cause_buf.len().min(idle);
@@ -1060,41 +1132,42 @@ impl IssueQueue {
         work.clear();
         work.push(tag);
         while let Some(t) = work.pop() {
-            for idx in 0..self.entries.len() {
-                let replay = self.entries[idx]
-                    .as_ref()
-                    .is_some_and(|e| e.state == EntryState::Issued && e.srcs.contains(&t));
-                if !replay {
-                    continue;
-                }
-                let e = self.entries[idx].as_mut().expect("checked above");
-                e.state = EntryState::Waiting;
-                e.confirm_at = None;
-                e.spec_broadcast = false;
-                e.collided = false;
-                e.woken_at = None;
-                self.stats.load_replay_uops += e.uops.len() as u64;
-                replayed.extend(e.uops.iter().map(|u| u.id));
-                if let Some(d) = e.dst {
-                    if let Some(s) = self.tags.get_mut(d) {
-                        s.ready_at = None;
-                        s.actual_at = None;
-                        s.missed = true;
+            for w in 0..self.issued.len() {
+                for idx in Bits::of(w, self.issued[w]) {
+                    let e = self.entries[idx].as_mut().expect("issued entry exists");
+                    if !e.srcs.contains(&t) {
+                        continue;
                     }
-                    work.push(d);
-                }
-                if self.trace {
-                    let e = self.entries[idx].as_ref().expect("checked above");
-                    self.trace_buf.push(TraceEvent::Replay {
-                        cycle: self.now,
-                        entry: EntryId {
-                            index: idx,
-                            gen: e.gen,
-                        },
-                        uops: e.uops.iter().map(|u| u.id).collect(),
-                        tag: t,
-                        reissue_at,
-                    });
+                    e.state = EntryState::Waiting;
+                    e.confirm_at = None;
+                    e.spec_broadcast = false;
+                    e.collided = false;
+                    e.woken_at = None;
+                    clear_bit(&mut self.issued, idx);
+                    set_bit(&mut self.waiting, idx);
+                    self.stats.load_replay_uops += e.uops.len() as u64;
+                    replayed.extend(e.uops.iter().map(|u| u.id));
+                    if let Some(d) = e.dst {
+                        if let Some(s) = self.tags.get_mut(d) {
+                            s.ready_at = None;
+                            s.actual_at = None;
+                            s.missed = true;
+                        }
+                        work.push(d);
+                    }
+                    if self.trace {
+                        let e = self.entries[idx].as_ref().expect("replayed above");
+                        self.trace_buf.push(TraceEvent::Replay {
+                            cycle: self.now,
+                            entry: EntryId {
+                                index: idx,
+                                gen: e.gen,
+                            },
+                            uops: e.uops.iter().map(|u| u.id).collect(),
+                            tag: t,
+                            reissue_at,
+                        });
+                    }
                 }
             }
         }
@@ -1108,29 +1181,32 @@ impl IssueQueue {
     /// bits on surviving entries are cleared — their tails can no longer
     /// arrive.
     pub fn squash_from(&mut self, first_squashed: UopId) {
-        for idx in 0..self.entries.len() {
-            let Some(e) = self.entries[idx].as_mut() else {
-                continue;
-            };
-            if e.age >= first_squashed {
-                // Whole entry is wrong-path.
-                if let Some(d) = e.dst {
-                    self.tags.remove(d);
+        for w in 0..self.waiting.len() {
+            for idx in Bits::of(w, self.waiting[w] | self.issued[w]) {
+                let e = self.entries[idx].as_mut().expect("occupied entry exists");
+                if e.age >= first_squashed {
+                    // Whole entry is wrong-path.
+                    if let Some(d) = e.dst {
+                        self.tags.remove(d);
+                    }
+                    self.entries[idx] = None;
+                    clear_bit(&mut self.waiting, idx);
+                    clear_bit(&mut self.issued, idx);
+                    self.free.push(idx);
+                    continue;
                 }
-                self.entries[idx] = None;
-                self.free.push(idx);
-                continue;
-            }
-            if e.uops.len() > 1 && e.uops.last().expect("non-empty").id >= first_squashed {
-                // Half-squashed MOP: drop wrong-path tail uops, restore the
-                // head's own source set, and let it schedule alone.
-                e.uops.retain(|u| u.id < first_squashed);
-                let head_srcs = e.uops[0].srcs.clone();
-                e.srcs.retain(|t| head_srcs.contains(t));
-            }
-            if e.pending_tail {
-                e.pending_tail = false;
-                self.stats.cancelled_pendings += 1;
+                if e.uops.len() > 1 && e.uops.last().expect("non-empty").id >= first_squashed {
+                    // Half-squashed MOP: drop wrong-path tail uops, restore
+                    // the head's own source set, and let it schedule alone.
+                    let uops = Arc::make_mut(&mut e.uops);
+                    uops.retain(|u| u.id < first_squashed);
+                    let head_srcs = &uops[0].srcs;
+                    e.srcs.retain(|t| head_srcs.contains(t));
+                }
+                if e.pending_tail {
+                    e.pending_tail = false;
+                    self.stats.cancelled_pendings += 1;
+                }
             }
         }
     }
@@ -1761,7 +1837,7 @@ mod tests {
             sizes.push(out.len());
             for iss in &out {
                 assert_eq!(iss.issue_cycle, now, "no stale issue from a prior call");
-                for u in &iss.uops {
+                for u in iss.uops.iter() {
                     assert!(seen.insert(u.id), "uop {:?} reported twice", u.id);
                 }
             }
@@ -1773,5 +1849,100 @@ mod tests {
         );
         q.cycle_into(8, &mut out);
         assert!(out.is_empty(), "an idle cycle must clear the scratch buffer");
+    }
+
+    /// A miss-replay chain whose entries sit in different bitset words:
+    /// load L at index `lo - 1`, its consumers A at `lo` and D at `hi + 1`,
+    /// A's consumer B at `hi`, and fillers blocked on an external tag in
+    /// every other slot up to `hi`. Checks issue order, replay order,
+    /// a mid-queue squash, release and the free-list reuse order.
+    fn cross_word_scenario(queue_entries: Option<usize>, lo: usize, hi: usize) {
+        let mut q = IssueQueue::new(SchedConfig {
+            queue_entries,
+            ..cfg(SchedulerKind::Base)
+        });
+        q.set_slot_accounting(true);
+        let cap = q.free_entries();
+        q.force_external_tag(Tag(99)); // never ready: fillers stay waiting
+        for idx in 0..=hi + 1 {
+            let id = idx as u64;
+            let uop = match idx {
+                i if i == lo - 1 => load(1, 1000, &[]),
+                i if i == lo => alu(2, Some(1001), &[1000]),
+                i if i == hi => alu(3, Some(1002), &[1001]),
+                i if i == hi + 1 => alu(4, Some(1003), &[1000]),
+                _ => alu(100 + id, Some(5000 + id), &[99]),
+            };
+            assert_eq!(q.insert(uop).unwrap().index(), idx);
+        }
+        assert_eq!(q.occupancy(), hi + 2);
+        assert_eq!(q.free_entries(), cap - hi - 2);
+
+        let mut log = Vec::new();
+        let mut unattributed = 0;
+        for now in 0..=33 {
+            if now == 5 {
+                // Miss: A and D replay in index order, then B through A's
+                // tag (the work list is a stack, so D's empty tag first).
+                let replayed = q.load_resolved(Tag(1000), false, 20);
+                assert_eq!(replayed, vec![UopId(2), UopId(4), UopId(3)]);
+            }
+            if now == 32 {
+                // Reallocation pops the free list: last released first,
+                // then the squashed fillers from the top down.
+                let ids: Vec<usize> = (5..10)
+                    .map(|id| q.insert(alu(id, None, &[])).unwrap().index())
+                    .collect();
+                assert_eq!(ids, vec![hi, hi + 1, lo, hi - 1, hi - 2]);
+                assert_eq!(q.occupancy(), lo + 5);
+            }
+            for i in q.cycle(now) {
+                log.push((i.uops[0].id.0, i.issue_cycle));
+            }
+            unattributed += q.unattributed_slots();
+            match now {
+                8 => assert_eq!(q.occupancy(), hi + 1, "load released at confirm"),
+                10 => {
+                    // Drop every filler from index lo + 2 up to hi - 1.
+                    q.squash_from(UopId(100 + lo as u64 + 2));
+                    assert_eq!(q.occupancy(), lo + 3);
+                    assert_eq!(q.free_entries(), cap - lo - 3);
+                }
+                31 => assert_eq!(q.occupancy(), lo, "A, D, B released"),
+                _ => {}
+            }
+        }
+        assert_eq!(
+            log,
+            vec![
+                (1, 0),
+                (2, 3),
+                (4, 3),
+                (3, 4),
+                (2, 22),
+                (4, 22),
+                (3, 23),
+                (5, 32),
+                (6, 32),
+                (7, 32),
+                (8, 32),
+                (9, 33)
+            ]
+        );
+        assert_eq!(q.occupancy(), lo + 5);
+        assert_eq!(q.free_entries(), cap - lo - 5);
+        let counts = q.slot_counts().expect("accounting on");
+        let charged = counts.total() + unattributed;
+        assert_eq!(charged, 34 * q.config().issue_width as u64, "slots conserve");
+    }
+
+    #[test]
+    fn bitsets_cross_word_boundaries_in_a_130_entry_queue() {
+        cross_word_scenario(Some(130), 64, 128);
+    }
+
+    #[test]
+    fn bitsets_cross_word_boundaries_in_an_unrestricted_queue() {
+        cross_word_scenario(None, 128, 300);
     }
 }

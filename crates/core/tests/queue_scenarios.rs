@@ -29,7 +29,7 @@ fn drain(q: &mut IssueQueue, cycles: u64) -> HashMap<u64, Vec<u64>> {
     let mut sched: HashMap<u64, Vec<u64>> = HashMap::new();
     for now in 0..cycles {
         for i in q.cycle(now) {
-            for u in &i.uops {
+            for u in i.uops.iter() {
                 sched.entry(u.id.0).or_default().push(i.issue_cycle);
             }
         }

@@ -2,8 +2,7 @@
 //!
 //! The reproduction harness: one module per table/figure of the paper's
 //! evaluation, each returning a typed result that renders the same rows
-//! the paper reports and is consumed by the Criterion benches in
-//! `mos-bench` and by the `experiments` CLI:
+//! the paper reports and is consumed by the `experiments` CLI:
 //!
 //! ```text
 //! experiments table1|table2|fig6|fig7|fig13|fig14|fig15|fig16|ablations|all

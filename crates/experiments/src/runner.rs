@@ -31,7 +31,7 @@ pub const SEED: u64 = 42;
 /// figures from the CLI.
 pub const DEFAULT_INSTS: u64 = 150_000;
 
-/// A quicker budget for Criterion benches and smoke tests.
+/// A quicker budget for smoke tests.
 pub const QUICK_INSTS: u64 = 40_000;
 
 /// Number of worker threads to use when the caller does not specify:

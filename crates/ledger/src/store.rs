@@ -10,14 +10,16 @@
 //!   ab/abcdef01…ef.json  record files, sharded by the key's first byte
 //! ```
 //!
-//! Record files are written at `shard/<key>.json`; saving the same key
-//! again overwrites the record (the content is identical by
-//! construction — that is what content addressing means here) and
-//! appends a fresh index line, so `latest`/`latest-1` name *saves*, not
-//! distinct keys. A cache hit appends an index line with `cached: true`
-//! and leaves the record file untouched.
+//! Record files are written at `shard/<key>.json` by renaming a temporary
+//! file over it; saving the same key again replaces the record (the
+//! content is identical by construction — that is what content
+//! addressing means here) and appends a fresh index line, so
+//! `latest`/`latest-1` name *saves*, not distinct keys. A cache hit
+//! appends an index line with `cached: true` and leaves the record file
+//! untouched.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::json::{self, Value};
 use crate::key::short;
@@ -120,12 +122,27 @@ impl Ledger {
 
     /// Persist `record` and append its index line. Returns the record
     /// file path.
+    ///
+    /// The record is written to a temporary file in its shard directory
+    /// and renamed over `shard/<key>.json`, so a crash or a concurrent
+    /// save of the same key never leaves a truncated record behind.
     pub fn save(&self, record: &RunRecord) -> Result<PathBuf, String> {
+        static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let path = self.record_path(&record.key);
         let dir = path.parent().expect("record path has a shard directory");
         std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
-        std::fs::write(&path, record.to_json())
-            .map_err(|e| format!("write {}: {e}", path.display()))?;
+        let tmp = dir.join(format!(
+            ".{}.{}.{}.tmp",
+            record.key,
+            std::process::id(),
+            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
+        ));
+        std::fs::write(&tmp, record.to_json())
+            .map_err(|e| format!("write {}: {e}", tmp.display()))?;
+        if let Err(e) = std::fs::rename(&tmp, &path) {
+            let _ = std::fs::remove_file(&tmp);
+            return Err(format!("rename {} -> {}: {e}", tmp.display(), path.display()));
+        }
         self.append_index(record)?;
         Ok(path)
     }
@@ -338,6 +355,23 @@ mod tests {
         assert_eq!(ledger.index().len(), 2);
         assert_eq!(ledger.index()[1].seq, 2);
         assert_eq!(ledger.resolve("latest").unwrap(), ledger.resolve("latest-1").unwrap());
+        let _ = std::fs::remove_dir_all(ledger.root());
+    }
+
+    #[test]
+    fn resave_replaces_the_record_whole_and_leaves_no_temp_file() {
+        let ledger = Ledger::open(temp_root("atomic"));
+        let mut a = record("ee", "gzip");
+        ledger.save(&a).unwrap();
+        a.unix_time += 1;
+        let path = ledger.save(&a).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(RunRecord::parse(&text).unwrap(), a, "record is complete and current");
+        let shard: Vec<_> = std::fs::read_dir(path.parent().unwrap())
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(shard, vec![path.file_name().unwrap().to_owned()], "no temp file left");
         let _ = std::fs::remove_dir_all(ledger.root());
     }
 

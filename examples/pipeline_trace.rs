@@ -61,7 +61,7 @@ fn schedule(kind: SchedulerKind, fuse_1_and_3: bool) -> [Option<u64>; 4] {
     let mut cycles = [None; 4];
     for now in 0..30 {
         for iss in q.cycle(now) {
-            for u in &iss.uops {
+            for u in iss.uops.iter() {
                 cycles[(u.id.0 - 1) as usize] = Some(iss.issue_cycle);
             }
         }

@@ -3,7 +3,10 @@
 #   1. release build of the whole workspace
 #   2. full test suite (debug builds auto-attach the panicking
 #      scheduling-invariant oracle, so this is also the timing suite)
-#   3. clippy, warnings denied
+#   3. clippy, warnings denied, and the mosbench package's tests (its
+#      pinned per-job results and smoke runs; the package is outside the
+#      workspace, so a queue API change or a moved simulated result would
+#      otherwise break only the benchmark)
 #   4. `mossim trace --check` smoke per scheduler model
 #   5. `mossim report --json` + `mossim pipeview` smoke per scheduler model
 #   6. `mossim cpistack` smoke per scheduler model (conservation + JSON)
@@ -29,6 +32,9 @@ cargo test -q --workspace
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== mosbench tests (pinned results + smoke runs) =="
+cargo test --manifest-path mosbench/Cargo.toml
 
 echo "== trace --check smoke (atomic / pipelined / macro-op) =="
 for sched in base 2cycle mop-wor; do
