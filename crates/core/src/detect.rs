@@ -24,7 +24,7 @@
 //! 5. afterwards pairs remaining candidates with identical (or no) source
 //!    origins into **independent MOPs** (Section 5.4.1).
 
-use mos_isa::{DynInst, Program, Reg, StaticInst};
+use mos_isa::{DynInst, Program, Reg, SmallList, StaticInst};
 
 use crate::config::{CycleDetection, MopConfig};
 use crate::pointer::MopPointer;
@@ -55,8 +55,9 @@ pub struct DetectInst {
     pub is_valuegen: bool,
     /// Logical destination register.
     pub dst: Option<Reg>,
-    /// Logical source registers (zero register excluded).
-    pub srcs: Vec<Reg>,
+    /// Logical source registers (zero register excluded); at most two per
+    /// instruction, so the list stays inline.
+    pub srcs: SmallList<Reg, 2>,
     /// Control transition from this instruction to the next in the stream.
     pub ctrl_out: CtrlOut,
 }
@@ -126,6 +127,14 @@ pub struct DetectStats {
     pub flow_rejects: u64,
 }
 
+/// Largest detection window: the per-step dependence matrix is held as one
+/// `u64` bitmask per row.
+const MAX_WINDOW: usize = 64;
+
+// Independent-MOP source origins pack window positions and logical
+// registers into one u128 set.
+const _: () = assert!(MAX_WINDOW + Reg::NUM <= 128);
+
 /// The MOP detection engine. Feed one rename group per call to
 /// [`MopDetector::step`]; it holds the previous groups needed to cover the
 /// configured scope.
@@ -145,6 +154,10 @@ impl MopDetector {
     pub fn new(config: MopConfig, max_srcs: Option<usize>, group_width: usize) -> MopDetector {
         assert!(group_width > 0);
         assert!(config.scope >= 2, "scope must cover at least a pair");
+        assert!(
+            config.scope.max(group_width) <= MAX_WINDOW,
+            "the detection window (scope and group width) is at most {MAX_WINDOW} instructions"
+        );
         MopDetector {
             config,
             max_srcs,
@@ -190,34 +203,35 @@ impl MopDetector {
         }
         let n = self.window.len();
 
-        // Direct register dependences within the window: deps[j] lists the
-        // window positions whose destination feeds j (last writer per reg).
+        // Direct register dependences within the window: bit i of deps[j]
+        // is set when window position i is the last writer of one of j's
+        // sources. The window holds at most MAX_WINDOW slots (asserted at
+        // construction), so rows are u64 bitmasks and nothing allocates.
         let mut last_writer: [Option<usize>; Reg::NUM] = [None; Reg::NUM];
-        let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
+        let mut deps = [0u64; MAX_WINDOW];
         #[allow(clippy::needless_range_loop)] // j indexes two structures
         for j in 0..n {
             for src in &self.window[j].inst.srcs {
                 if let Some(i) = last_writer[src.index()] {
-                    if !deps[j].contains(&i) {
-                        deps[j].push(i);
-                    }
+                    deps[j] |= 1 << i;
                 }
             }
             if let Some(d) = self.window[j].inst.dst {
                 last_writer[d.index()] = Some(j);
             }
         }
+        let feeds = |i: usize, j: usize| deps[j] & (1 << i) != 0;
 
         // Transitive reachability (ancestor sets) for precise cycle mode.
-        let reach: Vec<u32> = {
-            let mut r = vec![0u32; n];
-            for j in 0..n {
-                for &i in &deps[j] {
-                    r[j] |= r[i] | (1 << i);
-                }
+        let mut reach = [0u64; MAX_WINDOW];
+        for j in 0..n {
+            let mut d = deps[j];
+            while d != 0 {
+                let i = d.trailing_zeros() as usize;
+                d &= d - 1;
+                reach[j] |= reach[i] | (1 << i);
             }
-            r
-        };
+        }
 
         let mut out = Vec::new();
 
@@ -225,7 +239,9 @@ impl MopDetector {
         // Each column proposes its first eligible row; the priority decoder
         // then resolves rows claimed by several columns in favor of the
         // oldest column, and losers forgo this step.
-        let mut proposals: Vec<(usize, usize)> = Vec::new();
+        // proposals[..n_proposals] holds (column, row) in column order.
+        let mut proposals = [(0usize, 0usize); MAX_WINDOW];
+        let mut n_proposals = 0;
         for i in 0..n {
             let col = &self.window[i];
             if col.head || !col.inst.is_valuegen || has_pointer(col.inst.sidx) {
@@ -238,9 +254,9 @@ impl MopDetector {
             }
             // Rows in the previous group were already examined last step.
             let row_begin = (i + 1).max(if i < cur_start { cur_start } else { i + 1 });
-            let mut mark_seen = (i + 1..row_begin).any(|j| deps[j].contains(&i));
+            let mut mark_seen = (i + 1..row_begin).any(|j| feeds(i, j));
             for j in row_begin..n {
-                if !deps[j].contains(&i) {
+                if !feeds(i, j) {
                     continue;
                 }
                 let first_mark = !mark_seen;
@@ -276,13 +292,14 @@ impl MopDetector {
                         continue;
                     }
                 }
-                proposals.push((i, j));
+                proposals[n_proposals] = (i, j);
+                n_proposals += 1;
                 break;
             }
         }
-        let mut row_taken = vec![false; n];
-        for (i, j) in proposals {
-            if row_taken[j] {
+        let mut row_taken = 0u64;
+        for &(i, j) in &proposals[..n_proposals] {
+            if row_taken & (1 << j) != 0 {
                 continue; // priority decoder: an older column claimed it
             }
             // An instruction claimed as a tail earlier this step may not
@@ -290,7 +307,7 @@ impl MopDetector {
             if self.window[i].tail && self.config.max_mop_size <= 2 {
                 continue;
             }
-            row_taken[j] = true;
+            row_taken |= 1 << j;
             self.window[i].head = true;
             self.window[j].tail = true;
             let control = self.flow_between(i, j).expect("checked above");
@@ -307,27 +324,19 @@ impl MopDetector {
 
         // --- Independent-MOP pass (Section 5.4.1) ---
         if self.config.group_independent {
-            // Source origins: window producer position or the external
-            // logical register.
-            #[derive(PartialEq, Eq, PartialOrd, Ord, Clone, Copy, Debug)]
-            enum Origin {
-                Window(usize),
-                External(Reg),
-            }
-            let mut origins: Vec<Vec<Origin>> = vec![Vec::new(); n];
+            // Source origins, as a set: bit `i` for window producer
+            // position `i`, bit `MAX_WINDOW + r` for external logical
+            // register `r`. Two instructions pair when the sets are equal.
+            let mut origins = [0u128; MAX_WINDOW];
             let mut lw: [Option<usize>; Reg::NUM] = [None; Reg::NUM];
             #[allow(clippy::needless_range_loop)] // j indexes two structures
             for j in 0..n {
                 for src in &self.window[j].inst.srcs {
-                    let o = match lw[src.index()] {
-                        Some(i) => Origin::Window(i),
-                        None => Origin::External(*src),
+                    origins[j] |= match lw[src.index()] {
+                        Some(i) => 1 << i,
+                        None => 1 << (MAX_WINDOW + src.index()),
                     };
-                    if !origins[j].contains(&o) {
-                        origins[j].push(o);
-                    }
                 }
-                origins[j].sort();
                 if let Some(d) = self.window[j].inst.dst {
                     lw[d.index()] = Some(j);
                 }
@@ -377,7 +386,7 @@ impl MopDetector {
         };
         let head = &self.window[i].inst;
         let tail = &self.window[j].inst;
-        let mut union: Vec<Reg> = head.srcs.clone();
+        let mut union: SmallList<Reg, 4> = head.srcs.iter().copied().collect();
         for s in &tail.srcs {
             if Some(*s) == head.dst {
                 continue; // internal head->tail edge, no tag needed
@@ -748,6 +757,39 @@ mod tests {
         let mut d = det();
         let pairs = d.step(&g, no_ptr, no_bl);
         assert!(pairs.iter().all(|p| p.independent || p.head_sidx != 0));
+    }
+
+    #[test]
+    fn full_width_window_tracks_dependences_past_bit_32() {
+        // One 64-wide group: the true-cycle pattern of the test above at
+        // positions 40..=42, then a plain pair at 60, 61.
+        let mut g: Vec<DetectInst> = (0..64).map(|k| di(k, StaticInst::nop())).collect();
+        g[40] = di(40, StaticInst::addi(r(1), r(9), 1));
+        g[41] = di(41, StaticInst::load(r(2), 0, r(1)));
+        g[42] = di(42, StaticInst::add(r(3), r(1), r(2)));
+        g[60] = di(60, StaticInst::addi(r(4), r(9), 1));
+        g[61] = di(61, StaticInst::alui(Opcode::Subi, r(5), r(4), 1));
+        let cfg = MopConfig {
+            scope: 64,
+            cycle_detection: CycleDetection::Precise,
+            group_independent: false,
+            ..MopConfig::default()
+        };
+        let mut p = MopDetector::new(cfg, None, 64);
+        let pairs = p.step(&g, no_ptr, no_bl);
+        assert_eq!(p.stats().cycle_rejects, 1, "the cycle at 40..=42 is seen");
+        assert_eq!(pairs.len(), 1);
+        assert_eq!((pairs[0].head_sidx, pairs[0].pointer.tail_sidx), (60, 61));
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64 instructions")]
+    fn windows_beyond_64_are_rejected() {
+        let cfg = MopConfig {
+            scope: 65,
+            ..MopConfig::default()
+        };
+        let _ = MopDetector::new(cfg, None, 4);
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! The table supports checkpoints so the pipeline can roll wrong-path
 //! renames back on a branch squash.
 
-use mos_isa::{InstClass, Reg};
+use mos_isa::{InstClass, Reg, SmallList};
 
 use crate::pointer::MopPointer;
 use crate::uop::{GroupRole, SchedUop, Tag, UopId};
@@ -36,8 +36,9 @@ pub struct RenamedInst {
     pub class: InstClass,
     /// Logical destination register (zero register writes excluded).
     pub dst: Option<Reg>,
-    /// Logical source registers (zero register excluded).
-    pub srcs: Vec<Reg>,
+    /// Logical source registers (zero register excluded); an instruction
+    /// names at most two, so the list stays inline.
+    pub srcs: SmallList<Reg, 2>,
     /// Control leaves this instruction taken (as fetched/predicted).
     pub taken: bool,
     /// Taken control transfer is indirect (pointers may not span it).
@@ -174,8 +175,8 @@ impl Former {
         t
     }
 
-    fn translate_srcs(&self, srcs: &[Reg]) -> Vec<Tag> {
-        let mut out = Vec::with_capacity(srcs.len());
+    fn translate_srcs(&self, srcs: &[Reg]) -> SmallList<Tag, 2> {
+        let mut out = SmallList::new();
         for r in srcs {
             if let Some(t) = self.table[r.index()] {
                 if !out.contains(&t) {
@@ -212,15 +213,15 @@ impl Former {
     ///
     /// Pipelines that need to checkpoint the translation table between
     /// instructions (for branch squash) use the incremental
-    /// [`Former::begin_group`] / [`Former::feed`] / [`Former::end_group`]
-    /// calls this method wraps.
+    /// [`Former::begin_group`] / [`Former::feed_into`] /
+    /// [`Former::end_group_into`] calls this method wraps.
     pub fn step(&mut self, group: &[RenamedInst]) -> Vec<FormedItem> {
         self.begin_group();
         let mut items = Vec::with_capacity(group.len() + 1);
         for inst in group {
-            items.extend(self.feed(inst));
+            self.feed_into(inst, &mut items);
         }
-        items.extend(self.end_group());
+        self.end_group_into(&mut items);
         items
     }
 
@@ -229,10 +230,19 @@ impl Former {
         self.step_no += 1;
     }
 
-    /// Feed one renamed instruction of the current group.
+    /// Feed one renamed instruction of the current group, returning its
+    /// steering decisions. Allocates the result; the simulator uses
+    /// [`Former::feed_into`] with a reusable buffer instead.
     pub fn feed(&mut self, inst: &RenamedInst) -> Vec<FormedItem> {
-        let step_no = self.step_no;
         let mut items = Vec::with_capacity(2);
+        self.feed_into(inst, &mut items);
+        items
+    }
+
+    /// [`Former::feed`] without allocating: appends the steering decisions
+    /// to `items`.
+    pub fn feed_into(&mut self, inst: &RenamedInst, items: &mut Vec<FormedItem>) {
+        let step_no = self.step_no;
         {
             let pos = self.pos;
             self.pos += 1;
@@ -316,7 +326,7 @@ impl Former {
             }
             if fused_here {
                 self.account_taken(inst, pos);
-                return items;
+                return;
             }
 
             // 2. Does the instruction start a pair of its own?
@@ -350,7 +360,7 @@ impl Former {
                 });
                 items.push(FormedItem::HeadPending { head, pair_id });
                 self.account_taken(inst, pos);
-                return items;
+                return;
             }
 
             // 3. Ordinary singleton.
@@ -368,29 +378,33 @@ impl Former {
             items.push(FormedItem::Single(uop));
             self.account_taken(inst, pos);
         }
-        items
     }
 
     /// Finish the current group: expire pendings older than the
     /// consecutive-group window (their heads issue as singletons).
+    /// Allocates the result; the simulator uses [`Former::end_group_into`].
     pub fn end_group(&mut self) -> Vec<FormedItem> {
-        let step_no = self.step_no;
         let mut items = Vec::new();
-        let mut expired = Vec::new();
-        let pos = self.pos;
-        self.pending.retain(|p| {
-            if p.born_step + 1 < step_no || (p.born_step < step_no && p.expected_pos < pos) {
-                expired.push(p.pair_id);
-                false
-            } else {
-                true
-            }
-        });
-        for pair_id in expired {
-            items.push(FormedItem::Cancel { pair_id });
-            self.stats.cancelled += 1;
-        }
+        self.end_group_into(&mut items);
         items
+    }
+
+    /// [`Former::end_group`] without allocating: appends one
+    /// [`FormedItem::Cancel`] per expired pending, oldest first.
+    pub fn end_group_into(&mut self, items: &mut Vec<FormedItem>) {
+        let step_no = self.step_no;
+        let pos = self.pos;
+        let mut cancelled = 0;
+        self.pending.retain(|p| {
+            let expired =
+                p.born_step + 1 < step_no || (p.born_step < step_no && p.expected_pos < pos);
+            if expired {
+                items.push(FormedItem::Cancel { pair_id: p.pair_id });
+                cancelled += 1;
+            }
+            !expired
+        });
+        self.stats.cancelled += cancelled;
     }
 
     /// Record the control transition leaving `inst` into every pending

@@ -30,7 +30,7 @@
 
 use std::sync::Arc;
 
-use mos_isa::FuKind;
+use mos_isa::{FuKind, SmallList};
 use mos_metrics::Hist;
 
 use crate::config::{SchedConfig, SchedulerKind};
@@ -93,8 +93,10 @@ struct Entry {
     /// Shared with every [`Issued`] grant of this entry, so a grant only
     /// bumps a reference count; mutation goes through `Arc::make_mut`.
     uops: Arc<Vec<SchedUop>>,
-    /// Merged source tags (internal MOP edges removed).
-    srcs: Vec<Tag>,
+    /// Merged source tags (internal MOP edges removed). Inline up to four:
+    /// a fused pair under the two-source CAM limit always fits, and only
+    /// wired-OR pairs or longer chains can spill.
+    srcs: SmallList<Tag, 4>,
     dst: Option<Tag>,
     fu: FuKind,
     age: UopId,
@@ -408,6 +410,9 @@ pub struct IssueQueue {
     req_buf: Vec<(UopId, usize)>,
     /// Reusable replay work list.
     work_buf: Vec<Tag>,
+    /// Uop lists of released and squashed entries, reused by inserts
+    /// (DESIGN §6): a list comes back once no grant shares it.
+    uop_pool: Vec<Arc<Vec<SchedUop>>>,
     /// Event tracing enabled. When `false` (the default) no event value is
     /// ever constructed — every emission site is behind this one branch.
     trace: bool,
@@ -441,6 +446,7 @@ impl IssueQueue {
             stats: QueueStats::default(),
             req_buf: Vec::new(),
             work_buf: Vec::new(),
+            uop_pool: Vec::new(),
             trace: false,
             trace_buf: Vec::new(),
             metrics: None,
@@ -540,9 +546,32 @@ impl IssueQueue {
             .filter(|e| e.gen == id.gen)
     }
 
+    /// A one-uop list holding `uop`, reusing a pooled list when no grant
+    /// still shares it.
+    fn uop_list(&mut self, uop: SchedUop) -> Arc<Vec<SchedUop>> {
+        if let Some(mut list) = self.uop_pool.pop() {
+            if let Some(v) = Arc::get_mut(&mut list) {
+                v.clear();
+                v.push(uop);
+                return list;
+            }
+        }
+        let mut v = Vec::with_capacity(self.config.mop.max_mop_size.max(1));
+        v.push(uop);
+        Arc::new(v)
+    }
+
+    /// Empty slot `idx` and put its uop list in the pool. The caller
+    /// clears the slot's state bit.
+    fn free_entry(&mut self, idx: usize) {
+        let e = self.entries[idx].take().expect("freed entry is occupied");
+        self.uop_pool.push(e.uops);
+        self.free.push(idx);
+    }
+
     /// Filter a uop's source tags against current tag state: tags nobody
     /// remembers are architecturally long done.
-    fn live_srcs(&self, uop: &SchedUop) -> Vec<Tag> {
+    fn live_srcs(&self, uop: &SchedUop) -> SmallList<Tag, 4> {
         uop.srcs
             .iter()
             .copied()
@@ -586,7 +615,7 @@ impl IssueQueue {
                 sidx: uop.sidx,
                 entry: EntryId { index: idx, gen },
                 dst: uop.dst,
-                srcs: srcs.clone(),
+                srcs: srcs.to_vec(),
                 fused: false,
                 pending,
                 is_load: uop.is_load,
@@ -607,7 +636,7 @@ impl IssueQueue {
             confirm_at: None,
             spec_broadcast: false,
             woken_at: None,
-            uops: Arc::new(vec![uop]),
+            uops: self.uop_list(uop),
         });
         set_bit(&mut self.waiting, idx);
         Ok(EntryId { index: idx, gen })
@@ -635,7 +664,7 @@ impl IssueQueue {
             return Err(InsertError::MopTooLarge);
         }
         let mop_tag = e.dst;
-        for t in live {
+        for &t in &live {
             if Some(t) == mop_tag {
                 continue; // internal head->tail edge
             }
@@ -656,7 +685,7 @@ impl IssueQueue {
                 sidx: tail.sidx,
                 entry: head,
                 dst: mop_tag,
-                srcs: e.srcs.clone(),
+                srcs: e.srcs.to_vec(),
                 fused: true,
                 pending: false,
                 is_load: tail.is_load,
@@ -727,9 +756,8 @@ impl IssueQueue {
                     .as_ref()
                     .is_some_and(|e| e.confirm_at.is_some_and(|c| c <= now));
                 if release {
-                    self.entries[idx] = None;
+                    self.free_entry(idx);
                     clear_bit(&mut self.issued, idx);
-                    self.free.push(idx);
                 }
             }
         }
@@ -942,7 +970,7 @@ impl IssueQueue {
                         gen: e.gen,
                     },
                     uops: e.uops.iter().map(|u| u.id).collect(),
-                    srcs: e.srcs.clone(),
+                    srcs: e.srcs.to_vec(),
                     dst: e.dst,
                     latency: e.latency(&self.config),
                     is_load: e.uops.iter().any(|u| u.is_load),
@@ -1189,10 +1217,9 @@ impl IssueQueue {
                     if let Some(d) = e.dst {
                         self.tags.remove(d);
                     }
-                    self.entries[idx] = None;
+                    self.free_entry(idx);
                     clear_bit(&mut self.waiting, idx);
                     clear_bit(&mut self.issued, idx);
-                    self.free.push(idx);
                     continue;
                 }
                 if e.uops.len() > 1 && e.uops.last().expect("non-empty").id >= first_squashed {
@@ -1536,6 +1563,26 @@ mod tests {
         assert_eq!(issued.len(), 1);
         assert_eq!(issued[0].uops.len(), 1, "head issues alone");
         assert_eq!(issued[0].uops[0].id, UopId(0));
+    }
+
+    #[test]
+    fn spilled_mop_sources_shrink_back_on_tail_squash() {
+        let mut q = IssueQueue::new(cfg(SchedulerKind::MacroOp));
+        for t in 90..95 {
+            q.force_external_tag(Tag(t));
+        }
+        // A three-source head (wired-OR) plus a tail with two more
+        // sources: five merged tags spill the entry's inline list.
+        let e = q.insert_mop_head(alu(0, Some(100), &[90, 91, 92])).unwrap();
+        q.fuse_tail(e, alu(5, Some(100), &[100, 93, 94])).unwrap();
+        let srcs = |q: &IssueQueue| q.entries[e.index].as_ref().unwrap().srcs.clone();
+        let merged = srcs(&q);
+        assert!(merged.spilled());
+        assert_eq!(merged, vec![Tag(90), Tag(91), Tag(92), Tag(93), Tag(94)]);
+        q.squash_from(UopId(3));
+        let restored = srcs(&q);
+        assert_eq!(restored, vec![Tag(90), Tag(91), Tag(92)], "head's sources");
+        assert!(!restored.spilled(), "back inline without the tail's sources");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use mos_isa::{FuKind, InstClass};
+use mos_isa::{FuKind, InstClass, SmallList};
 
 /// Unique identifier of one in-flight dynamic micro-operation, assigned in
 /// program order by the front end. Doubles as the age used for
@@ -10,7 +10,7 @@ pub struct UopId(pub u64);
 /// 5.2.2): the identifier broadcast on the wakeup bus. Each singleton gets
 /// its own tag; both instructions of a macro-op share one, so consumers of
 /// either become children of the MOP.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Tag(pub u64);
 
 /// How an instruction ended up grouped, for the Figure 13 breakdown.
@@ -44,8 +44,9 @@ pub struct SchedUop {
     /// merged into a value-generating MOP.
     pub dst: Option<Tag>,
     /// Source tags still potentially in flight at rename. Architecturally
-    /// ready operands are simply omitted.
-    pub srcs: Vec<Tag>,
+    /// ready operands are simply omitted. Inline for the ISA's two source
+    /// registers, so a uop carries no heap allocation.
+    pub srcs: SmallList<Tag, 2>,
     /// Latency assumed by the scheduler (for loads: address generation plus
     /// the common-case DL1 hit, per Section 2.1).
     pub sched_latency: u32,
@@ -71,7 +72,7 @@ impl SchedUop {
             class,
             fu: class.fu(),
             dst,
-            srcs: Vec::new(),
+            srcs: SmallList::new(),
             sched_latency: class.exec_latency(),
             is_load: class == InstClass::Load,
             sidx: 0,

@@ -104,7 +104,7 @@ fn two_mops_block_two_slots() {
 fn squash_and_replay_interleave() {
     let mut q = IssueQueue::new(cfg(SchedulerKind::Base));
     let mut load = SchedUop::leaf(UopId(0), InstClass::Load, Some(Tag(100)));
-    load.srcs = vec![];
+    load.srcs.clear();
     q.insert(load).unwrap();
     q.insert(alu(1, Some(101), &[100])).unwrap(); // older consumer: survives
     q.insert(alu(5, Some(105), &[100])).unwrap(); // younger: squashed

@@ -15,7 +15,9 @@
 //! * [`DynInst`] and [`TraceSource`] — the dynamic, committed-path oracle
 //!   trace a timing simulator consumes (branch outcomes and effective
 //!   addresses), produced either by the functional interpreter in `mos-asm`
-//!   or the synthetic workload walker in `mos-workload`.
+//!   or the synthetic workload walker in `mos-workload`,
+//! * [`SmallList`] — an inline-first list for the short, bounded source
+//!   operand lists the per-instruction pipeline path carries.
 //!
 //! Macro-op scheduling vocabulary also starts here: [`StaticInst::is_mop_candidate`]
 //! identifies single-cycle operations eligible for grouping and
@@ -41,6 +43,7 @@ mod inst;
 mod opcode;
 mod program;
 mod reg;
+mod small;
 mod trace;
 
 pub use class::{FuKind, InstClass};
@@ -48,4 +51,5 @@ pub use inst::StaticInst;
 pub use opcode::Opcode;
 pub use program::{Program, ProgramBuildError};
 pub use reg::Reg;
+pub use small::SmallList;
 pub use trace::{DynInst, ReplayTrace, TraceSource};

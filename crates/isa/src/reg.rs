@@ -6,7 +6,8 @@ use std::fmt;
 ///
 /// `r31` is hard-wired to zero (as on Alpha); writes to it are discarded and
 /// it never creates a data dependence. The type is a compact `u8` index so
-/// it can be used directly in rename tables.
+/// it can be used directly in rename tables. The `Default` register is
+/// `r0`.
 ///
 /// ```
 /// use mos_isa::Reg;
@@ -15,7 +16,7 @@ use std::fmt;
 /// assert_eq!(r.to_string(), "r3");
 /// assert!(Reg::ZERO.is_zero());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Reg(u8);
 
 impl Reg {

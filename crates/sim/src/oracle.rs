@@ -542,7 +542,7 @@ mod tests {
             Some(Tag(1)),
         );
         cons.sched_latency = 1;
-        cons.srcs = vec![Tag(0)];
+        cons.srcs = [Tag(0)].into_iter().collect();
         let e0 = q.insert(prod).unwrap();
         let e1 = q.insert(cons).unwrap();
         q.drain_trace_into(0, &mut evs);

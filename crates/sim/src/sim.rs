@@ -2,7 +2,7 @@
 //! delay line, rename/MOP formation, queue insertion, scheduling,
 //! execution events, branch resolution/squash, and in-order commit.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 use mos_core::detect::{DetectInst, MopDetector};
 use mos_core::form::{FormedItem, Former, RenamedInst, TableCheckpoint};
@@ -10,7 +10,7 @@ use mos_core::pointer::{MopPointer, MopPointerStore};
 use mos_core::queue::{EntryId, IssueQueue, Issued};
 use mos_core::{GroupRole, SlotCause, SlotCounts, Tag, UopId};
 use mos_isa::{DynInst, InstClass, Program, StaticInst, TraceSource};
-use mos_uarch::branch::{Btb, CombinedPredictor, ReturnAddressStack};
+use mos_uarch::branch::{Btb, CombinedPredictor, RasSnapshot, ReturnAddressStack};
 use mos_uarch::cache::Cache;
 
 use crate::config::MachineConfig;
@@ -37,8 +37,9 @@ struct FrontInst {
     actual_next: u32,
     /// Global-history checkpoint taken at prediction.
     ghr_cp: u64,
-    /// RAS snapshot after this instruction's own push/pop.
-    ras_snap: Option<(usize, Vec<u64>)>,
+    /// RAS snapshot after this instruction's own pop, for branches that
+    /// can squash.
+    ras_snap: Option<RasSnapshot>,
 }
 
 #[derive(Debug, Clone)]
@@ -62,11 +63,27 @@ struct RobEntry {
     actual_taken: bool,
     actual_next: u32,
     ghr_cp: u64,
-    ras_snap: Option<(usize, Vec<u64>)>,
-    table_cp: Option<TableCheckpoint>,
     /// Scheduling tag broadcast by this uop if it is an in-flight load
     /// (set at issue, used to steer replay on a miss).
     load_tag: Option<Tag>,
+}
+
+/// Recovery state of one in-flight branch that can squash (conditional,
+/// indirect or return), kept beside the ROB rather than in it.
+#[derive(Debug, Clone)]
+struct Checkpoint {
+    id: UopId,
+    ras: RasSnapshot,
+    table: TableCheckpoint,
+}
+
+/// Branches resolved at execute that can redirect fetch, and so carry a
+/// [`Checkpoint`]; direct jumps and calls are always predicted correctly.
+fn can_squash(class: InstClass) -> bool {
+    matches!(
+        class,
+        InstClass::CondBranch | InstClass::IndirectJump | InstClass::Return
+    )
 }
 
 #[derive(Debug, Clone)]
@@ -119,7 +136,15 @@ pub struct Simulator<T: TraceSource> {
     // Back end.
     queue: IssueQueue,
     rob: VecDeque<RobEntry>,
-    events: BTreeMap<u64, Vec<Ev>>,
+    /// One [`Checkpoint`] per in-flight branch that can squash, in uop-id
+    /// order: pushed at rename, popped when the branch commits, truncated
+    /// past the branch on a squash.
+    checkpoints: VecDeque<Checkpoint>,
+    /// Execute/memory events as a timing wheel: cycle `c`'s events sit in
+    /// bucket `c & wheel_mask`, in push order. Every event lands less than
+    /// the wheel size ahead of the current cycle (DESIGN §6).
+    events: Vec<Vec<Ev>>,
+    wheel_mask: u64,
     /// In-flight store addresses (8-byte aligned) with refcounts, for
     /// store-to-load forwarding. Bounded by ROB stores; linear scan.
     store_inflight: Vec<(u64, u32)>,
@@ -149,6 +174,9 @@ pub struct Simulator<T: TraceSource> {
     // Reusable per-cycle scratch (hoisted out of the hot loop).
     issue_buf: Vec<Issued>,
     replay_buf: Vec<UopId>,
+    form_buf: Vec<FormedItem>,
+    /// Emptied fetch-group buffers, reused by fetch.
+    group_pool: Vec<Vec<FrontInst>>,
     detect_buf: Vec<DetectInst>,
     trace_buf: Vec<TraceEvent>,
     ptr_install_buf: Vec<(u32, u64)>,
@@ -157,7 +185,28 @@ pub struct Simulator<T: TraceSource> {
 
 impl<T: TraceSource> Simulator<T> {
     /// Build a simulator over `trace` with machine `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cfg.exec_offset` or `cfg.dl1.hit_latency` is zero: an
+    /// event due in the cycle that schedules it would never fire.
     pub fn new(cfg: MachineConfig, trace: T) -> Simulator<T> {
+        assert!(
+            cfg.exec_offset >= 1,
+            "exec_offset must be at least 1: execution is scheduled after select"
+        );
+        assert!(
+            cfg.dl1.hit_latency >= 1,
+            "dl1.hit_latency must be at least 1: a load's hit/miss is discovered after it executes"
+        );
+        // The farthest event is a MOP's last uop, `exec_offset +
+        // max_mop_size - 1` cycles after select, or a load resolution
+        // `dl1.hit_latency` cycles after execute.
+        let horizon = cfg.exec_offset as usize
+            + cfg.sched.mop.max_mop_size
+            + cfg.dl1.hit_latency as usize
+            + 2;
+        let wheel = horizon.next_power_of_two();
         let program = trace.program().clone();
         let fetch_pc = program.entry();
         #[allow(unused_mut)]
@@ -184,7 +233,9 @@ impl<T: TraceSource> Simulator<T> {
             entry_map: Vec::new(),
             queue: IssueQueue::new(cfg.sched.clone()),
             rob: VecDeque::new(),
-            events: BTreeMap::new(),
+            checkpoints: VecDeque::new(),
+            events: (0..wheel).map(|_| Vec::new()).collect(),
+            wheel_mask: wheel as u64 - 1,
             store_inflight: Vec::new(),
             now: 0,
             last_commit_cycle: 0,
@@ -198,6 +249,8 @@ impl<T: TraceSource> Simulator<T> {
             orc: None,
             issue_buf: Vec::new(),
             replay_buf: Vec::new(),
+            form_buf: Vec::new(),
+            group_pool: Vec::new(),
             detect_buf: Vec::new(),
             trace_buf: Vec::new(),
             ptr_install_buf: Vec::new(),
@@ -434,18 +487,36 @@ impl<T: TraceSource> Simulator<T> {
         self.rob.binary_search_by_key(&id, |e| e.id).ok()
     }
 
+    /// Schedule `ev` for cycle `at`, after the events already due then.
+    fn schedule(&mut self, at: u64, ev: Ev) {
+        debug_assert!(
+            at > self.now && at - self.now <= self.wheel_mask,
+            "event at cycle {at} is outside the wheel horizon from cycle {}",
+            self.now
+        );
+        self.events[(at & self.wheel_mask) as usize].push(ev);
+    }
+
+    /// Return a fetch group's buffer to the pool.
+    fn recycle_group(&mut self, mut insts: Vec<FrontInst>) {
+        insts.clear();
+        self.group_pool.push(insts);
+    }
+
     /// Advance one cycle.
     fn step(&mut self) {
         self.now += 1;
         let now = self.now;
         self.insert_blocked = false;
 
-        // 1. Execution/resolution events.
-        if let Some(evs) = self.events.remove(&now) {
-            for ev in evs {
-                self.handle_event(ev);
-            }
+        // 1. Execution/resolution events. Handlers only schedule into
+        // later cycles, so this cycle's bucket is complete.
+        let slot = (now & self.wheel_mask) as usize;
+        let mut evs = std::mem::take(&mut self.events[slot]);
+        for ev in evs.drain(..) {
+            self.handle_event(ev);
         }
+        self.events[slot] = evs;
 
         // 2. Rename / MOP formation / queue insertion.
         self.insert_stage();
@@ -496,6 +567,9 @@ impl<T: TraceSource> Simulator<T> {
         for iss in &issued {
             self.handle_issue(iss);
         }
+        // Drop the grants' shares of the entries' uop lists now, so the
+        // queue can reuse each list once its entry is released.
+        issued.clear();
         self.issue_buf = issued;
 
         // 4. In-order commit.
@@ -583,7 +657,10 @@ impl<T: TraceSource> Simulator<T> {
             return;
         }
 
-        let mut insts = Vec::with_capacity(self.cfg.fetch_width);
+        let mut insts = self
+            .group_pool
+            .pop()
+            .unwrap_or_else(|| Vec::with_capacity(self.cfg.fetch_width));
         for _ in 0..self.cfg.fetch_width {
             let sidx = self.fetch_pc;
             let Some(inst) = self.program.inst(sidx).copied() else {
@@ -684,7 +761,9 @@ impl<T: TraceSource> Simulator<T> {
                 break; // fetch stops at the first taken branch
             }
         }
-        if !insts.is_empty() {
+        if insts.is_empty() {
+            self.group_pool.push(insts);
+        } else {
             self.front.push_back(FrontGroup {
                 insts,
                 fetched_at: now,
@@ -694,12 +773,9 @@ impl<T: TraceSource> Simulator<T> {
     }
 
     /// Predict direction and next fetch index for `inst` at `sidx`;
-    /// returns `(taken, next, ghr checkpoint, RAS snapshot)`.
-    fn predict(
-        &mut self,
-        sidx: u32,
-        inst: &StaticInst,
-    ) -> (bool, u32, u64, Option<(usize, Vec<u64>)>) {
+    /// returns `(taken, next, ghr checkpoint, RAS snapshot)`. Only branches
+    /// that can squash take a RAS snapshot.
+    fn predict(&mut self, sidx: u32, inst: &StaticInst) -> (bool, u32, u64, Option<RasSnapshot>) {
         let pc = self.program.pc_of(sidx);
         match inst.class() {
             InstClass::CondBranch => {
@@ -714,12 +790,7 @@ impl<T: TraceSource> Simulator<T> {
             InstClass::Jump => (true, inst.target().expect("validated jump"), 0, None),
             InstClass::Call => {
                 self.ras.push(self.program.pc_of(sidx + 1));
-                (
-                    true,
-                    inst.target().expect("validated call"),
-                    0,
-                    Some(self.ras.snapshot()),
-                )
+                (true, inst.target().expect("validated call"), 0, None)
             }
             InstClass::Return => {
                 let target = self.ras.pop();
@@ -757,12 +828,13 @@ impl<T: TraceSource> Simulator<T> {
             self.insert_blocked = true;
             return;
         }
-        let group = self.front.pop_front().expect("checked above");
+        let mut group = self.front.pop_front().expect("checked above");
 
         let mut detect_group = std::mem::take(&mut self.detect_buf);
         detect_group.clear();
+        let mut items = std::mem::take(&mut self.form_buf);
         self.former.begin_group();
-        for fi in &group.insts {
+        for fi in &mut group.insts {
             let inst = *self.program.inst(fi.sidx).expect("fetched inst exists");
             if inst.class() == InstClass::Nop || inst.class() == InstClass::Halt {
                 continue; // the decoder filters no-ops without executing
@@ -787,15 +859,20 @@ impl<T: TraceSource> Simulator<T> {
                 fetched_at: group.fetched_at,
                 wrong_path: fi.dyn_.is_none(),
             };
-            let items = self.former.feed(&renamed);
-            let role = self.apply_form_items(items);
+            self.former.feed_into(&renamed, &mut items);
+            let role = self.apply_form_items(&mut items);
 
             // Branches that can squash record recovery state.
-            let can_squash = matches!(
-                inst.class(),
-                InstClass::CondBranch | InstClass::IndirectJump | InstClass::Return
-            );
-            let table_cp = can_squash.then(|| self.former.checkpoint());
+            if can_squash(inst.class()) {
+                self.checkpoints.push_back(Checkpoint {
+                    id,
+                    ras: fi
+                        .ras_snap
+                        .take()
+                        .expect("squashable branches snapshot the RAS"),
+                    table: self.former.checkpoint(),
+                });
+            }
 
             self.rob.push_back(RobEntry {
                 id,
@@ -810,8 +887,6 @@ impl<T: TraceSource> Simulator<T> {
                 actual_taken: fi.actual_taken,
                 actual_next: fi.actual_next,
                 ghr_cp: fi.ghr_cp,
-                ras_snap: fi.ras_snap.clone(),
-                table_cp,
                 load_tag: None,
             });
 
@@ -833,8 +908,10 @@ impl<T: TraceSource> Simulator<T> {
                 }
             }
         }
-        let end_items = self.former.end_group();
-        self.apply_form_items(end_items);
+        self.former.end_group_into(&mut items);
+        self.apply_form_items(&mut items);
+        self.form_buf = items;
+        self.recycle_group(group.insts);
 
         if self.cfg.mops_enabled() && !detect_group.is_empty() {
             let pairs = {
@@ -871,11 +948,11 @@ impl<T: TraceSource> Simulator<T> {
         self.detect_buf = detect_group;
     }
 
-    /// Apply formation steering to the queue; returns the role of the
-    /// last inserted/fused uop (the role recorded in the ROB).
-    fn apply_form_items(&mut self, items: Vec<FormedItem>) -> GroupRole {
+    /// Apply (and drain) formation steering to the queue; returns the role
+    /// of the last inserted/fused uop (the role recorded in the ROB).
+    fn apply_form_items(&mut self, items: &mut Vec<FormedItem>) -> GroupRole {
         let mut role = GroupRole::NotCandidate;
-        for item in items {
+        for item in items.drain(..) {
             match item {
                 FormedItem::Single(uop) => {
                     role = uop.role;
@@ -975,10 +1052,7 @@ impl<T: TraceSource> Simulator<T> {
                     },
                 );
             }
-            self.events
-                .entry(exec_at)
-                .or_default()
-                .push(Ev::Exec { id: uop.id, gen });
+            self.schedule(exec_at, Ev::Exec { id: uop.id, gen });
         }
     }
 
@@ -1116,13 +1190,16 @@ impl<T: TraceSource> Simulator<T> {
                 // This load's broadcast tag (MOP-translated) was recorded
                 // on its ROB entry at issue.
                 let tag = self.rob[idx].load_tag;
-                self.events.entry(discovery).or_default().push(Ev::LoadResolve {
-                    id,
-                    gen,
-                    tag,
-                    hit,
-                    data_ready,
-                });
+                self.schedule(
+                    discovery,
+                    Ev::LoadResolve {
+                        id,
+                        gen,
+                        tag,
+                        hit,
+                        data_ready,
+                    },
+                );
             }
             InstClass::Store => {
                 self.rob[idx].complete_at = Some(now + 1);
@@ -1148,8 +1225,6 @@ impl<T: TraceSource> Simulator<T> {
         let (id, mispredicted, actual_taken, actual_next) =
             (e.id, e.mispredicted, e.actual_taken, e.actual_next);
         let ghr_cp = e.ghr_cp;
-        let ras_snap = e.ras_snap.clone();
-        let table_cp = e.table_cp.clone();
         let class = e.class;
 
         if class == InstClass::CondBranch {
@@ -1186,15 +1261,19 @@ impl<T: TraceSource> Simulator<T> {
             // the ROB entry.
             debug_assert!(b.dyn_.is_none(), "only wrong-path uops are squashed");
         }
-        self.front.clear();
+        while let Some(g) = self.front.pop_front() {
+            self.recycle_group(g.insts);
+        }
         self.entry_map.clear();
-        if let Some(cp) = table_cp {
-            self.former.squash(&cp);
-        }
+        let k = self
+            .checkpoints
+            .binary_search_by_key(&id, |c| c.id)
+            .expect("a squashing branch has a checkpoint");
+        self.checkpoints.truncate(k + 1);
+        let cp = &self.checkpoints[k];
+        self.former.squash(&cp.table);
+        self.ras.restore(cp.ras.clone());
         self.predictor.restore_history(ghr_cp, actual_taken);
-        if let Some(snap) = ras_snap {
-            self.ras.restore(snap);
-        }
         self.detector.reset_window();
         self.wrong_path = false;
         self.fetch_pc = actual_next;
@@ -1234,6 +1313,14 @@ impl<T: TraceSource> Simulator<T> {
                 );
             }
             self.stats.roles[SimStats::role_index(head.role)] += 1;
+            if can_squash(head.class) {
+                let cp = self.checkpoints.pop_front();
+                debug_assert_eq!(
+                    cp.map(|c| c.id),
+                    Some(head.id),
+                    "checkpoints follow the ROB"
+                );
+            }
             match head.class {
                 InstClass::CondBranch => {
                     self.stats.branches += 1;
@@ -1498,6 +1585,48 @@ mod tests {
         let im = run_spec("mcf", MachineConfig::base_32().with_ideal_memory(), 15_000);
         assert_eq!(im.dl1.1, 0, "no demand-load misses when ideal");
         assert_eq!(im.queue.load_replay_uops, 0, "no replays when ideal");
+    }
+
+    #[test]
+    #[should_panic(expected = "exec_offset must be at least 1")]
+    fn zero_exec_offset_is_rejected() {
+        let mut cfg = MachineConfig::base_32();
+        cfg.exec_offset = 0;
+        let _ = Simulator::new(cfg, spec2000::by_name("gzip").unwrap().trace(42));
+    }
+
+    #[test]
+    #[should_panic(expected = "dl1.hit_latency must be at least 1")]
+    fn zero_dl1_hit_latency_is_rejected() {
+        let mut cfg = MachineConfig::base_32();
+        cfg.dl1.hit_latency = 0;
+        let _ = Simulator::new(cfg, spec2000::by_name("gzip").unwrap().trace(42));
+    }
+
+    /// A deeper execute pipeline, a slower DL1 and three-wide MOP chains
+    /// stretch the event wheel's horizon past the default; debug builds
+    /// run this under the scheduling oracle and the conservation check.
+    #[test]
+    fn deep_pipeline_with_mop_chains_runs_clean() {
+        let mut cfg = MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 1);
+        cfg.exec_offset = 9;
+        cfg.dl1.hit_latency = 4;
+        cfg.sched.confirm_window = cfg.exec_offset + cfg.dl1.hit_latency + 1;
+        cfg.sched.load_sched_latency = 1 + cfg.dl1.hit_latency;
+        cfg.sched.mop.max_mop_size = 3;
+        let s = run_spec("gzip", cfg, 20_000);
+        assert!(s.committed >= 20_000);
+        assert!(s.squashes > 0, "wrong paths are recovered");
+        assert!(s.queue.load_replay_uops > 0, "misses replay through the wheel");
+        // Each granted MOP adds one uop per member past the first, so
+        // uops beyond one per entry and one per MOP are third members.
+        let extra_uops = s.queue.issued_uops - s.queue.issued_entries;
+        assert!(
+            extra_uops > s.mop_entries_issued,
+            "three-wide chains issue: {extra_uops} extra uops over {} MOP grants",
+            s.mop_entries_issued
+        );
+        assert!(s.grouped_frac() > 0.1, "grouped {:.3}", s.grouped_frac());
     }
 
     #[test]

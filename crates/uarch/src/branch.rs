@@ -7,6 +7,7 @@
 //! simulator checkpoints and restores it across mispredictions via
 //! [`CombinedPredictor::history`] / [`CombinedPredictor::restore_history`].
 
+use std::sync::Arc;
 
 /// A table of 2-bit saturating counters.
 #[derive(Debug, Clone)]
@@ -232,11 +233,22 @@ impl Btb {
 
 /// Return-address stack with a fixed depth; pushes wrap around (oldest
 /// entries are overwritten), as in hardware.
+///
+/// Snapshots share the stack contents copy-on-write: taking one only bumps
+/// a reference count, and a push copies the stack only while a snapshot
+/// of the current contents is outstanding.
 #[derive(Debug, Clone)]
 pub struct ReturnAddressStack {
-    stack: Vec<u64>,
+    stack: Arc<Vec<u64>>,
     top: usize,
     depth: usize,
+}
+
+/// A [`ReturnAddressStack`] state saved for squash recovery.
+#[derive(Debug, Clone)]
+pub struct RasSnapshot {
+    stack: Arc<Vec<u64>>,
+    top: usize,
 }
 
 impl ReturnAddressStack {
@@ -244,7 +256,7 @@ impl ReturnAddressStack {
     pub fn new(depth: usize) -> ReturnAddressStack {
         assert!(depth > 0);
         ReturnAddressStack {
-            stack: vec![0; depth],
+            stack: Arc::new(vec![0; depth]),
             top: 0,
             depth,
         }
@@ -253,7 +265,7 @@ impl ReturnAddressStack {
     /// Push a return address (on a call).
     pub fn push(&mut self, addr: u64) {
         self.top = (self.top + 1) % self.depth;
-        self.stack[self.top] = addr;
+        Arc::make_mut(&mut self.stack)[self.top] = addr;
     }
 
     /// Pop the predicted return address (on a return).
@@ -263,15 +275,18 @@ impl ReturnAddressStack {
         v
     }
 
-    /// Snapshot for squash recovery.
-    pub fn snapshot(&self) -> (usize, Vec<u64>) {
-        (self.top, self.stack.clone())
+    /// Snapshot for squash recovery (shares the contents; no copy).
+    pub fn snapshot(&self) -> RasSnapshot {
+        RasSnapshot {
+            stack: Arc::clone(&self.stack),
+            top: self.top,
+        }
     }
 
     /// Restore a snapshot taken by [`ReturnAddressStack::snapshot`].
-    pub fn restore(&mut self, snap: (usize, Vec<u64>)) {
-        self.top = snap.0;
-        self.stack = snap.1;
+    pub fn restore(&mut self, snap: RasSnapshot) {
+        self.top = snap.top;
+        self.stack = snap.stack;
     }
 }
 

@@ -2,7 +2,9 @@
 # Tier-1 verification: everything CI and reviewers rely on.
 #   1. release build of the whole workspace
 #   2. full test suite (debug builds auto-attach the panicking
-#      scheduling-invariant oracle, so this is also the timing suite)
+#      scheduling-invariant oracle, so this is also the timing suite),
+#      plus the release-only heap-allocation budget of an untraced run
+#      (debug builds compile that test to nothing: their oracle allocates)
 #   3. clippy, warnings denied, and the mosbench package's tests (its
 #      pinned per-job results and smoke runs; the package is outside the
 #      workspace, so a queue API change or a moved simulated result would
@@ -29,6 +31,9 @@ cargo build --release --workspace
 
 echo "== tests (oracle-enabled debug builds) =="
 cargo test -q --workspace
+
+echo "== allocation budget (release, untraced) =="
+cargo test -q --release -p mos-sim --test alloc_budget
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
