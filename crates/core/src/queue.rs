@@ -114,6 +114,14 @@ struct Entry {
     /// (metrics only; cleared on replay so each grant measures its own
     /// wakeup→select slack).
     woken_at: Option<u64>,
+    /// Cached readiness: the first cycle at which every source is visible
+    /// to select, `max` of [`TagTable::ready_time`] over `srcs` (0 with no
+    /// sources), so `ready <= now` is exactly "all sources ready". Exact
+    /// for a waiting entry whenever `sig` misses the table's dirty bits
+    /// (DESIGN §6 "Cached readiness and idle cycles").
+    ready: u64,
+    /// Signature of `srcs`: bit `tag % 64` per source.
+    sig: u64,
 }
 
 impl Entry {
@@ -134,6 +142,17 @@ impl Entry {
     fn is_mop(&self) -> bool {
         self.uops.len() > 1
     }
+
+    /// Recompute `sig` and `ready` after `srcs` changed.
+    fn cache_srcs(&mut self, tags: &TagTable) {
+        self.sig = self.srcs.iter().fold(0, |sig, &t| sig | tag_bit(t));
+        self.ready = tags.ready_time_of(&self.srcs);
+    }
+}
+
+/// Signature bit of `t` (see [`TagTable::dirty`]).
+fn tag_bit(t: Tag) -> u64 {
+    1 << (t.0 % 64)
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -163,6 +182,10 @@ struct TagTable {
     /// Tag number of `slots[0]`.
     base: u64,
     slots: Vec<Option<TagState>>,
+    /// Bit `tag % 64` of every tag whose state may have changed since the
+    /// queue last refreshed its entries' cached readiness. Every mutation
+    /// path (`get_mut`, `slot`, `remove`, `prune`) sets it.
+    dirty: u64,
 }
 
 impl TagTable {
@@ -178,7 +201,9 @@ impl TagTable {
 
     fn get_mut(&mut self, t: Tag) -> Option<&mut TagState> {
         let i = self.idx(t)?;
-        self.slots.get_mut(i).and_then(Option::as_mut)
+        let s = self.slots.get_mut(i).and_then(Option::as_mut)?;
+        self.dirty |= tag_bit(t);
+        Some(s)
     }
 
     fn contains(&self, t: Tag) -> bool {
@@ -194,6 +219,7 @@ impl TagTable {
         if i >= self.slots.len() {
             self.slots.resize(i + 1, None);
         }
+        self.dirty |= tag_bit(t);
         Some(&mut self.slots[i])
     }
 
@@ -214,16 +240,25 @@ impl TagTable {
         if let Some(i) = self.idx(t) {
             if let Some(slot) = self.slots.get_mut(i) {
                 *slot = None;
+                self.dirty |= tag_bit(t);
             }
         }
     }
 
     /// Wakeup visible to select logic; absent tags are long done.
     fn ready(&self, t: Tag, now: u64) -> bool {
-        match self.get(t) {
-            None => true,
-            Some(s) => s.ready_at.is_some_and(|r| r <= now),
-        }
+        self.ready_time(t) <= now
+    }
+
+    /// First cycle `t` is visible to select: 0 for an absent tag (long
+    /// done), `u64::MAX` while no wakeup is scheduled.
+    fn ready_time(&self, t: Tag) -> u64 {
+        self.get(t).map_or(0, |s| s.ready_at.unwrap_or(u64::MAX))
+    }
+
+    /// First cycle every tag of `srcs` is visible to select.
+    fn ready_time_of(&self, srcs: &[Tag]) -> u64 {
+        srcs.iter().map(|&t| self.ready_time(t)).max().unwrap_or(0)
     }
 
     /// Value actually available (grant-time verification).
@@ -237,14 +272,15 @@ impl TagTable {
     /// Clear states whose wakeup is older than `horizon`, then advance
     /// the floor over the cleared prefix so the vector stays bounded.
     fn prune(&mut self, now: u64, horizon: u64) {
-        for slot in &mut self.slots {
-            let keep = slot.as_ref().is_some_and(|s| {
+        for (i, slot) in self.slots.iter_mut().enumerate() {
+            let keep = slot.as_ref().is_none_or(|s| {
                 s.load_unresolved
                     || s.ready_at.is_none()
                     || s.ready_at.is_some_and(|r| r + horizon >= now)
             });
             if !keep {
                 *slot = None;
+                self.dirty |= tag_bit(Tag(self.base + i as u64));
             }
         }
         let dead = self.slots.iter().take_while(|s| s.is_none()).count();
@@ -425,6 +461,10 @@ pub struct IssueQueue {
     /// Opt-in per-slot cause accounting; `None` (the default) classifies
     /// nothing.
     accounting: Option<Box<SlotAccounting>>,
+    /// The last cycle released nothing, broadcast nothing speculatively
+    /// and had no requester, so [`IssueQueue::next_active`] may look
+    /// ahead (DESIGN §6 "Cached readiness and idle cycles").
+    quiet: bool,
 }
 
 impl IssueQueue {
@@ -451,6 +491,7 @@ impl IssueQueue {
             trace_buf: Vec::new(),
             metrics: None,
             accounting: None,
+            quiet: false,
             config,
         }
     }
@@ -608,6 +649,8 @@ impl IssueQueue {
             self.tags.insert(dst, TagState::default());
         }
         let srcs = self.live_srcs(&uop);
+        let ready = self.tags.ready_time_of(&srcs);
+        let sig = srcs.iter().fold(0, |sig, &t| sig | tag_bit(t));
         if self.trace {
             self.trace_buf.push(TraceEvent::Rename {
                 cycle: self.now,
@@ -636,6 +679,8 @@ impl IssueQueue {
             confirm_at: None,
             spec_broadcast: false,
             woken_at: None,
+            ready,
+            sig,
             uops: self.uop_list(uop),
         });
         set_bit(&mut self.waiting, idx);
@@ -676,6 +721,8 @@ impl IssueQueue {
         // aliases the tail's destination to it, so no new tag is made.
         e.pending_tail = false;
         Arc::make_mut(&mut e.uops).push(tail);
+        let e = self.entries[head.index].as_mut().expect("fused above");
+        e.cache_srcs(&self.tags);
         if self.trace {
             let e = self.entries[head.index].as_ref().expect("fused above");
             let tail = e.uops.last().expect("just pushed");
@@ -727,7 +774,8 @@ impl IssueQueue {
     }
 
     /// Advance one cycle. `now` must increase by exactly one between
-    /// calls (the first call sets the epoch). Returns the entries issued.
+    /// calls, counting the cycles [`IssueQueue::skip_idle`] skipped (the
+    /// first call sets the epoch). Returns the entries issued.
     ///
     /// Allocates the result vector; the hot simulator loop uses
     /// [`IssueQueue::cycle_into`] with a reusable buffer instead.
@@ -746,8 +794,10 @@ impl IssueQueue {
             "cycles must be consecutive"
         );
         debug_assert!(self.bitsets_agree(), "bitsets disagree with entry states");
+        debug_assert!(self.ready_cache_agrees(), "cached readiness is stale");
         self.now = now;
         self.stats.cycles += 1;
+        let mut quiet = true;
 
         // Release entries whose execution is known good.
         for w in 0..self.issued.len() {
@@ -758,6 +808,7 @@ impl IssueQueue {
                 if release {
                     self.free_entry(idx);
                     clear_bit(&mut self.issued, idx);
+                    quiet = false;
                 }
             }
         }
@@ -771,22 +822,26 @@ impl IssueQueue {
 
         // Speculative wakeup phase (select-free and speculative-wakeup
         // schedulers): broadcast at wake time, before selection confirms.
+        // Each phase that reads cached readiness refreshes it on the way
+        // (`refresh_ready` in one pass with the phase's own walk).
         if select_free {
+            let stale = std::mem::take(&mut self.tags.dirty);
             for w in 0..self.waiting.len() {
                 for idx in Bits::of(w, self.waiting[w]) {
-                    let e = self.entries[idx].as_ref().expect("waiting entry exists");
-                    if e.pending_tail || e.spec_broadcast {
+                    let e = self.entries[idx].as_mut().expect("waiting entry exists");
+                    // The live bits cover sources broadcast earlier in
+                    // this phase; they stay set for the request phase.
+                    if e.sig & (stale | self.tags.dirty) != 0 {
+                        e.ready = self.tags.ready_time_of(&e.srcs);
+                    }
+                    if e.pending_tail || e.spec_broadcast || e.ready > now {
                         continue;
                     }
-                    if !e.srcs.iter().all(|&t| self.tags.ready(t, now)) {
-                        continue;
-                    }
+                    e.spec_broadcast = true;
+                    quiet = false;
                     let lat = u64::from(e.latency(&self.config).max(1));
                     let dst = e.dst;
                     let is_load = e.uops[0].is_load;
-                    if let Some(e) = self.entries[idx].as_mut() {
-                        e.spec_broadcast = true;
-                    }
                     if let Some(d) = dst {
                         if let Some(s) = self.tags.ensure(d) {
                             s.ready_at = Some(now + lat);
@@ -805,28 +860,30 @@ impl IssueQueue {
             }
         }
 
-        // Request phase (the scratch vector is queue-owned and reused).
+        // Request phase (the scratch vector is queue-owned and reused):
+        // one cached-readiness comparison per entry, and tag reads only
+        // for entries whose sources changed.
+        let stale = std::mem::take(&mut self.tags.dirty);
         let mut requesters = std::mem::take(&mut self.req_buf);
         requesters.clear();
+        let metrics = self.metrics.is_some();
         for w in 0..self.waiting.len() {
             for idx in Bits::of(w, self.waiting[w]) {
-                let e = self.entries[idx].as_ref().expect("waiting entry exists");
-                if e.pending_tail || e.hold_until > now {
+                let e = self.entries[idx].as_mut().expect("waiting entry exists");
+                if e.sig & stale != 0 {
+                    e.ready = self.tags.ready_time_of(&e.srcs);
+                }
+                if e.pending_tail || e.hold_until > now || e.ready > now {
                     continue;
                 }
-                if e.srcs.iter().all(|&t| self.tags.ready(t, now)) {
-                    requesters.push((e.age, idx));
-                    if self.metrics.is_some() {
-                        if let Some(e) = self.entries[idx].as_mut() {
-                            if e.woken_at.is_none() {
-                                e.woken_at = Some(now);
-                            }
-                        }
-                    }
+                requesters.push((e.age, idx));
+                if metrics && e.woken_at.is_none() {
+                    e.woken_at = Some(now);
                 }
             }
         }
         requesters.sort_unstable();
+        self.quiet = quiet && requesters.is_empty();
 
         // Grant phase: oldest first, within issue width and FU pools,
         // minus the slots/FUs blocked by MOP tails sequencing this cycle.
@@ -984,7 +1041,111 @@ impl IssueQueue {
 
         if self.accounting.is_some() {
             let wasted = self.stats.spec_wakeup_cancels + self.stats.pileup_replays - waste_before;
-            self.account_cycle(now, blocked_slots, wasted, out.len());
+            self.account_cycle(now, blocked_slots, wasted, out.len(), 1);
+        }
+    }
+
+    /// Bring every waiting entry's cached readiness up to date: re-read
+    /// the tags of exactly those entries whose source signature meets the
+    /// dirty bits, then clear the bits. Issued entries are skipped; a
+    /// replay recomputes their cache when they wait again. The cycle's
+    /// speculative-wakeup and request phases do the same inline.
+    fn refresh_ready(&mut self) {
+        let dirty = std::mem::take(&mut self.tags.dirty);
+        if dirty == 0 {
+            return;
+        }
+        for (w, &word) in self.waiting.iter().enumerate() {
+            for idx in Bits::of(w, word) {
+                let e = self.entries[idx].as_mut().expect("waiting entry exists");
+                if e.sig & dirty != 0 {
+                    e.ready = self.tags.ready_time_of(&e.srcs);
+                }
+            }
+        }
+    }
+
+    /// The earliest cycle after the current one at which this queue can
+    /// act on its own: release an entry, broadcast speculatively, or have
+    /// a requester. With slot accounting on, also the first cycle a
+    /// waiting entry's stall cause can change. `now + 1` unless the last
+    /// cycle was quiet; `u64::MAX` when nothing is pending at all. Exact
+    /// only until the next insert, fuse, squash or load resolution.
+    pub fn next_active(&mut self) -> u64 {
+        let soon = self.now + 1;
+        if !self.quiet {
+            return soon;
+        }
+        self.refresh_ready();
+        let mut next = u64::MAX;
+        for w in 0..self.waiting.len() {
+            for idx in Bits::of(w, self.waiting[w] | self.issued[w]) {
+                let e = self.entries[idx].as_ref().expect("occupied entry exists");
+                next = next.min(self.wake_at(e));
+                if next <= soon {
+                    return soon;
+                }
+            }
+        }
+        next
+    }
+
+    /// The first cycle after `now` at which entry `e` can change the
+    /// queue's behaviour or its slot accounting, assuming no outside
+    /// event; `u64::MAX` if only an outside event can wake it.
+    fn wake_at(&self, e: &Entry) -> u64 {
+        let now = self.now;
+        if e.state == EntryState::Issued {
+            return e.confirm_at.expect("issued entries have a confirm time");
+        }
+        if e.pending_tail {
+            // Charged to MOP fusion until a tail or a squash arrives.
+            return u64::MAX;
+        }
+        let mut at = e.ready.max(e.hold_until);
+        if self.config.kind.broadcasts_at_wakeup() && !e.spec_broadcast {
+            at = at.min(e.ready);
+        }
+        if self.accounting.is_some() {
+            // `stall_cause` compares `hold_until` and each source's
+            // visible and actual times against the clock.
+            if e.hold_until > now {
+                at = at.min(e.hold_until);
+            }
+            for s in e.srcs.iter().filter_map(|&t| self.tags.get(t)) {
+                for t in [s.ready_at, s.actual_at].into_iter().flatten() {
+                    if t > now {
+                        at = at.min(t);
+                    }
+                }
+            }
+        }
+        at
+    }
+
+    /// Account `k` idle cycles in bulk, exactly as `k` calls of
+    /// [`IssueQueue::cycle_into`] would: cycles, the occupancy integral
+    /// and histogram, and one slot classification charged `k` times
+    /// ([`IssueQueue::unattributed_slots`] then reports one cycle's
+    /// share). Only valid while `now + k < next_active()`.
+    pub fn skip_idle(&mut self, k: u64) {
+        if k == 0 {
+            return;
+        }
+        debug_assert!(
+            self.now + k < self.next_active(),
+            "skipping {k} cycles from {} runs past the queue's next activity",
+            self.now
+        );
+        self.now += k;
+        self.stats.cycles += k;
+        let occ = self.occupancy() as u64;
+        self.stats.occupancy_integral += occ * k;
+        if let Some(m) = self.metrics.as_deref_mut() {
+            m.occupancy.record_n(occ, k);
+        }
+        if self.accounting.is_some() {
+            self.account_cycle(self.now, 0, 0, 0, k);
         }
     }
 
@@ -1001,23 +1162,38 @@ impl IssueQueue {
         })
     }
 
-    /// Charge this cycle's `issue_width` slots to causes: grants are
+    /// Every waiting entry's signature matches its sources, and its cached
+    /// readiness is exact unless the dirty bits cover one of them. Checked
+    /// at the start of every debug cycle, like [`Self::bitsets_agree`].
+    fn ready_cache_agrees(&self) -> bool {
+        self.waiting.iter().enumerate().all(|(w, &word)| {
+            Bits::of(w, word).all(|idx| {
+                let e = self.entries[idx].as_ref().expect("waiting entry exists");
+                let sig = e.srcs.iter().fold(0, |sig, &t| sig | tag_bit(t));
+                sig == e.sig
+                    && (e.sig & self.tags.dirty != 0
+                        || e.ready == self.tags.ready_time_of(&e.srcs))
+            })
+        })
+    }
+
+    /// Charge `times` cycles' `issue_width` slots each to causes: grants are
     /// useful, MOP payload-sequencing blocks are fusion overhead, slots
     /// burned by select-free mis-speculation (stale-grant cancels, pileup
     /// replays) are scheduling-loop cost, and each remaining idle slot is
     /// blamed on the oldest still-waiting entries (mirroring select
     /// priority). Idle slots with nobody waiting are left for the driver
-    /// via [`IssueQueue::unattributed_slots`].
-    fn account_cycle(&mut self, now: u64, blocked: usize, wasted: u64, grants: usize) {
+    /// via [`IssueQueue::unattributed_slots`], one cycle's worth.
+    fn account_cycle(&mut self, now: u64, blocked: usize, wasted: u64, grants: usize, times: u64) {
         let Some(mut acc) = self.accounting.take() else {
             return;
         };
         let width = self.config.issue_width as u64;
         let busy = blocked as u64 + wasted + grants as u64;
         debug_assert!(busy <= width, "charged more slots than the machine offers");
-        acc.counts.add(SlotCause::Useful, grants as u64);
-        acc.counts.add(SlotCause::MopFusion, blocked as u64);
-        acc.counts.add(SlotCause::SchedLoop, wasted);
+        acc.counts.add(SlotCause::Useful, grants as u64 * times);
+        acc.counts.add(SlotCause::MopFusion, blocked as u64 * times);
+        acc.counts.add(SlotCause::SchedLoop, wasted * times);
         let idle = (width - busy) as usize;
         acc.empty = 0;
         if idle > 0 {
@@ -1031,7 +1207,7 @@ impl IssueQueue {
             acc.cause_buf.sort_unstable_by_key(|&(age, _)| age);
             let attributed = acc.cause_buf.len().min(idle);
             for &(_, cause) in acc.cause_buf.iter().take(attributed) {
-                acc.counts.add(cause, 1);
+                acc.counts.add(cause, times);
             }
             acc.empty = (idle - attributed) as u64;
         }
@@ -1171,6 +1347,7 @@ impl IssueQueue {
                     e.spec_broadcast = false;
                     e.collided = false;
                     e.woken_at = None;
+                    e.ready = self.tags.ready_time_of(&e.srcs);
                     clear_bit(&mut self.issued, idx);
                     set_bit(&mut self.waiting, idx);
                     self.stats.load_replay_uops += e.uops.len() as u64;
@@ -1223,12 +1400,13 @@ impl IssueQueue {
                     continue;
                 }
                 if e.uops.len() > 1 && e.uops.last().expect("non-empty").id >= first_squashed {
-                    // Half-squashed MOP: drop wrong-path tail uops, restore
-                    // the head's own source set, and let it schedule alone.
+                    // Half-squashed MOP: drop wrong-path tail uops and keep
+                    // the sources of every surviving member (the MOP tag
+                    // was never among them).
                     let uops = Arc::make_mut(&mut e.uops);
                     uops.retain(|u| u.id < first_squashed);
-                    let head_srcs = &uops[0].srcs;
-                    e.srcs.retain(|t| head_srcs.contains(t));
+                    e.srcs.retain(|t| uops.iter().any(|u| u.srcs.contains(t)));
+                    e.cache_srcs(&self.tags);
                 }
                 if e.pending_tail {
                     e.pending_tail = false;
@@ -1583,6 +1761,26 @@ mod tests {
         let restored = srcs(&q);
         assert_eq!(restored, vec![Tag(90), Tag(91), Tag(92)], "head's sources");
         assert!(!restored.spilled(), "back inline without the tail's sources");
+    }
+
+    /// A three-member chain whose tail is squashed keeps the middle
+    /// member's external sources: the survivor must still wait for them.
+    #[test]
+    fn half_squashed_chain_keeps_the_middle_members_sources() {
+        let mut c = cfg(SchedulerKind::MacroOp);
+        c.mop.max_mop_size = 3;
+        let mut q = IssueQueue::new(c);
+        q.force_external_tag(Tag(50)); // never broadcast
+        let e = q.insert_mop_head(alu(0, Some(100), &[])).unwrap();
+        q.fuse_tail(e, alu(1, Some(100), &[100, 50])).unwrap();
+        q.mark_pending(e);
+        q.fuse_tail(e, alu(5, Some(100), &[100])).unwrap();
+        q.squash_from(UopId(3));
+        let srcs = q.entries[e.index].as_ref().unwrap().srcs.clone();
+        assert_eq!(srcs, vec![Tag(50)], "head and middle sources, minus the MOP tag");
+        for now in 0..10 {
+            assert!(q.cycle(now).is_empty(), "the middle member still waits on Tag(50)");
+        }
     }
 
     #[test]
@@ -1981,6 +2179,179 @@ mod tests {
         let counts = q.slot_counts().expect("accounting on");
         let charged = counts.total() + unattributed;
         assert_eq!(charged, 34 * q.config().issue_width as u64, "slots conserve");
+    }
+
+    /// One issue decision, comparable across queue clones.
+    fn grants(out: &[Issued]) -> Vec<(EntryId, Vec<UopId>, u64)> {
+        out.iter()
+            .map(|i| (i.entry, i.uops.iter().map(|u| u.id).collect(), i.issue_cycle))
+            .collect()
+    }
+
+    /// Everything `skip_idle` must reproduce, one cycle's unattributed
+    /// slots scaled by `k`.
+    fn observable(q: &IssueQueue, k: u64) -> (QueueStats, Option<SlotCounts>, u64, Option<Hist>) {
+        (
+            q.stats(),
+            q.slot_counts().copied(),
+            q.unattributed_slots() * k,
+            q.metrics().map(|m| m.occupancy.clone()),
+        )
+    }
+
+    /// Drive `kind` with bursts of dependent work separated by idle gaps,
+    /// load storms, loads that miss, and MOP pairs, on two clones in
+    /// lockstep: `q` skips every stretch `next_active()` allows with
+    /// `skip_idle(k)`, `stepped` calls `cycle_into` for each of those `k`
+    /// cycles. Their
+    /// grants, stats, slot counts, unattributed slots and occupancy
+    /// histograms must agree after every skip and every cycle. Without
+    /// accounting, the cycle `next_active()` predicts must not be quiet:
+    /// the prediction is exact, not just safe. Returns the cycles skipped.
+    fn skip_matches_stepping(kind: SchedulerKind, observe: bool) -> u64 {
+        const END: u64 = 600;
+        const STORM: u64 = 10_000;
+        let burst = |c: u64| c % 60 < 4;
+        let storm = |c: u64| c % 60 == 30;
+        let mut c = cfg(kind);
+        c.replay_penalty = 5; // scoreboard hold-offs outlast a cycle
+        let mut q = IssueQueue::new(c);
+        q.set_slot_accounting(observe);
+        q.set_metrics(observe);
+        let mut stepped = q.clone();
+        let (mut out, mut step_out) = (Vec::new(), Vec::new());
+        // Load resolutions due: `(cycle, tag, hit, data ready)`.
+        let mut resolves: Vec<(u64, Tag, bool, u64)> = Vec::new();
+        let (mut next_id, mut skipped, mut now) = (0u64, 0, 0u64);
+        let mut predicted = None;
+        while now < END {
+            for qq in [&mut q, &mut stepped] {
+                for &(_, tag, hit, ready) in resolves.iter().filter(|r| r.0 == now) {
+                    qq.load_resolved(tag, hit, ready);
+                }
+            }
+            resolves.retain(|r| r.0 != now);
+            if storm(now) && q.free_entries() >= 8 {
+                // A storm of loads: the last one starves for memory ports
+                // after waking its consumer, a select-free pileup victim.
+                // Storm loads hit and report nothing (tags from `STORM`).
+                let (id, t) = (next_id, STORM + next_id);
+                next_id += 8;
+                for qq in [&mut q, &mut stepped] {
+                    for k in 0..7 {
+                        qq.insert(load(id + k, t + k, &[])).unwrap();
+                    }
+                    qq.insert(alu(id + 7, Some(t + 7), &[t + 6])).unwrap();
+                }
+            } else if burst(now) && q.free_entries() >= 4 {
+                let (id, t) = (next_id, 1000 + next_id);
+                next_id += 4;
+                for qq in [&mut q, &mut stepped] {
+                    qq.insert(load(id, t, &[])).unwrap();
+                    qq.insert(alu(id + 1, Some(t + 1), &[t])).unwrap();
+                    if kind == SchedulerKind::MacroOp {
+                        let e = qq.insert_mop_head(alu(id + 2, Some(t + 2), &[t + 1])).unwrap();
+                        qq.fuse_tail(e, alu(id + 3, Some(t + 2), &[t + 2, t])).unwrap();
+                    } else {
+                        qq.insert(alu(id + 2, Some(t + 2), &[t + 1, t])).unwrap();
+                    }
+                }
+            }
+            q.cycle_into(now, &mut out);
+            stepped.cycle_into(now, &mut step_out);
+            assert_eq!(grants(&out), grants(&step_out), "{kind:?}: grants at {now}");
+            assert_eq!(observable(&q, 1), observable(&stepped, 1), "{kind:?}: at {now}");
+            if predicted == Some(now) && !observe {
+                assert!(!q.quiet, "{kind:?}: predicted activity at {now}, none happened");
+            }
+            for i in &out {
+                for u in i.uops.iter().filter(|u| u.is_load && u.dst < Some(Tag(STORM))) {
+                    // The hit or miss is known five cycles after select,
+                    // after the consumer issued in the load shadow.
+                    let miss = u.id.0 % 8 == 0;
+                    let ready = now + if miss { 40 } else { 4 };
+                    resolves.push((now + 5, u.dst.unwrap(), !miss, ready));
+                }
+            }
+            let due = resolves.iter().map(|r| r.0).min().unwrap_or(u64::MAX);
+            let insert = (now + 1..).find(|&c| burst(c) || storm(c)).expect("bursts recur");
+            let active = q.next_active();
+            let next = active.min(due).min(insert).min(END);
+            predicted = (active > now + 1 && active < due.min(insert)).then_some(active);
+            if next > now + 1 {
+                let k = next - now - 1;
+                q.skip_idle(k);
+                let mut unattributed = 0;
+                for c in now + 1..next {
+                    stepped.cycle_into(c, &mut step_out);
+                    assert!(step_out.is_empty(), "{kind:?}: grant at {c} inside a skip");
+                    unattributed += stepped.unattributed_slots();
+                }
+                let want = (
+                    stepped.stats(),
+                    stepped.slot_counts().copied(),
+                    unattributed,
+                    stepped.metrics().map(|m| m.occupancy.clone()),
+                );
+                assert_eq!(observable(&q, k), want, "{kind:?}: skipping {k} to {next}");
+                skipped += k;
+                now = next - 1;
+            }
+            now += 1;
+        }
+        let s = q.stats();
+        assert!(s.issued_uops >= next_id / 2, "{kind:?}: work issued");
+        assert!(s.load_replay_uops + s.pileup_replays > 0, "{kind:?}: no replay: {s:?}");
+        skipped
+    }
+
+    /// Memory ports starve a load that already woke its consumer
+    /// speculatively, so the consumer piles up and is held off for the
+    /// replay penalty, past the load's eventual wakeup. Every look-ahead
+    /// must name the first cycle that is not quiet: here the end of the
+    /// hold-off, not the consumer's source wakeup.
+    #[test]
+    fn next_active_waits_out_a_pileup_hold_off() {
+        let mut c = cfg(SchedulerKind::SelectFreeScoreboard);
+        c.replay_penalty = 5;
+        let mut q = IssueQueue::new(c);
+        for id in 0..7 {
+            q.insert(load(id, 100 + id, &[])).unwrap();
+        }
+        q.insert(alu(7, Some(107), &[106])).unwrap();
+        let mut skips = 0;
+        for now in 0..40 {
+            q.cycle(now);
+            let next = q.clone().next_active();
+            if next > now + 1 && next < u64::MAX {
+                let mut c = q.clone();
+                for t in now + 1..next {
+                    assert!(c.cycle(t).is_empty() && c.quiet, "activity at {t} before {next}");
+                }
+                c.cycle(next);
+                assert!(!c.quiet, "predicted activity at {next}, none happened");
+                skips += 1;
+            }
+        }
+        assert!(q.stats().pileup_replays > 0, "the consumer piled up");
+        assert!(skips > 0);
+    }
+
+    #[test]
+    fn skip_idle_equals_stepping_idle_cycles() {
+        for kind in [
+            SchedulerKind::Base,
+            SchedulerKind::TwoCycle,
+            SchedulerKind::MacroOp,
+            SchedulerKind::SelectFreeSquashDep,
+            SchedulerKind::SelectFreeScoreboard,
+            SchedulerKind::SpeculativeWakeup,
+        ] {
+            for observe in [false, true] {
+                let skipped = skip_matches_stepping(kind, observe);
+                assert!(skipped > 100, "{kind:?}: only {skipped} cycles skipped");
+            }
+        }
     }
 
     #[test]

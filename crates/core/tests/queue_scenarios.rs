@@ -6,7 +6,7 @@ use std::collections::HashMap;
 
 use proptest::prelude::*;
 
-use mos_core::queue::IssueQueue;
+use mos_core::queue::{IssueQueue, QueueStats};
 use mos_core::{SchedConfig, SchedUop, SchedulerKind, Tag, UopId, WakeupStyle};
 use mos_isa::InstClass;
 
@@ -20,7 +20,11 @@ fn cfg(kind: SchedulerKind) -> SchedConfig {
 }
 
 fn alu(id: u64, dst: Option<u64>, srcs: &[u64]) -> SchedUop {
-    let mut u = SchedUop::leaf(UopId(id), InstClass::IntAlu, dst.map(Tag));
+    op(id, InstClass::IntAlu, dst, srcs)
+}
+
+fn op(id: u64, class: InstClass, dst: Option<u64>, srcs: &[u64]) -> SchedUop {
+    let mut u = SchedUop::leaf(UopId(id), class, dst.map(Tag));
     u.srcs = srcs.iter().copied().map(Tag).collect();
     u
 }
@@ -35,6 +39,57 @@ fn drain(q: &mut IssueQueue, cycles: u64) -> HashMap<u64, Vec<u64>> {
         }
     }
     sched
+}
+
+/// `drain`, checking the queue's idle-cycle prediction after every cycle:
+/// whenever `next_active()` lies more than a cycle ahead, a clone stepped
+/// cycle by cycle up to it grants nothing, releases nothing and changes
+/// no statistic but the clock and the occupancy integral, and at the
+/// predicted cycle itself it does act: it grants, releases or changes a
+/// statistic. (The first requester after a quiet cycle always finds a
+/// free slot and unit, so a request is a grant or a counted cancel; and
+/// an entry due to broadcast speculatively also requests then, since a
+/// held-off entry has broadcast already.)
+fn drain_checked(q: &mut IssueQueue, cycles: u64) -> HashMap<u64, Vec<u64>> {
+    let mut sched: HashMap<u64, Vec<u64>> = HashMap::new();
+    let mut out = Vec::new();
+    for now in 0..cycles {
+        q.cycle_into(now, &mut out);
+        for i in &out {
+            for u in i.uops.iter() {
+                sched.entry(u.id.0).or_default().push(i.issue_cycle);
+            }
+        }
+        check_idle_prediction(q, now);
+    }
+    sched
+}
+
+fn check_idle_prediction(q: &IssueQueue, now: u64) {
+    let mut c = q.clone();
+    let next = c.next_active();
+    if next <= now + 1 {
+        return;
+    }
+    let frozen = |q: &IssueQueue| QueueStats {
+        cycles: 0,
+        occupancy_integral: 0,
+        ..q.stats()
+    };
+    let (stats, occupancy) = (frozen(&c), c.occupancy());
+    let mut out = Vec::new();
+    // Nothing pending at all: a few idle cycles stand in for forever.
+    for t in now + 1..next.min(now + 64) {
+        c.cycle_into(t, &mut out);
+        assert!(out.is_empty(), "grant at {t}, before the predicted {next}");
+        assert_eq!(c.occupancy(), occupancy, "release at {t}, before {next}");
+        assert_eq!(frozen(&c), stats, "stats changed at {t}, before {next}");
+    }
+    if next < now + 64 {
+        c.cycle_into(next, &mut out);
+        let acted = !out.is_empty() || c.occupancy() != occupancy || frozen(&c) != stats;
+        assert!(acted, "predicted activity at {next}, but the cycle was quiet");
+    }
 }
 
 /// An independent MOP serializes its members but its consumers still see
@@ -156,8 +211,10 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
 
     /// Conservation: every inserted singleton eventually issues exactly
-    /// once (no loads, no squashes), under every scheduler, regardless of
-    /// dependence shape.
+    /// once (no loads, no squashes), under every scheduler and pileup
+    /// replay penalty, regardless of dependence shape or which uops are
+    /// 3-cycle multiplies; and the queue's idle-cycle prediction holds
+    /// throughout (see `drain_checked`).
     #[test]
     fn all_work_issues_exactly_once(
         deps in prop::collection::vec(prop::option::of(0usize..8), 1..24),
@@ -169,17 +226,22 @@ proptest! {
             SchedulerKind::SelectFreeScoreboard,
             SchedulerKind::SpeculativeWakeup,
         ]),
+        replay_penalty in prop::sample::select(vec![2u32, 5]),
+        classes in prop::collection::vec(
+            prop::sample::select(vec![InstClass::IntAlu, InstClass::IntMul]),
+            24..25,
+        ),
     ) {
-        let mut q = IssueQueue::new(cfg(kind));
+        let mut q = IssueQueue::new(SchedConfig { replay_penalty, ..cfg(kind) });
         for (i, d) in deps.iter().enumerate() {
             // Depend on an earlier uop (by index distance) when possible.
             let srcs: Vec<u64> = match d {
                 Some(back) if *back < i => vec![100 + (i - 1 - back) as u64],
                 _ => vec![],
             };
-            q.insert(alu(i as u64, Some(100 + i as u64), &srcs)).unwrap();
+            q.insert(op(i as u64, classes[i], Some(100 + i as u64), &srcs)).unwrap();
         }
-        let sched = drain(&mut q, 300);
+        let sched = drain_checked(&mut q, 300);
         for i in 0..deps.len() as u64 {
             let issues = sched.get(&i).map(Vec::len).unwrap_or(0);
             prop_assert_eq!(issues, 1, "uop {} issued {} times under {:?}", i, issues, kind);
@@ -187,7 +249,7 @@ proptest! {
     }
 
     /// Issue cycles respect dependences: a consumer never issues before
-    /// its producer (+1 at minimum).
+    /// its producer (+1 at minimum), and the idle-cycle prediction holds.
     #[test]
     fn dependences_are_never_violated(
         deps in prop::collection::vec(prop::option::of(0usize..4), 2..20),
@@ -205,7 +267,7 @@ proptest! {
             };
             q.insert(alu(i as u64, Some(100 + i as u64), &srcs)).unwrap();
         }
-        let sched = drain(&mut q, 200);
+        let sched = drain_checked(&mut q, 200);
         for (p, c) in edges {
             prop_assert!(
                 sched[&c][0] > sched[&p][0],

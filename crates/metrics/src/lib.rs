@@ -72,6 +72,22 @@ impl Hist {
         self.max = self.max.max(v);
     }
 
+    /// Record `n` samples of the same value `v`, as `n` calls of
+    /// [`Hist::record`] would.
+    pub fn record_n(&mut self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let i = bucket_index(v);
+        if i >= self.buckets.len() {
+            self.buckets.resize(i + 1, 0);
+        }
+        self.buckets[i] += n;
+        self.count += n;
+        self.sum += v * n;
+        self.max = self.max.max(v);
+    }
+
     /// Fold `other` into `self` (commutative and associative: elementwise
     /// bucket adds, summed counts, max of maxima).
     pub fn merge(&mut self, other: &Hist) {
@@ -420,6 +436,19 @@ mod tests {
         assert_eq!(h.buckets()[3], 1); // 7
         assert_eq!(h.buckets()[4], 1); // 8
         assert_eq!(h.buckets()[10], 1); // 1000 in [512, 1023]
+    }
+
+    #[test]
+    fn record_n_equals_repeated_record() {
+        let mut bulk = Hist::new();
+        let mut one = Hist::new();
+        for (v, n) in [(5, 3), (0, 2), (1000, 1), (7, 0)] {
+            bulk.record_n(v, n);
+            for _ in 0..n {
+                one.record(v);
+            }
+        }
+        assert_eq!(bulk, one);
     }
 
     #[test]

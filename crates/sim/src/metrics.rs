@@ -91,10 +91,15 @@ impl SimMetrics {
     }
 
     /// `true` when the cycle `now` closes an interval (the simulator
-    /// advances one cycle at a time, so this fires exactly on multiples
-    /// of the interval).
+    /// never skips past [`SimMetrics::next_at`], so this fires exactly on
+    /// multiples of the interval).
     pub fn due(&self, now: u64) -> bool {
         now >= self.next_at
+    }
+
+    /// The cycle that closes the current interval.
+    pub fn next_at(&self) -> u64 {
+        self.next_at
     }
 
     /// Close the interval ending at `now` with cumulative values `cum`.

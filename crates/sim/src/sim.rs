@@ -20,6 +20,17 @@ use crate::oracle::{InvariantOracle, OracleMode};
 use crate::stats::SimStats;
 use crate::timeline::Timeline;
 
+/// Cycles without a commit after which [`Simulator::run`] declares a
+/// deadlock.
+const DEADLOCK_CYCLES: u64 = 500_000;
+
+/// Tag bookkeeping is pruned on multiples of this many cycles, keeping
+/// this many cycles of history.
+const PRUNE_PERIOD: u64 = 4096;
+
+/// Fetch stops while this many groups wait in the front-end delay line.
+const FRONT_GROUPS: usize = 8;
+
 /// One instruction traveling the front end.
 #[derive(Debug, Clone)]
 struct FrontInst {
@@ -151,6 +162,8 @@ pub struct Simulator<T: TraceSource> {
 
     now: u64,
     last_commit_cycle: u64,
+    /// Cycles jumped over by [`Simulator::skip_idle_cycles`].
+    skipped_cycles: u64,
     stats: SimStats,
     /// Per-instruction pipeline timelines, fed from the trace-event
     /// stream (enabling it enables tracing).
@@ -239,6 +252,7 @@ impl<T: TraceSource> Simulator<T> {
             store_inflight: Vec::new(),
             now: 0,
             last_commit_cycle: 0,
+            skipped_cycles: 0,
             stats: SimStats::default(),
             timeline: None,
             metrics: None,
@@ -355,13 +369,17 @@ impl<T: TraceSource> Simulator<T> {
                 break;
             }
             assert!(
-                self.now - self.last_commit_cycle < 500_000,
+                self.now - self.last_commit_cycle < DEADLOCK_CYCLES,
                 "pipeline deadlock at cycle {} (rob {} front {} queue {})",
                 self.now,
                 self.rob.len(),
                 self.front.len(),
                 self.queue.occupancy()
             );
+            // Never skip past the cycle that ends the run.
+            if self.stats.committed < max_commits {
+                self.skip_idle_cycles();
+            }
         }
         self.snapshot()
     }
@@ -384,6 +402,13 @@ impl<T: TraceSource> Simulator<T> {
             }
         }
         s
+    }
+
+    /// Cycles so far in which no pipeline stage could act, which the
+    /// clock jumped over and charged in bulk. Host-side only: stepping
+    /// through them would have produced the same results.
+    pub fn skipped_cycles(&self) -> u64 {
+        self.skipped_cycles
     }
 
     /// The machine configuration.
@@ -578,12 +603,12 @@ impl<T: TraceSource> Simulator<T> {
         // 5. Fetch.
         self.fetch_stage();
 
-        if now.is_multiple_of(4096) {
-            self.queue.prune_tags(4096);
+        if now.is_multiple_of(PRUNE_PERIOD) {
+            self.queue.prune_tags(PRUNE_PERIOD);
         }
 
         // 6. Interval metric snapshot, landing exactly on multiples of
-        // the interval (the clock advances one cycle per step).
+        // the interval (idle-cycle skipping stops at each boundary).
         if self.metrics.as_deref().is_some_and(|m| m.due(now)) {
             let cum = self.cumulative();
             if let Some(m) = self.metrics.as_deref_mut() {
@@ -591,10 +616,16 @@ impl<T: TraceSource> Simulator<T> {
             }
         }
 
-        // The conservation law, checked every cycle like the scheduling
-        // oracle: charged slots must equal the slots the machine offered.
+        self.check_conservation();
+    }
+
+    /// The conservation law, checked after every cycle and every skip
+    /// like the scheduling oracle: charged slots must equal the slots the
+    /// machine offered up to `self.now`.
+    fn check_conservation(&self) {
         #[cfg(debug_assertions)]
         if let Some(c) = self.slot_counts.as_deref() {
+            let now = self.now;
             let mut total = *c;
             if let Some(q) = self.queue.slot_counts() {
                 total.merge(q);
@@ -607,13 +638,92 @@ impl<T: TraceSource> Simulator<T> {
         }
     }
 
+    /// Jump the clock over cycles in which no stage can change any state
+    /// (DESIGN §6 "Cached readiness and idle cycles"): no event is due,
+    /// nothing can insert, issue, commit or fetch, no pointer installs,
+    /// no tag prune, metric boundary or deadlock check falls due, and
+    /// with slot accounting no stall cause can change. The skipped cycles
+    /// are charged in bulk, so every statistic, trace event and slot
+    /// count is what stepping through them would have produced.
+    fn skip_idle_cycles(&mut self) {
+        let now = self.now;
+        let soon = now + 1;
+        let accounting = self.slot_counts.is_some();
+        let mut next = self.last_commit_cycle + DEADLOCK_CYCLES;
+        next = next.min((now / PRUNE_PERIOD + 1) * PRUNE_PERIOD);
+        if let Some(at) = self.rob.front().and_then(|h| h.complete_at) {
+            next = next.min(at);
+        }
+        if self.front.len() < FRONT_GROUPS && self.program.inst(self.fetch_pc).is_some() {
+            next = next.min(self.fetch_stall_until);
+        }
+        // A ready front group that cannot insert stays blocked until a
+        // release or a commit frees room, both wake-ups of their own.
+        let insert_blocked = match self.front.front() {
+            Some(g) if g.ready_at > now => {
+                next = next.min(g.ready_at);
+                false
+            }
+            Some(g) => {
+                if self.group_fits(g.insts.len()) {
+                    return;
+                }
+                true
+            }
+            None => false,
+        };
+        if let Some(at) = self.pointers.next_install_at() {
+            next = next.min(at);
+        }
+        if let Some(m) = self.metrics.as_deref() {
+            next = next.min(m.next_at());
+        }
+        if accounting && self.redirect_until > now {
+            next = next.min(self.redirect_until);
+        }
+        if next <= soon {
+            return;
+        }
+        // Every event lies within the wheel's horizon of `now`.
+        let horizon = (next - now).min(self.wheel_mask + 1);
+        let bucket = |d: u64| &self.events[((now + d) & self.wheel_mask) as usize];
+        if let Some(d) = (1..horizon).find(|&d| !bucket(d).is_empty()) {
+            next = now + d;
+        }
+        if next <= soon {
+            return;
+        }
+        next = next.min(self.queue.next_active());
+        if next <= soon {
+            return;
+        }
+        let k = next - soon;
+        self.queue.skip_idle(k);
+        self.now += k;
+        self.skipped_cycles += k;
+        if let Some(c) = self.slot_counts.as_deref_mut() {
+            let empty = self.queue.unattributed_slots();
+            if empty > 0 {
+                let cause = if self.wrong_path || self.redirect_until > now {
+                    SlotCause::WrongPath
+                } else if insert_blocked {
+                    SlotCause::Frontend
+                } else {
+                    SlotCause::Drained
+                };
+                c.add(cause, empty * k);
+            }
+        }
+        self.check_conservation();
+    }
+
     // ------------------------------------------------------------------
     // Fetch
     // ------------------------------------------------------------------
 
     fn fetch_stage(&mut self) {
         let now = self.now;
-        if self.fetch_stall_until > now || self.front.len() >= 8 {
+        if self.fetch_stall_until > now || self.front.len() >= FRONT_GROUPS {
             return;
         }
         // One I-cache line feeds a fetch group.
@@ -821,10 +931,7 @@ impl<T: TraceSource> Simulator<T> {
         if group.ready_at > now {
             return;
         }
-        let n = group.insts.len();
-        // Conservative resource check: every instruction may need an entry
-        // (fused tails actually will not).
-        if self.queue.free_entries() < n || self.rob.len() + n > self.cfg.rob_entries {
+        if !self.group_fits(group.insts.len()) {
             self.insert_blocked = true;
             return;
         }
@@ -946,6 +1053,12 @@ impl<T: TraceSource> Simulator<T> {
             }
         }
         self.detect_buf = detect_group;
+    }
+
+    /// Conservative resource check for inserting a group of `n`: every
+    /// instruction may need an entry (fused tails actually will not).
+    fn group_fits(&self, n: usize) -> bool {
+        self.queue.free_entries() >= n && self.rob.len() + n <= self.cfg.rob_entries
     }
 
     /// Apply (and drain) formation steering to the queue; returns the role
@@ -1627,6 +1740,20 @@ mod tests {
             s.mop_entries_issued
         );
         assert!(s.grouped_frac() > 0.1, "grouped {:.3}", s.grouped_frac());
+    }
+
+    #[test]
+    fn memory_bound_runs_skip_most_idle_cycles() {
+        let trace = spec2000::by_name("mcf").unwrap().trace(42);
+        let mut sim = Simulator::new(MachineConfig::base_32(), trace);
+        let s = sim.run(5_000);
+        assert!(
+            sim.skipped_cycles() * 3 > s.cycles,
+            "mcf skipped {} of {} cycles",
+            sim.skipped_cycles(),
+            s.cycles
+        );
+        assert_eq!(s.queue.cycles, s.cycles, "the queue saw every cycle");
     }
 
     #[test]

@@ -14,6 +14,9 @@
 #   6. `mossim cpistack` smoke per scheduler model (conservation + JSON)
 #      plus the base/2cycle/mop differential, and the perf-history gate
 #      in warn-only mode
+#   6b. memory-bound mcf under every scheduler model: `trace --check` and
+#      `cpistack`, so the release oracle and the conservation law watch
+#      runs where most cycles are skipped as idle
 #   7. RV32 frontend smoke per scheduler model (assemble a real program,
 #      run it, trace --check, cpistack), the `mossim rvdiff` differential
 #      oracle over the whole suite (with its JSON report), and its
@@ -72,6 +75,18 @@ for sched in base 2cycle mop-2src mop-wor sf-squash sf-scoreboard spec-wakeup; d
     grep -q '"conservation_ok":true' "/tmp/verify_cpistack_${sched}.json"
     grep -q '"cause":"sched_loop"' "/tmp/verify_cpistack_${sched}.json"
     echo "  $sched: slots conserve"
+done
+
+echo "== idle-cycle skipping under the oracle (mcf, every scheduler model) =="
+for sched in base 2cycle mop-2src mop-wor sf-squash sf-scoreboard spec-wakeup; do
+    ./target/release/mossim trace --bench mcf --sched "$sched" \
+        --insts 10000 --check --out "/tmp/verify_mcf_trace_${sched}.jsonl" \
+        > "/tmp/verify_mcf_trace_${sched}.txt"
+    grep -q "no scheduling-invariant violations" "/tmp/verify_mcf_trace_${sched}.txt"
+    ./target/release/mossim cpistack --bench mcf --sched "$sched" \
+        --insts 10000 > "/tmp/verify_mcf_cpistack_${sched}.md"
+    grep -q "conservation: ok" "/tmp/verify_mcf_cpistack_${sched}.md"
+    echo "  $sched: oracle clean + slots conserve"
 done
 
 echo "== cpistack differential (base vs 2cycle vs mop) =="

@@ -13,18 +13,29 @@ use mopsched::sim::{MachineConfig, Simulator};
 use mopsched::workload::{kernels, spec2000};
 use mos_testutil::json;
 
-/// One observed benchmark run with metrics on, wrapped into a report.
+/// One observed gzip `mop-wor` run with metrics on, wrapped into a report.
 fn observed_run(interval: u64, insts: u64) -> RunReport {
-    let trace = spec2000::by_name("gzip").unwrap().trace(42);
     let cfg = MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 1);
+    observed("gzip", "mop-wor", cfg, interval, insts)
+}
+
+/// One observed run of `bench` on `cfg` with metrics on, as a report.
+fn observed(
+    bench: &str,
+    sched: &str,
+    cfg: MachineConfig,
+    interval: u64,
+    insts: u64,
+) -> RunReport {
+    let trace = spec2000::by_name(bench).unwrap().trace(42);
     let mut sim = Simulator::new(cfg, trace);
     sim.enable_metrics(interval);
     sim.run(insts);
     RunReport::collect(
         &mut sim,
         RunMeta {
-            bench: "gzip".into(),
-            sched: "mop-wor".into(),
+            bench: bench.into(),
+            sched: sched.into(),
             insts,
             seed: 42,
             interval,
@@ -36,7 +47,12 @@ fn observed_run(interval: u64, insts: u64) -> RunReport {
 #[test]
 fn interval_rows_land_exactly_on_cycle_boundaries() {
     let interval = 512; // deliberately not the default
-    let r = observed_run(interval, 5_000);
+    assert_rows_on_boundaries(&observed_run(interval, 5_000), interval);
+}
+
+/// Every interior row ends on a multiple of `interval`; the last row is
+/// the partial tail up to the final cycle.
+fn assert_rows_on_boundaries(r: &RunReport, interval: u64) {
     let series = r.series.as_ref().expect("metrics enabled");
     assert_eq!(series.interval, interval);
     assert!(series.rows.len() >= 2, "run too short to test boundaries");
@@ -57,7 +73,37 @@ fn interval_rows_land_exactly_on_cycle_boundaries() {
 
 #[test]
 fn series_and_histograms_reconcile_with_totals() {
-    let r = observed_run(512, 5_000);
+    assert_reconciles(&observed_run(512, 5_000));
+}
+
+/// mcf waits on load misses most of the time, so most of its cycles are
+/// skipped as idle. An interval that does not divide the 4096-cycle tag
+/// prune period must still close every interior row exactly on its
+/// boundary, and the series and histograms must still add up to the
+/// end-of-run totals, under atomic and macro-op scheduling alike.
+#[test]
+fn mcf_rows_and_totals_hold_under_idle_cycle_skipping() {
+    let interval = 997;
+    for (sched, cfg) in [
+        ("base", MachineConfig::base_32()),
+        (
+            "mop-wor",
+            MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 1),
+        ),
+    ] {
+        let r = observed("mcf", sched, cfg, interval, 3_000);
+        assert!(r.stats.ipc() < 0.5, "{sched}: mcf must be memory-bound");
+        assert!(
+            r.series.as_ref().unwrap().rows.len() >= 5,
+            "{sched}: run too short to cross several boundaries"
+        );
+        assert_rows_on_boundaries(&r, interval);
+        assert_reconciles(&r);
+    }
+}
+
+/// The interval series and the queue histograms sum to the totals.
+fn assert_reconciles(r: &RunReport) {
     let s = &r.stats;
     let series = r.series.as_ref().expect("metrics enabled");
     assert_eq!(series.column_total("cycles"), Some(s.cycles));
