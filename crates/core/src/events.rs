@@ -9,8 +9,9 @@
 //! the ring-buffered JSONL writer behind `mossim trace` is another.
 //!
 //! Tracing is **off by default and zero-cost when disabled**: every
-//! emission site is guarded by a single predictable branch, and no event
-//! value is even constructed unless a sink is attached.
+//! emission site is guarded by a single predictable branch on its own
+//! kind, and no event value is even constructed unless an attached
+//! observer reads that kind (see [`EventSink::kinds`]).
 
 use std::collections::VecDeque;
 
@@ -432,11 +433,112 @@ impl TraceEvent {
     }
 }
 
+/// A set of [`TraceEvent`] kinds, one bit per variant.
+///
+/// An [`EventSink`] names the kinds it reads; a producer constructs only
+/// the union of its observers' kinds.
+///
+/// ```
+/// use mos_core::events::EventKinds;
+///
+/// let k = EventKinds::COMMIT | EventKinds::SQUASH;
+/// assert!(k.contains(EventKinds::COMMIT));
+/// assert!(!k.intersects(EventKinds::QUEUE));
+/// assert!(EventKinds::ALL.contains(k));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EventKinds(u16);
+
+impl EventKinds {
+    /// [`TraceEvent::Fetch`].
+    pub const FETCH: EventKinds = EventKinds(1 << 0);
+    /// [`TraceEvent::Rename`].
+    pub const RENAME: EventKinds = EventKinds(1 << 1);
+    /// [`TraceEvent::MopDetect`].
+    pub const MOP_DETECT: EventKinds = EventKinds(1 << 2);
+    /// [`TraceEvent::PointerInstall`].
+    pub const POINTER_INSTALL: EventKinds = EventKinds(1 << 3);
+    /// [`TraceEvent::PointerHit`].
+    pub const POINTER_HIT: EventKinds = EventKinds(1 << 4);
+    /// [`TraceEvent::PointerEvict`].
+    pub const POINTER_EVICT: EventKinds = EventKinds(1 << 5);
+    /// [`TraceEvent::Wakeup`].
+    pub const WAKEUP: EventKinds = EventKinds(1 << 6);
+    /// [`TraceEvent::Select`].
+    pub const SELECT: EventKinds = EventKinds(1 << 7);
+    /// [`TraceEvent::Issue`].
+    pub const ISSUE: EventKinds = EventKinds(1 << 8);
+    /// [`TraceEvent::LoadResolve`].
+    pub const LOAD_RESOLVE: EventKinds = EventKinds(1 << 9);
+    /// [`TraceEvent::Replay`].
+    pub const REPLAY: EventKinds = EventKinds(1 << 10);
+    /// [`TraceEvent::Commit`].
+    pub const COMMIT: EventKinds = EventKinds(1 << 11);
+    /// [`TraceEvent::Squash`].
+    pub const SQUASH: EventKinds = EventKinds(1 << 12);
+    /// Every kind.
+    pub const ALL: EventKinds = EventKinds((1 << 13) - 1);
+    /// The kinds [`crate::queue::IssueQueue`] emits.
+    pub const QUEUE: EventKinds = EventKinds(
+        Self::RENAME.0 | Self::WAKEUP.0 | Self::SELECT.0 | Self::LOAD_RESOLVE.0 | Self::REPLAY.0,
+    );
+
+    /// No kind.
+    pub const fn empty() -> EventKinds {
+        EventKinds(0)
+    }
+
+    /// `true` when every kind in `other` is in the set.
+    pub const fn contains(self, other: EventKinds) -> bool {
+        self.0 & other.0 == other.0
+    }
+
+    /// `true` when at least one kind in `other` is in the set.
+    pub const fn intersects(self, other: EventKinds) -> bool {
+        self.0 & other.0 != 0
+    }
+
+    /// The kind of `ev` as a one-element set.
+    pub fn of(ev: &TraceEvent) -> EventKinds {
+        match ev {
+            TraceEvent::Fetch { .. } => EventKinds::FETCH,
+            TraceEvent::Rename { .. } => EventKinds::RENAME,
+            TraceEvent::MopDetect { .. } => EventKinds::MOP_DETECT,
+            TraceEvent::PointerInstall { .. } => EventKinds::POINTER_INSTALL,
+            TraceEvent::PointerHit { .. } => EventKinds::POINTER_HIT,
+            TraceEvent::PointerEvict { .. } => EventKinds::POINTER_EVICT,
+            TraceEvent::Wakeup { .. } => EventKinds::WAKEUP,
+            TraceEvent::Select { .. } => EventKinds::SELECT,
+            TraceEvent::Issue { .. } => EventKinds::ISSUE,
+            TraceEvent::LoadResolve { .. } => EventKinds::LOAD_RESOLVE,
+            TraceEvent::Replay { .. } => EventKinds::REPLAY,
+            TraceEvent::Commit { .. } => EventKinds::COMMIT,
+            TraceEvent::Squash { .. } => EventKinds::SQUASH,
+        }
+    }
+}
+
+impl std::ops::BitOr for EventKinds {
+    type Output = EventKinds;
+
+    fn bitor(self, rhs: EventKinds) -> EventKinds {
+        EventKinds(self.0 | rhs.0)
+    }
+}
+
 /// A consumer of the event stream. Sinks must tolerate events arriving in
 /// nondecreasing cycle order with arbitrary interleaving within a cycle.
 pub trait EventSink {
     /// Observe one event.
     fn emit(&mut self, ev: &TraceEvent);
+
+    /// The kinds this sink reads. A producer constructs only the union of
+    /// its observers' kinds, so a sink that keeps commits alone costs the
+    /// simulation nothing else. Other kinds may still arrive (another
+    /// observer reads them) and must be tolerated. Defaults to every kind.
+    fn kinds(&self) -> EventKinds {
+        EventKinds::ALL
+    }
 
     /// Events this sink observed but could not keep (e.g. a bounded ring
     /// wrapping). Unbounded sinks report 0.
@@ -446,7 +548,9 @@ pub trait EventSink {
 }
 
 /// Per-kind event counters, folded into the simulator's statistics when
-/// tracing is enabled (all zero otherwise).
+/// tracing is enabled (all zero otherwise). Only the kinds some attached
+/// observer reads are constructed and counted, so the counts depend on
+/// which observers a run had.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventCounts {
     /// `fetch` events.
@@ -651,6 +755,122 @@ mod tests {
         assert_eq!(c.commit, 2);
         assert_eq!(c.fetch, 1);
         assert_eq!(c.total(), 3);
+    }
+
+    #[test]
+    fn every_kind_has_its_own_bit() {
+        let entry = crate::queue::IssueQueue::new(crate::SchedConfig::default())
+            .insert(crate::SchedUop::leaf(
+                UopId(0),
+                mos_isa::InstClass::IntAlu,
+                None,
+            ))
+            .unwrap();
+        let evs = [
+            TraceEvent::Fetch {
+                cycle: 0,
+                sidx: 0,
+                wrong_path: false,
+                pointer: false,
+            },
+            TraceEvent::Rename {
+                cycle: 0,
+                id: UopId(0),
+                sidx: 0,
+                entry,
+                dst: None,
+                srcs: Vec::new(),
+                fused: false,
+                pending: false,
+                is_load: false,
+                fetched_at: 0,
+                wrong_path: false,
+            },
+            TraceEvent::MopDetect {
+                cycle: 0,
+                head_sidx: 0,
+                tail_sidx: 1,
+                offset: 1,
+                control: false,
+                independent: false,
+                visible_at: 0,
+            },
+            TraceEvent::PointerInstall {
+                cycle: 0,
+                head_sidx: 0,
+                line: 0,
+            },
+            TraceEvent::PointerHit {
+                cycle: 0,
+                head_sidx: 0,
+                tail_sidx: 1,
+            },
+            TraceEvent::PointerEvict {
+                cycle: 0,
+                head_sidx: 0,
+                line: 0,
+                filtered: false,
+            },
+            TraceEvent::Wakeup {
+                cycle: 0,
+                tag: Tag(0),
+                ready_at: 0,
+                speculative: false,
+            },
+            TraceEvent::Select {
+                cycle: 0,
+                entry,
+                uops: Vec::new(),
+                srcs: Vec::new(),
+                dst: None,
+                latency: 1,
+                is_load: false,
+            },
+            TraceEvent::Issue {
+                cycle: 0,
+                id: UopId(0),
+                sidx: 0,
+                exec_at: 0,
+                mop: false,
+            },
+            TraceEvent::LoadResolve {
+                cycle: 0,
+                tag: Tag(0),
+                hit: true,
+                data_ready: 0,
+            },
+            TraceEvent::Replay {
+                cycle: 0,
+                entry,
+                uops: Vec::new(),
+                tag: Tag(0),
+                reissue_at: 0,
+            },
+            commit(0, 0),
+            TraceEvent::Squash {
+                cycle: 0,
+                from: UopId(0),
+                branch_sidx: 0,
+            },
+        ];
+        let mut seen = EventKinds::empty();
+        for ev in &evs {
+            let k = EventKinds::of(ev);
+            assert_eq!(k.0.count_ones(), 1, "{}", ev.kind());
+            assert!(!seen.intersects(k), "{} shares a bit", ev.kind());
+            seen = seen | k;
+        }
+        assert_eq!(seen, EventKinds::ALL);
+        let queue: Vec<&str> = evs
+            .iter()
+            .filter(|ev| EventKinds::QUEUE.contains(EventKinds::of(ev)))
+            .map(TraceEvent::kind)
+            .collect();
+        assert_eq!(
+            queue,
+            ["rename", "wakeup", "select", "load_resolve", "replay"]
+        );
+        assert_eq!(RingSink::new(1).kinds(), EventKinds::ALL);
     }
 
     #[test]

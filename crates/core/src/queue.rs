@@ -405,9 +405,10 @@ struct SlotAccounting {
     /// Idle slots last cycle with no waiting entry to blame. The driver
     /// (simulator) charges these to frontend, wrong-path or drained.
     empty: u64,
-    /// Reusable classification scratch: `(age, cause)` per waiting entry,
-    /// sorted oldest-first to mirror select priority.
-    cause_buf: Vec<(UopId, SlotCause)>,
+    /// Reusable classification scratch: the `(age, index)` of the oldest
+    /// waiting entries, at most one per idle slot, sorted oldest-first to
+    /// mirror select priority.
+    cause_buf: Vec<(UopId, usize)>,
 }
 
 /// The issue queue. See the module docs for the scheduling models.
@@ -1184,6 +1185,11 @@ impl IssueQueue {
     /// blamed on the oldest still-waiting entries (mirroring select
     /// priority). Idle slots with nobody waiting are left for the driver
     /// via [`IssueQueue::unattributed_slots`], one cycle's worth.
+    ///
+    /// One pass over the waiting entries keeps the `idle` oldest in a
+    /// sorted buffer no longer than the issue width; only those are
+    /// classified. Ages are unique, so these are exactly the entries a
+    /// full sort by age would put first.
     fn account_cycle(&mut self, now: u64, blocked: usize, wasted: u64, grants: usize, times: u64) {
         let Some(mut acc) = self.accounting.take() else {
             return;
@@ -1197,19 +1203,29 @@ impl IssueQueue {
         let idle = (width - busy) as usize;
         acc.empty = 0;
         if idle > 0 {
-            acc.cause_buf.clear();
+            let oldest = &mut acc.cause_buf;
+            oldest.clear();
             for (w, &word) in self.waiting.iter().enumerate() {
                 for idx in Bits::of(w, word) {
-                    let e = self.entries[idx].as_ref().expect("waiting entry exists");
-                    acc.cause_buf.push((e.age, self.stall_cause(e, now)));
+                    let age = self.entries[idx]
+                        .as_ref()
+                        .expect("waiting entry exists")
+                        .age;
+                    if oldest.len() == idle {
+                        if oldest[idle - 1].0 < age {
+                            continue;
+                        }
+                        oldest.pop();
+                    }
+                    let at = oldest.partition_point(|&(a, _)| a < age);
+                    oldest.insert(at, (age, idx));
                 }
             }
-            acc.cause_buf.sort_unstable_by_key(|&(age, _)| age);
-            let attributed = acc.cause_buf.len().min(idle);
-            for &(_, cause) in acc.cause_buf.iter().take(attributed) {
-                acc.counts.add(cause, times);
+            for &(_, idx) in oldest.iter() {
+                let e = self.entries[idx].as_ref().expect("waiting entry exists");
+                acc.counts.add(self.stall_cause(e, now), times);
             }
-            acc.empty = (idle - attributed) as u64;
+            acc.empty = (idle - oldest.len()) as u64;
         }
         self.accounting = Some(acc);
     }
@@ -2350,6 +2366,183 @@ mod tests {
             for observe in [false, true] {
                 let skipped = skip_matches_stepping(kind, observe);
                 assert!(skipped > 100, "{kind:?}: only {skipped} cycles skipped");
+            }
+        }
+    }
+
+    /// The charges of one accounted cycle (or of `times` skipped ones)
+    /// the slow way: classify every waiting entry, sort them all by age
+    /// and blame the oldest `idle`. Returns the counts and the
+    /// unattributed slots.
+    fn reference_charges(
+        q: &IssueQueue,
+        now: u64,
+        (blocked, wasted, grants): (usize, u64, usize),
+        times: u64,
+    ) -> (SlotCounts, u64) {
+        let mut want = SlotCounts::default();
+        want.add(SlotCause::Useful, grants as u64 * times);
+        want.add(SlotCause::MopFusion, blocked as u64 * times);
+        want.add(SlotCause::SchedLoop, wasted * times);
+        let idle = q.config.issue_width - blocked - wasted as usize - grants;
+        let mut all: Vec<(UopId, SlotCause)> = q
+            .entries
+            .iter()
+            .flatten()
+            .filter(|e| e.state == EntryState::Waiting)
+            .map(|e| (e.age, q.stall_cause(e, now)))
+            .collect();
+        all.sort_by_key(|&(age, _)| age);
+        for &(_, cause) in all.iter().take(idle) {
+            want.add(cause, times);
+        }
+        (want, (idle - all.len().min(idle)) as u64)
+    }
+
+    /// Some waiting entry sits in a lower slot than an older one.
+    fn ages_out_of_slot_order(q: &IssueQueue) -> bool {
+        let ages: Vec<UopId> = q
+            .entries
+            .iter()
+            .flatten()
+            .filter(|e| e.state == EntryState::Waiting)
+            .map(|e| e.age)
+            .collect();
+        ages.windows(2).any(|w| w[0] > w[1])
+    }
+
+    /// Oldest-`idle` selection charges exactly what classifying and
+    /// sorting every waiting entry would, after every cycle and every
+    /// skip. Random loads (a quarter miss), dependent chains and pending
+    /// MOP heads keep more entries waiting than there are idle slots, with
+    /// every stall cause in the mix; entries release and their low slots
+    /// refill with younger uops, so age order departs from slot order.
+    #[test]
+    fn oldest_idle_charges_equal_a_full_sort() {
+        for kind in [
+            SchedulerKind::Base,
+            SchedulerKind::TwoCycle,
+            SchedulerKind::MacroOp,
+            SchedulerKind::SelectFreeScoreboard,
+        ] {
+            let mut c = cfg(kind);
+            c.confirm_window = 2;
+            let mut q = IssueQueue::new(c);
+            q.set_slot_accounting(true);
+            let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+            let mut rand = |n: u64| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                rng % n
+            };
+            let mut out = Vec::new();
+            let mut resolves: Vec<(u64, Tag, bool, u64)> = Vec::new();
+            let mut pending: Vec<(EntryId, u64)> = Vec::new();
+            let (mut next_id, mut now) = (0u64, 0u64);
+            let (mut crowded, mut shuffled) = (false, false);
+            let mut causes = SlotCounts::default();
+            while now < 800 {
+                for &(_, tag, hit, ready) in resolves.iter().filter(|r| r.0 == now) {
+                    q.load_resolved(tag, hit, ready);
+                }
+                resolves.retain(|r| r.0 != now);
+                for (e, id) in std::mem::take(&mut pending) {
+                    if rand(4) == 0 {
+                        q.fuse_tail(e, alu(id + 1, Some(1000 + id), &[1000 + id]))
+                            .unwrap();
+                    } else {
+                        pending.push((e, id));
+                    }
+                }
+                if now % 100 < 70 {
+                    // Every 10th cycle a storm of independent loads
+                    // contends for the two memory ports.
+                    let n = if now % 10 == 0 { 4 } else { rand(4) };
+                    for _ in 0..n {
+                        if q.free_entries() == 0 {
+                            break;
+                        }
+                        let id = next_id;
+                        next_id += 2;
+                        let src = 1000 + id.saturating_sub(2 + 2 * rand(6));
+                        let srcs: &[u64] = if id == 0 || rand(3) == 0 { &[] } else { &[src] };
+                        match if n == 4 { 0 } else { rand(5) } {
+                            0 | 1 => q.insert(load(id, 1000 + id, srcs)).map(drop),
+                            2 if kind == SchedulerKind::MacroOp => q
+                                .insert_mop_head(alu(id, Some(1000 + id), srcs))
+                                .map(|e| pending.push((e, id))),
+                            _ => q.insert(alu(id, Some(1000 + id), srcs)).map(drop),
+                        }
+                        .unwrap();
+                    }
+                }
+                shuffled |= ages_out_of_slot_order(&q);
+                let before = q.slot_counts().copied().unwrap();
+                let blocked = q.slots_blocked.min(q.config.issue_width);
+                let waste = |q: &IssueQueue| q.stats.spec_wakeup_cancels + q.stats.pileup_replays;
+                let waste_before = waste(&q);
+                q.cycle_into(now, &mut out);
+                let busy = (blocked, waste(&q) - waste_before, out.len());
+                let (charged, empty) = reference_charges(&q, now, busy, 1);
+                let mut want = before;
+                want.merge(&charged);
+                assert_eq!(q.slot_counts(), Some(&want), "{kind:?}: cycle {now}");
+                assert_eq!(q.unattributed_slots(), empty, "{kind:?}: cycle {now}");
+                let waiting: u32 = q.waiting.iter().map(|w| w.count_ones()).sum();
+                crowded |= empty == 0 && waiting as usize > q.config.issue_width - out.len();
+                causes.merge(&charged);
+                for i in &out {
+                    for u in i.uops.iter().filter(|u| u.is_load) {
+                        let miss = rand(4) == 0;
+                        let ready = now + if miss { 30 } else { 3 };
+                        resolves.push((now + 3, u.dst.unwrap(), !miss, ready));
+                    }
+                }
+                let due = resolves.iter().map(|r| r.0).min().unwrap_or(u64::MAX);
+                let insert = if now % 100 < 69 {
+                    now + 1
+                } else {
+                    now + 100 - now % 100
+                };
+                let next = q.next_active().min(due).min(insert).min(800);
+                if pending.is_empty() && next > now + 1 {
+                    let k = next - now - 1;
+                    let before = q.slot_counts().copied().unwrap();
+                    q.skip_idle(k);
+                    let (charged, empty) = reference_charges(&q, now + k, (0, 0, 0), k);
+                    let mut want = before;
+                    want.merge(&charged);
+                    assert_eq!(
+                        q.slot_counts(),
+                        Some(&want),
+                        "{kind:?}: skip {k} from {now}"
+                    );
+                    assert_eq!(
+                        q.unattributed_slots(),
+                        empty,
+                        "{kind:?}: skip {k} from {now}"
+                    );
+                    causes.merge(&charged);
+                    now += k;
+                }
+                now += 1;
+            }
+            assert!(
+                crowded,
+                "{kind:?}: never more waiting entries than idle slots"
+            );
+            assert!(
+                shuffled,
+                "{kind:?}: age order never departed from slot order"
+            );
+            let stalls = [
+                SlotCause::NotReady,
+                SlotCause::LoadMiss,
+                SlotCause::Bandwidth,
+            ];
+            for cause in stalls {
+                assert!(causes.get(cause) > 0, "{kind:?}: no {} slot", cause.name());
             }
         }
     }

@@ -160,10 +160,11 @@ type Fixup = (u32, String, usize);
 ///
 /// Returns an [`RvAsmError`] pinpointing the offending line for syntax
 /// errors, unknown mnemonics/registers, out-of-range immediates, or
-/// undefined labels.
+/// undefined or duplicate labels.
 pub fn assemble(name: &str, src: &str) -> Result<RvProgram, RvAsmError> {
     let mut prog = RvProgram::new(name);
-    let mut labels: BTreeMap<String, u32> = BTreeMap::new();
+    // Label -> (instruction index, defining line).
+    let mut labels: BTreeMap<String, (u32, usize)> = BTreeMap::new();
     let mut fixups: Vec<Fixup> = Vec::new();
     let mut entry_label: Option<(String, usize)> = None;
 
@@ -181,7 +182,13 @@ pub fn assemble(name: &str, src: &str) -> Result<RvProgram, RvAsmError> {
                 break;
             }
             let idx = prog.insts.len() as u32;
-            labels.insert(label.to_owned(), idx);
+            if let Some(&(_, first)) = labels.get(label) {
+                return Err(RvAsmError::new(
+                    lineno,
+                    format!("label `{label}` already defined at line {first}"),
+                ));
+            }
+            labels.insert(label.to_owned(), (idx, lineno));
             prog.labels.push((label.to_owned(), idx));
             line = rest[1..].trim();
         }
@@ -209,7 +216,7 @@ pub fn assemble(name: &str, src: &str) -> Result<RvProgram, RvAsmError> {
     }
 
     for (idx, label, lineno) in fixups {
-        let target = *labels
+        let (target, _) = *labels
             .get(&label)
             .ok_or_else(|| RvAsmError::new(lineno, format!("undefined label `{label}`")))?;
         let offset = (i64::from(target) - i64::from(idx)) * 4;
@@ -219,10 +226,10 @@ pub fn assemble(name: &str, src: &str) -> Result<RvProgram, RvAsmError> {
         prog.insts[idx as usize].imm = offset as i32;
     }
     if let Some((label, lineno)) = entry_label {
-        prog.entry = *labels
+        (prog.entry, _) = *labels
             .get(&label)
             .ok_or_else(|| RvAsmError::new(lineno, format!("undefined entry label `{label}`")))?;
-    } else if let Some(&e) = labels.get("_start") {
+    } else if let Some(&(e, _)) = labels.get("_start") {
         prog.entry = e;
     }
     if prog.insts.is_empty() {
@@ -646,6 +653,26 @@ mod tests {
 
         let err = assemble("t", "beq a0, a1, nowhere\nebreak").unwrap_err();
         assert!(err.to_string().contains("nowhere"));
+    }
+
+    #[test]
+    fn duplicate_labels_are_rejected_at_the_second_definition() {
+        let err = assemble("t", "_start:\n_start:\nebreak").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(
+            err.to_string()
+                .contains("label `_start` already defined at line 1"),
+            "{err}"
+        );
+        // Also when both sit on one line, or far apart with code between.
+        let err = assemble("t", "a: a: nop\nebreak").unwrap_err();
+        assert_eq!(err.line, 1);
+        let err = assemble("t", "loop: nop\nj loop\n\nloop: ebreak").unwrap_err();
+        assert_eq!(err.line, 4);
+        assert!(
+            err.to_string().contains("already defined at line 1"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-pub use mos_core::events::{EventCounts, EventSink, RingSink, TraceEvent};
+pub use mos_core::events::{EventCounts, EventKinds, EventSink, RingSink, TraceEvent};
 
 /// A clonable handle to a shared [`RingSink`]: the simulator drives it as
 /// its sink while the caller keeps a handle to read the buffered tail
@@ -61,7 +61,9 @@ impl EventSink for SharedRing {
 /// Records the static index of every [`TraceEvent::Commit`] in retirement
 /// order. Unlike [`SharedRing`] nothing ever falls off, so a differential
 /// harness can compare the *entire* committed sequence against a functional
-/// interpreter's expansion — the property the RV32 oracle asserts.
+/// interpreter's expansion — the property the RV32 oracle asserts. It
+/// subscribes to commits only, so a simulator with no other observer
+/// constructs no other event.
 #[derive(Debug, Clone, Default)]
 pub struct SharedCommitLog(Rc<RefCell<Vec<u32>>>);
 
@@ -98,6 +100,10 @@ impl EventSink for SharedCommitLog {
             self.0.borrow_mut().push(*sidx);
         }
     }
+
+    fn kinds(&self) -> EventKinds {
+        EventKinds::COMMIT
+    }
 }
 
 /// Fans one event stream out to two sinks, e.g. a bounded ring for failure
@@ -112,6 +118,10 @@ impl EventSink for TeeSink {
 
     fn dropped(&self) -> u64 {
         self.0.dropped() + self.1.dropped()
+    }
+
+    fn kinds(&self) -> EventKinds {
+        self.0.kinds() | self.1.kinds()
     }
 }
 
@@ -163,5 +173,16 @@ mod tests {
         tee.emit(&commit(3, 9));
         assert_eq!(ring.total_seen(), 1);
         assert_eq!(log.take(), vec![9]);
+    }
+
+    #[test]
+    fn kinds_follow_what_each_sink_reads() {
+        let log = SharedCommitLog::new();
+        assert_eq!(log.kinds(), EventKinds::COMMIT);
+        assert_eq!(SharedRing::new(1).kinds(), EventKinds::ALL);
+        let both = TeeSink(Box::new(log.clone()), Box::new(SharedRing::new(1)));
+        assert_eq!(both.kinds(), EventKinds::ALL);
+        let logs = TeeSink(Box::new(log.clone()), Box::new(log));
+        assert_eq!(logs.kinds(), EventKinds::COMMIT);
     }
 }

@@ -51,7 +51,9 @@ pub mod timeline;
 
 pub use config::MachineConfig;
 pub use cpistack::CpiStack;
-pub use events::{EventCounts, EventSink, RingSink, SharedCommitLog, SharedRing, TeeSink, TraceEvent};
+pub use events::{
+    EventCounts, EventKinds, EventSink, RingSink, SharedCommitLog, SharedRing, TeeSink, TraceEvent,
+};
 pub use metrics::SimMetrics;
 pub use oracle::{InvariantOracle, OracleMode, Violation};
 pub use report::RunReport;

@@ -14,7 +14,7 @@ use mos_uarch::branch::{Btb, CombinedPredictor, RasSnapshot, ReturnAddressStack}
 use mos_uarch::cache::Cache;
 
 use crate::config::MachineConfig;
-use crate::events::{EventSink, TraceEvent};
+use crate::events::{EventKinds, EventSink, TraceEvent};
 use crate::metrics::{Cum, SimMetrics};
 use crate::oracle::{InvariantOracle, OracleMode};
 use crate::stats::SimStats;
@@ -177,10 +177,11 @@ pub struct Simulator<T: TraceSource> {
     /// Insert was denied by the IQ/ROB resource check this cycle.
     insert_blocked: bool,
 
-    // Event tracing. `tracing` is the single gate: when false (release
-    // default) no event value is ever constructed anywhere in the
-    // pipeline or the queue.
-    tracing: bool,
+    // Event tracing. `traced` is the union of the kinds the attached
+    // observers read, and each emission site checks its own kind: with
+    // nothing attached (release default) no event value is ever
+    // constructed anywhere in the pipeline or the queue.
+    traced: EventKinds,
     sink: Option<Box<dyn EventSink>>,
     orc: Option<InvariantOracle>,
 
@@ -258,7 +259,7 @@ impl<T: TraceSource> Simulator<T> {
             metrics: None,
             slot_counts: None,
             insert_blocked: false,
-            tracing: false,
+            traced: EventKinds::empty(),
             sink: None,
             orc: None,
             issue_buf: Vec::new(),
@@ -288,17 +289,20 @@ impl<T: TraceSource> Simulator<T> {
         sim
     }
 
-    /// Attach an event sink; enables tracing for the rest of the run.
+    /// Attach an event sink (replacing any previous one); enables tracing
+    /// of the kinds it reads ([`EventSink::kinds`]) for the rest of the
+    /// run.
     pub fn set_event_sink(&mut self, sink: Box<dyn EventSink>) {
         self.sink = Some(sink);
-        self.enable_tracing();
+        self.subscribe();
     }
 
     /// Attach a fresh [`InvariantOracle`] in `mode` (replacing any
-    /// previous one); enables tracing for the rest of the run.
+    /// previous one); enables tracing of every kind for the rest of the
+    /// run.
     pub fn attach_oracle(&mut self, mode: OracleMode) {
         self.orc = Some(InvariantOracle::new(&self.cfg.sched, mode));
-        self.enable_tracing();
+        self.subscribe();
     }
 
     /// The attached invariant oracle, if any.
@@ -306,14 +310,21 @@ impl<T: TraceSource> Simulator<T> {
         self.orc.as_ref()
     }
 
-    fn enable_tracing(&mut self) {
-        self.tracing = true;
-        self.queue.set_tracing(true);
+    /// Trace the kinds the attached observers read: the sink's own, and
+    /// every kind for the oracle and the timeline.
+    fn subscribe(&mut self) {
+        let kinds = match &self.sink {
+            _ if self.orc.is_some() || self.timeline.is_some() => EventKinds::ALL,
+            Some(s) => s.kinds(),
+            None => EventKinds::empty(),
+        };
+        self.traced = kinds;
+        self.queue.set_tracing(kinds.intersects(EventKinds::QUEUE));
     }
 
     /// Count an event and deliver it to the timeline, the sink and the
     /// oracle. An associated fn so call sites can hold disjoint borrows
-    /// of other `self` fields.
+    /// of other `self` fields. Callers emit only kinds in `traced`.
     fn emit(
         stats: &mut SimStats,
         timeline: &mut Option<Timeline>,
@@ -333,16 +344,19 @@ impl<T: TraceSource> Simulator<T> {
         }
     }
 
-    /// Forward everything the queue buffered since the last drain,
-    /// stamped with the simulator's clock.
+    /// Forward the subscribed kinds among everything the queue buffered
+    /// since the last drain, stamped with the simulator's clock.
     #[inline]
     fn drain_queue_trace(&mut self) {
-        if !self.tracing {
+        if !self.queue.tracing() {
             return;
         }
         let mut buf = std::mem::take(&mut self.trace_buf);
         self.queue.drain_trace_into(self.now, &mut buf);
         for ev in buf.drain(..) {
+            if !self.traced.contains(EventKinds::of(&ev)) {
+                continue;
+            }
             Self::emit(
                 &mut self.stats,
                 &mut self.timeline,
@@ -419,10 +433,10 @@ impl<T: TraceSource> Simulator<T> {
     /// Record per-instruction pipeline timelines for the first `cap`
     /// uops entering the pipe (see [`crate::timeline::Timeline`]). The
     /// timelines are reconstructed from the trace-event stream, so this
-    /// enables event tracing for the rest of the run.
+    /// enables tracing of every kind for the rest of the run.
     pub fn enable_timeline(&mut self, cap: usize) {
         self.timeline = Some(Timeline::new(cap));
-        self.enable_tracing();
+        self.subscribe();
     }
 
     /// The recorded timelines, if [`Simulator::enable_timeline`] was
@@ -548,7 +562,7 @@ impl<T: TraceSource> Simulator<T> {
         self.drain_queue_trace();
 
         // 3. Wakeup/select.
-        if self.tracing {
+        if self.traced.contains(EventKinds::POINTER_INSTALL) {
             let mut installs = std::mem::take(&mut self.ptr_install_buf);
             installs.clear();
             self.pointers.tick_into(now, &mut installs);
@@ -734,7 +748,7 @@ impl<T: TraceSource> Simulator<T> {
         };
         let access = self.il1.access(first_pc);
         if let Some(evicted) = access.evicted {
-            if self.tracing {
+            if self.traced.contains(EventKinds::POINTER_EVICT) {
                 let mut dropped = std::mem::take(&mut self.ptr_evict_buf);
                 dropped.clear();
                 self.pointers.invalidate_line_into(evicted, &mut dropped);
@@ -824,7 +838,7 @@ impl<T: TraceSource> Simulator<T> {
             if self.wrong_path {
                 self.stats.wrong_path_fetched += 1;
             }
-            if self.tracing {
+            if self.traced.contains(EventKinds::FETCH) {
                 Self::emit(
                     &mut self.stats,
                     &mut self.timeline,
@@ -837,7 +851,9 @@ impl<T: TraceSource> Simulator<T> {
                         pointer: pointer.is_some(),
                     },
                 );
-                if let Some(p) = pointer {
+            }
+            if let Some(p) = pointer {
+                if self.traced.contains(EventKinds::POINTER_HIT) {
                     Self::emit(
                         &mut self.stats,
                         &mut self.timeline,
@@ -1031,7 +1047,7 @@ impl<T: TraceSource> Simulator<T> {
             };
             let ready = now + self.cfg.sched.mop.detection_delay;
             for p in pairs {
-                if self.tracing {
+                if self.traced.contains(EventKinds::MOP_DETECT) {
                     Self::emit(
                         &mut self.stats,
                         &mut self.timeline,
@@ -1150,7 +1166,7 @@ impl<T: TraceSource> Simulator<T> {
                 }
             }
             let exec_at = iss.issue_cycle + u64::from(self.cfg.exec_offset) + k as u64;
-            if self.tracing {
+            if self.traced.contains(EventKinds::ISSUE) {
                 Self::emit(
                     &mut self.stats,
                     &mut self.timeline,
@@ -1198,7 +1214,7 @@ impl<T: TraceSource> Simulator<T> {
             if tail_ready > head_ready + 1 && tail_ready + 2 >= iss.issue_cycle {
                 let deleted = self.pointers.delete_and_blacklist(head.sidx);
                 self.stats.last_arrival_filtered += 1;
-                if deleted && self.tracing {
+                if deleted && self.traced.contains(EventKinds::POINTER_EVICT) {
                     Self::emit(
                         &mut self.stats,
                         &mut self.timeline,
@@ -1352,7 +1368,7 @@ impl<T: TraceSource> Simulator<T> {
 
         // --- Squash ---
         self.stats.squashes += 1;
-        if self.tracing {
+        if self.traced.contains(EventKinds::SQUASH) {
             let branch_sidx = self.rob[idx].sidx;
             Self::emit(
                 &mut self.stats,
@@ -1411,7 +1427,7 @@ impl<T: TraceSource> Simulator<T> {
             debug_assert!(head.dyn_.is_some(), "wrong-path uop reached commit");
             self.stats.committed += 1;
             self.last_commit_cycle = now;
-            if self.tracing {
+            if self.traced.contains(EventKinds::COMMIT) {
                 Self::emit(
                     &mut self.stats,
                     &mut self.timeline,

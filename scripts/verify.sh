@@ -5,6 +5,9 @@
 #      scheduling-invariant oracle, so this is also the timing suite),
 #      plus the release-only heap-allocation budget of an untraced run
 #      (debug builds compile that test to nothing: their oracle allocates)
+#      and the release-only commit-only subscription check (a run whose
+#      only observer is a commit log constructs no other event; debug
+#      builds never reach it, their oracle reads every kind)
 #   3. clippy, warnings denied, and the mosbench package's tests (its
 #      pinned per-job results and smoke runs; the package is outside the
 #      workspace, so a queue API change or a moved simulated result would
@@ -37,6 +40,9 @@ cargo test -q --workspace
 
 echo "== allocation budget (release, untraced) =="
 cargo test -q --release -p mos-sim --test alloc_budget
+
+echo "== commit-only event subscription (release) =="
+cargo test -q --release -p mos-rv --test commit_only
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
