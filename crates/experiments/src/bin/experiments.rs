@@ -1,42 +1,31 @@
 //! CLI for regenerating every table and figure of the paper:
 //!
 //! ```text
-//! experiments <table1|table2|fig6|fig7|fig13|fig14|fig15|fig16|ablations|extensions|all>
+//! experiments <table1|table2|fig6|fig7|fig13|fig14|fig15|fig16|ablations|extensions|rv|all>
 //!             [--insts N] [--jobs N]
-//! experiments perf [--insts N] [--jobs N] [--out PATH] [--ledger]
-//!                  [--history PATH]
+//! experiments perf [--insts N] [--out PATH]
 //! ```
 //!
 //! `--jobs N` fans the figure's (benchmark, config) simulations across N
 //! worker threads; `--jobs 1` is the serial path. Output is byte-identical
-//! for any N. `perf` times the full sweep, writes `BENCH_sim.json`
-//! (per-figure wall time, IPC and scheduler kinds plus an observability
-//! overhead probe with its CPI stack) and appends one line to
-//! `results/bench_history.jsonl` (override with `--history PATH`) for
-//! `scripts/perf_gate.sh`.
-//!
-//! `--ledger` archives every figure sweep in the content-addressed run
-//! ledger (`results/ledger/`, or `$MOS_LEDGER_DIR`) and makes re-sweeps
-//! incremental: a figure whose key (name, budget, git revision) is
-//! already archived is served from the ledger, marked `"cached": true`
-//! in `BENCH_sim.json`, with byte-identical sim-side fields. A sweep
-//! with any cached figure skips the history append — it is not a real
-//! throughput measurement.
+//! for any N. `perf` is the single-thread host-speed headline: it times
+//! every figure sweep on one job and writes `BENCH_sim.json` (default
+//! path; `--out` overrides) with per-figure and total wall time,
+//! simulated cycles and commits, IPC, cycles/s, commits/s and the
+//! scheduler kinds exercised.
 
 use std::env;
 use std::process::ExitCode;
 use std::time::Instant;
 
 use mos_experiments::{
-    ablations, extensions, fig13, fig14, fig15, fig16, fig6, fig7, ledgered, runner, rvsuite,
-    tables,
+    ablations, extensions, fig13, fig14, fig15, fig16, fig6, fig7, runner, rvsuite, tables,
 };
-use mos_ledger::Ledger;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: experiments <table1|table2|fig6|fig7|fig13|fig14|fig15|fig16|ablations|extensions|rv|all|perf> \
-         [--insts N] [--jobs N] [--out PATH] [--ledger] [--history PATH]"
+        "usage: experiments <table1|table2|fig6|fig7|fig13|fig14|fig15|fig16|ablations|extensions|rv|all> \
+         [--insts N] [--jobs N]\n       experiments perf [--insts N] [--out PATH]"
     );
     ExitCode::FAILURE
 }
@@ -57,27 +46,31 @@ fn main() -> ExitCode {
     let Some(what) = args.first().cloned() else {
         return usage();
     };
+    // Every option takes a value. `perf` measures the single-thread
+    // headline, so it has no `--jobs`.
+    let known: &[&str] = if what == "perf" {
+        &["--insts", "--out"]
+    } else {
+        &["--insts", "--jobs"]
+    };
+    if args[1..].chunks(2).any(|opt| !known.contains(&opt[0].as_str())) {
+        return usage();
+    }
     let Ok(insts) = flag::<u64>(&args, "--insts") else {
         return usage();
     };
     let insts = insts.unwrap_or(runner::DEFAULT_INSTS);
-    let Ok(jobs) = flag::<usize>(&args, "--jobs") else {
-        return usage();
-    };
-    let jobs = jobs.unwrap_or_else(runner::default_jobs).max(1);
 
     if what == "perf" {
         let Ok(out) = flag::<String>(&args, "--out") else {
             return usage();
         };
-        let out = out.unwrap_or_else(|| "BENCH_sim.json".to_owned());
-        let Ok(history) = flag::<String>(&args, "--history") else {
-            return usage();
-        };
-        let history = history.unwrap_or_else(|| "results/bench_history.jsonl".to_owned());
-        let use_ledger = args.iter().any(|a| a == "--ledger");
-        return perf(insts, jobs, &out, use_ledger, &history);
+        return perf(insts, &out.unwrap_or_else(|| "BENCH_sim.json".to_owned()));
     }
+    let Ok(jobs) = flag::<usize>(&args, "--jobs") else {
+        return usage();
+    };
+    let jobs = jobs.unwrap_or_else(runner::default_jobs).max(1);
 
     let run_one = |what: &str| -> Option<String> {
         match what {
@@ -114,273 +107,70 @@ fn main() -> ExitCode {
     }
 }
 
-/// Time every simulation sweep and write the perf trajectory file.
-fn perf(insts: u64, jobs: usize, out_path: &str, use_ledger: bool, history_path: &str) -> ExitCode {
-    let ledger = use_ledger.then(|| Ledger::open(Ledger::default_root()));
-    let git_rev = mos_ledger::git_short_rev();
-    if let Some(store) = &ledger {
-        eprintln!(
-            "perf: ledger at {} (git rev {git_rev})",
-            store.root().display()
-        );
-    }
-
-    type Sweep = (&'static str, Box<dyn Fn()>);
+/// Time every figure sweep serially and write `BENCH_sim.json`.
+fn perf(insts: u64, out_path: &str) -> ExitCode {
+    /// A figure sweep by name, run at a given instruction budget.
+    type Sweep = (&'static str, fn(u64));
     let sweeps: [Sweep; 8] = [
-        ("table2", Box::new(move || drop(tables::table2_with(insts, jobs)))),
-        ("fig13", Box::new(move || drop(fig13::run_with(insts, jobs)))),
-        ("fig14", Box::new(move || drop(fig14::run_with(insts, jobs)))),
-        ("fig15", Box::new(move || drop(fig15::run_with(insts, jobs)))),
-        ("fig16", Box::new(move || drop(fig16::run_with(insts, jobs)))),
-        ("ablations", Box::new(move || drop(ablations::run_all_with(insts, jobs)))),
-        ("extensions", Box::new(move || drop(extensions::run_all_with(insts, jobs)))),
+        ("table2", |n| drop(tables::table2_with(n, 1))),
+        ("fig13", |n| drop(fig13::run_with(n, 1))),
+        ("fig14", |n| drop(fig14::run_with(n, 1))),
+        ("fig15", |n| drop(fig15::run_with(n, 1))),
+        ("fig16", |n| drop(fig16::run_with(n, 1))),
+        ("ablations", |n| drop(ablations::run_all_with(n, 1))),
+        ("extensions", |n| drop(extensions::run_all_with(n, 1))),
         // The RV32 real-program suite under all 7 scheduler kinds; the
         // programs run to their own halt, so this sweep ignores --insts.
-        ("rv", Box::new(move || drop(rvsuite::sweep(jobs)))),
+        ("rv", |_| drop(rvsuite::sweep(1))),
     ];
 
-    let mut entries: Vec<ledgered::FigureOutcome> = Vec::new();
     runner::take_simulated_cycles(); // reset the counters
     runner::take_simulated_commits();
     runner::take_sched_kinds();
-    let total_start = Instant::now();
-    for (name, sweep) in &sweeps {
-        let e = ledgered::run_figure(name, insts, ledger.as_ref(), &git_rev, sweep);
-        eprintln!(
-            "perf: {name:10} {:8.3}s  {:>12} cycles  {:>12} committed  {:>12.0} cycles/s{}",
-            e.wall_seconds,
-            e.sim_cycles,
-            e.sim_commits,
-            e.sim_cycles as f64 / e.wall_seconds.max(1e-9),
-            if e.cached { "  (cached)" } else { "" }
-        );
-        entries.push(e);
-    }
-    let total_wall = total_start.elapsed().as_secs_f64();
-    let any_cached = entries.iter().any(|e| e.cached);
-    let total_cycles: u64 = entries.iter().map(|e| e.sim_cycles).sum();
-    let total_commits: u64 = entries.iter().map(|e| e.sim_commits).sum();
-
-    // On-vs-off observability overhead probe: the same job run plain,
-    // with interval metrics, and with full event tracing into a
-    // throwaway ring. Simulated cycle counts must agree (observation
-    // cannot change timing); wall-time deltas quantify the cost.
-    let probe = runner::Job::new(
-        "gzip",
-        mos_sim::MachineConfig::macro_op(mos_core::WakeupStyle::WiredOr, Some(32), 1),
-        insts,
-    );
-    let time_probe = |metrics: bool, tracing: bool| {
-        let start = Instant::now();
-        let stats = probe.run_observed(metrics, tracing);
-        (start.elapsed().as_secs_f64(), stats)
-    };
-    let (plain_s, plain) = time_probe(false, false);
-    let (metrics_s, metrics) = time_probe(true, false);
-    let (tracing_s, tracing) = time_probe(false, true);
-    let accounted_start = Instant::now();
-    let accounted = probe.run_accounted();
-    let accounted_s = accounted_start.elapsed().as_secs_f64();
-    assert_eq!(
-        plain.cycles, metrics.cycles,
-        "metrics collection must not change simulated timing"
-    );
-    assert_eq!(
-        plain.cycles, tracing.cycles,
-        "event tracing must not change simulated timing"
-    );
-    assert_eq!(
-        plain.cycles, accounted.cycles,
-        "slot accounting must not change simulated timing"
-    );
-    let probe_width = probe.cfg.sched.issue_width as u64;
-    let probe_stack =
-        mos_sim::CpiStack::from_stats(probe.bench, "mop-wor", probe_width, &accounted);
-    if let Err(e) = probe_stack.check_conservation() {
-        eprintln!("perf: probe CPI stack violates slot conservation: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!(
-        "perf: observability probe (gzip mop-wor, {} cycles): plain {plain_s:.3}s, metrics {metrics_s:.3}s, tracing {tracing_s:.3}s, cpistack {accounted_s:.3}s",
-        plain.cycles
-    );
-
-    // MOP pairability and sched_loop share on the RV32 real-program
-    // suite: does real code confirm the synthetic-workload story?
-    runner::take_simulated_cycles(); // probe runs stay out of the totals
-    runner::take_simulated_commits();
-    runner::take_sched_kinds();
-    let rv_probe = rvsuite::probe();
-    runner::take_simulated_cycles();
-    runner::take_simulated_commits();
-    runner::take_sched_kinds();
-    if let Some(store) = &ledger {
-        ledgered::save_rv_probe(store, &git_rev, &rv_probe);
-    }
-    for r in &rv_probe {
-        eprintln!(
-            "perf: rv probe {:12} pairability {:5.1}%  sched_loop 2cycle {:5.1}% / mop-wor {:5.1}%",
-            r.program,
-            r.pairability * 100.0,
-            r.sched_loop_2cycle * 100.0,
-            r.sched_loop_mop * 100.0
-        );
-    }
-
     // Hand-rolled JSON: the workspace deliberately has no serde_json.
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"insts_per_sim\": {insts},\n"));
-    json.push_str(&format!("  \"jobs\": {jobs},\n"));
-    json.push_str("  \"figures\": [\n");
-    for (i, e) in entries.iter().enumerate() {
-        let kinds = e
-            .sched_kinds
+    let mut json = format!("{{\n  \"insts_per_sim\": {insts},\n  \"figures\": [\n");
+    let (mut total_wall, mut total_cycles, mut total_commits) = (0.0, 0, 0);
+    for (i, (name, sweep)) in sweeps.iter().enumerate() {
+        let start = Instant::now();
+        sweep(insts);
+        let wall = start.elapsed().as_secs_f64();
+        let cycles = runner::take_simulated_cycles();
+        let commits = runner::take_simulated_commits();
+        let kinds = runner::take_sched_kinds()
             .iter()
             .map(|k| format!("\"{k}\""))
             .collect::<Vec<_>>()
             .join(", ");
+        let (cps, ips) = (per_sec(cycles, wall), per_sec(commits, wall));
+        eprintln!(
+            "perf: {name:10} {wall:8.3}s  {cycles:>12} cycles  {commits:>12} committed  {cps:>12.0} cycles/s  {ips:>12.0} commits/s"
+        );
         json.push_str(&format!(
-            "    {{\"name\": \"{}\", \"wall_seconds\": {:.6}, \"sim_cycles\": {}, \"sim_commits\": {}, \"ipc\": {:.4}, \"cycles_per_sec\": {:.1}, \"cached\": {}, \"sched_kinds\": [{kinds}]}}{}\n",
-            e.name,
-            e.wall_seconds,
-            e.sim_cycles,
-            e.sim_commits,
-            e.ipc(),
-            e.sim_cycles as f64 / e.wall_seconds.max(1e-9),
-            e.cached,
-            if i + 1 < entries.len() { "," } else { "" }
+            "    {{\"name\": \"{name}\", \"wall_seconds\": {wall:.6}, \"sim_cycles\": {cycles}, \"sim_commits\": {commits}, \"ipc\": {:.4}, \"cycles_per_sec\": {cps:.1}, \"commits_per_sec\": {ips:.1}, \"sched_kinds\": [{kinds}]}}{}\n",
+            commits as f64 / cycles.max(1) as f64,
+            if i + 1 < sweeps.len() { "," } else { "" }
         ));
+        total_wall += wall;
+        total_cycles += cycles;
+        total_commits += commits;
     }
-    json.push_str("  ],\n");
-    // The observability probe is a single serial simulation, so its
-    // plain run doubles as the jobs-count-independent throughput figure
-    // the perf gate prefers (aggregate throughput moves with --jobs).
-    let jobs1_cps = plain.cycles as f64 / plain_s.max(1e-9);
-    json.push_str("  \"observability\": {\n");
-    json.push_str(&format!("    \"probe_sim_cycles\": {},\n", plain.cycles));
     json.push_str(&format!(
-        "    \"plain_wall_seconds\": {plain_s:.6},\n    \"metrics_wall_seconds\": {metrics_s:.6},\n    \"tracing_wall_seconds\": {tracing_s:.6},\n    \"cpistack_wall_seconds\": {accounted_s:.6},\n"
+        "  ],\n  \"total_wall_seconds\": {total_wall:.6},\n  \"total_sim_cycles\": {total_cycles},\n  \"total_sim_commits\": {total_commits},\n  \"total_cycles_per_sec\": {:.1},\n  \"total_commits_per_sec\": {:.1}\n}}\n",
+        per_sec(total_cycles, total_wall),
+        per_sec(total_commits, total_wall)
     ));
-    json.push_str(&format!(
-        "    \"probe_cycles_per_sec_jobs1\": {jobs1_cps:.1},\n"
-    ));
-    json.push_str(&format!(
-        "    \"probe_cpi_stack\": {}\n",
-        probe_stack.to_json()
-    ));
-    json.push_str("  },\n");
-    json.push_str("  \"rv_probe\": [\n");
-    for (i, r) in rv_probe.iter().enumerate() {
-        json.push_str(&format!(
-            "    {{\"program\": \"{}\", \"mop_pairability\": {:.4}, \"sched_loop_share_2cycle\": {:.4}, \"sched_loop_share_mop_wor\": {:.4}}}{}\n",
-            r.program,
-            r.pairability,
-            r.sched_loop_2cycle,
-            r.sched_loop_mop,
-            if i + 1 < rv_probe.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str(&format!("  \"total_wall_seconds\": {total_wall:.6},\n"));
-    json.push_str(&format!("  \"total_sim_cycles\": {total_cycles},\n"));
-    json.push_str(&format!("  \"total_sim_commits\": {total_commits},\n"));
-    json.push_str(&format!(
-        "  \"total_cycles_per_sec\": {:.1}\n",
-        total_cycles as f64 / total_wall.max(1e-9)
-    ));
-    json.push_str("}\n");
 
     if let Err(e) = std::fs::write(out_path, &json) {
         eprintln!("perf: cannot write {out_path}: {e}");
         return ExitCode::FAILURE;
     }
-    eprintln!("perf: wrote {out_path} ({total_wall:.3}s total, {jobs} jobs)");
-
-    if any_cached {
-        // A sweep with ledger hits measured only the misses; appending
-        // it would poison the throughput trend the perf gate reads.
-        eprintln!("perf: skipping history append (some figures were served from the ledger)");
-        return ExitCode::SUCCESS;
-    }
-    let total_cps = total_cycles as f64 / total_wall.max(1e-9);
-    match append_history(
-        history_path,
-        insts,
-        jobs,
-        total_cycles,
-        total_wall,
-        total_cps,
-        jobs1_cps,
-        &probe_stack,
-    ) {
-        Ok(()) => eprintln!("perf: appended history entry to {history_path}"),
-        Err(e) => {
-            // History is an append-only convenience log; a read-only
-            // checkout must not fail the sweep.
-            eprintln!("perf: could not append bench history: {e}");
-        }
-    }
+    eprintln!("perf: wrote {out_path} ({total_wall:.3}s total, 1 job)");
     ExitCode::SUCCESS
 }
 
-/// Append one single-line JSON entry to the bench history: the perf
-/// sweep's aggregate throughput, the jobs=1 normalized probe throughput
-/// and the top stall causes of the probe's CPI stack, keyed by git
-/// revision and wall-clock time. The perf gate (`scripts/perf_gate.sh`)
-/// compares the newest entry against the median of the baselines before
-/// it.
-#[allow(clippy::too_many_arguments)]
-fn append_history(
-    path: &str,
-    insts: u64,
-    jobs: usize,
-    total_cycles: u64,
-    total_wall: f64,
-    total_cps: f64,
-    jobs1_cps: f64,
-    probe: &mos_sim::CpiStack,
-) -> Result<(), String> {
-    use std::io::Write as _;
-
-    let git_rev = mos_ledger::git_short_rev();
-    let unix_time = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-
-    // Top three stall causes (everything but useful issue) by share.
-    let mut causes: Vec<_> = mos_core::SlotCause::ALL
-        .iter()
-        .filter(|&&c| c != mos_core::SlotCause::Useful)
-        .map(|&c| (c.name(), probe.share(c)))
-        .collect();
-    causes.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    let top = causes
-        .iter()
-        .take(3)
-        .map(|(name, share)| format!("{{\"cause\": \"{name}\", \"share\": {share:.4}}}"))
-        .collect::<Vec<_>>()
-        .join(", ");
-
-    let line = format!(
-        "{{\"git_rev\": \"{git_rev}\", \"unix_time\": {unix_time}, \"insts\": {insts}, \
-         \"jobs\": {jobs}, \"total_sim_cycles\": {total_cycles}, \
-         \"total_wall_seconds\": {total_wall:.6}, \"total_cycles_per_sec\": {total_cps:.1}, \
-         \"probe_cycles_per_sec_jobs1\": {jobs1_cps:.1}, \
-         \"probe_bench\": \"{}\", \"probe_ipc\": {:.4}, \"top_causes\": [{top}]}}\n",
-        probe.bench,
-        probe.ipc(),
-    );
-
-    if let Some(dir) = std::path::Path::new(path).parent().filter(|d| !d.as_os_str().is_empty()) {
-        std::fs::create_dir_all(dir).map_err(|e| format!("mkdir {}: {e}", dir.display()))?;
-    }
-    let mut file = std::fs::OpenOptions::new()
-        .create(true)
-        .append(true)
-        .open(path)
-        .map_err(|e| format!("open {path}: {e}"))?;
-    file.write_all(line.as_bytes())
-        .map_err(|e| format!("write {path}: {e}"))?;
-    Ok(())
+/// Events per wall-clock second. Idle-cycle skipping (DESIGN §6) makes
+/// cycles/s count cycles never stepped through, so commits/s is the
+/// figure that compares across memory-bound and compute-bound sweeps.
+fn per_sec(count: u64, wall: f64) -> f64 {
+    count as f64 / wall.max(1e-9)
 }

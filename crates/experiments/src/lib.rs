@@ -23,8 +23,9 @@
 //! * [`extensions`] — studies beyond the paper: the full pipelined-
 //!   scheduler design space including Stark et al.'s speculative wakeup,
 //!   a detection-scope sweep, and the effective-window quantification.
-//! * [`rvsuite`] — the RV32 real-program suite under every scheduler,
-//!   with the pairability / sched_loop-share probe on real code.
+//! * [`rvsuite`] — the RV32 real-program suite under every scheduler
+//!   (IPC grid; `mossim rvdiff` reports its pairability and sched_loop
+//!   share).
 //!
 //! Absolute numbers come from the documented synthetic-workload
 //! substitution (see DESIGN.md); the *shape* of each result — who wins,
@@ -41,7 +42,6 @@ pub mod fig15;
 pub mod fig16;
 pub mod fig6;
 pub mod fig7;
-pub mod ledgered;
 pub mod runner;
 pub mod rvsuite;
 pub mod tables;

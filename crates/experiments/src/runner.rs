@@ -9,6 +9,10 @@
 //! byte-identical for any `--jobs N` (including the serial `--jobs 1`
 //! path, which runs inline without spawning threads).
 //!
+//! Perf counters: every run adds its simulated cycles, commits and
+//! scheduler kind to process-wide counters, which `experiments perf`
+//! drains after each figure sweep (see [`take_simulated_cycles`]).
+//!
 //! Workload caching: the static synthetic program for a `(benchmark,
 //! seed)` pair is generated once and shared via `Arc` (see
 //! [`cached_program`]); every run still gets its own private trace
@@ -19,7 +23,7 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use mos_core::{SchedulerKind, WakeupStyle};
-use mos_sim::{EventSink, MachineConfig, Simulator, SimStats};
+use mos_sim::{MachineConfig, Simulator, SimStats};
 use mos_workload::spec2000;
 use mos_workload::{SyntheticProgram, WorkloadSpec};
 
@@ -88,58 +92,6 @@ impl Job {
         SCHED_KINDS.fetch_or(1 << sched_label_index(&self.cfg), Ordering::Relaxed);
         stats
     }
-
-    /// [`Job::run`] with issue-slot accounting enabled, for CPI-stack
-    /// probes in `experiments perf`. Does not touch the global
-    /// cycle/commit counters; the returned stats carry `slots` satisfying
-    /// the conservation law and otherwise match [`Job::run`] exactly
-    /// (accounting is observation-only).
-    pub fn run_accounted(&self) -> SimStats {
-        let spec = spec2000::by_name(self.bench)
-            .unwrap_or_else(|| panic!("unknown benchmark `{}`", self.bench));
-        let program = cached_program(&spec, self.seed);
-        let trace = program.walk(self.seed ^ 0x9e37_79b9_7f4a_7c15);
-        let mut sim = Simulator::new(self.cfg.clone(), trace);
-        sim.enable_slot_accounting();
-        sim.run(self.insts)
-    }
-
-    /// [`Job::run`] with observability layers switched on: interval
-    /// metrics (10k-cycle snapshots) and/or full event tracing into a
-    /// throwaway ring. Used by the `experiments perf` on-vs-off overhead
-    /// probe; does not touch the global cycle/commit counters.
-    pub fn run_observed(&self, metrics: bool, tracing: bool) -> SimStats {
-        let spec = spec2000::by_name(self.bench)
-            .unwrap_or_else(|| panic!("unknown benchmark `{}`", self.bench));
-        let program = cached_program(&spec, self.seed);
-        let trace = program.walk(self.seed ^ 0x9e37_79b9_7f4a_7c15);
-        let mut sim = Simulator::new(self.cfg.clone(), trace);
-        if metrics {
-            sim.enable_metrics(mos_sim::metrics::DEFAULT_INTERVAL);
-        }
-        if tracing {
-            sim.set_event_sink(Box::new(mos_sim::RingSink::new(4_096)));
-        }
-        sim.run(self.insts)
-    }
-
-    /// [`Job::run`] with event tracing enabled and the stream delivered
-    /// to `sink`. Trace-driven experiments and tests use this to observe
-    /// per-cycle behavior without changing how the job is specified;
-    /// sinks are not `Send`, so traced jobs run inline rather than
-    /// through [`run_jobs`].
-    pub fn run_with_sink(&self, sink: Box<dyn EventSink>) -> SimStats {
-        let spec = spec2000::by_name(self.bench)
-            .unwrap_or_else(|| panic!("unknown benchmark `{}`", self.bench));
-        let program = cached_program(&spec, self.seed);
-        let trace = program.walk(self.seed ^ 0x9e37_79b9_7f4a_7c15);
-        let mut sim = Simulator::new(self.cfg.clone(), trace);
-        sim.set_event_sink(sink);
-        let stats = sim.run(self.insts);
-        SIM_CYCLES.fetch_add(stats.cycles, Ordering::Relaxed);
-        SIM_COMMITS.fetch_add(stats.committed, Ordering::Relaxed);
-        stats
-    }
 }
 
 /// Simulated cycles accumulated across all runs since the last
@@ -148,7 +100,8 @@ impl Job {
 static SIM_CYCLES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// Committed instructions accumulated alongside [`SIM_CYCLES`] (the
-/// per-figure committed counts in `experiments perf` output).
+/// per-figure committed counts and commits/s in `experiments perf`
+/// output).
 static SIM_COMMITS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
 /// Credit an out-of-band simulation (e.g. the RV32 suite sweep, whose
@@ -377,37 +330,6 @@ mod tests {
             let cached = run_config(&spec, MachineConfig::base_32(), 2_000);
             assert_eq!(fresh, cached, "{name}: cached program changed the run");
         }
-    }
-
-    /// A sink-equipped run sees every traced event exactly once and
-    /// commits the same stream as the untraced run.
-    #[test]
-    fn run_with_sink_traces_without_changing_the_run() {
-        let job = Job::new("gzip", MachineConfig::base_32(), 2_000);
-        let plain = job.run();
-        let ring = mos_sim::SharedRing::new(4_096);
-        let traced = job.run_with_sink(Box::new(ring.clone()));
-        assert_eq!(traced.committed, plain.committed);
-        assert_eq!(traced.cycles, plain.cycles);
-        assert!(traced.events.total() > 0, "tracing must be enabled");
-        assert_eq!(ring.total_seen(), traced.events.total());
-    }
-
-    /// An accounted run must match the plain run cycle-for-cycle (slot
-    /// accounting is observation-only) while its slot counts satisfy the
-    /// conservation law.
-    #[test]
-    fn accounted_run_matches_plain_run() {
-        let job = Job::new("gzip", MachineConfig::two_cycle_32(), 2_000);
-        let plain = job.run();
-        let accounted = job.run_accounted();
-        assert_eq!(accounted.cycles, plain.cycles);
-        assert_eq!(accounted.committed, plain.committed);
-        let width = job.cfg.sched.issue_width as u64;
-        accounted
-            .slots
-            .check_conservation(accounted.cycles, width)
-            .expect("accounted run must conserve issue slots");
     }
 
     /// The mask is process-global and other tests run jobs concurrently,

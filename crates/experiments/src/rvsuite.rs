@@ -1,22 +1,18 @@
 //! The RV32 suite as an experiment workload: run every real program in
-//! `mos_rv::suite` under every scheduler kind, and probe the two numbers
-//! the paper's story turns on for real code — MOP pairability (what
-//! fraction of issued entries were grouped) and the sched_loop CPI share
-//! (the loose-loop tax the 2-cycle scheduler pays and macro-op
-//! scheduling removes).
+//! `mos_rv::suite` under every scheduler kind.
 //!
 //! Unlike the synthetic benchmark figures, these runs execute to the
 //! program's own halt (the suite programs are small), so the sweep is
-//! budget-independent. `experiments rv` prints the table;
-//! `experiments perf` times the sweep and records the probe in
-//! `BENCH_sim.json`.
+//! budget-independent. `experiments rv` prints the IPC table and
+//! `experiments perf` times the sweep. The two numbers the paper's story
+//! turns on for real code, MOP pairability and the sched_loop CPI share,
+//! come from the differential oracle (`mossim rvdiff [--json]`).
 
 use std::fmt;
 
-use mos_core::SlotCause;
 use mos_rv::suite::{self, RvTestProgram};
 use mos_rv::{config_for, RvTraceSource, SCHED_KINDS};
-use mos_sim::{CpiStack, Simulator, SimStats};
+use mos_sim::{Simulator, SimStats};
 
 use crate::runner;
 
@@ -31,16 +27,12 @@ pub struct RvRun {
     pub stats: SimStats,
 }
 
-fn run_to_halt(p: &RvTestProgram, sched: &str, accounted: bool) -> SimStats {
+fn run_to_halt(p: &RvTestProgram, sched: &str) -> SimStats {
     let prog = p.assemble();
     let cfg = config_for(sched).unwrap_or_else(|| panic!("unknown scheduler `{sched}`"));
     let trace = RvTraceSource::new(&prog)
         .unwrap_or_else(|e| panic!("suite program `{}` does not lower: {e}", p.name));
-    let mut sim = Simulator::new(cfg.clone(), trace);
-    if accounted {
-        sim.enable_slot_accounting();
-    }
-    let stats = sim.run(u64::MAX);
+    let stats = Simulator::new(cfg.clone(), trace).run(u64::MAX);
     runner::tally(&stats, &cfg);
     stats
 }
@@ -57,7 +49,7 @@ pub fn sweep(jobs: usize) -> Vec<RvRun> {
     runner::parallel_map(&cells, jobs, |&(p, sched)| RvRun {
         program: p.name,
         sched,
-        stats: run_to_halt(p, sched, false),
+        stats: run_to_halt(p, sched),
     })
 }
 
@@ -93,48 +85,6 @@ impl fmt::Display for RvReport {
     }
 }
 
-/// Per-program probe of the paper's two real-code questions: how much of
-/// the committed stream macro-op formation pairs up, and how much of the
-/// issue bandwidth each loop discipline loses to the scheduling loop.
-#[derive(Debug, Clone)]
-pub struct RvProbe {
-    /// Suite program name.
-    pub program: &'static str,
-    /// Fraction of issued entries that were grouped under mop-wor
-    /// (`SimStats::grouped_frac`): the MOP pairability of real code.
-    pub pairability: f64,
-    /// sched_loop share of issue slots under the 2-cycle scheduler.
-    pub sched_loop_2cycle: f64,
-    /// sched_loop share of issue slots under mop-wor.
-    pub sched_loop_mop: f64,
-}
-
-/// Run the probe over the whole suite. Each run's CPI stack must satisfy
-/// the slot-conservation law.
-pub fn probe() -> Vec<RvProbe> {
-    suite::PROGRAMS
-        .iter()
-        .map(|p| {
-            let share = |sched: &str, stats: &SimStats| {
-                let width = config_for(sched).expect("known scheduler").sched.issue_width as u64;
-                let stack = CpiStack::from_stats(p.name, sched, width, stats);
-                stack
-                    .check_conservation()
-                    .unwrap_or_else(|e| panic!("{}/{sched}: {e}", p.name));
-                stack.share(SlotCause::SchedLoop)
-            };
-            let two = run_to_halt(p, "2cycle", true);
-            let mop = run_to_halt(p, "mop-wor", true);
-            RvProbe {
-                program: p.name,
-                pairability: mop.grouped_frac(),
-                sched_loop_2cycle: share("2cycle", &two),
-                sched_loop_mop: share("mop-wor", &mop),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -150,20 +100,5 @@ mod tests {
             assert_eq!(a.stats.cycles, b.stats.cycles);
             assert_eq!(a.stats.committed, b.stats.committed);
         }
-    }
-
-    #[test]
-    fn probe_reproduces_the_sched_loop_ordering() {
-        let rows = probe();
-        assert_eq!(rows.len(), suite::PROGRAMS.len());
-        let sum = rows
-            .iter()
-            .find(|r| r.program == "sum_loop")
-            .expect("sum_loop probed");
-        assert!(sum.pairability > 0.3, "sum_loop pairs heavily: {sum:?}");
-        assert!(
-            sum.sched_loop_2cycle > sum.sched_loop_mop,
-            "macro-op scheduling must shrink the sched_loop share: {sum:?}"
-        );
     }
 }

@@ -2,12 +2,12 @@
 //!
 //! A [`RunKey`] is a SHA-256 over a **canonical preimage**: a sorted
 //! `name=value` listing of everything that determines a simulation's
-//! sim-side results — the program digest (or, for whole-figure sweeps,
-//! the sweep identity), the canonicalized [`MachineConfig`], the
+//! sim-side results — the program digest (or, for the whole-figure
+//! sweeps older archives may contain, the sweep identity), the canonicalized [`MachineConfig`], the
 //! scheduler label, the run budget and seed, the ledger schema version,
 //! and the code version (git revision). Two runs with equal keys are
 //! byte-identical in every sim-derived statistic; that is the contract
-//! the incremental-sweep cache and the jobs-determinism tests enforce.
+//! the jobs-determinism tests enforce.
 //!
 //! Canonicalization sorts the preimage pairs by name, so the key is
 //! stable under any reordering of how callers (or future struct
@@ -161,8 +161,9 @@ pub fn program_digest(program: &Program) -> String {
 /// Identity of one archivable run, before hashing.
 #[derive(Debug, Clone)]
 pub struct RunIdent<'a> {
-    /// Record kind: `"run"` for single simulations, `"figure"` for whole
-    /// figure sweeps, `"rv_probe"` for the RV32 probe.
+    /// Record kind: `"run"` for single simulations. Older archives may
+    /// also hold `"figure"` (whole figure sweeps) and `"rv_probe"` (an
+    /// RV32 pairability probe); nothing saves those kinds any more.
     pub kind: &'a str,
     /// Workload name (benchmark / kernel / rv program / figure).
     pub bench: &'a str,
@@ -175,8 +176,9 @@ pub struct RunIdent<'a> {
     /// Workload seed.
     pub seed: u64,
     /// Program digest from [`program_digest`], or `"-"` when the
-    /// program content is determined by the code version (figure sweeps
-    /// generate their synthetic programs from in-repo constants).
+    /// program content is determined by the code version (archived
+    /// figure sweeps generated their synthetic programs from in-repo
+    /// constants).
     pub program_sha: &'a str,
     /// Code version (short git revision, `"unknown"` outside a repo).
     pub git_rev: &'a str,

@@ -1,28 +1,22 @@
 //! `mos-ledger`: a persistent, content-addressed archive of simulation
 //! runs.
 //!
-//! Every simulation the CLI or the experiment driver archives gets a
+//! Every simulation the CLI archives gets a
 //! [`RunKey`] — a SHA-256 over a canonical preimage of everything that
 //! determines its sim-side results (program digest, canonicalized
 //! machine config, scheduler, budget/seed, schema version, git
 //! revision) — and a [`RunRecord`] stored under `results/ledger/`,
 //! sharded by key prefix, with an append-only `index.jsonl` naming each
-//! save. On top of the store sit three consumers:
-//!
-//! * [`diff`](mod@diff) — side-by-side metric deltas between two archived runs,
-//!   with a noise-band verdict separating deterministic sim-side deltas
-//!   (always real) from advisory host-throughput drift;
-//! * [`dashboard`] — a self-contained Markdown/HTML regression
-//!   dashboard over the bench history and the archive;
-//! * the incremental sweep cache in `experiments perf --ledger`, which
-//!   serves unchanged keys straight from the archive (`cached: true`).
+//! save. `mossim history` lists the index, and [`diff`](mod@diff) puts
+//! two archived runs side by side, with a noise-band verdict separating
+//! deterministic sim-side deltas (always real) from advisory
+//! host-throughput drift.
 //!
 //! Everything is hand-rolled on `std` only (including [`sha`] and
 //! [`json`]) because the workspace builds without registry access.
 
 #![warn(missing_docs)]
 
-pub mod dashboard;
 pub mod diff;
 pub mod json;
 pub mod key;

@@ -63,7 +63,8 @@ pub struct RunRecord {
     pub schema: u32,
     /// Content-addressed key (64 hex chars).
     pub key: String,
-    /// Record kind: `"run"`, `"figure"`, or `"rv_probe"`.
+    /// Record kind: `"run"`; older archives may also hold `"figure"` or
+    /// `"rv_probe"`.
     pub kind: String,
     /// Workload name (benchmark / kernel / rv program / figure).
     pub bench: String,
@@ -83,7 +84,7 @@ pub struct RunRecord {
     /// wall-clock second; advisory, never part of the key).
     pub host_cycles_per_sec: f64,
     /// Whether this record was served from the ledger instead of
-    /// simulated (set on incremental-sweep hits).
+    /// simulated (set on the figure-sweep cache hits of older archives).
     pub cached: bool,
     /// Scheduler kinds a sweep exercised (empty for single runs).
     pub sched_kinds: Vec<String>,

@@ -14,9 +14,9 @@
 //! file over it; saving the same key again replaces the record (the
 //! content is identical by construction — that is what content
 //! addressing means here) and appends a fresh index line, so
-//! `latest`/`latest-1` name *saves*, not distinct keys. A cache hit
-//! appends an index line with `cached: true` and leaves the record file
-//! untouched.
+//! `latest`/`latest-1` name *saves*, not distinct keys. Older archives
+//! may also hold cache-hit index lines (`cached: true`) that left the
+//! record file untouched.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -32,7 +32,8 @@ pub struct IndexEntry {
     pub seq: u64,
     /// The saved record's key.
     pub key: String,
-    /// Record kind (`run` / `figure` / `rv_probe`).
+    /// Record kind (`run`; older archives may also hold `figure` /
+    /// `rv_probe`).
     pub kind: String,
     /// Workload or figure name.
     pub bench: String,
@@ -44,7 +45,7 @@ pub struct IndexEntry {
     pub git_rev: String,
     /// Save time (Unix seconds).
     pub unix_time: u64,
-    /// Whether the save was an incremental-sweep cache hit.
+    /// Whether the save was a figure-sweep cache hit (older archives).
     pub cached: bool,
 }
 
@@ -148,8 +149,8 @@ impl Ledger {
     }
 
     /// Append an index line for `record` without rewriting its file —
-    /// used by [`Ledger::save`] and, directly, by cache hits (where the
-    /// record on disk must stay byte-identical).
+    /// used by [`Ledger::save`], and by any caller that re-indexes a
+    /// record whose file must stay byte-identical.
     pub fn append_index(&self, record: &RunRecord) -> Result<(), String> {
         use std::io::Write as _;
         std::fs::create_dir_all(&self.root)

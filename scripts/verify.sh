@@ -7,7 +7,10 @@
 #      (debug builds compile that test to nothing: their oracle allocates)
 #      and the release-only commit-only subscription check (a run whose
 #      only observer is a commit log constructs no other event; debug
-#      builds never reach it, their oracle reads every kind)
+#      builds never reach it, their oracle reads every kind), and the
+#      release observer-timing check (every observer leaves simulated
+#      results unchanged; debug runs already carry the oracle and slot
+#      accounting, so only release compares against a truly plain run)
 #   3. clippy, warnings denied, and the mosbench package's tests (its
 #      pinned per-job results and smoke runs; the package is outside the
 #      workspace, so a queue API change or a moved simulated result would
@@ -15,8 +18,7 @@
 #   4. `mossim trace --check` smoke per scheduler model
 #   5. `mossim report --json` + `mossim pipeview` smoke per scheduler model
 #   6. `mossim cpistack` smoke per scheduler model (conservation + JSON)
-#      plus the base/2cycle/mop differential, and the perf-history gate
-#      in warn-only mode
+#      plus the base/2cycle/mop differential
 #   6b. memory-bound mcf under every scheduler model: `trace --check` and
 #      `cpistack`, so the release oracle and the conservation law watch
 #      runs where most cycles are skipped as idle
@@ -25,10 +27,11 @@
 #      oracle over the whole suite (with its JSON report), and its
 #      base/2cycle/mop CPI stacks
 #   8. run-ledger smoke against a throwaway root: save -> history ->
-#      diff (must be sim-identical) -> dashboard, then an incremental
-#      `experiments perf --ledger` re-sweep asserting at least one
-#      cache hit
-# Optional extras with --full: jobs-determinism check + perf snapshot.
+#      diff (must be sim-identical)
+#   9. `experiments perf` smoke at a tiny budget (writes to /tmp, never
+#      over the committed BENCH_sim.json)
+# Optional extras with --full: jobs-determinism check + a 20k-budget perf
+# snapshot (also written to /tmp).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -43,6 +46,9 @@ cargo test -q --release -p mos-sim --test alloc_budget
 
 echo "== commit-only event subscription (release) =="
 cargo test -q --release -p mos-rv --test commit_only
+
+echo "== observers keep simulated timing (release, truly plain baseline) =="
+cargo test -q --release --test observers_keep_timing
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
@@ -131,10 +137,7 @@ grep -q "| sched_loop |" /tmp/verify_rv_cpistack_diff.md
 grep -q "conservation: ok for all 3 stacks" /tmp/verify_rv_cpistack_diff.md
 echo "  rv differential stacks ok"
 
-echo "== perf-history gate (warn-only) =="
-./scripts/perf_gate.sh --warn-only
-
-echo "== run ledger smoke (save -> history -> diff -> dashboard) =="
+echo "== run ledger smoke (save -> history -> diff) =="
 LEDGER_DIR=$(mktemp -d /tmp/verify_ledger.XXXXXX)
 trap 'rm -rf "$LEDGER_DIR"' EXIT
 ./target/release/mossim --bench gzip --sched mop-wor --insts 10000 \
@@ -146,21 +149,13 @@ grep -q "| gzip | mop-wor |" /tmp/verify_ledger_history.md
 ./target/release/mossim diff latest-1 latest --ledger-dir "$LEDGER_DIR" \
     > /tmp/verify_ledger_diff.md
 grep -q "Verdict: sim-identical" /tmp/verify_ledger_diff.md
-./target/release/mossim dashboard --ledger-dir "$LEDGER_DIR" \
-    --html --out /tmp/verify_ledger_dash.html
-grep -q "mopsched regression dashboard" /tmp/verify_ledger_dash.html
-echo "  save/history/diff/dashboard ok (two saves of one config are sim-identical)"
+echo "  save/history/diff ok (two saves of one config are sim-identical)"
 
-echo "== incremental perf re-sweep (ledger cache) =="
-MOS_LEDGER_DIR="$LEDGER_DIR" ./target/release/experiments perf --insts 2000 --jobs 2 \
-    --ledger --out /tmp/verify_ledger_b1.json --history /tmp/verify_ledger_h.jsonl \
-    2> /tmp/verify_ledger_p1.err > /dev/null
-MOS_LEDGER_DIR="$LEDGER_DIR" ./target/release/experiments perf --insts 2000 --jobs 2 \
-    --ledger --out /tmp/verify_ledger_b2.json --history /tmp/verify_ledger_h.jsonl \
-    2> /tmp/verify_ledger_p2.err > /dev/null
-grep -q '"cached": true' /tmp/verify_ledger_b2.json
-grep -q "skipping history append" /tmp/verify_ledger_p2.err
-echo "  re-sweep served from the ledger (cached: true)"
+echo "== experiments perf smoke (single-thread headline sweep) =="
+./target/release/experiments perf --insts 2000 --out /tmp/verify_perf.json 2> /dev/null
+grep -q '"commits_per_sec"' /tmp/verify_perf.json
+grep -q '"total_commits_per_sec"' /tmp/verify_perf.json
+echo "  perf: BENCH_sim-format file written with commits/s"
 
 if [[ "${1:-}" == "--full" ]]; then
     bin=./target/release/experiments
@@ -170,8 +165,8 @@ if [[ "${1:-}" == "--full" ]]; then
     cmp /tmp/verify_j1.txt /tmp/verify_j8.txt
     echo "byte-identical"
 
-    echo "== perf snapshot -> BENCH_sim.json =="
-    "$bin" perf --insts 20000
+    echo "== perf snapshot (20k budget) =="
+    "$bin" perf --insts 20000 --out /tmp/verify_perf_20k.json
 fi
 
 echo "verify: OK"

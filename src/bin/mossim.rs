@@ -2,7 +2,7 @@
 //! the full statistics report.
 //!
 //! ```text
-//! mossim [trace|report|pipeview|cpistack|rvdiff|history|diff|dashboard] [options]
+//! mossim [trace|report|pipeview|cpistack|rvdiff|history|diff] [options]
 //!   --bench NAME        benchmark model (default gzip) or kernel with --kernel
 //!   --kernel NAME       run an assembly kernel instead of a benchmark model
 //!   --rv PROG           run a real RV32 program instead: a suite name
@@ -66,11 +66,6 @@
 //!                       (default: latest vs latest-1); sim-side deltas
 //!                       are always real, host throughput is advisory
 //!   --noise PCT         host-throughput noise band (default 20)
-//!
-//! dashboard mode (regression dashboard over history + ledger):
-//!   --history FILE      bench history (default results/bench_history.jsonl)
-//!   --html              emit a self-contained HTML page instead of Markdown
-//!   --out FILE          write to FILE instead of stdout
 //! ```
 
 use std::process::ExitCode;
@@ -117,10 +112,6 @@ fn parse() -> Result<Args, String> {
             it.next();
             a.diff = true;
         }
-        Some("dashboard") => {
-            it.next();
-            a.dashboard = true;
-        }
         _ => {}
     }
     while let Some(flag) = it.next() {
@@ -161,8 +152,8 @@ fn parse() -> Result<Args, String> {
             }
             "--ideal-branch" => a.ideal_branch = true,
             "--ideal-memory" => a.ideal_memory = true,
-            "--out" if a.trace || a.pipeview || a.dashboard => a.out = Some(val("--out")?),
-            "--save" if !(a.trace || a.pipeview || a.rvdiff || a.history || a.diff || a.dashboard) => {
+            "--out" if a.trace || a.pipeview => a.out = Some(val("--out")?),
+            "--save" if !(a.trace || a.pipeview || a.rvdiff || a.history || a.diff) => {
                 a.save = true
             }
             "--ledger-dir" => a.ledger_dir = Some(val("--ledger-dir")?),
@@ -176,8 +167,6 @@ fn parse() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--noise: {e}"))?
             }
-            "--history" if a.dashboard => a.history_path = val("--history")?,
-            "--html" if a.dashboard => a.html = true,
             "--last" if a.trace => {
                 a.last = val("--last")?
                     .parse()
@@ -241,11 +230,8 @@ struct Args {
     ledger_dir: Option<String>,
     history: bool,
     diff: bool,
-    dashboard: bool,
     limit: usize,
     noise: f64,
-    history_path: String,
-    html: bool,
     specs: Vec<String>,
 }
 
@@ -281,11 +267,8 @@ impl Default for Args {
             ledger_dir: None,
             history: false,
             diff: false,
-            dashboard: false,
             limit: 20,
             noise: mopsched::ledger::HOST_NOISE_BAND_PCT,
-            history_path: "results/bench_history.jsonl".into(),
-            html: false,
             specs: Vec::new(),
         }
     }
@@ -485,27 +468,6 @@ fn run_diff(a: &Args) -> Result<(), String> {
     let rec_b = store.load(&store.resolve(spec_b)?)?;
     let outcome = ledger::diff(&rec_a, &rec_b, a.noise);
     print!("{}", outcome.markdown);
-    Ok(())
-}
-
-/// Run `dashboard` mode: render the regression dashboard over the bench
-/// history and the ledger.
-fn run_dashboard(a: &Args) -> Result<(), String> {
-    let store = open_ledger(a);
-    let history = std::fs::read_to_string(&a.history_path).unwrap_or_default();
-    let markdown = ledger::dashboard::render(&history, &store);
-    let doc = if a.html {
-        ledger::dashboard::to_html(&markdown)
-    } else {
-        markdown
-    };
-    match &a.out {
-        Some(path) => {
-            std::fs::write(path, &doc).map_err(|e| format!("writing {path}: {e}"))?;
-            eprintln!("dashboard: wrote {path}");
-        }
-        None => print!("{doc}"),
-    }
     Ok(())
 }
 
@@ -910,17 +872,15 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if a.cpistack || a.rvdiff || a.history || a.diff || a.dashboard {
+    if a.cpistack || a.rvdiff || a.history || a.diff {
         let res = if a.cpistack {
             run_cpistack(&a)
         } else if a.rvdiff {
             run_rvdiff(&a)
         } else if a.history {
             run_history(&a)
-        } else if a.diff {
-            run_diff(&a)
         } else {
-            run_dashboard(&a)
+            run_diff(&a)
         };
         return match res {
             Ok(()) => ExitCode::SUCCESS,

@@ -17,7 +17,7 @@
 //! * [`core`] — macro-op detection/formation and all scheduler models,
 //! * [`metrics`] — histograms, interval time series and run reports,
 //! * [`ledger`] — the content-addressed run archive: persistent records
-//!   with provenance, cross-run diffing and the regression dashboard,
+//!   with provenance and cross-run diffing,
 //! * [`sim`] — the 13-stage out-of-order pipeline simulator,
 //! * [`experiments`] — the per-table/figure reproduction harness.
 //!

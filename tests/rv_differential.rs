@@ -61,7 +61,8 @@ fn sched_loop_share(prog: &rv::RvProgram, sched: &str) -> f64 {
 /// The acceptance-criterion ordering: on the dependent-chain program the
 /// 2-cycle scheduler's sched_loop share sits strictly above both the
 /// atomic baseline and macro-op scheduling (which restores back-to-back
-/// issue for grouped pairs).
+/// issue for grouped pairs), and macro-op formation pairs a large share
+/// of its issued entries.
 #[test]
 fn two_cycle_sched_loop_share_exceeds_base_and_mop_on_sum_loop() {
     let prog = suite::by_name("sum_loop").expect("suite program").assemble();
@@ -75,6 +76,13 @@ fn two_cycle_sched_loop_share_exceeds_base_and_mop_on_sum_loop() {
     assert!(
         two > mop,
         "2cycle sched_loop share must exceed mop-wor: {two:.4} vs {mop:.4}"
+    );
+    let cfg = rv::config_for("mop-wor").expect("known scheduler");
+    let pairs = rv::run_differential(&prog, "mop-wor", cfg, MAX_STEPS).expect("differential");
+    assert!(
+        pairs.fusion_rate > 0.3,
+        "sum_loop pairs heavily under mop-wor: fusion rate {:.4}",
+        pairs.fusion_rate
     );
 }
 
