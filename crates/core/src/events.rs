@@ -445,8 +445,9 @@ impl TraceEvent {
 /// assert!(k.contains(EventKinds::COMMIT));
 /// assert!(!k.intersects(EventKinds::QUEUE));
 /// assert!(EventKinds::ALL.contains(k));
+/// assert_eq!(EventKinds::default(), EventKinds::empty());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EventKinds(u16);
 
 impl EventKinds {

@@ -398,13 +398,13 @@ pub struct QueueMetrics {
 /// Opt-in per-slot cause accounting, behind the same zero-cost guard as
 /// tracing and metrics: when accounting is off (the default) the queue
 /// does no classification work at all.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct SlotAccounting {
-    /// Slots charged by the queue (useful / loop / fusion / stall causes).
+    /// Every slot charged so far, the run's only slot counts.
     counts: SlotCounts,
-    /// Idle slots last cycle with no waiting entry to blame. The driver
-    /// (simulator) charges these to frontend, wrong-path or drained.
-    empty: u64,
+    /// Cause charged for idle slots with no waiting entry to blame, set
+    /// by the driver ([`IssueQueue::set_idle_cause`]).
+    idle_cause: SlotCause,
     /// Reusable classification scratch: the `(age, index)` of the oldest
     /// waiting entries, at most one per idle slot, sorted oldest-first to
     /// mirror select priority.
@@ -528,23 +528,30 @@ impl IssueQueue {
     /// discipline as [`IssueQueue::set_tracing`]). Enable before the first
     /// cycle so the conservation law holds for the whole run.
     pub fn set_slot_accounting(&mut self, on: bool) {
-        self.accounting = on.then(Box::<SlotAccounting>::default);
+        self.accounting = on.then(|| {
+            Box::new(SlotAccounting {
+                counts: SlotCounts::default(),
+                idle_cause: SlotCause::Drained,
+                cause_buf: Vec::new(),
+            })
+        });
     }
 
-    /// Per-cause slot counts charged by the queue, if accounting is on.
-    /// The queue charges everything it can see; idle slots it could not
-    /// blame on a waiting entry are reported via
-    /// [`IssueQueue::unattributed_slots`] for the driver to classify.
+    /// Per-cause slot counts, if accounting is on: every slot of every
+    /// cycle so far, so they sum to `cycles × issue_width`.
     pub fn slot_counts(&self) -> Option<&SlotCounts> {
         self.accounting.as_deref().map(|a| &a.counts)
     }
 
-    /// Idle slots from the most recent cycle that had no waiting entry to
-    /// blame. The driver charges these to frontend back-pressure,
-    /// wrong-path recovery or a drained machine — exactly once per cycle,
-    /// right after [`IssueQueue::cycle_into`].
-    pub fn unattributed_slots(&self) -> u64 {
-        self.accounting.as_deref().map_or(0, |a| a.empty)
+    /// The cause to charge, from the next [`IssueQueue::cycle_into`] or
+    /// [`IssueQueue::skip_idle`] on, for idle slots with no waiting entry
+    /// to blame. Only the driver knows it: frontend back-pressure,
+    /// wrong-path recovery or a drained machine ([`SlotCause::Drained`],
+    /// the default). A no-op while accounting is off.
+    pub fn set_idle_cause(&mut self, cause: SlotCause) {
+        if let Some(a) = self.accounting.as_deref_mut() {
+            a.idle_cause = cause;
+        }
     }
 
     /// Move every buffered trace event into `out`, re-stamping each with
@@ -1126,9 +1133,8 @@ impl IssueQueue {
 
     /// Account `k` idle cycles in bulk, exactly as `k` calls of
     /// [`IssueQueue::cycle_into`] would: cycles, the occupancy integral
-    /// and histogram, and one slot classification charged `k` times
-    /// ([`IssueQueue::unattributed_slots`] then reports one cycle's
-    /// share). Only valid while `now + k < next_active()`.
+    /// and histogram, and one slot classification charged `k` times.
+    /// Only valid while `now + k < next_active()`.
     pub fn skip_idle(&mut self, k: u64) {
         if k == 0 {
             return;
@@ -1183,8 +1189,8 @@ impl IssueQueue {
     /// burned by select-free mis-speculation (stale-grant cancels, pileup
     /// replays) are scheduling-loop cost, and each remaining idle slot is
     /// blamed on the oldest still-waiting entries (mirroring select
-    /// priority). Idle slots with nobody waiting are left for the driver
-    /// via [`IssueQueue::unattributed_slots`], one cycle's worth.
+    /// priority). Idle slots with nobody waiting go to the driver's
+    /// [`IssueQueue::set_idle_cause`].
     ///
     /// One pass over the waiting entries keeps the `idle` oldest in a
     /// sorted buffer no longer than the issue width; only those are
@@ -1201,7 +1207,6 @@ impl IssueQueue {
         acc.counts.add(SlotCause::MopFusion, blocked as u64 * times);
         acc.counts.add(SlotCause::SchedLoop, wasted * times);
         let idle = (width - busy) as usize;
-        acc.empty = 0;
         if idle > 0 {
             let oldest = &mut acc.cause_buf;
             oldest.clear();
@@ -1225,7 +1230,8 @@ impl IssueQueue {
                 let e = self.entries[idx].as_ref().expect("waiting entry exists");
                 acc.counts.add(self.stall_cause(e, now), times);
             }
-            acc.empty = (idle - oldest.len()) as u64;
+            let empty = (idle - oldest.len()) as u64;
+            acc.counts.add(acc.idle_cause, empty * times);
         }
         self.accounting = Some(acc);
     }
@@ -2140,7 +2146,6 @@ mod tests {
         assert_eq!(q.free_entries(), cap - hi - 2);
 
         let mut log = Vec::new();
-        let mut unattributed = 0;
         for now in 0..=33 {
             if now == 5 {
                 // Miss: A and D replay in index order, then B through A's
@@ -2160,7 +2165,6 @@ mod tests {
             for i in q.cycle(now) {
                 log.push((i.uops[0].id.0, i.issue_cycle));
             }
-            unattributed += q.unattributed_slots();
             match now {
                 8 => assert_eq!(q.occupancy(), hi + 1, "load released at confirm"),
                 10 => {
@@ -2193,8 +2197,7 @@ mod tests {
         assert_eq!(q.occupancy(), lo + 5);
         assert_eq!(q.free_entries(), cap - lo - 5);
         let counts = q.slot_counts().expect("accounting on");
-        let charged = counts.total() + unattributed;
-        assert_eq!(charged, 34 * q.config().issue_width as u64, "slots conserve");
+        assert_eq!(counts.total(), 34 * q.config().issue_width as u64, "slots conserve");
     }
 
     /// One issue decision, comparable across queue clones.
@@ -2204,13 +2207,11 @@ mod tests {
             .collect()
     }
 
-    /// Everything `skip_idle` must reproduce, one cycle's unattributed
-    /// slots scaled by `k`.
-    fn observable(q: &IssueQueue, k: u64) -> (QueueStats, Option<SlotCounts>, u64, Option<Hist>) {
+    /// Everything `skip_idle` must reproduce.
+    fn observable(q: &IssueQueue) -> (QueueStats, Option<SlotCounts>, Option<Hist>) {
         (
             q.stats(),
             q.slot_counts().copied(),
-            q.unattributed_slots() * k,
             q.metrics().map(|m| m.occupancy.clone()),
         )
     }
@@ -2219,9 +2220,9 @@ mod tests {
     /// load storms, loads that miss, and MOP pairs, on two clones in
     /// lockstep: `q` skips every stretch `next_active()` allows with
     /// `skip_idle(k)`, `stepped` calls `cycle_into` for each of those `k`
-    /// cycles. Their
-    /// grants, stats, slot counts, unattributed slots and occupancy
-    /// histograms must agree after every skip and every cycle. Without
+    /// cycles. The idle cause the driver hands over changes every few
+    /// cycles. Their grants, stats, slot counts and occupancy histograms
+    /// must agree after every skip and every cycle. Without
     /// accounting, the cycle `next_active()` predicts must not be quiet:
     /// the prediction is exact, not just safe. Returns the cycles skipped.
     fn skip_matches_stepping(kind: SchedulerKind, observe: bool) -> u64 {
@@ -2241,7 +2242,10 @@ mod tests {
         let (mut next_id, mut skipped, mut now) = (0u64, 0, 0u64);
         let mut predicted = None;
         while now < END {
+            let cause = [SlotCause::Drained, SlotCause::Frontend, SlotCause::WrongPath]
+                [(now / 7 % 3) as usize];
             for qq in [&mut q, &mut stepped] {
+                qq.set_idle_cause(cause);
                 for &(_, tag, hit, ready) in resolves.iter().filter(|r| r.0 == now) {
                     qq.load_resolved(tag, hit, ready);
                 }
@@ -2276,7 +2280,7 @@ mod tests {
             q.cycle_into(now, &mut out);
             stepped.cycle_into(now, &mut step_out);
             assert_eq!(grants(&out), grants(&step_out), "{kind:?}: grants at {now}");
-            assert_eq!(observable(&q, 1), observable(&stepped, 1), "{kind:?}: at {now}");
+            assert_eq!(observable(&q), observable(&stepped), "{kind:?}: at {now}");
             if predicted == Some(now) && !observe {
                 assert!(!q.quiet, "{kind:?}: predicted activity at {now}, none happened");
             }
@@ -2297,19 +2301,15 @@ mod tests {
             if next > now + 1 {
                 let k = next - now - 1;
                 q.skip_idle(k);
-                let mut unattributed = 0;
                 for c in now + 1..next {
                     stepped.cycle_into(c, &mut step_out);
                     assert!(step_out.is_empty(), "{kind:?}: grant at {c} inside a skip");
-                    unattributed += stepped.unattributed_slots();
                 }
-                let want = (
-                    stepped.stats(),
-                    stepped.slot_counts().copied(),
-                    unattributed,
-                    stepped.metrics().map(|m| m.occupancy.clone()),
+                assert_eq!(
+                    observable(&q),
+                    observable(&stepped),
+                    "{kind:?}: skipping {k} to {next}"
                 );
-                assert_eq!(observable(&q, k), want, "{kind:?}: skipping {k} to {next}");
                 skipped += k;
                 now = next - 1;
             }
@@ -2370,17 +2370,19 @@ mod tests {
         }
     }
 
-    /// The charges of one accounted cycle (or of `times` skipped ones)
-    /// the slow way: classify every waiting entry, sort them all by age
-    /// and blame the oldest `idle`. Returns the counts and the
-    /// unattributed slots.
+    /// `before` plus the charges of one accounted cycle (or of `times`
+    /// skipped ones) the slow way: classify every waiting entry, sort them
+    /// all by age, blame the oldest `idle` and charge the rest to
+    /// `idle_cause`. Returns the counts and the slots nobody was blamed
+    /// for.
     fn reference_charges(
         q: &IssueQueue,
         now: u64,
         (blocked, wasted, grants): (usize, u64, usize),
         times: u64,
+        (before, idle_cause): (SlotCounts, SlotCause),
     ) -> (SlotCounts, u64) {
-        let mut want = SlotCounts::default();
+        let mut want = before;
         want.add(SlotCause::Useful, grants as u64 * times);
         want.add(SlotCause::MopFusion, blocked as u64 * times);
         want.add(SlotCause::SchedLoop, wasted * times);
@@ -2396,7 +2398,9 @@ mod tests {
         for &(_, cause) in all.iter().take(idle) {
             want.add(cause, times);
         }
-        (want, (idle - all.len().min(idle)) as u64)
+        let empty = (idle - all.len().min(idle)) as u64;
+        want.add(idle_cause, empty * times);
+        (want, empty)
     }
 
     /// Some waiting entry sits in a lower slot than an older one.
@@ -2413,7 +2417,8 @@ mod tests {
 
     /// Oldest-`idle` selection charges exactly what classifying and
     /// sorting every waiting entry would, after every cycle and every
-    /// skip. Random loads (a quarter miss), dependent chains and pending
+    /// skip, and the slots nobody is blamed for go to the idle cause the
+    /// driver handed over, which changes every cycle. Random loads (a quarter miss), dependent chains and pending
     /// MOP heads keep more entries waiting than there are idle slots, with
     /// every stall cause in the mix; entries release and their low slots
     /// refill with younger uops, so age order departs from slot order.
@@ -2441,7 +2446,7 @@ mod tests {
             let mut pending: Vec<(EntryId, u64)> = Vec::new();
             let (mut next_id, mut now) = (0u64, 0u64);
             let (mut crowded, mut shuffled) = (false, false);
-            let mut causes = SlotCounts::default();
+            let idle_cause = |now: u64| SlotCause::ALL[6 + (now % 3) as usize];
             while now < 800 {
                 for &(_, tag, hit, ready) in resolves.iter().filter(|r| r.0 == now) {
                     q.load_resolved(tag, hit, ready);
@@ -2479,19 +2484,17 @@ mod tests {
                 }
                 shuffled |= ages_out_of_slot_order(&q);
                 let before = q.slot_counts().copied().unwrap();
+                q.set_idle_cause(idle_cause(now));
                 let blocked = q.slots_blocked.min(q.config.issue_width);
                 let waste = |q: &IssueQueue| q.stats.spec_wakeup_cancels + q.stats.pileup_replays;
                 let waste_before = waste(&q);
                 q.cycle_into(now, &mut out);
                 let busy = (blocked, waste(&q) - waste_before, out.len());
-                let (charged, empty) = reference_charges(&q, now, busy, 1);
-                let mut want = before;
-                want.merge(&charged);
+                let (want, empty) =
+                    reference_charges(&q, now, busy, 1, (before, idle_cause(now)));
                 assert_eq!(q.slot_counts(), Some(&want), "{kind:?}: cycle {now}");
-                assert_eq!(q.unattributed_slots(), empty, "{kind:?}: cycle {now}");
                 let waiting: u32 = q.waiting.iter().map(|w| w.count_ones()).sum();
                 crowded |= empty == 0 && waiting as usize > q.config.issue_width - out.len();
-                causes.merge(&charged);
                 for i in &out {
                     for u in i.uops.iter().filter(|u| u.is_load) {
                         let miss = rand(4) == 0;
@@ -2509,21 +2512,15 @@ mod tests {
                 if pending.is_empty() && next > now + 1 {
                     let k = next - now - 1;
                     let before = q.slot_counts().copied().unwrap();
+                    q.set_idle_cause(idle_cause(now + 1));
                     q.skip_idle(k);
-                    let (charged, empty) = reference_charges(&q, now + k, (0, 0, 0), k);
-                    let mut want = before;
-                    want.merge(&charged);
+                    let (want, _) =
+                        reference_charges(&q, now + k, (0, 0, 0), k, (before, idle_cause(now + 1)));
                     assert_eq!(
                         q.slot_counts(),
                         Some(&want),
                         "{kind:?}: skip {k} from {now}"
                     );
-                    assert_eq!(
-                        q.unattributed_slots(),
-                        empty,
-                        "{kind:?}: skip {k} from {now}"
-                    );
-                    causes.merge(&charged);
                     now += k;
                 }
                 now += 1;
@@ -2536,10 +2533,14 @@ mod tests {
                 shuffled,
                 "{kind:?}: age order never departed from slot order"
             );
+            let causes = q.slot_counts().copied().unwrap();
             let stalls = [
                 SlotCause::NotReady,
                 SlotCause::LoadMiss,
                 SlotCause::Bandwidth,
+                SlotCause::Frontend,
+                SlotCause::WrongPath,
+                SlotCause::Drained,
             ];
             for cause in stalls {
                 assert!(causes.get(cause) > 0, "{kind:?}: no {} slot", cause.name());

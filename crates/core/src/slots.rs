@@ -7,15 +7,13 @@
 //! [`SlotCounts::check_conservation`] (and, like the scheduling-invariant
 //! oracle, auto-attached in debug builds of the simulator).
 //!
-//! Attribution is split between two vantage points:
-//!
-//! * the **issue queue** charges everything it can see — grants, MOP
-//!   payload-sequencing blocks, wasted select-free slots, and per-waiting-
-//!   entry stall causes for slots that went idle while work sat in the
-//!   queue (oldest entries first, mirroring select priority);
-//! * the **simulator** charges the remainder — slots idle while the queue
-//!   had nothing waiting — to wrong-path recovery, frontend (IQ/ROB-full)
-//!   back-pressure, or a genuinely drained machine.
+//! The issue queue owns the counts. It charges everything it can see —
+//! grants, MOP payload-sequencing blocks, wasted select-free slots, and
+//! per-waiting-entry stall causes for slots that went idle while work sat
+//! in the queue (oldest entries first, mirroring select priority). Slots
+//! idle while the queue had nothing waiting go to the cause the simulator
+//! hands it before each cycle: wrong-path recovery, frontend (IQ/ROB-full)
+//! back-pressure, or a genuinely drained machine.
 //!
 //! The exclusivity/priority rules are documented on each variant and in
 //! DESIGN §10.
@@ -116,13 +114,6 @@ impl SlotCounts {
         self.counts.iter().sum()
     }
 
-    /// Fold another counter set into this one.
-    pub fn merge(&mut self, other: &SlotCounts) {
-        for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *a += *b;
-        }
-    }
-
     /// The conservation law: charged slots must equal the slots offered.
     ///
     /// Returns a diagnostic naming both sides when it is violated.
@@ -155,13 +146,11 @@ mod tests {
     }
 
     #[test]
-    fn counts_add_merge_and_conserve() {
+    fn counts_add_and_conserve() {
         let mut a = SlotCounts::default();
         a.add(SlotCause::Useful, 5);
         a.add(SlotCause::SchedLoop, 2);
-        let mut b = SlotCounts::default();
-        b.add(SlotCause::Drained, 1);
-        a.merge(&b);
+        a.add(SlotCause::Drained, 1);
         assert_eq!(a.total(), 8);
         assert_eq!(a.get(SlotCause::Useful), 5);
         assert!(a.check_conservation(2, 4).is_ok());

@@ -15,7 +15,7 @@
 //!
 //! Workload caching: the static synthetic program for a `(benchmark,
 //! seed)` pair is generated once and shared via `Arc` (see
-//! [`cached_program`]); every run still gets its own private trace
+//! `cached_program`); every run still gets its own private trace
 //! walker, so sharing cannot leak state between simulations.
 
 use std::collections::HashMap;

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! results/ledger/
-//!   index.jsonl          one line per save, in save order (seq ascending)
+//!   index.jsonl          one line per save, in save order
 //!   ab/abcdef01…ef.json  record files, sharded by the key's first byte
 //! ```
 //!
@@ -28,7 +28,9 @@ use crate::record::RunRecord;
 /// One line of the ledger index: the save event for a record.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IndexEntry {
-    /// Monotonic save sequence number (1-based).
+    /// Save sequence number: the entry's 1-based position in the index,
+    /// assigned when the index is read (lines carry no number of their
+    /// own; a `seq` field in lines from older builds is ignored).
     pub seq: u64,
     /// The saved record's key.
     pub key: String,
@@ -52,7 +54,6 @@ pub struct IndexEntry {
 impl IndexEntry {
     fn to_value(&self) -> Value {
         Value::Obj(vec![
-            ("seq".into(), Value::Num(self.seq as f64)),
             ("key".into(), Value::Str(self.key.clone())),
             ("kind".into(), Value::Str(self.kind.clone())),
             ("bench".into(), Value::Str(self.bench.clone())),
@@ -64,10 +65,11 @@ impl IndexEntry {
         ])
     }
 
-    fn parse(line: &str) -> Option<IndexEntry> {
+    /// Parse one index line, numbering it `seq`.
+    fn parse(line: &str, seq: u64) -> Option<IndexEntry> {
         let v = json::parse(line).ok()?;
         Some(IndexEntry {
-            seq: v.get("seq")?.as_u64()?,
+            seq,
             key: v.get("key")?.as_str()?.to_string(),
             kind: v.get("kind")?.as_str()?.to_string(),
             bench: v.get("bench")?.as_str()?.to_string(),
@@ -150,14 +152,15 @@ impl Ledger {
 
     /// Append an index line for `record` without rewriting its file —
     /// used by [`Ledger::save`], and by any caller that re-indexes a
-    /// record whose file must stay byte-identical.
+    /// record whose file must stay byte-identical. The line is one
+    /// append-mode write and carries no sequence number, so concurrent
+    /// saves neither read the index nor race for a number.
     pub fn append_index(&self, record: &RunRecord) -> Result<(), String> {
         use std::io::Write as _;
         std::fs::create_dir_all(&self.root)
             .map_err(|e| format!("mkdir {}: {e}", self.root.display()))?;
-        let seq = self.index().last().map_or(0, |e| e.seq) + 1;
         let entry = IndexEntry {
-            seq,
+            seq: 0,
             key: record.key.clone(),
             kind: record.kind.clone(),
             bench: record.bench.clone(),
@@ -186,13 +189,18 @@ impl Ledger {
         RunRecord::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 
-    /// Every index entry in save order. Malformed lines are skipped; a
-    /// missing index means an empty ledger.
+    /// Every index entry in save order, numbered `1..` in that order.
+    /// Malformed lines are skipped; a missing index means an empty
+    /// ledger.
     pub fn index(&self) -> Vec<IndexEntry> {
-        match std::fs::read_to_string(self.index_path()) {
-            Ok(text) => text.lines().filter_map(IndexEntry::parse).collect(),
-            Err(_) => Vec::new(),
+        let Ok(text) = std::fs::read_to_string(self.index_path()) else {
+            return Vec::new();
+        };
+        let mut index: Vec<IndexEntry> = Vec::new();
+        for line in text.lines() {
+            index.extend(IndexEntry::parse(line, index.len() as u64 + 1));
         }
+        index
     }
 
     /// Resolve a user-facing run spec to a key:
@@ -356,6 +364,39 @@ mod tests {
         assert_eq!(ledger.index().len(), 2);
         assert_eq!(ledger.index()[1].seq, 2);
         assert_eq!(ledger.resolve("latest").unwrap(), ledger.resolve("latest-1").unwrap());
+        let _ = std::fs::remove_dir_all(ledger.root());
+    }
+
+    #[test]
+    fn concurrent_saves_number_the_index_one_to_n() {
+        const N: usize = 8;
+        let ledger = Ledger::open(temp_root("concurrent"));
+        std::thread::scope(|s| {
+            for i in 0..N {
+                let ledger = &ledger;
+                s.spawn(move || {
+                    for _ in 0..4 {
+                        ledger.save(&record(&format!("{i:02x}"), "gzip")).unwrap();
+                    }
+                });
+            }
+        });
+        let seqs: Vec<u64> = ledger.index().iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (1..=4 * N as u64).collect::<Vec<_>>());
+        let _ = std::fs::remove_dir_all(ledger.root());
+    }
+
+    #[test]
+    fn index_lines_from_older_builds_still_parse() {
+        let ledger = Ledger::open(temp_root("older"));
+        std::fs::create_dir_all(ledger.root()).unwrap();
+        let old = r#"{"seq":7,"key":"aaaa","kind":"run","bench":"gzip","sched":"base","insts":1000,"git_rev":"abc1234","unix_time":1786000000,"cached":false}"#;
+        std::fs::write(ledger.root().join("index.jsonl"), format!("{old}\n")).unwrap();
+        ledger.save(&record("bb", "gap")).unwrap();
+        let index = ledger.index();
+        assert_eq!(index.len(), 2);
+        assert_eq!((index[0].seq, index[0].bench.as_str()), (1, "gzip"));
+        assert_eq!((index[1].seq, index[1].bench.as_str()), (2, "gap"));
         let _ = std::fs::remove_dir_all(ledger.root());
     }
 

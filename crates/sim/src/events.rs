@@ -1,12 +1,77 @@
 //! Event-trace plumbing for the simulator: re-exports `mos-core`'s typed
-//! event stream (the queue emits directly into it) and adds the shareable
-//! ring sink used by the `mossim trace` CLI and by test helpers that need
-//! to keep a tail of the stream while the simulator owns the sink.
+//! event stream (the queue emits directly into it), holds the simulator's
+//! event observers, and adds the shareable ring sink used by the `mossim
+//! trace` CLI and by test helpers that need to keep a tail of the stream
+//! while the simulator owns the sink.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 pub use mos_core::events::{EventCounts, EventKinds, EventSink, RingSink, TraceEvent};
+
+use crate::oracle::InvariantOracle;
+use crate::timeline::Timeline;
+
+/// The simulator's event-stream observers: the pipeline timeline, the
+/// invariant oracle and one event sink (DESIGN §8). The subscribed kinds
+/// are the union of the attached observers' [`EventSink::kinds`], and
+/// every emission site checks its own kind with [`Observers::wants`]: with
+/// nothing attached (the release default) no event value is ever
+/// constructed anywhere in the pipeline or the queue.
+#[derive(Default)]
+pub(crate) struct Observers {
+    pub(crate) timeline: Option<Timeline>,
+    pub(crate) oracle: Option<InvariantOracle>,
+    pub(crate) sink: Option<Box<dyn EventSink>>,
+    kinds: EventKinds,
+    counts: EventCounts,
+}
+
+impl Observers {
+    /// Re-derive the subscribed kinds after an observer was attached;
+    /// returns them.
+    pub(crate) fn subscribe(&mut self) -> EventKinds {
+        let attached: [Option<&dyn EventSink>; 3] = [
+            self.timeline.as_ref().map(|t| t as _),
+            self.oracle.as_ref().map(|o| o as _),
+            self.sink.as_deref(),
+        ];
+        self.kinds = attached
+            .into_iter()
+            .flatten()
+            .fold(EventKinds::empty(), |k, o| k | o.kinds());
+        self.kinds
+    }
+
+    /// `true` when some attached observer reads events of `kind`.
+    #[inline]
+    pub(crate) fn wants(&self, kind: EventKinds) -> bool {
+        self.kinds.contains(kind)
+    }
+
+    /// Count `ev` and deliver it to every attached observer. Callers emit
+    /// only kinds they checked with [`Observers::wants`].
+    pub(crate) fn emit(&mut self, ev: TraceEvent) {
+        self.counts.record(&ev);
+        if let Some(t) = &mut self.timeline {
+            t.emit(&ev);
+        }
+        if let Some(s) = &mut self.sink {
+            s.emit(&ev);
+        }
+        if let Some(o) = &mut self.oracle {
+            o.emit(&ev);
+        }
+    }
+
+    /// Events delivered so far per kind, and those the sink dropped.
+    pub(crate) fn counts(&self) -> EventCounts {
+        EventCounts {
+            dropped: self.sink.as_ref().map_or(0, |s| s.dropped()),
+            ..self.counts
+        }
+    }
+}
 
 /// A clonable handle to a shared [`RingSink`]: the simulator drives it as
 /// its sink while the caller keeps a handle to read the buffered tail

@@ -37,10 +37,10 @@
 //! automatically, turning the whole test suite into a timing-legality
 //! suite; `mossim trace --check` attaches a collecting one and reports.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, HashSet};
 
 use mos_core::config::{SchedConfig, SchedulerKind};
-use mos_core::events::{EventSink, TraceEvent};
+use mos_core::events::{EventSink, RingSink, TraceEvent};
 use mos_core::UopId;
 
 /// How the oracle reacts to a violated invariant.
@@ -109,11 +109,10 @@ pub struct InvariantOracle {
     ptr_pending: HashMap<u32, Vec<u64>>,
     /// Heads with an installed (fetch-visible) pointer.
     ptr_installed: HashSet<u32>,
-    /// Trailing event window for violation reports.
-    window: VecDeque<TraceEvent>,
-    window_cap: usize,
+    /// Trailing event window for violation reports; it also counts every
+    /// event checked.
+    window: RingSink,
     last_prune: u64,
-    events_seen: u64,
     violations: Vec<Violation>,
 }
 
@@ -137,10 +136,8 @@ impl InvariantOracle {
             last_commit: None,
             ptr_pending: HashMap::new(),
             ptr_installed: HashSet::new(),
-            window: VecDeque::new(),
-            window_cap: 48,
+            window: RingSink::new(48),
             last_prune: 0,
-            events_seen: 0,
             violations: Vec::new(),
         }
     }
@@ -158,7 +155,7 @@ impl InvariantOracle {
 
     /// Total events checked.
     pub fn events_seen(&self) -> u64 {
-        self.events_seen
+        self.window.total_seen()
     }
 
     /// Violations recorded so far (always empty in panic mode — the first
@@ -174,7 +171,7 @@ impl InvariantOracle {
 
     fn violate(&mut self, cycle: u64, message: String) {
         let mut window = String::new();
-        for ev in &self.window {
+        for ev in self.window.events() {
             window.push_str("  ");
             window.push_str(&ev.to_json());
             window.push('\n');
@@ -497,11 +494,7 @@ impl InvariantOracle {
 
 impl EventSink for InvariantOracle {
     fn emit(&mut self, ev: &TraceEvent) {
-        self.events_seen += 1;
-        if self.window.len() == self.window_cap {
-            self.window.pop_front();
-        }
-        self.window.push_back(ev.clone());
+        self.window.emit(ev);
         if ev.cycle() > self.last_prune + PRUNE_HORIZON {
             self.prune(ev.cycle());
         }

@@ -8,13 +8,13 @@ use mos_core::detect::{DetectInst, MopDetector};
 use mos_core::form::{FormedItem, Former, RenamedInst, TableCheckpoint};
 use mos_core::pointer::{MopPointer, MopPointerStore};
 use mos_core::queue::{EntryId, IssueQueue, Issued};
-use mos_core::{GroupRole, SlotCause, SlotCounts, Tag, UopId};
+use mos_core::{GroupRole, SlotCause, Tag, UopId};
 use mos_isa::{DynInst, InstClass, Program, StaticInst, TraceSource};
 use mos_uarch::branch::{Btb, CombinedPredictor, RasSnapshot, ReturnAddressStack};
 use mos_uarch::cache::Cache;
 
 use crate::config::MachineConfig;
-use crate::events::{EventKinds, EventSink, TraceEvent};
+use crate::events::{EventKinds, EventSink, Observers, TraceEvent};
 use crate::metrics::{Cum, SimMetrics};
 use crate::oracle::{InvariantOracle, OracleMode};
 use crate::stats::SimStats;
@@ -165,25 +165,13 @@ pub struct Simulator<T: TraceSource> {
     /// Cycles jumped over by [`Simulator::skip_idle_cycles`].
     skipped_cycles: u64,
     stats: SimStats,
-    /// Per-instruction pipeline timelines, fed from the trace-event
-    /// stream (enabling it enables tracing).
-    timeline: Option<Timeline>,
+    /// The event-stream observers: timeline, oracle and sink.
+    obs: Observers,
     /// Interval metric snapshots; `None` (the default) costs one
     /// `is_some()` check per cycle.
     metrics: Option<Box<SimMetrics>>,
-    /// Slot causes the queue cannot see (frontend / wrong-path /
-    /// drained); `None` (the default) disables all slot accounting.
-    slot_counts: Option<Box<SlotCounts>>,
     /// Insert was denied by the IQ/ROB resource check this cycle.
     insert_blocked: bool,
-
-    // Event tracing. `traced` is the union of the kinds the attached
-    // observers read, and each emission site checks its own kind: with
-    // nothing attached (release default) no event value is ever
-    // constructed anywhere in the pipeline or the queue.
-    traced: EventKinds,
-    sink: Option<Box<dyn EventSink>>,
-    orc: Option<InvariantOracle>,
 
     // Reusable per-cycle scratch (hoisted out of the hot loop).
     issue_buf: Vec<Issued>,
@@ -193,8 +181,6 @@ pub struct Simulator<T: TraceSource> {
     group_pool: Vec<Vec<FrontInst>>,
     detect_buf: Vec<DetectInst>,
     trace_buf: Vec<TraceEvent>,
-    ptr_install_buf: Vec<(u32, u64)>,
-    ptr_evict_buf: Vec<u32>,
 }
 
 impl<T: TraceSource> Simulator<T> {
@@ -255,21 +241,15 @@ impl<T: TraceSource> Simulator<T> {
             last_commit_cycle: 0,
             skipped_cycles: 0,
             stats: SimStats::default(),
-            timeline: None,
+            obs: Observers::default(),
             metrics: None,
-            slot_counts: None,
             insert_blocked: false,
-            traced: EventKinds::empty(),
-            sink: None,
-            orc: None,
             issue_buf: Vec::new(),
             replay_buf: Vec::new(),
             form_buf: Vec::new(),
             group_pool: Vec::new(),
             detect_buf: Vec::new(),
             trace_buf: Vec::new(),
-            ptr_install_buf: Vec::new(),
-            ptr_evict_buf: Vec::new(),
             oracle_done: false,
             program,
             trace,
@@ -290,58 +270,40 @@ impl<T: TraceSource> Simulator<T> {
     }
 
     /// Attach an event sink (replacing any previous one); enables tracing
-    /// of the kinds it reads ([`EventSink::kinds`]) for the rest of the
-    /// run.
+    /// of the kinds it reads ([`EventSink::kinds`]) for the whole run.
+    /// Like every observer, it attaches before the first cycle.
     pub fn set_event_sink(&mut self, sink: Box<dyn EventSink>) {
-        self.sink = Some(sink);
-        self.subscribe();
+        self.attach("attach an event sink", |o| o.sink = Some(sink));
     }
 
     /// Attach a fresh [`InvariantOracle`] in `mode` (replacing any
-    /// previous one); enables tracing of every kind for the rest of the
-    /// run.
+    /// previous one); enables tracing of every kind for the whole run.
+    /// Like every observer, it attaches before the first cycle.
     pub fn attach_oracle(&mut self, mode: OracleMode) {
-        self.orc = Some(InvariantOracle::new(&self.cfg.sched, mode));
-        self.subscribe();
+        let oracle = InvariantOracle::new(&self.cfg.sched, mode);
+        self.attach("attach the oracle", |o| o.oracle = Some(oracle));
     }
 
     /// The attached invariant oracle, if any.
     pub fn oracle(&self) -> Option<&InvariantOracle> {
-        self.orc.as_ref()
+        self.obs.oracle.as_ref()
     }
 
-    /// Trace the kinds the attached observers read: the sink's own, and
-    /// every kind for the oracle and the timeline.
-    fn subscribe(&mut self) {
-        let kinds = match &self.sink {
-            _ if self.orc.is_some() || self.timeline.is_some() => EventKinds::ALL,
-            Some(s) => s.kinds(),
-            None => EventKinds::empty(),
-        };
-        self.traced = kinds;
+    /// The attach rule every observer follows: it attaches before the
+    /// first cycle, so it sees the whole run. One attached later would
+    /// miss the start of the event stream (the oracle would then report
+    /// uops committed without issuing) or break slot conservation.
+    fn assert_unstarted(&self, what: &str) {
+        assert_eq!(self.now, 0, "{what} before the first cycle");
+    }
+
+    /// Attach an event-stream observer through `add`, then trace the
+    /// kinds the attached observers read.
+    fn attach(&mut self, what: &str, add: impl FnOnce(&mut Observers)) {
+        self.assert_unstarted(what);
+        add(&mut self.obs);
+        let kinds = self.obs.subscribe();
         self.queue.set_tracing(kinds.intersects(EventKinds::QUEUE));
-    }
-
-    /// Count an event and deliver it to the timeline, the sink and the
-    /// oracle. An associated fn so call sites can hold disjoint borrows
-    /// of other `self` fields. Callers emit only kinds in `traced`.
-    fn emit(
-        stats: &mut SimStats,
-        timeline: &mut Option<Timeline>,
-        sink: &mut Option<Box<dyn EventSink>>,
-        orc: &mut Option<InvariantOracle>,
-        ev: TraceEvent,
-    ) {
-        stats.events.record(&ev);
-        if let Some(t) = timeline {
-            t.observe(&ev);
-        }
-        if let Some(s) = sink {
-            s.emit(&ev);
-        }
-        if let Some(o) = orc {
-            o.emit(&ev);
-        }
     }
 
     /// Forward the subscribed kinds among everything the queue buffered
@@ -351,21 +313,12 @@ impl<T: TraceSource> Simulator<T> {
         if !self.queue.tracing() {
             return;
         }
-        let mut buf = std::mem::take(&mut self.trace_buf);
-        self.queue.drain_trace_into(self.now, &mut buf);
-        for ev in buf.drain(..) {
-            if !self.traced.contains(EventKinds::of(&ev)) {
-                continue;
+        self.queue.drain_trace_into(self.now, &mut self.trace_buf);
+        for ev in self.trace_buf.drain(..) {
+            if self.obs.wants(EventKinds::of(&ev)) {
+                self.obs.emit(ev);
             }
-            Self::emit(
-                &mut self.stats,
-                &mut self.timeline,
-                &mut self.sink,
-                &mut self.orc,
-                ev,
-            );
         }
-        self.trace_buf = buf;
     }
 
     /// Run until `max_commits` instructions have committed or the trace
@@ -408,12 +361,9 @@ impl<T: TraceSource> Simulator<T> {
         s.pointers = self.pointers.stats();
         s.il1 = self.il1.stats();
         s.l2 = self.l2.stats();
-        s.events.dropped = self.sink.as_ref().map_or(0, |k| k.dropped());
-        if let Some(c) = self.slot_counts.as_deref() {
+        s.events = self.obs.counts();
+        if let Some(c) = self.queue.slot_counts() {
             s.slots = *c;
-            if let Some(q) = self.queue.slot_counts() {
-                s.slots.merge(q);
-            }
         }
         s
     }
@@ -433,23 +383,25 @@ impl<T: TraceSource> Simulator<T> {
     /// Record per-instruction pipeline timelines for the first `cap`
     /// uops entering the pipe (see [`crate::timeline::Timeline`]). The
     /// timelines are reconstructed from the trace-event stream, so this
-    /// enables tracing of every kind for the rest of the run.
+    /// enables tracing of every kind for the whole run. Like every
+    /// observer, the timeline attaches before the first cycle.
     pub fn enable_timeline(&mut self, cap: usize) {
-        self.timeline = Some(Timeline::new(cap));
-        self.subscribe();
+        self.attach("enable the timeline", |o| o.timeline = Some(Timeline::new(cap)));
     }
 
     /// The recorded timelines, if [`Simulator::enable_timeline`] was
     /// called.
     pub fn timeline(&self) -> Option<&Timeline> {
-        self.timeline.as_ref()
+        self.obs.timeline.as_ref()
     }
 
     /// Collect interval metric snapshots every `interval` cycles (see
     /// [`crate::metrics::SimMetrics`]) and turn on the issue queue's
     /// histograms. Unlike tracing this does not construct events; the
-    /// per-cycle cost is a couple of histogram increments.
+    /// per-cycle cost is a couple of histogram increments. Like every
+    /// observer, metrics attach before the first cycle.
     pub fn enable_metrics(&mut self, interval: u64) {
+        self.assert_unstarted("enable metrics");
         self.queue.set_metrics(true);
         self.metrics = Some(Box::new(SimMetrics::new(interval)));
     }
@@ -482,20 +434,17 @@ impl<T: TraceSource> Simulator<T> {
     /// every cycle × issue-slot is charged to exactly one
     /// [`SlotCause`], and the per-cause totals land in
     /// [`SimStats::slots`]. Observation only — simulated timing is
-    /// unchanged. Must be enabled before the first cycle so the
-    /// conservation law (`total == cycles × issue_width`) holds;
+    /// unchanged. Like every observer it attaches before the first cycle,
+    /// so the conservation law (`total == cycles × issue_width`) holds;
     /// idempotent, and debug builds enable it automatically.
     pub fn enable_slot_accounting(&mut self) {
-        assert_eq!(self.now, 0, "enable slot accounting before the first cycle");
-        if self.slot_counts.is_none() {
-            self.slot_counts = Some(Box::default());
-            self.queue.set_slot_accounting(true);
-        }
+        self.assert_unstarted("enable slot accounting");
+        self.queue.set_slot_accounting(true);
     }
 
     /// `true` when slot accounting is enabled.
     pub fn slot_accounting(&self) -> bool {
-        self.slot_counts.is_some()
+        self.queue.slot_counts().is_some()
     }
 
     /// Gather the cumulative counter values the interval series rows are
@@ -562,46 +511,20 @@ impl<T: TraceSource> Simulator<T> {
         self.drain_queue_trace();
 
         // 3. Wakeup/select.
-        if self.traced.contains(EventKinds::POINTER_INSTALL) {
-            let mut installs = std::mem::take(&mut self.ptr_install_buf);
-            installs.clear();
-            self.pointers.tick_into(now, &mut installs);
-            for &(head_sidx, line) in &installs {
-                Self::emit(
-                    &mut self.stats,
-                    &mut self.timeline,
-                    &mut self.sink,
-                    &mut self.orc,
-                    TraceEvent::PointerInstall {
-                        cycle: now,
-                        head_sidx,
-                        line,
-                    },
-                );
+        let obs = &mut self.obs;
+        let traced = obs.wants(EventKinds::POINTER_INSTALL);
+        self.pointers.tick_with(now, |head_sidx, line| {
+            if traced {
+                obs.emit(TraceEvent::PointerInstall {
+                    cycle: now,
+                    head_sidx,
+                    line,
+                });
             }
-            self.ptr_install_buf = installs;
-        } else {
-            self.pointers.tick(now);
-        }
+        });
         let mut issued = std::mem::take(&mut self.issue_buf);
+        self.queue.set_idle_cause(self.idle_cause(now, self.insert_blocked));
         self.queue.cycle_into(now, &mut issued);
-        if let Some(c) = self.slot_counts.as_deref_mut() {
-            // Idle slots the queue could not blame on a waiting entry:
-            // the machine-level context decides — wrong-path fetch or the
-            // post-squash redirect bubble, frontend (IQ/ROB-full)
-            // back-pressure, or a genuinely drained window.
-            let empty = self.queue.unattributed_slots();
-            if empty > 0 {
-                let cause = if self.wrong_path || now < self.redirect_until {
-                    SlotCause::WrongPath
-                } else if self.insert_blocked {
-                    SlotCause::Frontend
-                } else {
-                    SlotCause::Drained
-                };
-                c.add(cause, empty);
-            }
-        }
         self.drain_queue_trace();
         for iss in &issued {
             self.handle_issue(iss);
@@ -638,17 +561,25 @@ impl<T: TraceSource> Simulator<T> {
     /// machine offered up to `self.now`.
     fn check_conservation(&self) {
         #[cfg(debug_assertions)]
-        if let Some(c) = self.slot_counts.as_deref() {
+        if let Some(c) = self.queue.slot_counts() {
             let now = self.now;
-            let mut total = *c;
-            if let Some(q) = self.queue.slot_counts() {
-                total.merge(q);
-            }
-            if let Err(e) =
-                total.check_conservation(now, self.cfg.sched.issue_width as u64)
-            {
+            if let Err(e) = c.check_conservation(now, self.cfg.sched.issue_width as u64) {
                 panic!("{e} (at cycle {now})");
             }
+        }
+    }
+
+    /// The cause of idle issue slots at `cycle` that the queue cannot
+    /// blame on a waiting entry: wrong-path fetch or the post-squash
+    /// redirect bubble, frontend (IQ/ROB-full) back-pressure while
+    /// `insert_blocked`, or a genuinely drained window.
+    fn idle_cause(&self, cycle: u64, insert_blocked: bool) -> SlotCause {
+        if self.wrong_path || cycle < self.redirect_until {
+            SlotCause::WrongPath
+        } else if insert_blocked {
+            SlotCause::Frontend
+        } else {
+            SlotCause::Drained
         }
     }
 
@@ -662,7 +593,7 @@ impl<T: TraceSource> Simulator<T> {
     fn skip_idle_cycles(&mut self) {
         let now = self.now;
         let soon = now + 1;
-        let accounting = self.slot_counts.is_some();
+        let accounting = self.slot_accounting();
         let mut next = self.last_commit_cycle + DEADLOCK_CYCLES;
         next = next.min((now / PRUNE_PERIOD + 1) * PRUNE_PERIOD);
         if let Some(at) = self.rob.front().and_then(|h| h.complete_at) {
@@ -712,22 +643,12 @@ impl<T: TraceSource> Simulator<T> {
             return;
         }
         let k = next - soon;
+        // With accounting on, a skip stops at the redirect bubble's end, so
+        // the first skipped cycle's cause holds for all of them.
+        self.queue.set_idle_cause(self.idle_cause(soon, insert_blocked));
         self.queue.skip_idle(k);
         self.now += k;
         self.skipped_cycles += k;
-        if let Some(c) = self.slot_counts.as_deref_mut() {
-            let empty = self.queue.unattributed_slots();
-            if empty > 0 {
-                let cause = if self.wrong_path || self.redirect_until > now {
-                    SlotCause::WrongPath
-                } else if insert_blocked {
-                    SlotCause::Frontend
-                } else {
-                    SlotCause::Drained
-                };
-                c.add(cause, empty * k);
-            }
-        }
         self.check_conservation();
     }
 
@@ -748,28 +669,18 @@ impl<T: TraceSource> Simulator<T> {
         };
         let access = self.il1.access(first_pc);
         if let Some(evicted) = access.evicted {
-            if self.traced.contains(EventKinds::POINTER_EVICT) {
-                let mut dropped = std::mem::take(&mut self.ptr_evict_buf);
-                dropped.clear();
-                self.pointers.invalidate_line_into(evicted, &mut dropped);
-                for &head_sidx in &dropped {
-                    Self::emit(
-                        &mut self.stats,
-                        &mut self.timeline,
-                        &mut self.sink,
-                        &mut self.orc,
-                        TraceEvent::PointerEvict {
-                            cycle: now,
-                            head_sidx,
-                            line: evicted,
-                            filtered: false,
-                        },
-                    );
+            let obs = &mut self.obs;
+            let traced = obs.wants(EventKinds::POINTER_EVICT);
+            self.pointers.invalidate_line(evicted, |head_sidx| {
+                if traced {
+                    obs.emit(TraceEvent::PointerEvict {
+                        cycle: now,
+                        head_sidx,
+                        line: evicted,
+                        filtered: false,
+                    });
                 }
-                self.ptr_evict_buf = dropped;
-            } else {
-                self.pointers.invalidate_line(evicted);
-            }
+            });
         }
         if !access.hit {
             // Miss into the unified L2.
@@ -838,33 +749,21 @@ impl<T: TraceSource> Simulator<T> {
             if self.wrong_path {
                 self.stats.wrong_path_fetched += 1;
             }
-            if self.traced.contains(EventKinds::FETCH) {
-                Self::emit(
-                    &mut self.stats,
-                    &mut self.timeline,
-                    &mut self.sink,
-                    &mut self.orc,
-                    TraceEvent::Fetch {
-                        cycle: now,
-                        sidx,
-                        wrong_path: self.wrong_path,
-                        pointer: pointer.is_some(),
-                    },
-                );
+            if self.obs.wants(EventKinds::FETCH) {
+                self.obs.emit(TraceEvent::Fetch {
+                    cycle: now,
+                    sidx,
+                    wrong_path: self.wrong_path,
+                    pointer: pointer.is_some(),
+                });
             }
             if let Some(p) = pointer {
-                if self.traced.contains(EventKinds::POINTER_HIT) {
-                    Self::emit(
-                        &mut self.stats,
-                        &mut self.timeline,
-                        &mut self.sink,
-                        &mut self.orc,
-                        TraceEvent::PointerHit {
-                            cycle: now,
-                            head_sidx: sidx,
-                            tail_sidx: p.tail_sidx,
-                        },
-                    );
+                if self.obs.wants(EventKinds::POINTER_HIT) {
+                    self.obs.emit(TraceEvent::PointerHit {
+                        cycle: now,
+                        head_sidx: sidx,
+                        tail_sidx: p.tail_sidx,
+                    });
                 }
             }
             insts.push(FrontInst {
@@ -1047,22 +946,16 @@ impl<T: TraceSource> Simulator<T> {
             };
             let ready = now + self.cfg.sched.mop.detection_delay;
             for p in pairs {
-                if self.traced.contains(EventKinds::MOP_DETECT) {
-                    Self::emit(
-                        &mut self.stats,
-                        &mut self.timeline,
-                        &mut self.sink,
-                        &mut self.orc,
-                        TraceEvent::MopDetect {
-                            cycle: now,
-                            head_sidx: p.head_sidx,
-                            tail_sidx: p.pointer.tail_sidx,
-                            offset: p.pointer.offset,
-                            control: p.pointer.control,
-                            independent: p.pointer.independent,
-                            visible_at: ready,
-                        },
-                    );
+                if self.obs.wants(EventKinds::MOP_DETECT) {
+                    self.obs.emit(TraceEvent::MopDetect {
+                        cycle: now,
+                        head_sidx: p.head_sidx,
+                        tail_sidx: p.pointer.tail_sidx,
+                        offset: p.pointer.offset,
+                        control: p.pointer.control,
+                        independent: p.pointer.independent,
+                        visible_at: ready,
+                    });
                 }
                 self.pointers
                     .schedule_install(p.head_sidx, p.pointer, p.head_line, ready);
@@ -1166,20 +1059,14 @@ impl<T: TraceSource> Simulator<T> {
                 }
             }
             let exec_at = iss.issue_cycle + u64::from(self.cfg.exec_offset) + k as u64;
-            if self.traced.contains(EventKinds::ISSUE) {
-                Self::emit(
-                    &mut self.stats,
-                    &mut self.timeline,
-                    &mut self.sink,
-                    &mut self.orc,
-                    TraceEvent::Issue {
-                        cycle: iss.issue_cycle,
-                        id: uop.id,
-                        sidx: uop.sidx,
-                        exec_at,
-                        mop: is_mop,
-                    },
-                );
+            if self.obs.wants(EventKinds::ISSUE) {
+                self.obs.emit(TraceEvent::Issue {
+                    cycle: iss.issue_cycle,
+                    id: uop.id,
+                    sidx: uop.sidx,
+                    exec_at,
+                    mop: is_mop,
+                });
             }
             self.schedule(exec_at, Ev::Exec { id: uop.id, gen });
         }
@@ -1214,19 +1101,13 @@ impl<T: TraceSource> Simulator<T> {
             if tail_ready > head_ready + 1 && tail_ready + 2 >= iss.issue_cycle {
                 let deleted = self.pointers.delete_and_blacklist(head.sidx);
                 self.stats.last_arrival_filtered += 1;
-                if deleted && self.traced.contains(EventKinds::POINTER_EVICT) {
-                    Self::emit(
-                        &mut self.stats,
-                        &mut self.timeline,
-                        &mut self.sink,
-                        &mut self.orc,
-                        TraceEvent::PointerEvict {
-                            cycle: iss.issue_cycle,
-                            head_sidx: head.sidx,
-                            line: 0,
-                            filtered: true,
-                        },
-                    );
+                if deleted && self.obs.wants(EventKinds::POINTER_EVICT) {
+                    self.obs.emit(TraceEvent::PointerEvict {
+                        cycle: iss.issue_cycle,
+                        head_sidx: head.sidx,
+                        line: 0,
+                        filtered: true,
+                    });
                 }
             }
         }
@@ -1368,19 +1249,13 @@ impl<T: TraceSource> Simulator<T> {
 
         // --- Squash ---
         self.stats.squashes += 1;
-        if self.traced.contains(EventKinds::SQUASH) {
+        if self.obs.wants(EventKinds::SQUASH) {
             let branch_sidx = self.rob[idx].sidx;
-            Self::emit(
-                &mut self.stats,
-                &mut self.timeline,
-                &mut self.sink,
-                &mut self.orc,
-                TraceEvent::Squash {
-                    cycle: now,
-                    from: UopId(id.0 + 1),
-                    branch_sidx,
-                },
-            );
+            self.obs.emit(TraceEvent::Squash {
+                cycle: now,
+                from: UopId(id.0 + 1),
+                branch_sidx,
+            });
         }
         self.queue.squash_from(UopId(id.0 + 1));
         while self.rob.back().is_some_and(|b| b.id > id) {
@@ -1427,19 +1302,13 @@ impl<T: TraceSource> Simulator<T> {
             debug_assert!(head.dyn_.is_some(), "wrong-path uop reached commit");
             self.stats.committed += 1;
             self.last_commit_cycle = now;
-            if self.traced.contains(EventKinds::COMMIT) {
-                Self::emit(
-                    &mut self.stats,
-                    &mut self.timeline,
-                    &mut self.sink,
-                    &mut self.orc,
-                    TraceEvent::Commit {
-                        cycle: now,
-                        id: head.id,
-                        sidx: head.sidx,
-                        complete_at: head.complete_at.unwrap_or(now),
-                    },
-                );
+            if self.obs.wants(EventKinds::COMMIT) {
+                self.obs.emit(TraceEvent::Commit {
+                    cycle: now,
+                    id: head.id,
+                    sidx: head.sidx,
+                    complete_at: head.complete_at.unwrap_or(now),
+                });
             }
             self.stats.roles[SimStats::role_index(head.role)] += 1;
             if can_squash(head.class) {

@@ -8,7 +8,7 @@ use std::fmt::Write as _;
 
 use mos_isa::Program;
 
-use crate::events::TraceEvent;
+use crate::events::{EventSink, TraceEvent};
 
 /// Timeline of one micro-operation through the pipe.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -121,41 +121,6 @@ impl Timeline {
         }
     }
 
-    /// Consume one trace event. The timeline is a pure observer of the
-    /// event stream: `Rename` seeds an entry (the stream stamps it with
-    /// the insert cycle), `Select` records (re)issues and MOP membership,
-    /// `Issue` pins the execute cycle (the last issue wins, matching
-    /// replay semantics), and `Commit` closes the entry.
-    pub(crate) fn observe(&mut self, ev: &TraceEvent) {
-        match *ev {
-            TraceEvent::Rename {
-                cycle,
-                id,
-                sidx,
-                fetched_at,
-                wrong_path,
-                ..
-            } => self.record_insert(id.0, sidx, fetched_at, cycle, wrong_path),
-            TraceEvent::Select { cycle, ref uops, .. } => {
-                let head = (uops.len() > 1).then(|| uops[0].0);
-                for u in uops {
-                    self.record_issue(u.0, cycle, head);
-                }
-            }
-            TraceEvent::Issue { id, exec_at, .. } => self.record_exec(id.0, exec_at),
-            TraceEvent::Commit {
-                cycle,
-                id,
-                complete_at,
-                ..
-            } => {
-                self.record_complete(id.0, complete_at);
-                self.record_commit(id.0, cycle);
-            }
-            _ => {}
-        }
-    }
-
     /// Export in the Kanata pipeline-visualizer log format (version 4),
     /// loadable by the Konata viewer. Stages: `F` fetch, `Q` front end
     /// and scheduler wait, `X` execute, `R` replay wait (a cancelled
@@ -264,6 +229,43 @@ impl Timeline {
     }
 }
 
+impl EventSink for Timeline {
+    /// The timeline is a pure observer of the event stream: `Rename`
+    /// seeds an entry (the stream stamps it with the insert cycle),
+    /// `Select` records (re)issues and MOP membership, `Issue` pins the
+    /// execute cycle (the last issue wins, matching replay semantics),
+    /// and `Commit` closes the entry.
+    fn emit(&mut self, ev: &TraceEvent) {
+        match *ev {
+            TraceEvent::Rename {
+                cycle,
+                id,
+                sidx,
+                fetched_at,
+                wrong_path,
+                ..
+            } => self.record_insert(id.0, sidx, fetched_at, cycle, wrong_path),
+            TraceEvent::Select { cycle, ref uops, .. } => {
+                let head = (uops.len() > 1).then(|| uops[0].0);
+                for u in uops {
+                    self.record_issue(u.0, cycle, head);
+                }
+            }
+            TraceEvent::Issue { id, exec_at, .. } => self.record_exec(id.0, exec_at),
+            TraceEvent::Commit {
+                cycle,
+                id,
+                complete_at,
+                ..
+            } => {
+                self.record_complete(id.0, complete_at);
+                self.record_commit(id.0, cycle);
+            }
+            _ => {}
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -345,7 +347,7 @@ mod tests {
                 Some(Tag(0)),
             ))
             .unwrap();
-        t.observe(&TraceEvent::Rename {
+        t.emit(&TraceEvent::Rename {
             cycle: 6,
             id: UopId(0),
             sidx: 0,
@@ -358,7 +360,7 @@ mod tests {
             fetched_at: 1,
             wrong_path: false,
         });
-        t.observe(&TraceEvent::Select {
+        t.emit(&TraceEvent::Select {
             cycle: 8,
             entry,
             uops: vec![UopId(0)],
@@ -367,14 +369,14 @@ mod tests {
             latency: 1,
             is_load: false,
         });
-        t.observe(&TraceEvent::Issue {
+        t.emit(&TraceEvent::Issue {
             cycle: 8,
             id: UopId(0),
             sidx: 0,
             exec_at: 13,
             mop: false,
         });
-        t.observe(&TraceEvent::Commit {
+        t.emit(&TraceEvent::Commit {
             cycle: 15,
             id: UopId(0),
             sidx: 0,

@@ -11,7 +11,8 @@
 #      release observer-timing check (every observer leaves simulated
 #      results unchanged; debug runs already carry the oracle and slot
 #      accounting, so only release compares against a truly plain run)
-#   3. clippy, warnings denied, and the mosbench package's tests (its
+#   3. clippy and rustdoc, warnings denied (a stale intra-doc link fails
+#      the build), and the mosbench package's tests (its
 #      pinned per-job results and smoke runs; the package is outside the
 #      workspace, so a queue API change or a moved simulated result would
 #      otherwise break only the benchmark)
@@ -52,6 +53,9 @@ cargo test -q --release --test observers_keep_timing
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "== rustdoc (deny warnings) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "== mosbench tests (pinned results + smoke runs) =="
 cargo test --manifest-path mosbench/Cargo.toml

@@ -2,9 +2,11 @@
 //! simulator offers — interval metrics, issue-slot accounting, a ring
 //! trace, a commit log, the invariant oracle and the pipeline timeline —
 //! leaves the run's statistics identical to a plain run, apart from the
-//! observer-dependent event and slot counts. mcf is included because most
-//! of its cycles are skipped as idle, so observers that bound or walk
-//! those skips are exercised too.
+//! observer-dependent event and slot counts. That holds for each observer
+//! alone and for all of them at once, where each one also records exactly
+//! what it records alone. mcf is included because most of its cycles are
+//! skipped as idle, so observers that bound or walk those skips are
+//! exercised too. Every observer attaches before the first cycle.
 //!
 //! Debug builds already attach the oracle and slot accounting to every
 //! simulator, so the comparison against a truly plain run happens in
@@ -17,7 +19,7 @@
 use mopsched::core::{SlotCounts, WakeupStyle};
 use mopsched::sim::{
     CpiStack, EventCounts, MachineConfig, OracleMode, SharedCommitLog, SharedRing, SimStats,
-    Simulator,
+    Simulator, TeeSink,
 };
 use mopsched::workload::spec2000;
 
@@ -49,18 +51,22 @@ fn run(
     stats
 }
 
-#[test]
-fn every_observer_leaves_simulated_results_unchanged() {
-    let scheds = [
+/// The schedulers every case runs: atomic, pipelined and macro-op.
+fn schedulers() -> [(&'static str, MachineConfig); 3] {
+    [
         ("base", MachineConfig::base_32()),
         ("2cycle", MachineConfig::two_cycle_32()),
         (
             "mop-wor",
             MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 1),
         ),
-    ];
+    ]
+}
+
+#[test]
+fn every_observer_leaves_simulated_results_unchanged() {
     for bench in ["gzip", "mcf"] {
-        for (sched, cfg) in &scheds {
+        for (sched, cfg) in &schedulers() {
             let job = format!("{bench} under {sched}");
             let plain = simulated(run(bench, cfg, |_| {}, |_, _| {}));
             assert!(plain.committed >= INSTS, "{job}: run too short");
@@ -129,5 +135,129 @@ fn every_observer_leaves_simulated_results_unchanged() {
             );
             assert_eq!(simulated(timed), plain, "{job}: the timeline changed the run");
         }
+    }
+}
+
+/// What each observer recorded in one run.
+#[derive(Debug, PartialEq)]
+struct Recorded {
+    series: Option<mopsched::metrics::Series>,
+    slots: Option<SlotCounts>,
+    ring: Option<String>,
+    commits: Option<Vec<u32>>,
+    timeline: Option<Vec<mopsched::sim::timeline::UopTimeline>>,
+}
+
+/// Run `bench` on `cfg` with the chosen observers attached; the oracle,
+/// when attached, must stay clean.
+fn record(bench: &str, cfg: &MachineConfig, which: [bool; 6]) -> (SimStats, Recorded) {
+    let [metrics, slots, ring, log, oracle, timeline] = which;
+    let (ring_h, log_h) = (SharedRing::new(1 << 16), SharedCommitLog::new());
+    let mut out = None;
+    let stats = run(
+        bench,
+        cfg,
+        |sim| {
+            if metrics {
+                sim.enable_metrics(500);
+            }
+            if slots {
+                sim.enable_slot_accounting();
+            }
+            match (ring, log) {
+                (true, true) => sim.set_event_sink(Box::new(TeeSink(
+                    Box::new(ring_h.clone()),
+                    Box::new(log_h.clone()),
+                ))),
+                (true, false) => sim.set_event_sink(Box::new(ring_h.clone())),
+                (false, true) => sim.set_event_sink(Box::new(log_h.clone())),
+                (false, false) => {}
+            }
+            if oracle {
+                sim.attach_oracle(OracleMode::Collect);
+            }
+            if timeline {
+                sim.enable_timeline(256);
+            }
+        },
+        |sim, stats| {
+            sim.finish_metrics();
+            if oracle {
+                let o = sim.oracle().expect("oracle attached");
+                assert!(o.is_clean(), "{bench}: {}", o.violations()[0]);
+            }
+            out = Some(Recorded {
+                series: metrics.then(|| sim.metrics().expect("metrics on").series().clone()),
+                slots: slots.then_some(stats.slots),
+                ring: ring.then(|| ring_h.to_jsonl()),
+                commits: log.then(|| log_h.take()),
+                timeline: timeline
+                    .then(|| sim.timeline().expect("timeline on").entries().to_vec()),
+            });
+        },
+    );
+    (stats, out.expect("check ran"))
+}
+
+/// All observers share one simulator without disturbing it or each
+/// other: metrics, slot accounting, a ring and a commit log behind one
+/// tee, the oracle and the timeline, attached together, record exactly
+/// what each records alone, and the simulated results are the plain
+/// run's.
+#[test]
+fn all_observers_at_once_record_what_each_records_alone() {
+    for bench in ["gzip", "mcf"] {
+        for (sched, cfg) in &schedulers() {
+            let job = format!("{bench} under {sched}");
+            let (plain, _) = record(bench, cfg, [false; 6]);
+            let (stats, all) = record(bench, cfg, [true; 6]);
+            assert_eq!(simulated(stats), simulated(plain), "{job}: observers changed the run");
+            let solo = |i: usize| {
+                let mut which = [false; 6];
+                which[i] = true;
+                record(bench, cfg, which).1
+            };
+            let alone = Recorded {
+                series: solo(0).series,
+                slots: solo(1).slots,
+                ring: solo(2).ring,
+                commits: solo(3).commits,
+                timeline: solo(5).timeline,
+            };
+            assert!(all.commits.as_ref().is_some_and(|c| c.len() as u64 >= INSTS), "{job}");
+            assert_eq!(all, alone, "{job}: an observer recorded differently alongside others");
+        }
+    }
+}
+
+/// An observer attached after the first cycle would see a stream missing
+/// the start of the run: a late oracle reports uops "committed without
+/// issuing". Every observer attaches before the first cycle instead.
+#[test]
+#[should_panic(expected = "attach the oracle before the first cycle")]
+fn a_late_oracle_is_refused() {
+    let (_, cfg) = &schedulers()[0];
+    run("gzip", cfg, |_| {}, |sim, _| sim.attach_oracle(OracleMode::Collect));
+}
+
+#[test]
+fn every_observer_is_refused_after_the_first_cycle() {
+    type Attach = fn(&mut Sim);
+    let late: [(&str, Attach); 5] = [
+        ("enable metrics", |sim| sim.enable_metrics(500)),
+        ("enable slot accounting", |sim| sim.enable_slot_accounting()),
+        ("attach an event sink", |sim| sim.set_event_sink(Box::new(SharedRing::new(16)))),
+        ("attach the oracle", |sim| sim.attach_oracle(OracleMode::Collect)),
+        ("enable the timeline", |sim| sim.enable_timeline(16)),
+    ];
+    let (_, cfg) = &schedulers()[0];
+    for (what, attach) in late {
+        let trace = spec2000::by_name("gzip").expect("known benchmark").trace(SEED);
+        let mut sim = Simulator::new(cfg.clone(), trace);
+        sim.run(100);
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| attach(&mut sim)));
+        let message = refused.expect_err(what);
+        let message = message.downcast_ref::<String>().expect("formatted panic message");
+        assert!(message.contains(&format!("{what} before the first cycle")), "{message}");
     }
 }
