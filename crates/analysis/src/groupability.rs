@@ -14,12 +14,11 @@ pub struct CandidateProfile {
     /// Value-generating candidates (potential MOP heads).
     pub valuegen: u64,
     /// Histogram over head→nearest-tail distances, indexed by distance
-    /// (1-based; index 0 unused). Distances beyond the horizon are
-    /// accumulated in the last bucket.
+    /// (1-based; index 0 unused, `horizon` the last bucket).
     pub distance_histogram: Vec<u64>,
-    /// Heads whose dependents are all multi-cycle.
+    /// Heads whose dependents within the horizon are all multi-cycle.
     pub no_candidate_tail: u64,
-    /// Heads that die unread.
+    /// Heads that die unread, or are not read within the horizon.
     pub dead: u64,
 }
 
@@ -48,7 +47,10 @@ impl CandidateProfile {
 }
 
 /// Characterize the first `n` committed instructions of `trace` with a
-/// forward horizon of `horizon` instructions.
+/// forward horizon of `horizon` instructions: a head still open
+/// `horizon` instructions after it issued is closed as it stands (no
+/// candidate tail found), so every counted distance is at most
+/// `horizon`.
 pub fn candidate_profile<T: TraceSource>(mut trace: T, n: usize, horizon: usize) -> CandidateProfile {
     let program = trace.program().clone();
     #[derive(Clone, Copy)]
@@ -68,10 +70,7 @@ pub fn candidate_profile<T: TraceSource>(mut trace: T, n: usize, horizon: usize)
         dead: 0,
     };
     let close = |h: &Head, dist: Option<u64>, profile: &mut CandidateProfile| match dist {
-        Some(d) => {
-            let idx = (d as usize).min(horizon);
-            profile.distance_histogram[idx] += 1;
-        }
+        Some(d) => profile.distance_histogram[d as usize] += 1,
         None if h.any_consumer => profile.no_candidate_tail += 1,
         None => profile.dead += 1,
     };
@@ -114,13 +113,23 @@ pub fn candidate_profile<T: TraceSource>(mut trace: T, n: usize, horizon: usize)
                 });
             }
         }
-        // Age out heads past the horizon.
-        if k >= horizon && k.is_multiple_of(horizon) {
+        // Age out heads past the horizon (heads are in position order).
+        if k >= horizon {
             let cutoff = (k - horizon) as u64;
-            for h in heads.iter_mut().filter(|h| !h.done && h.pos <= cutoff) {
+            let aged = heads.iter_mut().take_while(|h| h.pos <= cutoff);
+            for h in aged.filter(|h| !h.done) {
                 h.done = true;
                 let hc = *h;
                 close(&hc, None, &mut profile);
+            }
+            // Drop the classified prefix now and then to bound memory;
+            // writers pointing into it are closed heads, so forget them.
+            if heads.len() > 4 * horizon {
+                let done = heads.iter().take_while(|h| h.done).count();
+                heads.drain(..done);
+                for w in &mut last_writer {
+                    *w = w.and_then(|i| i.checked_sub(done));
+                }
             }
         }
     }
@@ -168,6 +177,16 @@ mod tests {
         assert_eq!(p.candidates, 2, "li and addi");
         assert!((p.candidate_frac() - 0.5).abs() < 1e-9);
         assert!((p.valuegen_frac() - 0.5).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_tail_beyond_the_horizon_leaves_the_head_dead() {
+        // r1's head at position 1; its only reader is 5 instructions on.
+        let src = "li r9, 0\nli r1, 5\nli r2, 0\nli r3, 0\nli r4, 0\nli r5, 0\naddi r6, r1, 1\nhalt";
+        let p = candidate_profile(Interpreter::new(&assemble(src).expect("valid")), 100, 4);
+        assert_eq!(p.valuegen, 7);
+        assert_eq!(p.distance_histogram.iter().sum::<u64>(), 0, "no tail within 4");
+        assert_eq!(p.dead, 7, "r1 aged out unread at distance 4");
     }
 
     #[test]

@@ -18,7 +18,7 @@ use std::fmt;
 use mos_core::{CycleDetection, WakeupStyle};
 use mos_sim::MachineConfig;
 
-use crate::runner::{self, Job};
+use crate::runner;
 
 /// Benchmarks used for the ablations (a representative spread: the most
 /// scheduler-sensitive, the long-distance case, the queue-pressure case
@@ -67,26 +67,13 @@ fn mop_cfg(stages: u32) -> MachineConfig {
     MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), stages)
 }
 
-/// Run one `(reference, variants...)` config set per ablation benchmark
-/// and return, per benchmark, the stats in config order.
-fn run_arms(cfgs: &[MachineConfig], insts: u64, jobs: usize) -> Vec<Vec<mos_sim::SimStats>> {
-    let grid: Vec<Job> = ABLATION_BENCHES
-        .iter()
-        .flat_map(|&b| cfgs.iter().map(move |c| Job::new(b, c.clone(), insts)))
-        .collect();
-    runner::run_jobs(&grid, jobs)
-        .chunks_exact(cfgs.len())
-        .map(<[mos_sim::SimStats]>::to_vec)
-        .collect()
-}
-
 /// Detection delay: 3 (reference) vs 100 cycles.
 pub fn detection_delay_with(insts: u64, jobs: usize) -> Ablation {
     let mut slow_cfg = mop_cfg(1);
     slow_cfg.sched.mop.detection_delay = 100;
     let rows = ABLATION_BENCHES
         .iter()
-        .zip(run_arms(&[mop_cfg(1), slow_cfg], insts, jobs))
+        .zip(runner::grid(&ABLATION_BENCHES, &[mop_cfg(1), slow_cfg], insts, jobs))
         .map(|(&b, s)| (b.to_owned(), s[0].ipc(), vec![s[1].ipc()]))
         .collect();
     Ablation {
@@ -106,7 +93,7 @@ pub fn cycle_heuristic_with(insts: u64, jobs: usize) -> Ablation {
     let mut notes = Vec::new();
     for (&b, s) in ABLATION_BENCHES
         .iter()
-        .zip(run_arms(&[mop_cfg(1), precise_cfg], insts, jobs))
+        .zip(runner::grid(&ABLATION_BENCHES, &[mop_cfg(1), precise_cfg], insts, jobs))
     {
         let (h, p) = (&s[0], &s[1]);
         let ratio = if p.grouped_frac() > 0.0 {
@@ -137,7 +124,7 @@ pub fn last_arrival_filter_with(insts: u64, jobs: usize) -> Ablation {
     off_cfg.sched.mop.last_arrival_filter = false;
     let rows = ABLATION_BENCHES
         .iter()
-        .zip(run_arms(&[mop_cfg(1), off_cfg], insts, jobs))
+        .zip(runner::grid(&ABLATION_BENCHES, &[mop_cfg(1), off_cfg], insts, jobs))
         .map(|(&b, s)| (b.to_owned(), s[0].ipc(), vec![s[1].ipc()]))
         .collect();
     Ablation {
@@ -156,7 +143,7 @@ pub fn independent_mops_with(insts: u64, jobs: usize) -> Ablation {
     let mut notes = Vec::new();
     for (&b, s) in ABLATION_BENCHES
         .iter()
-        .zip(run_arms(&[mop_cfg(1), off_cfg], insts, jobs))
+        .zip(runner::grid(&ABLATION_BENCHES, &[mop_cfg(1), off_cfg], insts, jobs))
     {
         let (on, off) = (&s[0], &s[1]);
         notes.push(format!(
@@ -185,7 +172,10 @@ pub fn mop_size_with(insts: u64, jobs: usize) -> Ablation {
         .collect();
     let mut rows = Vec::new();
     let mut notes = Vec::new();
-    for (&b, s) in ABLATION_BENCHES.iter().zip(run_arms(&cfgs, insts, jobs)) {
+    for (&b, s) in ABLATION_BENCHES
+        .iter()
+        .zip(runner::grid(&ABLATION_BENCHES, &cfgs, insts, jobs))
+    {
         let two = &s[0];
         let mut sizes_note = format!("grouped {:.1}%", 100.0 * two.grouped_frac());
         for bigger in &s[1..] {

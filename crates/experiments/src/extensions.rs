@@ -19,24 +19,6 @@ use mos_workload::spec2000;
 
 use crate::runner::{self, geomean, Job};
 
-/// Run every `(bench, cfg)` pair of a study grid across `jobs` workers,
-/// returning each benchmark's stats in config order.
-fn run_grid(
-    benches: &[&'static str],
-    cfgs: &[MachineConfig],
-    insts: u64,
-    jobs: usize,
-) -> Vec<Vec<mos_sim::SimStats>> {
-    let grid: Vec<Job> = benches
-        .iter()
-        .flat_map(|&b| cfgs.iter().map(move |c| Job::new(b, c.clone(), insts)))
-        .collect();
-    runner::run_jobs(&grid, jobs)
-        .chunks_exact(cfgs.len())
-        .map(<[mos_sim::SimStats]>::to_vec)
-        .collect()
-}
-
 /// A labeled matrix of normalized IPCs: rows are benchmarks, columns arms.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -100,7 +82,7 @@ pub fn pipelined_schedulers_with(insts: u64, jobs: usize) -> Matrix {
     let benches = spec2000::names();
     let rows = benches
         .iter()
-        .zip(run_grid(&benches, &cfgs, insts, jobs))
+        .zip(runner::grid(&benches, &cfgs, insts, jobs))
         .map(|(&name, s)| {
             let base = s[0].ipc();
             let vals = s[1..].iter().map(|v| v.ipc() / base).collect();
@@ -129,7 +111,7 @@ pub fn detection_scope_with(insts: u64, jobs: usize) -> Matrix {
     let benches = spec2000::names();
     let rows = benches
         .iter()
-        .zip(run_grid(&benches, &cfgs, insts, jobs))
+        .zip(runner::grid(&benches, &cfgs, insts, jobs))
         .map(|(&name, s)| {
             let base = s[0].ipc();
             let vals = s[1..].iter().map(|v| v.ipc() / base).collect();
@@ -164,7 +146,7 @@ pub fn effective_window_with(insts: u64, jobs: usize) -> Matrix {
     let benches = ["gap", "gzip", "parser", "twolf", "mcf", "gcc"];
     let rows = benches
         .iter()
-        .zip(run_grid(&benches, &cfgs, insts, jobs))
+        .zip(runner::grid(&benches, &cfgs, insts, jobs))
         .map(|(&name, s)| {
             let base32 = s[0].ipc();
             let vals = s[1..]
@@ -206,7 +188,7 @@ pub fn cpi_breakdown_with(insts: u64, jobs: usize) -> Matrix {
     let benches = spec2000::names();
     let rows = benches
         .iter()
-        .zip(run_grid(&benches, &cfgs, insts, jobs))
+        .zip(runner::grid(&benches, &cfgs, insts, jobs))
         .map(|(&name, s)| {
             let cpi = |i: usize| 1.0 / s[i].ipc().max(1e-9);
             let (base, no_branch, no_mem) = (cpi(0), cpi(1), cpi(2));

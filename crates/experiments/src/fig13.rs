@@ -8,7 +8,7 @@ use mos_core::{GroupRole, WakeupStyle};
 use mos_sim::MachineConfig;
 use mos_workload::spec2000;
 
-use crate::runner::{self, Job};
+use crate::runner;
 
 /// Grouping breakdown of committed instructions for one wakeup style.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,27 +67,13 @@ pub struct Fig13Result {
 /// formation stage, as in the paper's main configuration).
 pub fn run_with(insts: u64, jobs: usize) -> Fig13Result {
     let benches = spec2000::names();
-    let grid: Vec<Job> = benches
-        .iter()
-        .flat_map(|&name| {
-            [
-                Job::new(
-                    name,
-                    MachineConfig::macro_op(WakeupStyle::CamTwoSource, Some(32), 1),
-                    insts,
-                ),
-                Job::new(
-                    name,
-                    MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 1),
-                    insts,
-                ),
-            ]
-        })
-        .collect();
-    let stats = runner::run_jobs(&grid, jobs);
+    let cfgs = [
+        MachineConfig::macro_op(WakeupStyle::CamTwoSource, Some(32), 1),
+        MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 1),
+    ];
     let mut rows = Vec::new();
     let mut reductions = Vec::new();
-    for (&name, pair) in benches.iter().zip(stats.chunks_exact(2)) {
+    for (&name, pair) in benches.iter().zip(runner::grid(&benches, &cfgs, insts, jobs)) {
         let (cam, wor) = (&pair[0], &pair[1]);
         reductions.push(wor.insert_reduction());
         rows.push(Fig13Row {

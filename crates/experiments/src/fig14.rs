@@ -9,7 +9,7 @@ use mos_core::WakeupStyle;
 use mos_sim::MachineConfig;
 use mos_workload::spec2000;
 
-use crate::runner::{self, geomean, Job};
+use crate::runner::{self, geomean};
 
 /// IPC relative to base scheduling for one benchmark.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,14 +59,9 @@ fn configs() -> [MachineConfig; 4] {
 /// Run Figure 14 across `jobs` worker threads.
 pub fn run_with(insts: u64, jobs: usize) -> Fig14Result {
     let benches = spec2000::names();
-    let grid: Vec<Job> = benches
-        .iter()
-        .flat_map(|&name| configs().map(|cfg| Job::new(name, cfg, insts)))
-        .collect();
-    let stats = runner::run_jobs(&grid, jobs);
     let rows = benches
         .iter()
-        .zip(stats.chunks_exact(configs().len()))
+        .zip(runner::grid(&benches, &configs(), insts, jobs))
         .map(|(&name, s)| {
             let base = s[0].ipc();
             Fig14Row {

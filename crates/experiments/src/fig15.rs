@@ -11,7 +11,7 @@ use mos_core::WakeupStyle;
 use mos_sim::MachineConfig;
 use mos_workload::spec2000;
 
-use crate::runner::{self, geomean, Job};
+use crate::runner::{self, geomean};
 
 /// One benchmark's normalized IPCs under contention.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,14 +63,9 @@ fn configs() -> [MachineConfig; 8] {
 /// Run Figure 15 across `jobs` worker threads.
 pub fn run_with(insts: u64, jobs: usize) -> Fig15Result {
     let benches = spec2000::names();
-    let grid: Vec<Job> = benches
-        .iter()
-        .flat_map(|&name| configs().map(|cfg| Job::new(name, cfg, insts)))
-        .collect();
-    let stats = runner::run_jobs(&grid, jobs);
     let rows = benches
         .iter()
-        .zip(stats.chunks_exact(configs().len()))
+        .zip(runner::grid(&benches, &configs(), insts, jobs))
         .map(|(&name, s)| {
             let base = s[0].ipc();
             let norm = |i: usize| s[i].ipc() / base;

@@ -7,11 +7,12 @@
 //! 8+ instructions; heads whose dependents are all multi-cycle are
 //! `not MOP candidate`, and heads whose value is overwritten unread are
 //! `dynamically dead`. The measurement is machine-independent — a pure
-//! trace analysis, as the paper notes.
+//! trace analysis, as the paper notes — and is
+//! [`mos_analysis::candidate_profile`]'s histogram in three buckets.
 
 use std::fmt;
 
-use mos_isa::{Reg, TraceSource};
+use mos_analysis::candidate_profile;
 use mos_workload::spec2000;
 
 /// Forward-scan horizon: consumers beyond this distance count toward the
@@ -47,113 +48,17 @@ pub struct Fig6Result {
     pub rows: Vec<Fig6Row>,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Head {
-    pos: u64,
-    nearest_tail: Option<u64>,
-    any_consumer: bool,
-    done: bool,
-}
-
 /// Analyze one benchmark over `insts` committed instructions.
 pub fn analyze_one(name: &str, insts: usize) -> Fig6Row {
     let spec = spec2000::by_name(name).unwrap_or_else(|| panic!("unknown benchmark `{name}`"));
-    let mut trace = spec.trace(crate::runner::SEED);
-    let program = trace.program().clone();
-
-    let mut last_writer: [Option<usize>; Reg::NUM] = [None; Reg::NUM];
-    let mut heads: Vec<Head> = Vec::new();
-    let mut total = 0u64;
-    let mut valuegen = 0u64;
-    let mut buckets = [0u64; 5]; // d1_3, d4_7, d8+, not_candidate, dead
-    let retire_head = |h: &Head, buckets: &mut [u64; 5]| match h.nearest_tail {
-        Some(d) if d <= 3 => buckets[0] += 1,
-        Some(d) if d <= 7 => buckets[1] += 1,
-        Some(_) => buckets[2] += 1,
-        None if h.any_consumer => buckets[3] += 1,
-        None => buckets[4] += 1,
-    };
-
-    for (k, d) in trace.by_ref().take(insts).enumerate() {
-        let inst = program.inst(d.sidx).expect("trace sidx valid");
-        total += 1;
-        // Resolve this instruction's reads against open heads.
-        for src in inst.src_regs() {
-            if let Some(hidx) = last_writer[src.index()] {
-                let h = &mut heads[hidx];
-                if !h.done {
-                    h.any_consumer = true;
-                    if inst.is_mop_candidate() {
-                        h.nearest_tail = Some(k as u64 - h.pos);
-                        h.done = true;
-                        let done_head = *h;
-                        retire_head(&done_head, &mut buckets);
-                    }
-                }
-            }
-        }
-        // Overwrites close open heads.
-        if let Some(dst) = inst.dst() {
-            if let Some(hidx) = last_writer[dst.index()].take() {
-                let h = heads[hidx];
-                if !h.done {
-                    retire_head(&h, &mut buckets);
-                    heads[hidx].done = true;
-                }
-            }
-            if inst.is_value_generating_candidate() {
-                valuegen += 1;
-                last_writer[dst.index()] = Some(heads.len());
-                heads.push(Head {
-                    pos: k as u64,
-                    nearest_tail: None,
-                    any_consumer: false,
-                    done: false,
-                });
-            }
-        }
-        // Horizon: anything this old without a candidate tail is terminal.
-        if k >= HORIZON {
-            let cutoff = (k - HORIZON) as u64;
-            for h in heads.iter_mut() {
-                if !h.done && h.pos <= cutoff {
-                    match h.nearest_tail {
-                        Some(d) if d <= 3 => buckets[0] += 1,
-                        Some(d) if d <= 7 => buckets[1] += 1,
-                        Some(_) => buckets[2] += 1,
-                        None if h.any_consumer => buckets[3] += 1,
-                        None => buckets[4] += 1,
-                    }
-                    h.done = true;
-                }
-            }
-            // Compact occasionally to bound memory. References into the
-            // drained (done) prefix are dropped — their heads are already
-            // classified.
-            if heads.len() > 4 * HORIZON {
-                let done_prefix = heads.iter().take_while(|h| h.done).count();
-                if done_prefix > 0 {
-                    heads.drain(..done_prefix);
-                    for w in last_writer.iter_mut() {
-                        *w = match *w {
-                            Some(idx) if idx >= done_prefix => Some(idx - done_prefix),
-                            _ => None,
-                        };
-                    }
-                }
-            }
-        }
-    }
-    for h in &heads {
-        if !h.done {
-            retire_head(h, &mut buckets);
-        }
-    }
-
+    let p = candidate_profile(spec.trace(crate::runner::SEED), insts, HORIZON);
+    let tails = |d: &[u64]| d.iter().sum::<u64>();
+    let h = &p.distance_histogram;
+    let buckets = [tails(&h[1..4]), tails(&h[4..8]), tails(&h[8..]), p.no_candidate_tail, p.dead];
     let denom = buckets.iter().sum::<u64>().max(1) as f64;
     Fig6Row {
         bench: name.to_owned(),
-        valuegen_pct: 100.0 * valuegen as f64 / total.max(1) as f64,
+        valuegen_pct: 100.0 * p.valuegen as f64 / p.total.max(1) as f64,
         d1_3: buckets[0] as f64 / denom,
         d4_7: buckets[1] as f64 / denom,
         d8_plus: buckets[2] as f64 / denom,

@@ -1,6 +1,6 @@
 //! Shared experiment plumbing: standard seeds, instruction budgets, the
-//! run-one-configuration helper every figure uses, and the parallel job
-//! harness that fans independent simulations across cores.
+//! benchmark × configuration [`grid`] every figure runs, and the parallel
+//! job harness that fans independent simulations across cores.
 //!
 //! Parallelism model: each `(benchmark, config)` simulation is one [`Job`];
 //! jobs are independent and each `Simulator` stays single-threaded and
@@ -10,7 +10,7 @@
 //! path, which runs inline without spawning threads).
 //!
 //! Perf counters: every run adds its simulated cycles, commits and
-//! scheduler kind to process-wide counters, which `experiments perf`
+//! scheduler kind ([`MachineConfig::sched_label`]) to process-wide counters, which `experiments perf`
 //! drains after each figure sweep (see [`take_simulated_cycles`]).
 //!
 //! Workload caching: the static synthetic program for a `(benchmark,
@@ -22,8 +22,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use mos_core::{SchedulerKind, WakeupStyle};
-use mos_sim::{MachineConfig, Simulator, SimStats};
+use mos_sim::{MachineConfig, Simulator, SimStats, SCHED_KINDS};
 use mos_workload::spec2000;
 use mos_workload::{SyntheticProgram, WorkloadSpec};
 
@@ -80,16 +79,15 @@ impl Job {
         }
     }
 
-    /// Run this job to completion (using the shared program cache).
+    /// Run this job to completion (using the shared program cache) and
+    /// credit it to the perf counters.
     pub fn run(&self) -> SimStats {
         let spec = spec2000::by_name(self.bench)
             .unwrap_or_else(|| panic!("unknown benchmark `{}`", self.bench));
         let program = cached_program(&spec, self.seed);
         let trace = program.walk(self.seed ^ 0x9e37_79b9_7f4a_7c15);
         let stats = Simulator::new(self.cfg.clone(), trace).run(self.insts);
-        SIM_CYCLES.fetch_add(stats.cycles, Ordering::Relaxed);
-        SIM_COMMITS.fetch_add(stats.committed, Ordering::Relaxed);
-        SCHED_KINDS.fetch_or(1 << sched_label_index(&self.cfg), Ordering::Relaxed);
+        tally(&stats, &self.cfg);
         stats
     }
 }
@@ -110,7 +108,8 @@ static SIM_COMMITS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64:
 pub fn tally(stats: &SimStats, cfg: &MachineConfig) {
     SIM_CYCLES.fetch_add(stats.cycles, Ordering::Relaxed);
     SIM_COMMITS.fetch_add(stats.committed, Ordering::Relaxed);
-    SCHED_KINDS.fetch_or(1 << sched_label_index(cfg), Ordering::Relaxed);
+    let kind = SCHED_KINDS.iter().position(|&l| l == cfg.sched_label());
+    SEEN_KINDS.fetch_or(1 << kind.expect("every config has a label"), Ordering::Relaxed);
 }
 
 /// Read and reset the global simulated-cycle counter.
@@ -123,42 +122,17 @@ pub fn take_simulated_commits() -> u64 {
     SIM_COMMITS.swap(0, Ordering::Relaxed)
 }
 
-/// CLI spellings of every scheduler configuration, in bitmask order for
-/// [`take_sched_kinds`] (the same vocabulary `mossim --sched` accepts).
-pub const SCHED_LABELS: [&str; 7] = [
-    "base",
-    "2cycle",
-    "mop-2src",
-    "mop-wor",
-    "sf-squash",
-    "sf-scoreboard",
-    "spec-wakeup",
-];
-
-/// Bitmask over [`SCHED_LABELS`] of scheduler kinds seen by [`Job::run`]
+/// Bitmask over [`SCHED_KINDS`] of scheduler kinds seen by [`tally`]
 /// since the last [`take_sched_kinds`] call.
-static SCHED_KINDS: AtomicU32 = AtomicU32::new(0);
-
-/// [`SCHED_LABELS`] index for a machine configuration's scheduler.
-fn sched_label_index(cfg: &MachineConfig) -> u32 {
-    match (cfg.sched.kind, cfg.sched.wakeup) {
-        (SchedulerKind::Base, _) => 0,
-        (SchedulerKind::TwoCycle, _) => 1,
-        (SchedulerKind::MacroOp, WakeupStyle::CamTwoSource) => 2,
-        (SchedulerKind::MacroOp, WakeupStyle::WiredOr) => 3,
-        (SchedulerKind::SelectFreeSquashDep, _) => 4,
-        (SchedulerKind::SelectFreeScoreboard, _) => 5,
-        (SchedulerKind::SpeculativeWakeup, _) => 6,
-    }
-}
+static SEEN_KINDS: AtomicU32 = AtomicU32::new(0);
 
 /// Read and reset the scheduler-kind bitmask: the CLI labels of every
-/// scheduler exercised by jobs since the last call, in [`SCHED_LABELS`]
+/// scheduler exercised by jobs since the last call, in [`SCHED_KINDS`]
 /// order. Feeds the per-figure `sched_kinds` field of the
 /// `experiments perf` output.
 pub fn take_sched_kinds() -> Vec<&'static str> {
-    let mask = SCHED_KINDS.swap(0, Ordering::Relaxed);
-    SCHED_LABELS
+    let mask = SEEN_KINDS.swap(0, Ordering::Relaxed);
+    SCHED_KINDS
         .iter()
         .enumerate()
         .filter(|&(i, _)| mask & (1 << i) != 0)
@@ -200,6 +174,24 @@ pub fn run_jobs(list: &[Job], jobs: usize) -> Vec<SimStats> {
     parallel_map(list, jobs, Job::run)
 }
 
+/// Run every `(bench, cfg)` pair of a study grid across `jobs` workers
+/// and return, per benchmark, the stats in config order.
+pub fn grid(
+    benches: &[&'static str],
+    cfgs: &[MachineConfig],
+    insts: u64,
+    jobs: usize,
+) -> Vec<Vec<SimStats>> {
+    let list: Vec<Job> = benches
+        .iter()
+        .flat_map(|&b| cfgs.iter().map(move |c| Job::new(b, c.clone(), insts)))
+        .collect();
+    run_jobs(&list, jobs)
+        .chunks_exact(cfgs.len())
+        .map(<[SimStats]>::to_vec)
+        .collect()
+}
+
 /// Order-preserving parallel map over a slice: applies `f` to every item
 /// using up to `jobs` scoped threads (work-stealing by atomic index) and
 /// returns outputs positionally. `jobs <= 1` degenerates to a plain
@@ -237,17 +229,6 @@ where
         .collect()
 }
 
-/// Simulate `spec` under `cfg` for `insts` committed instructions.
-pub fn run_config(spec: &WorkloadSpec, cfg: MachineConfig, insts: u64) -> SimStats {
-    let program = cached_program(spec, SEED);
-    let trace = program.walk(SEED ^ 0x9e37_79b9_7f4a_7c15);
-    SCHED_KINDS.fetch_or(1 << sched_label_index(&cfg), Ordering::Relaxed);
-    let stats = Simulator::new(cfg, trace).run(insts);
-    SIM_CYCLES.fetch_add(stats.cycles, Ordering::Relaxed);
-    SIM_COMMITS.fetch_add(stats.committed, Ordering::Relaxed);
-    stats
-}
-
 /// Simulate a benchmark by name.
 ///
 /// # Panics
@@ -255,7 +236,7 @@ pub fn run_config(spec: &WorkloadSpec, cfg: MachineConfig, insts: u64) -> SimSta
 /// Panics if `name` is not one of the twelve benchmark models.
 pub fn run_benchmark(name: &str, cfg: MachineConfig, insts: u64) -> SimStats {
     let spec = spec2000::by_name(name).unwrap_or_else(|| panic!("unknown benchmark `{name}`"));
-    run_config(&spec, cfg, insts)
+    Job::new(spec.name, cfg, insts).run()
 }
 
 /// Render one row of percentages after a left-aligned label.
@@ -327,7 +308,7 @@ mod tests {
             let spec = spec2000::by_name(name).expect("known benchmark");
             let fresh_trace = spec.trace(SEED);
             let fresh = Simulator::new(MachineConfig::base_32(), fresh_trace).run(2_000);
-            let cached = run_config(&spec, MachineConfig::base_32(), 2_000);
+            let cached = Job::new(name, MachineConfig::base_32(), 2_000).run();
             assert_eq!(fresh, cached, "{name}: cached program changed the run");
         }
     }
@@ -347,6 +328,21 @@ mod tests {
         let kinds = take_sched_kinds();
         assert!(kinds.contains(&"base"));
         assert!(kinds.contains(&"mop-wor"));
+    }
+
+    /// Every configuration a study builds names a scheduler kind: each
+    /// job's [`tally`] looks its label up in [`SCHED_KINDS`] and panics
+    /// on a miss, so running every grid at a tiny budget checks them all.
+    #[test]
+    fn every_study_config_has_a_label() {
+        let insts = 200;
+        crate::tables::table2_with(insts, 1);
+        crate::fig13::run_with(insts, 1);
+        crate::fig14::run_with(insts, 1);
+        crate::fig15::run_with(insts, 1);
+        crate::fig16::run_with(insts, 1);
+        crate::ablations::run_all_with(insts, 1);
+        crate::extensions::run_all_with(insts, 1);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use std::fmt;
 use mos_sim::MachineConfig;
 use mos_workload::spec2000;
 
-use crate::runner::{self, Job};
+use crate::runner;
 
 /// Render Table 1: the machine configuration in the paper's format.
 pub fn table1() -> String {
@@ -81,19 +81,10 @@ pub struct Table2Result {
 /// 32-entry vs unrestricted queue.
 pub fn table2_with(insts: u64, jobs: usize) -> Table2Result {
     let benches = spec2000::names();
-    let grid: Vec<Job> = benches
-        .iter()
-        .flat_map(|&name| {
-            [
-                Job::new(name, MachineConfig::base_32(), insts),
-                Job::new(name, MachineConfig::base_unrestricted(), insts),
-            ]
-        })
-        .collect();
-    let stats = runner::run_jobs(&grid, jobs);
+    let cfgs = [MachineConfig::base_32(), MachineConfig::base_unrestricted()];
     let rows = benches
         .iter()
-        .zip(stats.chunks_exact(2))
+        .zip(runner::grid(&benches, &cfgs, insts, jobs))
         .map(|(&name, s)| Table2Row {
             bench: name.to_owned(),
             ipc_32: s[0].ipc(),

@@ -36,6 +36,14 @@ pub trait TraceSource: Iterator<Item = DynInst> {
     fn program(&self) -> &Program;
 }
 
+/// A boxed source is a source, so a front end can pick its trace type at
+/// run time (`Simulator<Box<dyn TraceSource>>`).
+impl<T: TraceSource + ?Sized> TraceSource for Box<T> {
+    fn program(&self) -> &Program {
+        (**self).program()
+    }
+}
+
 /// A pre-recorded trace, replayable any number of times.
 ///
 /// ```

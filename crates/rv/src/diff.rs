@@ -22,34 +22,6 @@ use crate::inst::RvProgram;
 use crate::lower::{lower, LowerError};
 use crate::trace::RvTraceSource;
 
-/// The seven scheduler configurations the repo studies, by CLI label.
-pub const SCHED_KINDS: [&str; 7] = [
-    "base",
-    "2cycle",
-    "mop-2src",
-    "mop-wor",
-    "sf-squash",
-    "sf-scoreboard",
-    "spec-wakeup",
-];
-
-/// Standard 32-entry-queue machine configuration for a scheduler label
-/// (the same presets `mossim --sched` resolves). `None` for unknown
-/// labels.
-pub fn config_for(sched: &str) -> Option<MachineConfig> {
-    use mos_core::WakeupStyle;
-    Some(match sched {
-        "base" => MachineConfig::base_32(),
-        "2cycle" => MachineConfig::two_cycle_32(),
-        "mop-2src" => MachineConfig::macro_op(WakeupStyle::CamTwoSource, Some(32), 1),
-        "mop-wor" => MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 1),
-        "sf-squash" => MachineConfig::select_free_squash_dep_32(),
-        "sf-scoreboard" => MachineConfig::select_free_scoreboard_32(),
-        "spec-wakeup" => MachineConfig::speculative_wakeup_32(),
-        _ => return None,
-    })
-}
-
 /// A passed differential run's summary numbers.
 #[derive(Debug, Clone)]
 pub struct DiffReport {
@@ -253,6 +225,7 @@ fn compare_states(replay: &RvState, oracle: &RvState) -> Result<(), DiffError> {
 mod tests {
     use super::*;
     use crate::asm::assemble;
+    use mos_sim::{config_for, SCHED_KINDS};
 
     const SUM: &str = "_start:\nli t0, 50\nli a0, 0\nloop:\nadd a0, a0, t0\naddi t0, t0, -1\nbnez t0, loop\nebreak";
 
@@ -281,13 +254,5 @@ mod tests {
         let rv = assemble("fall", "_start:\nadd a0, a1, a2").unwrap();
         let err = run_differential(&rv, "base", config_for("base").unwrap(), 1000).unwrap_err();
         assert!(matches!(err, DiffError::DidNotHalt { faulted: true, .. }));
-    }
-
-    #[test]
-    fn every_label_resolves_to_a_config() {
-        for s in SCHED_KINDS {
-            assert!(config_for(s).is_some(), "{s}");
-        }
-        assert!(config_for("bogus").is_none());
     }
 }

@@ -36,9 +36,12 @@ pub mod suite;
 pub mod trace;
 
 pub use asm::{assemble, RvAsmError};
-pub use diff::{config_for, run_differential, DiffError, DiffReport, SCHED_KINDS};
+pub use diff::{run_differential, DiffError, DiffReport};
 pub use encode::{decode_flat, encode_program, RvDecodeError};
 pub use inst::{RvInst, RvOp, RvProgram};
 pub use interp::{RvInterp, RvState};
 pub use lower::{lower, map_reg, LowerError, Lowered};
+/// The scheduler-label table lives in `mos-sim`; re-exported here for
+/// callers that name schedulers alongside [`run_differential`].
+pub use mos_sim::{config_for, SCHED_KINDS};
 pub use trace::RvTraceSource;

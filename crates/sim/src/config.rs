@@ -1,5 +1,7 @@
-//! Machine configuration (Table 1) and the scheduler presets of
-//! Section 6.2.
+//! Machine configuration (Table 1), the scheduler presets of
+//! Section 6.2, and the one table of scheduler labels every front end
+//! (`mossim --sched`, the experiment counters, the RV32 oracle) names
+//! them by.
 
 use mos_core::{MopConfig, SchedConfig, SchedulerKind, WakeupStyle};
 use mos_uarch::branch::BranchConfig;
@@ -44,6 +46,32 @@ pub struct MachineConfig {
     /// Idealization: every data access hits the DL1 (loads never miss or
     /// replay). For limit studies, not part of Table 1.
     pub ideal_memory: bool,
+}
+
+/// The seven scheduler configurations the repo studies, by CLI label.
+pub const SCHED_KINDS: [&str; 7] = [
+    "base",
+    "2cycle",
+    "mop-2src",
+    "mop-wor",
+    "sf-squash",
+    "sf-scoreboard",
+    "spec-wakeup",
+];
+
+/// Standard 32-entry-queue machine configuration for a scheduler label
+/// (one of [`SCHED_KINDS`]). `None` for unknown labels.
+pub fn config_for(sched: &str) -> Option<MachineConfig> {
+    Some(match sched {
+        "base" => MachineConfig::base_32(),
+        "2cycle" => MachineConfig::two_cycle_32(),
+        "mop-2src" => MachineConfig::macro_op(WakeupStyle::CamTwoSource, Some(32), 1),
+        "mop-wor" => MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 1),
+        "sf-squash" => MachineConfig::select_free_squash_dep_32(),
+        "sf-scoreboard" => MachineConfig::select_free_scoreboard_32(),
+        "spec-wakeup" => MachineConfig::speculative_wakeup_32(),
+        _ => return None,
+    })
 }
 
 impl Default for MachineConfig {
@@ -163,6 +191,20 @@ impl MachineConfig {
     pub fn mops_enabled(&self) -> bool {
         self.sched.kind == SchedulerKind::MacroOp
     }
+
+    /// The [`SCHED_KINDS`] label of this configuration's scheduler (queue
+    /// size, formation stages and idealizations do not change it).
+    pub fn sched_label(&self) -> &'static str {
+        match (self.sched.kind, self.sched.wakeup) {
+            (SchedulerKind::Base, _) => "base",
+            (SchedulerKind::TwoCycle, _) => "2cycle",
+            (SchedulerKind::MacroOp, WakeupStyle::CamTwoSource) => "mop-2src",
+            (SchedulerKind::MacroOp, WakeupStyle::WiredOr) => "mop-wor",
+            (SchedulerKind::SelectFreeSquashDep, _) => "sf-squash",
+            (SchedulerKind::SelectFreeScoreboard, _) => "sf-scoreboard",
+            (SchedulerKind::SpeculativeWakeup, _) => "spec-wakeup",
+        }
+    }
 }
 
 #[cfg(test)]
@@ -186,6 +228,15 @@ mod tests {
         assert!(c.mops_enabled());
         assert_eq!(c.front_delay(), 6);
         assert_eq!(c.sched.max_entry_sources(), Some(2));
+    }
+
+    #[test]
+    fn every_label_round_trips_through_its_config() {
+        for l in SCHED_KINDS {
+            let cfg = config_for(l).unwrap_or_else(|| panic!("{l} has no config"));
+            assert_eq!(cfg.sched_label(), l);
+        }
+        assert!(config_for("bogus").is_none());
     }
 
     #[test]

@@ -26,7 +26,9 @@
 //!   renamed stream, pointers riding I-cache lines (with a configurable
 //!   detection delay), formation with 0–2 extra pipeline stages, pending
 //!   bits, half-squashed MOPs, and the last-arriving-operand filter;
-//! * every scheduler of Section 6.2 via [`MachineConfig`] presets.
+//! * every scheduler of Section 6.2 via [`MachineConfig`] presets, named
+//!   by the labels in [`SCHED_KINDS`] ([`config_for`] and
+//!   [`MachineConfig::sched_label`] map between the two).
 //!
 //! ```
 //! use mos_sim::{MachineConfig, Simulator};
@@ -49,7 +51,7 @@ mod sim;
 mod stats;
 pub mod timeline;
 
-pub use config::MachineConfig;
+pub use config::{config_for, MachineConfig, SCHED_KINDS};
 pub use cpistack::CpiStack;
 pub use events::{
     EventCounts, EventKinds, EventSink, RingSink, SharedCommitLog, SharedRing, TeeSink, TraceEvent,

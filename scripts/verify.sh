@@ -17,7 +17,8 @@
 #      workspace, so a queue API change or a moved simulated result would
 #      otherwise break only the benchmark)
 #   4. `mossim trace --check` smoke per scheduler model
-#   5. `mossim report --json` + `mossim pipeview` smoke per scheduler model
+#   5. `mossim report --json` + `mossim pipeview` smoke per scheduler model,
+#      and the scheduler aliases in the plain and report modes
 #   6. `mossim cpistack` smoke per scheduler model (conservation + JSON)
 #      plus the base/2cycle/mop differential
 #   6b. memory-bound mcf under every scheduler model: `trace --check` and
@@ -81,6 +82,14 @@ for sched in base 2cycle mop-wor; do
     head -1 "/tmp/verify_pipeview_${sched}.kanata" | grep -q "Kanata"
     echo "  $sched: report + pipeview ok"
 done
+
+echo "== scheduler aliases (plain run, report) =="
+./target/release/mossim --sched twocycle --insts 2000 > /tmp/verify_alias_plain.txt
+grep -q "scheduler 2cycle" /tmp/verify_alias_plain.txt
+./target/release/mossim report --sched mop --insts 2000 \
+    --json /tmp/verify_alias_report.json > /dev/null
+grep -q '"sched":"mop-wor"' /tmp/verify_alias_report.json
+echo "  twocycle -> 2cycle, mop -> mop-wor"
 
 echo "== cpistack smoke (every scheduler model) =="
 for sched in base 2cycle mop-2src mop-wor sf-squash sf-scoreboard spec-wakeup; do

@@ -10,7 +10,10 @@
 //!                       bubble_sort), a .s assembly file, or a flat
 //!                       little-endian RV32 binary
 //!   --sched KIND        base | 2cycle | mop-2src | mop-wor | sf-squash |
-//!                       sf-scoreboard | spec-wakeup  (default mop-wor)
+//!                       sf-scoreboard | spec-wakeup  (default mop-wor);
+//!                       every mode also takes the aliases twocycle /
+//!                       two-cycle = 2cycle and mop / macroop / macro-op
+//!                       = mop-wor
 //!   --queue N           issue-queue entries; 0 = unrestricted (default 32)
 //!   --stages N          extra MOP formation stages, 0..2 (default 1)
 //!   --insts N           committed instructions (default 100000)
@@ -38,8 +41,8 @@
 //!
 //! cpistack mode (top-down cycle accounting):
 //!   --compare A,B,..    run the same program under several schedulers
-//!                       and print per-cause share deltas vs the first
-//!                       (aliases: twocycle = 2cycle, mop = mop-wor)
+//!                       (labels or aliases) and print per-cause share
+//!                       deltas vs the first
 //!   --json FILE         also write the stack(s) as one JSON document
 //!
 //! rvdiff mode (differential functional oracle over RV32 programs):
@@ -71,13 +74,14 @@
 use std::process::ExitCode;
 use std::time::Instant;
 
-use mopsched::core::WakeupStyle;
 use mopsched::isa::{Program, TraceSource};
 use mopsched::ledger::{self, CpiSection, Ledger, RunIdent, RunRecord};
 use mopsched::sim::cpistack::{self, CpiStack};
 use mopsched::sim::metrics::DEFAULT_INTERVAL;
 use mopsched::sim::report::{HostProfile, RunMeta, RunReport};
-use mopsched::sim::{MachineConfig, OracleMode, SharedRing, SimStats, Simulator};
+use mopsched::sim::{
+    config_for, MachineConfig, OracleMode, SharedRing, SimStats, Simulator, SCHED_KINDS,
+};
 use mopsched::{asm, rv, workload};
 
 fn parse() -> Result<Args, String> {
@@ -197,6 +201,7 @@ fn parse() -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`")),
         }
     }
+    a.sched = canonical_sched(&a.sched).to_owned();
     Ok(a)
 }
 
@@ -274,56 +279,19 @@ impl Default for Args {
     }
 }
 
-fn config(a: &Args) -> Result<MachineConfig, String> {
-    config_named(a, &a.sched)
-}
-
 /// Build a machine configuration for `sched` with `a`'s knobs (queue
 /// size, formation stages, ideal-branch/memory). `cpistack --compare`
 /// needs configurations for schedulers other than `a.sched`.
 fn config_named(a: &Args, sched: &str) -> Result<MachineConfig, String> {
-    let q = if a.queue == 0 { None } else { Some(a.queue) };
-    let mut cfg = match sched {
-        "base" => {
-            let mut c = MachineConfig::base_32();
-            c.sched.queue_entries = q;
-            c
-        }
-        "2cycle" => {
-            let mut c = MachineConfig::two_cycle_32();
-            c.sched.queue_entries = q;
-            c
-        }
-        "mop-2src" => MachineConfig::macro_op(WakeupStyle::CamTwoSource, q, a.stages),
-        "mop-wor" => MachineConfig::macro_op(WakeupStyle::WiredOr, q, a.stages),
-        "sf-squash" => {
-            let mut c = MachineConfig::select_free_squash_dep_32();
-            c.sched.queue_entries = q;
-            c
-        }
-        "sf-scoreboard" => {
-            let mut c = MachineConfig::select_free_scoreboard_32();
-            c.sched.queue_entries = q;
-            c
-        }
-        "spec-wakeup" => {
-            let mut c = MachineConfig::speculative_wakeup_32();
-            c.sched.queue_entries = q;
-            c
-        }
-        other => {
-            return Err(format!(
-                "unknown scheduler `{other}`; available: base, 2cycle, mop-2src, \
-                 mop-wor, sf-squash, sf-scoreboard, spec-wakeup"
-            ))
-        }
-    };
-    if a.ideal_branch {
-        cfg = cfg.with_ideal_branch();
+    let mut cfg = config_for(sched).ok_or_else(|| {
+        format!("unknown scheduler `{sched}`; available: {}", SCHED_KINDS.join(", "))
+    })?;
+    cfg.sched.queue_entries = (a.queue != 0).then_some(a.queue);
+    if cfg.mops_enabled() {
+        cfg.extra_mop_stages = a.stages;
     }
-    if a.ideal_memory {
-        cfg = cfg.with_ideal_memory();
-    }
+    cfg.ideal_branch = a.ideal_branch;
+    cfg.ideal_memory = a.ideal_memory;
     Ok(cfg)
 }
 
@@ -356,6 +324,75 @@ fn load_rv(spec: &str) -> Result<rv::RvProgram, String> {
     }
 }
 
+/// The workload an invocation runs, minus its trace.
+struct Workload {
+    /// Name the ledger and the reports file the run under.
+    name: String,
+    /// Ledger source kind: `bench`, `kernel` or `rv`.
+    source: &'static str,
+    /// The human banner line the plain and trace modes print.
+    banner: String,
+    /// The static program the trace runs over.
+    program: Program,
+}
+
+/// Load this invocation's workload (`--rv` and `--kernel` override
+/// `--bench`) with a fresh trace over it.
+fn load_workload(a: &Args) -> Result<(Workload, Box<dyn TraceSource>), String> {
+    let queue = (a.queue != 0).then_some(a.queue);
+    if let Some(spec) = &a.rv {
+        let prog = load_rv(spec)?;
+        let trace = rv::RvTraceSource::new(&prog)
+            .map_err(|e| format!("lowering `{}`: {e}", prog.name))?;
+        let w = Workload {
+            name: spec.clone(),
+            source: "rv",
+            banner: format!(
+                "rv32 program `{}` ({} insts), scheduler {}, queue {queue:?}",
+                prog.name,
+                prog.len(),
+                a.sched
+            ),
+            program: trace.program().clone(),
+        };
+        Ok((w, Box::new(trace)))
+    } else if let Some(kname) = &a.kernel {
+        let kernel = workload::kernels::by_name(kname).ok_or_else(|| {
+            format!(
+                "unknown kernel `{kname}`; available: {:?}",
+                workload::kernels::all().iter().map(|k| k.name).collect::<Vec<_>>()
+            )
+        })?;
+        let image = kernel.image();
+        let w = Workload {
+            name: kname.clone(),
+            source: "kernel",
+            banner: format!("kernel `{kname}`, scheduler {}, queue {queue:?}", a.sched),
+            program: image.program.clone(),
+        };
+        Ok((w, Box::new(asm::Interpreter::new(&image))))
+    } else {
+        let spec = workload::spec2000::by_name(&a.bench).ok_or_else(|| {
+            format!(
+                "unknown benchmark `{}`; available: {:?}",
+                a.bench,
+                workload::spec2000::names()
+            )
+        })?;
+        let trace = spec.trace(a.seed);
+        let w = Workload {
+            name: a.bench.clone(),
+            source: "bench",
+            banner: format!(
+                "benchmark `{}` (seed {}), scheduler {}, queue {queue:?}, {} insts",
+                a.bench, a.seed, a.sched, a.insts
+            ),
+            program: trace.program().clone(),
+        };
+        Ok((w, Box::new(trace)))
+    }
+}
+
 /// Open the ledger this invocation addresses: `--ledger-dir`, else
 /// `$MOS_LEDGER_DIR`, else `results/ledger`.
 fn open_ledger(a: &Args) -> Ledger {
@@ -372,18 +409,6 @@ fn now_unix() -> u64 {
         .unwrap_or(0)
 }
 
-/// The workload name and source kind this invocation runs
-/// (`--kernel` and `--rv` override `--bench`).
-fn workload_ident(a: &Args) -> (String, &'static str) {
-    if let Some(k) = &a.kernel {
-        (k.clone(), "kernel")
-    } else if let Some(r) = &a.rv {
-        (r.clone(), "rv")
-    } else {
-        (a.bench.clone(), "bench")
-    }
-}
-
 /// Archive one finished run in the ledger (the `--save` flag). The key
 /// covers program, config, scheduler, budget/seed, schema and git rev;
 /// the record carries the sim-side totals, the CPI stack when slot
@@ -392,24 +417,24 @@ fn workload_ident(a: &Args) -> (String, &'static str) {
 #[allow(clippy::too_many_arguments)]
 fn save_record(
     a: &Args,
+    w: &Workload,
     sched: &str,
     cfg: &MachineConfig,
-    program_sha: &str,
     stats: &SimStats,
     cpi: Option<&CpiStack>,
     sim_seconds: f64,
     report_json: Option<&str>,
 ) -> Result<(), String> {
-    let (bench, source) = workload_ident(a);
     let git_rev = ledger::git_short_rev();
+    let program_sha = ledger::program_digest(&w.program);
     let ident = RunIdent {
         kind: "run",
-        bench: &bench,
-        source,
+        bench: &w.name,
+        source: w.source,
         sched,
         insts: a.insts,
         seed: a.seed,
-        program_sha,
+        program_sha: &program_sha,
         git_rev: &git_rev,
     };
     let key = ledger::run_key(&ident, Some(cfg));
@@ -417,8 +442,8 @@ fn save_record(
         schema: ledger::SCHEMA_VERSION,
         key: key.clone(),
         kind: "run".into(),
-        bench,
-        source: source.into(),
+        bench: w.name.clone(),
+        source: w.source.into(),
         sched: sched.into(),
         insts: a.insts,
         seed: a.seed,
@@ -447,7 +472,7 @@ fn save_record(
 fn run_history(a: &Args) -> Result<(), String> {
     let store = open_ledger(a);
     let bench = a.bench_explicit.then_some(a.bench.as_str());
-    let sched = a.sched_explicit.then_some(canonical_sched(&a.sched));
+    let sched = a.sched_explicit.then_some(a.sched.as_str());
     print!("{}", store.history_markdown(bench, sched, a.limit));
     Ok(())
 }
@@ -479,9 +504,9 @@ fn run_rvdiff(a: &Args) -> Result<(), String> {
         None => rv::suite::PROGRAMS.iter().map(|p| p.assemble()).collect(),
     };
     let scheds: Vec<&str> = if a.sched_explicit && a.sched != "all" {
-        vec![canonical_sched(&a.sched)]
+        vec![a.sched.as_str()]
     } else {
-        rv::SCHED_KINDS.to_vec()
+        SCHED_KINDS.to_vec()
     };
     // Validate every scheduler up front so a typo errors before output.
     for sched in &scheds {
@@ -563,13 +588,13 @@ fn run_rvdiff(a: &Args) -> Result<(), String> {
 
 /// Run `report` mode: simulate with interval metrics on, print the
 /// Markdown report, optionally also write the JSON document.
-fn run_report<T: TraceSource>(
+fn run_report(
     a: &Args,
     cfg: MachineConfig,
-    trace: T,
-    program_sha: &str,
+    w: &Workload,
+    trace: Box<dyn TraceSource>,
     build_seconds: f64,
-) -> bool {
+) -> Result<(), String> {
     let saved_cfg = a.save.then(|| cfg.clone());
     let mut sim = Simulator::new(cfg, trace);
     sim.enable_metrics(a.interval);
@@ -578,11 +603,7 @@ fn run_report<T: TraceSource>(
     sim.run(a.insts);
     let sim_seconds = t.elapsed().as_secs_f64();
     let meta = RunMeta {
-        bench: a
-            .kernel
-            .clone()
-            .or_else(|| a.rv.clone())
-            .unwrap_or_else(|| a.bench.clone()),
+        bench: w.name.clone(),
         sched: a.sched.clone(),
         insts: a.insts,
         seed: a.seed,
@@ -599,61 +620,53 @@ fn run_report<T: TraceSource>(
     report.profile.render_seconds = t.elapsed().as_secs_f64();
     print!("{}", report.to_markdown());
     if let Some(path) = &a.json {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("error: writing {path}: {e}");
-            return false;
-        }
+        std::fs::write(path, report.to_json()).map_err(|e| format!("writing {path}: {e}"))?;
         eprintln!("report: wrote JSON to {path}");
     }
     if let Some(cfg) = &saved_cfg {
         let json = report.to_json();
-        if let Err(e) = save_record(
+        save_record(
             a,
-            canonical_sched(&a.sched),
+            w,
+            &a.sched,
             cfg,
-            program_sha,
             &report.stats,
             report.cpi.as_ref(),
             sim_seconds,
             Some(&json),
-        ) {
-            eprintln!("error: {e}");
-            return false;
-        }
+        )?;
     }
-    true
+    Ok(())
 }
 
 /// Run `pipeview` mode: record the first `--uops` timelines and emit
 /// them as a Kanata log for Konata.
-fn run_pipeview<T: TraceSource>(a: &Args, cfg: MachineConfig, trace: T, program: &Program) -> bool {
+fn run_pipeview(
+    a: &Args,
+    cfg: MachineConfig,
+    w: &Workload,
+    trace: Box<dyn TraceSource>,
+) -> Result<(), String> {
     let mut sim = Simulator::new(cfg, trace);
     sim.enable_timeline(a.uops);
     sim.run(a.insts);
-    let kanata = sim.timeline().expect("timeline enabled").to_kanata(program);
+    let timeline = sim.timeline().expect("timeline enabled");
+    let kanata = timeline.to_kanata(&w.program);
     match &a.out {
-        Some(path) => match std::fs::write(path, &kanata) {
-            Ok(()) => {
-                eprintln!(
-                    "pipeview: wrote {} uop timelines to {path} (open in Konata)",
-                    sim.timeline().expect("timeline enabled").entries().len()
-                );
-                true
-            }
-            Err(e) => {
-                eprintln!("error: writing {path}: {e}");
-                false
-            }
-        },
-        None => {
-            print!("{kanata}");
-            true
+        Some(path) => {
+            std::fs::write(path, &kanata).map_err(|e| format!("writing {path}: {e}"))?;
+            eprintln!(
+                "pipeview: wrote {} uop timelines to {path} (open in Konata)",
+                timeline.entries().len()
+            );
         }
+        None => print!("{kanata}"),
     }
+    Ok(())
 }
 
 /// Canonical CLI spelling for a scheduler name, accepting the paper-ish
-/// aliases used in `--compare base,twocycle,mop`.
+/// aliases (`twocycle`, `mop`, ...) in `--sched` and `--compare`.
 fn canonical_sched(name: &str) -> &str {
     match name {
         "twocycle" | "two-cycle" => "2cycle",
@@ -672,60 +685,26 @@ fn run_cpistack(a: &Args) -> Result<(), String> {
             .map(|s| canonical_sched(s.trim()).to_string())
             .filter(|s| !s.is_empty())
             .collect(),
-        None => vec![canonical_sched(&a.sched).to_string()],
+        None => vec![a.sched.clone()],
     };
     if scheds.is_empty() {
         return Err("--compare needs at least one scheduler".into());
     }
-    let bench_name = a
-        .kernel
-        .clone()
-        .or_else(|| a.rv.clone())
-        .unwrap_or_else(|| a.bench.clone());
     let mut stacks = Vec::new();
     for sched in &scheds {
         let cfg = config_named(a, sched)?;
         let width = cfg.sched.issue_width as u64;
         let saved_cfg = a.save.then(|| cfg.clone());
+        let (w, trace) = load_workload(a)?;
         let t = Instant::now();
-        let (stats, program_sha) = if let Some(kname) = &a.kernel {
-            let kernel = workload::kernels::by_name(kname)
-                .ok_or_else(|| format!("unknown kernel `{kname}`"))?;
-            let image = kernel.image();
-            let sha = a.save.then(|| ledger::program_digest(&image.program));
-            let mut sim = Simulator::new(cfg, asm::Interpreter::new(&image));
-            sim.enable_slot_accounting();
-            (sim.run(a.insts), sha)
-        } else if let Some(rvspec) = &a.rv {
-            let prog = load_rv(rvspec)?;
-            let trace = rv::RvTraceSource::new(&prog).map_err(|e| e.to_string())?;
-            let sha = a.save.then(|| ledger::program_digest(trace.program()));
-            let mut sim = Simulator::new(cfg, trace);
-            sim.enable_slot_accounting();
-            (sim.run(a.insts), sha)
-        } else {
-            let spec = workload::spec2000::by_name(&a.bench)
-                .ok_or_else(|| format!("unknown benchmark `{}`", a.bench))?;
-            let trace = spec.trace(a.seed);
-            let sha = a.save.then(|| ledger::program_digest(trace.program()));
-            let mut sim = Simulator::new(cfg, trace);
-            sim.enable_slot_accounting();
-            (sim.run(a.insts), sha)
-        };
+        let mut sim = Simulator::new(cfg, trace);
+        sim.enable_slot_accounting();
+        let stats = sim.run(a.insts);
         let sim_seconds = t.elapsed().as_secs_f64();
-        let stack = CpiStack::from_stats(&bench_name, sched, width, &stats);
+        let stack = CpiStack::from_stats(&w.name, sched, width, &stats);
         stack.check_conservation().map_err(|e| format!("{sched}: {e}"))?;
         if let Some(cfg) = &saved_cfg {
-            save_record(
-                a,
-                sched,
-                cfg,
-                program_sha.as_deref().unwrap_or("-"),
-                &stats,
-                Some(&stack),
-                sim_seconds,
-                None,
-            )?;
+            save_record(a, &w, sched, cfg, &stats, Some(&stack), sim_seconds, None)?;
         }
         stacks.push(stack);
     }
@@ -755,21 +734,22 @@ fn run_cpistack(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn run<T: TraceSource>(
-    a: &Args,
-    cfg: MachineConfig,
-    trace: T,
-    program: Program,
-    build_seconds: f64,
-) -> bool {
-    let program_sha = a.save.then(|| ledger::program_digest(&program));
-    let program_sha = program_sha.as_deref().unwrap_or("-");
+/// Run the default, `trace`, `report` or `pipeview` mode: one workload
+/// under one scheduler.
+fn run(a: &Args) -> Result<(), String> {
+    let cfg = config_named(a, &a.sched)?;
+    let build = Instant::now();
+    let (w, trace) = load_workload(a)?;
+    let build_seconds = build.elapsed().as_secs_f64();
     if a.report {
-        return run_report(a, cfg, trace, program_sha, build_seconds);
+        return run_report(a, cfg, &w, trace, build_seconds);
     }
     if a.pipeview {
-        return run_pipeview(a, cfg, trace, &program);
+        return run_pipeview(a, cfg, &w, trace);
     }
+    // report and pipeview keep stdout for Markdown and Kanata; the
+    // plain and trace modes open with a human banner.
+    println!("{}\n", w.banner);
     let saved_cfg = a.save.then(|| cfg.clone());
     let mut sim = Simulator::new(cfg, trace);
     if a.save {
@@ -792,45 +772,23 @@ fn run<T: TraceSource>(
     let sim_seconds = t.elapsed().as_secs_f64();
     print!("{}", stats.report());
     if let Some(cfg) = &saved_cfg {
-        let sched = canonical_sched(&a.sched);
-        let stack = CpiStack::from_stats(
-            &workload_ident(a).0,
-            sched,
-            cfg.sched.issue_width as u64,
-            &stats,
-        );
-        if let Err(e) = save_record(
-            a,
-            sched,
-            cfg,
-            program_sha,
-            &stats,
-            Some(&stack),
-            sim_seconds,
-            None,
-        ) {
-            eprintln!("error: {e}");
-            return false;
-        }
+        let width = cfg.sched.issue_width as u64;
+        let stack = CpiStack::from_stats(&w.name, &a.sched, width, &stats);
+        save_record(a, &w, &a.sched, cfg, &stats, Some(&stack), sim_seconds, None)?;
     }
     if let Some(t) = sim.timeline() {
         println!("\nfirst {} uops:", t.entries().len());
-        print!("{}", t.render(&program));
+        print!("{}", t.render(&w.program));
     }
     if let Some(ring) = ring {
         let out = a.out.as_deref().unwrap_or("trace.jsonl");
-        match std::fs::write(out, ring.to_jsonl()) {
-            Ok(()) => println!(
-                "trace: kept the last {} of {} events in {}",
-                ring.with(|r| r.len()),
-                ring.total_seen(),
-                out
-            ),
-            Err(e) => {
-                eprintln!("error: writing {out}: {e}");
-                return false;
-            }
-        }
+        std::fs::write(out, ring.to_jsonl()).map_err(|e| format!("writing {out}: {e}"))?;
+        println!(
+            "trace: kept the last {} of {} events in {}",
+            ring.with(|r| r.len()),
+            ring.total_seen(),
+            out
+        );
         if ring.dropped() > 0 {
             eprintln!(
                 "warning: {} events were dropped by the bounded ring; \
@@ -841,24 +799,22 @@ fn run<T: TraceSource>(
     }
     if a.check {
         let oracle = sim.oracle().expect("attached above");
-        if oracle.is_clean() {
-            println!(
-                "oracle: checked {} events, no scheduling-invariant violations",
-                oracle.events_seen()
-            );
-        } else {
-            eprintln!(
-                "oracle: {} scheduling-invariant violation(s) in {} events",
-                oracle.violations().len(),
-                oracle.events_seen()
-            );
+        if !oracle.is_clean() {
             for v in oracle.violations() {
                 eprintln!("{v}");
             }
-            return false;
+            return Err(format!(
+                "oracle: {} scheduling-invariant violation(s) in {} events",
+                oracle.violations().len(),
+                oracle.events_seen()
+            ));
         }
+        println!(
+            "oracle: checked {} events, no scheduling-invariant violations",
+            oracle.events_seen()
+        );
     }
-    true
+    Ok(())
 }
 
 fn main() -> ExitCode {
@@ -872,103 +828,22 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    if a.cpistack || a.rvdiff || a.history || a.diff {
-        let res = if a.cpistack {
-            run_cpistack(&a)
-        } else if a.rvdiff {
-            run_rvdiff(&a)
-        } else if a.history {
-            run_history(&a)
-        } else {
-            run_diff(&a)
-        };
-        return match res {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let cfg = match config(&a) {
-        Ok(c) => c,
+    let res = if a.cpistack {
+        run_cpistack(&a)
+    } else if a.rvdiff {
+        run_rvdiff(&a)
+    } else if a.history {
+        run_history(&a)
+    } else if a.diff {
+        run_diff(&a)
+    } else {
+        run(&a)
+    };
+    match res {
+        Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    // report prints Markdown and pipeview prints Kanata to stdout, so
-    // the human banner is suppressed for both.
-    let banner = !a.report && !a.pipeview;
-    if let Some(rvspec) = &a.rv {
-        let build = Instant::now();
-        let prog = match load_rv(rvspec) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if banner {
-            println!(
-                "rv32 program `{}` ({} insts), scheduler {}, queue {:?}\n",
-                prog.name,
-                prog.len(),
-                a.sched,
-                cfg.sched.queue_entries
-            );
-        }
-        let trace = match rv::RvTraceSource::new(&prog) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("error: lowering `{}`: {e}", prog.name);
-                return ExitCode::FAILURE;
-            }
-        };
-        let program = trace.program().clone();
-        if !run(&a, cfg, trace, program, build.elapsed().as_secs_f64()) {
-            return ExitCode::FAILURE;
-        }
-    } else if let Some(kname) = &a.kernel {
-        let Some(kernel) = workload::kernels::by_name(kname) else {
-            eprintln!(
-                "unknown kernel `{kname}`; available: {:?}",
-                workload::kernels::all().iter().map(|k| k.name).collect::<Vec<_>>()
-            );
-            return ExitCode::FAILURE;
-        };
-        if banner {
-            println!("kernel `{kname}`, scheduler {}, queue {:?}\n", a.sched, cfg.sched.queue_entries);
-        }
-        let build = Instant::now();
-        let image = kernel.image();
-        let program = image.program.clone();
-        let interp = asm::Interpreter::new(&image);
-        if !run(&a, cfg, interp, program, build.elapsed().as_secs_f64()) {
-            return ExitCode::FAILURE;
-        }
-    } else {
-        let Some(spec) = workload::spec2000::by_name(&a.bench) else {
-            eprintln!(
-                "unknown benchmark `{}`; available: {:?}",
-                a.bench,
-                workload::spec2000::names()
-            );
-            return ExitCode::FAILURE;
-        };
-        if banner {
-            println!(
-                "benchmark `{}` (seed {}), scheduler {}, queue {:?}, {} insts\n",
-                a.bench, a.seed, a.sched, cfg.sched.queue_entries, a.insts
-            );
-        }
-        let build = Instant::now();
-        let trace = spec.trace(a.seed);
-        let program = trace.program().clone();
-        if !run(&a, cfg, trace, program, build.elapsed().as_secs_f64()) {
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
 }

@@ -154,3 +154,26 @@ fn rvdiff_json_report_matches_the_schema() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Scheduler aliases resolve in every mode, not only in `cpistack`: the
+/// plain run and `report` take them too, and report under the label.
+#[test]
+fn scheduler_aliases_work_in_every_mode() {
+    let (stdout, _) = run_ok(mossim().args(["--sched", "twocycle", "--insts", "2000"]));
+    assert!(stdout.contains("scheduler 2cycle"), "{stdout}");
+
+    let dir = temp_dir("alias");
+    let json_path = dir.join("report.json");
+    run_ok(mossim().args([
+        "report",
+        "--sched",
+        "mop",
+        "--insts",
+        "2000",
+        "--json",
+        json_path.to_str().unwrap(),
+    ]));
+    let doc = std::fs::read_to_string(&json_path).unwrap();
+    assert!(doc.contains("\"sched\":\"mop-wor\""), "{doc}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
