@@ -18,7 +18,7 @@ use std::fmt;
 use mos_core::{CycleDetection, WakeupStyle};
 use mos_sim::MachineConfig;
 
-use crate::runner;
+use crate::runner::Sweep;
 
 /// Benchmarks used for the ablations (a representative spread: the most
 /// scheduler-sensitive, the long-distance case, the queue-pressure case
@@ -68,12 +68,12 @@ fn mop_cfg(stages: u32) -> MachineConfig {
 }
 
 /// Detection delay: 3 (reference) vs 100 cycles.
-pub fn detection_delay_with(insts: u64, jobs: usize) -> Ablation {
+pub fn detection_delay(sweep: &Sweep) -> Ablation {
     let mut slow_cfg = mop_cfg(1);
     slow_cfg.sched.mop.detection_delay = 100;
     let rows = ABLATION_BENCHES
         .iter()
-        .zip(runner::grid(&ABLATION_BENCHES, &[mop_cfg(1), slow_cfg], insts, jobs))
+        .zip(sweep.grid(&ABLATION_BENCHES, &[mop_cfg(1), slow_cfg]))
         .map(|(&b, s)| (b.to_owned(), s[0].ipc(), vec![s[1].ipc()]))
         .collect();
     Ablation {
@@ -86,14 +86,14 @@ pub fn detection_delay_with(insts: u64, jobs: usize) -> Ablation {
 }
 
 /// Cycle detection: conservative heuristic (reference) vs precise.
-pub fn cycle_heuristic_with(insts: u64, jobs: usize) -> Ablation {
+pub fn cycle_heuristic(sweep: &Sweep) -> Ablation {
     let mut precise_cfg = mop_cfg(1);
     precise_cfg.sched.mop.cycle_detection = CycleDetection::Precise;
     let mut rows = Vec::new();
     let mut notes = Vec::new();
     for (&b, s) in ABLATION_BENCHES
         .iter()
-        .zip(runner::grid(&ABLATION_BENCHES, &[mop_cfg(1), precise_cfg], insts, jobs))
+        .zip(sweep.grid(&ABLATION_BENCHES, &[mop_cfg(1), precise_cfg]))
     {
         let (h, p) = (&s[0], &s[1]);
         let ratio = if p.grouped_frac() > 0.0 {
@@ -119,12 +119,12 @@ pub fn cycle_heuristic_with(insts: u64, jobs: usize) -> Ablation {
 }
 
 /// Last-arriving-operand filter: on (reference) vs off.
-pub fn last_arrival_filter_with(insts: u64, jobs: usize) -> Ablation {
+pub fn last_arrival_filter(sweep: &Sweep) -> Ablation {
     let mut off_cfg = mop_cfg(1);
     off_cfg.sched.mop.last_arrival_filter = false;
     let rows = ABLATION_BENCHES
         .iter()
-        .zip(runner::grid(&ABLATION_BENCHES, &[mop_cfg(1), off_cfg], insts, jobs))
+        .zip(sweep.grid(&ABLATION_BENCHES, &[mop_cfg(1), off_cfg]))
         .map(|(&b, s)| (b.to_owned(), s[0].ipc(), vec![s[1].ipc()]))
         .collect();
     Ablation {
@@ -136,14 +136,14 @@ pub fn last_arrival_filter_with(insts: u64, jobs: usize) -> Ablation {
 }
 
 /// Independent MOPs: on (reference) vs off.
-pub fn independent_mops_with(insts: u64, jobs: usize) -> Ablation {
+pub fn independent_mops(sweep: &Sweep) -> Ablation {
     let mut off_cfg = mop_cfg(1);
     off_cfg.sched.mop.group_independent = false;
     let mut rows = Vec::new();
     let mut notes = Vec::new();
     for (&b, s) in ABLATION_BENCHES
         .iter()
-        .zip(runner::grid(&ABLATION_BENCHES, &[mop_cfg(1), off_cfg], insts, jobs))
+        .zip(sweep.grid(&ABLATION_BENCHES, &[mop_cfg(1), off_cfg]))
     {
         let (on, off) = (&s[0], &s[1]);
         notes.push(format!(
@@ -162,7 +162,7 @@ pub fn independent_mops_with(insts: u64, jobs: usize) -> Ablation {
 }
 
 /// MOP sizes 2 (reference), 3 and 4 — the paper's future work.
-pub fn mop_size_with(insts: u64, jobs: usize) -> Ablation {
+pub fn mop_size(sweep: &Sweep) -> Ablation {
     let cfgs: Vec<MachineConfig> = std::iter::once(mop_cfg(1))
         .chain([3usize, 4].into_iter().map(|size| {
             let mut cfg = mop_cfg(1);
@@ -174,7 +174,7 @@ pub fn mop_size_with(insts: u64, jobs: usize) -> Ablation {
     let mut notes = Vec::new();
     for (&b, s) in ABLATION_BENCHES
         .iter()
-        .zip(runner::grid(&ABLATION_BENCHES, &cfgs, insts, jobs))
+        .zip(sweep.grid(&ABLATION_BENCHES, &cfgs))
     {
         let two = &s[0];
         let mut sizes_note = format!("grouped {:.1}%", 100.0 * two.grouped_frac());
@@ -196,39 +196,14 @@ pub fn mop_size_with(insts: u64, jobs: usize) -> Ablation {
     }
 }
 
-/// Detection delay study, one worker per core.
-pub fn detection_delay(insts: u64) -> Ablation {
-    detection_delay_with(insts, runner::default_jobs())
-}
-
-/// Cycle-detection study, one worker per core.
-pub fn cycle_heuristic(insts: u64) -> Ablation {
-    cycle_heuristic_with(insts, runner::default_jobs())
-}
-
-/// Last-arrival-filter study, one worker per core.
-pub fn last_arrival_filter(insts: u64) -> Ablation {
-    last_arrival_filter_with(insts, runner::default_jobs())
-}
-
-/// Independent-MOP study, one worker per core.
-pub fn independent_mops(insts: u64) -> Ablation {
-    independent_mops_with(insts, runner::default_jobs())
-}
-
-/// MOP-size study, one worker per core.
-pub fn mop_size(insts: u64) -> Ablation {
-    mop_size_with(insts, runner::default_jobs())
-}
-
-/// Run every ablation across `jobs` worker threads and render them.
-pub fn run_all_with(insts: u64, jobs: usize) -> String {
+/// Run every ablation and render them.
+pub fn run_all(sweep: &Sweep) -> String {
     [
-        detection_delay_with(insts, jobs),
-        cycle_heuristic_with(insts, jobs),
-        last_arrival_filter_with(insts, jobs),
-        independent_mops_with(insts, jobs),
-        mop_size_with(insts, jobs),
+        detection_delay(sweep),
+        cycle_heuristic(sweep),
+        last_arrival_filter(sweep),
+        independent_mops(sweep),
+        mop_size(sweep),
     ]
     .iter()
     .map(|a| a.to_string())
@@ -236,20 +211,17 @@ pub fn run_all_with(insts: u64, jobs: usize) -> String {
     .join("\n")
 }
 
-/// Run every ablation (one worker per core) and render them.
-pub fn run_all(insts: u64) -> String {
-    run_all_with(insts, runner::default_jobs())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    const N: u64 = 15_000;
+    fn sweep() -> Sweep {
+        Sweep::new(15_000, crate::runner::default_jobs())
+    }
 
     #[test]
     fn detection_delay_costs_little() {
-        let a = detection_delay(N);
+        let a = detection_delay(&sweep());
         for (bench, base, arms) in &a.rows {
             let rel = arms[0] / base;
             assert!(rel > 0.95, "{bench}: delay=100 at {rel:.3} of fast detection");
@@ -258,7 +230,7 @@ mod tests {
 
     #[test]
     fn heuristic_keeps_most_opportunities() {
-        let a = cycle_heuristic(N);
+        let a = cycle_heuristic(&sweep());
         for (bench, base, arms) in &a.rows {
             let rel = arms[0] / base;
             assert!(
@@ -270,7 +242,7 @@ mod tests {
 
     #[test]
     fn larger_mops_group_no_less() {
-        let a = mop_size(N);
+        let a = mop_size(&sweep());
         assert_eq!(a.arms.len(), 2);
         for (bench, base, arms) in &a.rows {
             // Bigger MOPs should not catastrophically hurt.

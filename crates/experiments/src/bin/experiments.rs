@@ -1,31 +1,56 @@
 //! CLI for regenerating every table and figure of the paper:
 //!
 //! ```text
-//! experiments <table1|table2|fig6|fig7|fig13|fig14|fig15|fig16|ablations|extensions|rv|all>
-//!             [--insts N] [--jobs N]
+//! experiments <study|all> [--insts N] [--jobs N]
 //! experiments perf [--insts N] [--out PATH]
 //! ```
 //!
-//! `--jobs N` fans the figure's (benchmark, config) simulations across N
-//! worker threads; `--jobs 1` is the serial path. Output is byte-identical
-//! for any N. `perf` is the single-thread host-speed headline: it times
-//! every figure sweep on one job and writes `BENCH_sim.json` (default
-//! path; `--out` overrides) with per-figure and total wall time,
-//! simulated cycles and commits, IPC, cycles/s, commits/s and the
-//! scheduler kinds exercised.
+//! Every study is one row of [`STUDIES`]: `all` runs them in table order
+//! and the usage line names them from it. `--insts N` (at least 1) is the
+//! committed-instruction budget per simulation. `--jobs N` fans a study's
+//! (benchmark, config) simulations across N worker threads; `--jobs 1` is
+//! the serial path. Output is byte-identical for any N. `perf` is the
+//! single-thread host-speed headline: it times every simulating study on
+//! its own one-job [`Sweep`] and writes `BENCH_sim.json` (default path;
+//! `--out` overrides) with per-study and total wall time, simulated
+//! cycles and commits (the sweep's totals), IPC, cycles/s, commits/s and
+//! the scheduler kinds exercised.
 
 use std::env;
 use std::process::ExitCode;
 use std::time::Instant;
 
+use mos_experiments::runner::{self, Sweep};
 use mos_experiments::{
-    ablations, extensions, fig13, fig14, fig15, fig16, fig6, fig7, runner, rvsuite, tables,
+    ablations, extensions, fig13, fig14, fig15, fig16, fig6, fig7, rvsuite, tables,
 };
 
+/// One study: its CLI name, whether it simulates (and so belongs in
+/// `perf`), and how to run and render it in a sweep.
+type Study = (&'static str, bool, fn(&Sweep) -> String);
+
+/// Every study, in `all` order. `table1`, `fig6` and `fig7` are
+/// configuration and trace analyses, not simulations; `rv` runs its
+/// programs to their own halt and ignores the budget.
+const STUDIES: &[Study] = &[
+    ("table1", false, |_| tables::table1()),
+    ("table2", true, |s| tables::table2(s).to_string()),
+    ("fig6", false, |s| fig6::run(s.insts as usize).to_string()),
+    ("fig7", false, |s| fig7::run(s.insts as usize).to_string()),
+    ("fig13", true, |s| fig13::run(s).to_string()),
+    ("fig14", true, |s| fig14::run(s).to_string()),
+    ("fig15", true, |s| fig15::run(s).to_string()),
+    ("fig16", true, |s| fig16::run(s).to_string()),
+    ("ablations", true, ablations::run_all),
+    ("extensions", true, extensions::run_all),
+    ("rv", true, |s| rvsuite::run(s).to_string()),
+];
+
 fn usage() -> ExitCode {
+    let names: Vec<&str> = STUDIES.iter().map(|&(name, ..)| name).collect();
     eprintln!(
-        "usage: experiments <table1|table2|fig6|fig7|fig13|fig14|fig15|fig16|ablations|extensions|rv|all> \
-         [--insts N] [--jobs N]\n       experiments perf [--insts N] [--out PATH]"
+        "usage: experiments <{}|all> [--insts N] [--jobs N]\n       experiments perf [--insts N] [--out PATH]",
+        names.join("|")
     );
     ExitCode::FAILURE
 }
@@ -56,10 +81,15 @@ fn main() -> ExitCode {
     if args[1..].chunks(2).any(|opt| !known.contains(&opt[0].as_str())) {
         return usage();
     }
-    let Ok(insts) = flag::<u64>(&args, "--insts") else {
-        return usage();
+    let insts = match flag::<u64>(&args, "--insts") {
+        Ok(None) => runner::DEFAULT_INSTS,
+        Ok(Some(n)) if n > 0 => n,
+        Ok(Some(_)) => {
+            eprintln!("error: --insts must be at least 1");
+            return usage();
+        }
+        Err(()) => return usage(),
     };
-    let insts = insts.unwrap_or(runner::DEFAULT_INSTS);
 
     if what == "perf" {
         let Ok(out) = flag::<String>(&args, "--out") else {
@@ -70,73 +100,34 @@ fn main() -> ExitCode {
     let Ok(jobs) = flag::<usize>(&args, "--jobs") else {
         return usage();
     };
-    let jobs = jobs.unwrap_or_else(runner::default_jobs).max(1);
-
-    let run_one = |what: &str| -> Option<String> {
-        match what {
-            "table1" => Some(tables::table1()),
-            "table2" => Some(tables::table2_with(insts, jobs).to_string()),
-            "fig6" => Some(fig6::run(insts as usize).to_string()),
-            "fig7" => Some(fig7::run(insts as usize).to_string()),
-            "fig13" => Some(fig13::run_with(insts, jobs).to_string()),
-            "fig14" => Some(fig14::run_with(insts, jobs).to_string()),
-            "fig15" => Some(fig15::run_with(insts, jobs).to_string()),
-            "fig16" => Some(fig16::run_with(insts, jobs).to_string()),
-            "ablations" => Some(ablations::run_all_with(insts, jobs)),
-            "extensions" => Some(extensions::run_all_with(insts, jobs)),
-            "rv" => Some(rvsuite::run_with(jobs).to_string()),
-            _ => None,
-        }
-    };
-
-    if what == "all" {
-        for w in [
-            "table1", "table2", "fig6", "fig7", "fig13", "fig14", "fig15", "fig16", "ablations",
-            "extensions", "rv",
-        ] {
-            println!("{}", run_one(w).expect("known experiment"));
-        }
-        return ExitCode::SUCCESS;
+    let sweep = Sweep::new(insts, jobs.unwrap_or_else(runner::default_jobs).max(1));
+    let studies: Vec<&Study> = STUDIES
+        .iter()
+        .filter(|(name, ..)| what == "all" || *name == what)
+        .collect();
+    if studies.is_empty() {
+        return usage();
     }
-    match run_one(&what) {
-        Some(out) => {
-            println!("{out}");
-            ExitCode::SUCCESS
-        }
-        None => usage(),
+    for (_, _, run) in studies {
+        println!("{}", run(&sweep));
     }
+    ExitCode::SUCCESS
 }
 
-/// Time every figure sweep serially and write `BENCH_sim.json`.
+/// Time every simulating study on its own one-job sweep and write
+/// `BENCH_sim.json`.
 fn perf(insts: u64, out_path: &str) -> ExitCode {
-    /// A figure sweep by name, run at a given instruction budget.
-    type Sweep = (&'static str, fn(u64));
-    let sweeps: [Sweep; 8] = [
-        ("table2", |n| drop(tables::table2_with(n, 1))),
-        ("fig13", |n| drop(fig13::run_with(n, 1))),
-        ("fig14", |n| drop(fig14::run_with(n, 1))),
-        ("fig15", |n| drop(fig15::run_with(n, 1))),
-        ("fig16", |n| drop(fig16::run_with(n, 1))),
-        ("ablations", |n| drop(ablations::run_all_with(n, 1))),
-        ("extensions", |n| drop(extensions::run_all_with(n, 1))),
-        // The RV32 real-program suite under all 7 scheduler kinds; the
-        // programs run to their own halt, so this sweep ignores --insts.
-        ("rv", |_| drop(rvsuite::sweep(1))),
-    ];
-
-    runner::take_simulated_cycles(); // reset the counters
-    runner::take_simulated_commits();
-    runner::take_sched_kinds();
     // Hand-rolled JSON: the workspace deliberately has no serde_json.
-    let mut json = format!("{{\n  \"insts_per_sim\": {insts},\n  \"figures\": [\n");
+    let mut figures = Vec::new();
     let (mut total_wall, mut total_cycles, mut total_commits) = (0.0, 0, 0);
-    for (i, (name, sweep)) in sweeps.iter().enumerate() {
+    for (name, _, run) in STUDIES.iter().filter(|&&(_, simulates, _)| simulates) {
+        let sweep = Sweep::new(insts, 1);
         let start = Instant::now();
-        sweep(insts);
+        run(&sweep);
         let wall = start.elapsed().as_secs_f64();
-        let cycles = runner::take_simulated_cycles();
-        let commits = runner::take_simulated_commits();
-        let kinds = runner::take_sched_kinds()
+        let (cycles, commits) = (sweep.cycles(), sweep.commits());
+        let kinds = sweep
+            .sched_kinds()
             .iter()
             .map(|k| format!("\"{k}\""))
             .collect::<Vec<_>>()
@@ -145,20 +136,20 @@ fn perf(insts: u64, out_path: &str) -> ExitCode {
         eprintln!(
             "perf: {name:10} {wall:8.3}s  {cycles:>12} cycles  {commits:>12} committed  {cps:>12.0} cycles/s  {ips:>12.0} commits/s"
         );
-        json.push_str(&format!(
-            "    {{\"name\": \"{name}\", \"wall_seconds\": {wall:.6}, \"sim_cycles\": {cycles}, \"sim_commits\": {commits}, \"ipc\": {:.4}, \"cycles_per_sec\": {cps:.1}, \"commits_per_sec\": {ips:.1}, \"sched_kinds\": [{kinds}]}}{}\n",
+        figures.push(format!(
+            "    {{\"name\": \"{name}\", \"wall_seconds\": {wall:.6}, \"sim_cycles\": {cycles}, \"sim_commits\": {commits}, \"ipc\": {:.4}, \"cycles_per_sec\": {cps:.1}, \"commits_per_sec\": {ips:.1}, \"sched_kinds\": [{kinds}]}}",
             commits as f64 / cycles.max(1) as f64,
-            if i + 1 < sweeps.len() { "," } else { "" }
         ));
         total_wall += wall;
         total_cycles += cycles;
         total_commits += commits;
     }
-    json.push_str(&format!(
-        "  ],\n  \"total_wall_seconds\": {total_wall:.6},\n  \"total_sim_cycles\": {total_cycles},\n  \"total_sim_commits\": {total_commits},\n  \"total_cycles_per_sec\": {:.1},\n  \"total_commits_per_sec\": {:.1}\n}}\n",
+    let json = format!(
+        "{{\n  \"insts_per_sim\": {insts},\n  \"figures\": [\n{}\n  ],\n  \"total_wall_seconds\": {total_wall:.6},\n  \"total_sim_cycles\": {total_cycles},\n  \"total_sim_commits\": {total_commits},\n  \"total_cycles_per_sec\": {:.1},\n  \"total_commits_per_sec\": {:.1}\n}}\n",
+        figures.join(",\n"),
         per_sec(total_cycles, total_wall),
         per_sec(total_commits, total_wall)
-    ));
+    );
 
     if let Err(e) = std::fs::write(out_path, &json) {
         eprintln!("perf: cannot write {out_path}: {e}");
@@ -173,4 +164,23 @@ fn perf(insts: u64, out_path: &str) -> ExitCode {
 /// figure that compares across memory-bound and compute-bound sweeps.
 fn per_sec(count: u64, wall: f64) -> f64 {
     count as f64 / wall.max(1e-9)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every study runs, and simulates exactly when its row says so.
+    /// Each run looks its scheduler label up in `SCHED_KINDS` and panics
+    /// on a miss, so this also checks that every configuration a study
+    /// builds names a scheduler kind.
+    #[test]
+    fn every_study_config_has_a_label() {
+        for &(name, simulates, run) in STUDIES {
+            let sweep = Sweep::new(200, 1);
+            run(&sweep);
+            assert_eq!(sweep.cycles() > 0, simulates, "{name}");
+            assert_eq!(sweep.sched_kinds().is_empty(), !simulates, "{name}");
+        }
+    }
 }

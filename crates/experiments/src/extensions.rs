@@ -17,7 +17,7 @@ use mos_core::WakeupStyle;
 use mos_sim::MachineConfig;
 use mos_workload::spec2000;
 
-use crate::runner::{self, geomean, Job};
+use crate::runner::{geomean, Job, Sweep};
 
 /// A labeled matrix of normalized IPCs: rows are benchmarks, columns arms.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,7 +63,7 @@ impl fmt::Display for Matrix {
 }
 
 /// All pipelined schedulers, normalized to base (32-entry queue).
-pub fn pipelined_schedulers_with(insts: u64, jobs: usize) -> Matrix {
+pub fn pipelined_schedulers(sweep: &Sweep) -> Matrix {
     let arms = vec![
         "2-cycle".to_owned(),
         "spec-wake".to_owned(),
@@ -82,7 +82,7 @@ pub fn pipelined_schedulers_with(insts: u64, jobs: usize) -> Matrix {
     let benches = spec2000::names();
     let rows = benches
         .iter()
-        .zip(runner::grid(&benches, &cfgs, insts, jobs))
+        .zip(sweep.grid(&benches, &cfgs))
         .map(|(&name, s)| {
             let base = s[0].ipc();
             let vals = s[1..].iter().map(|v| v.ipc() / base).collect();
@@ -98,7 +98,7 @@ pub fn pipelined_schedulers_with(insts: u64, jobs: usize) -> Matrix {
 
 /// Detection scope 4 / 8 (paper) / 16 instructions; reports normalized
 /// IPC with grouping fractions in the labels.
-pub fn detection_scope_with(insts: u64, jobs: usize) -> Matrix {
+pub fn detection_scope(sweep: &Sweep) -> Matrix {
     let scopes = [4usize, 8, 16];
     let arms = scopes.iter().map(|s| format!("scope={s}")).collect();
     let cfgs: Vec<MachineConfig> = std::iter::once(MachineConfig::base_32())
@@ -111,7 +111,7 @@ pub fn detection_scope_with(insts: u64, jobs: usize) -> Matrix {
     let benches = spec2000::names();
     let rows = benches
         .iter()
-        .zip(runner::grid(&benches, &cfgs, insts, jobs))
+        .zip(sweep.grid(&benches, &cfgs))
         .map(|(&name, s)| {
             let base = s[0].ipc();
             let vals = s[1..].iter().map(|v| v.ipc() / base).collect();
@@ -127,7 +127,7 @@ pub fn detection_scope_with(insts: u64, jobs: usize) -> Matrix {
 
 /// Effective window: base vs macro-op IPC across queue sizes, showing the
 /// contention benefit of two instructions per entry.
-pub fn effective_window_with(insts: u64, jobs: usize) -> Matrix {
+pub fn effective_window(sweep: &Sweep) -> Matrix {
     let sizes: [Option<usize>; 4] = [Some(12), Some(16), Some(24), Some(32)];
     let arms = sizes
         .iter()
@@ -146,7 +146,7 @@ pub fn effective_window_with(insts: u64, jobs: usize) -> Matrix {
     let benches = ["gap", "gzip", "parser", "twolf", "mcf", "gcc"];
     let rows = benches
         .iter()
-        .zip(runner::grid(&benches, &cfgs, insts, jobs))
+        .zip(sweep.grid(&benches, &cfgs))
         .map(|(&name, s)| {
             let base32 = s[0].ipc();
             let vals = s[1..]
@@ -168,7 +168,7 @@ pub fn effective_window_with(insts: u64, jobs: usize) -> Matrix {
 /// goes to branches, data memory, and the scheduling loop. Columns are
 /// CPI shares removed by idealizing each subsystem (and by swapping the
 /// 2-cycle scheduler back to atomic under full idealization).
-pub fn cpi_breakdown_with(insts: u64, jobs: usize) -> Matrix {
+pub fn cpi_breakdown(sweep: &Sweep) -> Matrix {
     let arms = vec![
         "cpi".to_owned(),
         "branch".to_owned(),
@@ -188,7 +188,7 @@ pub fn cpi_breakdown_with(insts: u64, jobs: usize) -> Matrix {
     let benches = spec2000::names();
     let rows = benches
         .iter()
-        .zip(runner::grid(&benches, &cfgs, insts, jobs))
+        .zip(sweep.grid(&benches, &cfgs))
         .map(|(&name, s)| {
             let cpi = |i: usize| 1.0 / s[i].ipc().max(1e-9);
             let (base, no_branch, no_mem) = (cpi(0), cpi(1), cpi(2));
@@ -214,8 +214,10 @@ pub fn cpi_breakdown_with(insts: u64, jobs: usize) -> Matrix {
 /// re-run over several workload seeds (different program instances of
 /// each benchmark model). Columns report the 2-cycle and macro-op
 /// normalized IPC as mean over seeds; the honest error bars for our
-/// synthetic-workload substitution.
-pub fn seed_sensitivity_with(insts: u64, seeds: &[u64], jobs: usize) -> Matrix {
+/// synthetic-workload substitution. Each run gets half the sweep's
+/// budget, so three seeds cost one and a half grids.
+pub fn seed_sensitivity(sweep: &Sweep, seeds: &[u64]) -> Matrix {
+    let insts = (sweep.insts / 2).max(1);
     let arms = vec![
         "2cyc-mean".to_owned(),
         "2cyc-min".to_owned(),
@@ -241,7 +243,7 @@ pub fn seed_sensitivity_with(insts: u64, seeds: &[u64], jobs: usize) -> Matrix {
             })
         })
         .collect();
-    let stats = runner::run_jobs(&grid, jobs);
+    let stats = sweep.run_jobs(&grid);
     let rows = benches
         .iter()
         .zip(stats.chunks_exact(3 * seeds.len()))
@@ -276,39 +278,14 @@ pub fn seed_sensitivity_with(insts: u64, seeds: &[u64], jobs: usize) -> Matrix {
     }
 }
 
-/// Pipelined-scheduler design space, one worker per core.
-pub fn pipelined_schedulers(insts: u64) -> Matrix {
-    pipelined_schedulers_with(insts, runner::default_jobs())
-}
-
-/// Detection-scope study, one worker per core.
-pub fn detection_scope(insts: u64) -> Matrix {
-    detection_scope_with(insts, runner::default_jobs())
-}
-
-/// Effective-window study, one worker per core.
-pub fn effective_window(insts: u64) -> Matrix {
-    effective_window_with(insts, runner::default_jobs())
-}
-
-/// CPI attribution study, one worker per core.
-pub fn cpi_breakdown(insts: u64) -> Matrix {
-    cpi_breakdown_with(insts, runner::default_jobs())
-}
-
-/// Seed-sensitivity study, one worker per core.
-pub fn seed_sensitivity(insts: u64, seeds: &[u64]) -> Matrix {
-    seed_sensitivity_with(insts, seeds, runner::default_jobs())
-}
-
-/// Run and render all extension studies across `jobs` worker threads.
-pub fn run_all_with(insts: u64, jobs: usize) -> String {
+/// Run and render all extension studies.
+pub fn run_all(sweep: &Sweep) -> String {
     [
-        pipelined_schedulers_with(insts, jobs),
-        detection_scope_with(insts, jobs),
-        effective_window_with(insts, jobs),
-        cpi_breakdown_with(insts, jobs),
-        seed_sensitivity_with(insts / 2, &[42, 7, 1234], jobs),
+        pipelined_schedulers(sweep),
+        detection_scope(sweep),
+        effective_window(sweep),
+        cpi_breakdown(sweep),
+        seed_sensitivity(sweep, &[42, 7, 1234]),
     ]
     .iter()
     .map(|m| m.to_string())
@@ -316,20 +293,20 @@ pub fn run_all_with(insts: u64, jobs: usize) -> String {
     .join("\n")
 }
 
-/// Run and render all extension studies (one worker per core).
-pub fn run_all(insts: u64) -> String {
-    run_all_with(insts, runner::default_jobs())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner;
 
     const N: u64 = 12_000;
 
+    fn sweep() -> Sweep {
+        Sweep::new(N, runner::default_jobs())
+    }
+
     #[test]
     fn speculative_wakeup_between_two_cycle_and_base() {
-        let m = pipelined_schedulers(N);
+        let m = pipelined_schedulers(&sweep());
         let means = m.means();
         let (two, spec) = (means[0], means[1]);
         assert!(
@@ -341,7 +318,7 @@ mod tests {
 
     #[test]
     fn wider_scope_groups_no_worse() {
-        let m = detection_scope(N);
+        let m = detection_scope(&sweep());
         for (bench, _, vals) in &m.rows {
             assert!(
                 vals[2] >= vals[0] - 0.05,
@@ -355,23 +332,23 @@ mod tests {
     #[test]
     fn idealization_only_helps() {
         for bench in ["mcf", "crafty"] {
-            let real = runner::run_benchmark(bench, MachineConfig::base_32(), N).ipc();
-            let ib = runner::run_benchmark(bench, MachineConfig::base_32().with_ideal_branch(), N);
-            let im = runner::run_benchmark(bench, MachineConfig::base_32().with_ideal_memory(), N);
+            let real = Job::new(bench, MachineConfig::base_32(), N).run().ipc();
+            let ib = Job::new(bench, MachineConfig::base_32().with_ideal_branch(), N).run();
+            let im = Job::new(bench, MachineConfig::base_32().with_ideal_memory(), N).run();
             assert!(ib.ipc() >= real * 0.99, "{bench}: ideal branch can't hurt");
             assert!(im.ipc() >= real * 0.99, "{bench}: ideal memory can't hurt");
             assert_eq!(ib.mispredicts, 0, "{bench}: no mispredicts when ideal");
             assert_eq!(im.dl1.1, 0, "{bench}: no DL1 misses when ideal");
         }
         // mcf is memory-bound: idealizing memory must be transformative.
-        let real = runner::run_benchmark("mcf", MachineConfig::base_32(), N).ipc();
-        let im = runner::run_benchmark("mcf", MachineConfig::base_32().with_ideal_memory(), N).ipc();
+        let real = Job::new("mcf", MachineConfig::base_32(), N).run().ipc();
+        let im = Job::new("mcf", MachineConfig::base_32().with_ideal_memory(), N).run().ipc();
         assert!(im > real * 1.5, "mcf: {real:.3} -> {im:.3}");
     }
 
     #[test]
     fn entry_sharing_pays_more_when_the_queue_is_smaller() {
-        let m = effective_window(N);
+        let m = effective_window(&sweep());
         let means = m.means();
         assert!(
             means[0] >= means[3] - 0.02,

@@ -8,7 +8,7 @@ use mos_core::{GroupRole, WakeupStyle};
 use mos_sim::MachineConfig;
 use mos_workload::spec2000;
 
-use crate::runner;
+use crate::runner::Sweep;
 
 /// Grouping breakdown of committed instructions for one wakeup style.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,9 +63,9 @@ pub struct Fig13Result {
     pub mean_insert_reduction: f64,
 }
 
-/// Run Figure 13 across `jobs` worker threads (32-entry queue, 1 extra
-/// formation stage, as in the paper's main configuration).
-pub fn run_with(insts: u64, jobs: usize) -> Fig13Result {
+/// Run Figure 13 (32-entry queue, 1 extra formation stage, as in the
+/// paper's main configuration).
+pub fn run(sweep: &Sweep) -> Fig13Result {
     let benches = spec2000::names();
     let cfgs = [
         MachineConfig::macro_op(WakeupStyle::CamTwoSource, Some(32), 1),
@@ -73,7 +73,7 @@ pub fn run_with(insts: u64, jobs: usize) -> Fig13Result {
     ];
     let mut rows = Vec::new();
     let mut reductions = Vec::new();
-    for (&name, pair) in benches.iter().zip(runner::grid(&benches, &cfgs, insts, jobs)) {
+    for (&name, pair) in benches.iter().zip(sweep.grid(&benches, &cfgs)) {
         let (cam, wor) = (&pair[0], &pair[1]);
         reductions.push(wor.insert_reduction());
         rows.push(Fig13Row {
@@ -87,11 +87,6 @@ pub fn run_with(insts: u64, jobs: usize) -> Fig13Result {
         rows,
         mean_insert_reduction,
     }
-}
-
-/// Run Figure 13 (one worker per core).
-pub fn run(insts: u64) -> Fig13Result {
-    run_with(insts, runner::default_jobs())
 }
 
 impl fmt::Display for Fig13Result {
@@ -128,11 +123,12 @@ impl fmt::Display for Fig13Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::quick_sweep;
 
     #[test]
     fn grouping_within_paper_band() {
         // Paper: 28..46 % of instructions grouped per benchmark.
-        let r = run(runner::QUICK_INSTS);
+        let r = run(&quick_sweep());
         for row in &r.rows {
             assert!(
                 row.wired_or.grouped() > 0.15 && row.wired_or.grouped() < 0.65,

@@ -9,7 +9,7 @@ use mos_core::WakeupStyle;
 use mos_sim::MachineConfig;
 use mos_workload::spec2000;
 
-use crate::runner::{self, geomean};
+use crate::runner::{geomean, Sweep};
 
 /// IPC relative to base scheduling for one benchmark.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,12 +56,12 @@ fn configs() -> [MachineConfig; 4] {
     ]
 }
 
-/// Run Figure 14 across `jobs` worker threads.
-pub fn run_with(insts: u64, jobs: usize) -> Fig14Result {
+/// Run Figure 14.
+pub fn run(sweep: &Sweep) -> Fig14Result {
     let benches = spec2000::names();
     let rows = benches
         .iter()
-        .zip(runner::grid(&benches, &configs(), insts, jobs))
+        .zip(sweep.grid(&benches, &configs()))
         .map(|(&name, s)| {
             let base = s[0].ipc();
             Fig14Row {
@@ -74,11 +74,6 @@ pub fn run_with(insts: u64, jobs: usize) -> Fig14Result {
         })
         .collect();
     Fig14Result { rows }
-}
-
-/// Run Figure 14 (one worker per core).
-pub fn run(insts: u64) -> Fig14Result {
-    run_with(insts, runner::default_jobs())
 }
 
 impl fmt::Display for Fig14Result {
@@ -111,10 +106,11 @@ impl fmt::Display for Fig14Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::quick_sweep;
 
     #[test]
     fn macro_op_recovers_two_cycle_loss() {
-        let r = run(runner::QUICK_INSTS);
+        let r = run(&quick_sweep());
         for row in &r.rows {
             assert!(
                 row.mop_wired_or >= row.two_cycle - 0.02,
@@ -133,14 +129,14 @@ mod tests {
     /// must not change a single result relative to the serial path.
     #[test]
     fn parallel_jobs_are_deterministic() {
-        let serial = run_with(6_000, 1);
-        let threaded = run_with(6_000, 8);
+        let serial = run(&Sweep::new(6_000, 1));
+        let threaded = run(&Sweep::new(6_000, 8));
         assert_eq!(serial, threaded);
     }
 
     #[test]
     fn gap_suffers_most_under_two_cycle() {
-        let r = run(runner::QUICK_INSTS);
+        let r = run(&quick_sweep());
         let gap = r.rows.iter().find(|r| r.bench == "gap").expect("gap row");
         for row in &r.rows {
             assert!(

@@ -11,7 +11,7 @@ use mos_core::WakeupStyle;
 use mos_sim::MachineConfig;
 use mos_workload::spec2000;
 
-use crate::runner::{self, geomean};
+use crate::runner::{geomean, Sweep};
 
 /// One benchmark's normalized IPCs under contention.
 #[derive(Debug, Clone, PartialEq)]
@@ -60,12 +60,12 @@ fn configs() -> [MachineConfig; 8] {
     ]
 }
 
-/// Run Figure 15 across `jobs` worker threads.
-pub fn run_with(insts: u64, jobs: usize) -> Fig15Result {
+/// Run Figure 15.
+pub fn run(sweep: &Sweep) -> Fig15Result {
     let benches = spec2000::names();
     let rows = benches
         .iter()
-        .zip(runner::grid(&benches, &configs(), insts, jobs))
+        .zip(sweep.grid(&benches, &configs()))
         .map(|(&name, s)| {
             let base = s[0].ipc();
             let norm = |i: usize| s[i].ipc() / base;
@@ -79,11 +79,6 @@ pub fn run_with(insts: u64, jobs: usize) -> Fig15Result {
         })
         .collect();
     Fig15Result { rows }
-}
-
-/// Run Figure 15 (one worker per core).
-pub fn run(insts: u64) -> Fig15Result {
-    run_with(insts, runner::default_jobs())
 }
 
 impl fmt::Display for Fig15Result {
@@ -123,12 +118,13 @@ impl fmt::Display for Fig15Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::quick_sweep;
 
     #[test]
     fn contention_narrows_the_gap_to_base() {
         // With a 32-entry queue, entry sharing pulls MOP scheduling to
         // (or past) base — closer than in the unrestricted Figure 14 run.
-        let r15 = run(runner::QUICK_INSTS);
+        let r15 = run(&quick_sweep());
         let mean = r15.mean_wired_or_1stage();
         assert!(mean > 0.94, "mean {mean:.3}");
         // Some benchmarks outperform the baseline (paper: eon, gap, gcc,
@@ -139,7 +135,7 @@ mod tests {
 
     #[test]
     fn extra_stages_only_cost_performance() {
-        let r = run(runner::QUICK_INSTS);
+        let r = run(&quick_sweep());
         for row in &r.rows {
             assert!(
                 row.mop_wired_or[2] <= row.mop_wired_or[0] + 0.03,

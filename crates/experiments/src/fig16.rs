@@ -9,7 +9,7 @@ use mos_core::WakeupStyle;
 use mos_sim::MachineConfig;
 use mos_workload::spec2000;
 
-use crate::runner::{self, geomean};
+use crate::runner::{geomean, Sweep};
 
 /// One benchmark's normalized IPCs.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,7 +45,7 @@ impl Fig16Result {
 }
 
 /// The four configurations of one Figure 16 row, in column order.
-fn configs() -> [MachineConfig; 4] {
+pub(crate) fn configs() -> [MachineConfig; 4] {
     [
         MachineConfig::base_32(),
         MachineConfig::select_free_squash_dep_32(),
@@ -54,12 +54,12 @@ fn configs() -> [MachineConfig; 4] {
     ]
 }
 
-/// Run Figure 16 across `jobs` worker threads.
-pub fn run_with(insts: u64, jobs: usize) -> Fig16Result {
+/// Run Figure 16.
+pub fn run(sweep: &Sweep) -> Fig16Result {
     let benches = spec2000::names();
     let rows = benches
         .iter()
-        .zip(runner::grid(&benches, &configs(), insts, jobs))
+        .zip(sweep.grid(&benches, &configs()))
         .map(|(&name, s)| {
             let base = s[0].ipc();
             Fig16Row {
@@ -72,11 +72,6 @@ pub fn run_with(insts: u64, jobs: usize) -> Fig16Result {
         })
         .collect();
     Fig16Result { rows }
-}
-
-/// Run Figure 16 (one worker per core).
-pub fn run(insts: u64) -> Fig16Result {
-    run_with(insts, runner::default_jobs())
 }
 
 impl fmt::Display for Fig16Result {
@@ -113,10 +108,11 @@ impl fmt::Display for Fig16Result {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::quick_sweep;
 
     #[test]
     fn select_free_cannot_beat_base_and_mop_can() {
-        let r = run(runner::QUICK_INSTS);
+        let r = run(&quick_sweep());
         let (sd, sb, m) = r.means();
         // Select-free is speculative: it does not outperform the baseline.
         assert!(sd <= 1.005, "squash-dep {sd:.3}");

@@ -5,8 +5,13 @@
 //! the paper reports and is consumed by the `experiments` CLI:
 //!
 //! ```text
-//! experiments table1|table2|fig6|fig7|fig13|fig14|fig15|fig16|ablations|all
+//! experiments table1|table2|fig6|fig7|fig13|fig14|fig15|fig16|ablations|extensions|rv|all
+//! experiments perf
 //! ```
+//!
+//! Every simulating study takes a [`runner::Sweep`]: the budget, the
+//! worker count, and the totals (simulated cycles, commits, scheduler
+//! kinds) of every run the study made, which `experiments perf` reports.
 //!
 //! * [`fig6`] / [`fig7`] — the machine-independent characterizations of
 //!   Section 4 (dependence-edge distance; groupable instructions).

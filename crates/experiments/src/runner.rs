@@ -1,25 +1,26 @@
 //! Shared experiment plumbing: standard seeds, instruction budgets, the
-//! benchmark × configuration [`grid`] every figure runs, and the parallel
-//! job harness that fans independent simulations across cores.
+//! [`Sweep`] every study runs in, and the parallel job harness that fans
+//! independent simulations across cores.
 //!
 //! Parallelism model: each `(benchmark, config)` simulation is one [`Job`];
 //! jobs are independent and each `Simulator` stays single-threaded and
-//! deterministic. [`run_jobs`] executes a job list across worker threads
-//! and assembles results **by job index**, so figure output is
-//! byte-identical for any `--jobs N` (including the serial `--jobs 1`
-//! path, which runs inline without spawning threads).
+//! deterministic. [`Sweep::run_jobs`] executes a job list across the
+//! sweep's worker threads and assembles results **by job index**, so
+//! figure output is byte-identical for any `--jobs N` (including the
+//! serial `--jobs 1` path, which runs inline without spawning threads).
 //!
-//! Perf counters: every run adds its simulated cycles, commits and
-//! scheduler kind ([`MachineConfig::sched_label`]) to process-wide counters, which `experiments perf`
-//! drains after each figure sweep (see [`take_simulated_cycles`]).
+//! Perf totals: a [`Sweep`] adds every run's simulated cycles, commits
+//! and scheduler kind ([`MachineConfig::sched_label`]) to its own totals,
+//! which `experiments perf` reads after timing one study on a fresh sweep.
 //!
 //! Workload caching: the static synthetic program for a `(benchmark,
 //! seed)` pair is generated once and shared via `Arc` (see
 //! `cached_program`); every run still gets its own private trace
 //! walker, so sharing cannot leak state between simulations.
 
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 use mos_sim::{MachineConfig, Simulator, SimStats, SCHED_KINDS};
@@ -41,6 +42,12 @@ pub const QUICK_INSTS: u64 = 40_000;
 /// one per available core.
 pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// A [`QUICK_INSTS`] sweep across every core, for the study smoke tests.
+#[cfg(test)]
+pub(crate) fn quick_sweep() -> Sweep {
+    Sweep::new(QUICK_INSTS, default_jobs())
 }
 
 /// One independent simulation: a benchmark under one machine
@@ -79,65 +86,109 @@ impl Job {
         }
     }
 
-    /// Run this job to completion (using the shared program cache) and
-    /// credit it to the perf counters.
+    /// Run this job to completion (using the shared program cache).
     pub fn run(&self) -> SimStats {
         let spec = spec2000::by_name(self.bench)
             .unwrap_or_else(|| panic!("unknown benchmark `{}`", self.bench));
         let program = cached_program(&spec, self.seed);
         let trace = program.walk(self.seed ^ 0x9e37_79b9_7f4a_7c15);
-        let stats = Simulator::new(self.cfg.clone(), trace).run(self.insts);
-        tally(&stats, &self.cfg);
-        stats
+        Simulator::new(self.cfg.clone(), trace).run(self.insts)
     }
 }
 
-/// Simulated cycles accumulated across all runs since the last
-/// [`take_simulated_cycles`] call (drives the `experiments perf`
-/// cycles-per-second metric; purely observational).
-static SIM_CYCLES: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Committed instructions accumulated alongside [`SIM_CYCLES`] (the
-/// per-figure committed counts and commits/s in `experiments perf`
-/// output).
-static SIM_COMMITS: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
-
-/// Credit an out-of-band simulation (e.g. the RV32 suite sweep, whose
-/// traces do not come from [`Job`]) to the global perf counters, exactly
-/// as [`Job::run`] does for benchmark jobs.
-pub fn tally(stats: &SimStats, cfg: &MachineConfig) {
-    SIM_CYCLES.fetch_add(stats.cycles, Ordering::Relaxed);
-    SIM_COMMITS.fetch_add(stats.committed, Ordering::Relaxed);
-    let kind = SCHED_KINDS.iter().position(|&l| l == cfg.sched_label());
-    SEEN_KINDS.fetch_or(1 << kind.expect("every config has a label"), Ordering::Relaxed);
+/// One study run: its committed-instruction budget, its worker count
+/// and the totals of every simulation it ran. Every study simulates
+/// through its sweep ([`Sweep::grid`], [`Sweep::run_jobs`], or for the
+/// RV32 suite the same counting path), so the totals cover exactly that
+/// study's runs, whatever else the process does.
+#[derive(Debug)]
+pub struct Sweep {
+    /// Committed-instruction budget per simulation.
+    pub insts: u64,
+    /// Worker threads to fan simulations across (`1` runs inline).
+    pub jobs: usize,
+    cycles: Cell<u64>,
+    commits: Cell<u64>,
+    /// Bitmask over [`SCHED_KINDS`] of the scheduler kinds simulated.
+    kinds: Cell<u32>,
 }
 
-/// Read and reset the global simulated-cycle counter.
-pub fn take_simulated_cycles() -> u64 {
-    SIM_CYCLES.swap(0, Ordering::Relaxed)
-}
+impl Sweep {
+    /// An empty sweep at `insts` per simulation across `jobs` workers.
+    pub fn new(insts: u64, jobs: usize) -> Sweep {
+        Sweep {
+            insts,
+            jobs,
+            cycles: Cell::new(0),
+            commits: Cell::new(0),
+            kinds: Cell::new(0),
+        }
+    }
 
-/// Read and reset the global committed-instruction counter.
-pub fn take_simulated_commits() -> u64 {
-    SIM_COMMITS.swap(0, Ordering::Relaxed)
-}
+    /// Simulated cycles of every run so far.
+    pub fn cycles(&self) -> u64 {
+        self.cycles.get()
+    }
 
-/// Bitmask over [`SCHED_KINDS`] of scheduler kinds seen by [`tally`]
-/// since the last [`take_sched_kinds`] call.
-static SEEN_KINDS: AtomicU32 = AtomicU32::new(0);
+    /// Committed instructions of every run so far.
+    pub fn commits(&self) -> u64 {
+        self.commits.get()
+    }
 
-/// Read and reset the scheduler-kind bitmask: the CLI labels of every
-/// scheduler exercised by jobs since the last call, in [`SCHED_KINDS`]
-/// order. Feeds the per-figure `sched_kinds` field of the
-/// `experiments perf` output.
-pub fn take_sched_kinds() -> Vec<&'static str> {
-    let mask = SEEN_KINDS.swap(0, Ordering::Relaxed);
-    SCHED_KINDS
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| mask & (1 << i) != 0)
-        .map(|(_, &l)| l)
-        .collect()
+    /// The CLI labels of every scheduler kind simulated so far, in
+    /// [`SCHED_KINDS`] order.
+    pub fn sched_kinds(&self) -> Vec<&'static str> {
+        let mask = self.kinds.get();
+        SCHED_KINDS
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| mask & (1 << i) != 0)
+            .map(|(_, &l)| l)
+            .collect()
+    }
+
+    /// Run `simulate` on every item across the sweep's workers, add each
+    /// run (labelled with its scheduler kind) to the totals, and return
+    /// the stats in item order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a run's label is not one of [`SCHED_KINDS`].
+    pub(crate) fn simulate<T, F>(&self, items: &[T], simulate: F) -> Vec<SimStats>
+    where
+        T: Sync,
+        F: Fn(&T) -> (&'static str, SimStats) + Sync,
+    {
+        parallel_map(items, self.jobs, simulate)
+            .into_iter()
+            .map(|(label, stats)| {
+                let kind = SCHED_KINDS.iter().position(|&l| l == label);
+                let kind = kind.unwrap_or_else(|| panic!("`{label}` is not a scheduler kind"));
+                self.kinds.set(self.kinds.get() | 1 << kind);
+                self.cycles.set(self.cycles.get() + stats.cycles);
+                self.commits.set(self.commits.get() + stats.committed);
+                stats
+            })
+            .collect()
+    }
+
+    /// Run every job and return its stats **in job order**.
+    pub fn run_jobs(&self, list: &[Job]) -> Vec<SimStats> {
+        self.simulate(list, |job| (job.cfg.sched_label(), job.run()))
+    }
+
+    /// Run every `(bench, cfg)` pair of a study grid at the sweep's
+    /// budget and return, per benchmark, the stats in config order.
+    pub fn grid(&self, benches: &[&'static str], cfgs: &[MachineConfig]) -> Vec<Vec<SimStats>> {
+        let list: Vec<Job> = benches
+            .iter()
+            .flat_map(|&b| cfgs.iter().map(move |c| Job::new(b, c.clone(), self.insts)))
+            .collect();
+        self.run_jobs(&list)
+            .chunks_exact(cfgs.len())
+            .map(<[SimStats]>::to_vec)
+            .collect()
+    }
 }
 
 /// Process-wide cache of generated synthetic programs, keyed by
@@ -164,32 +215,6 @@ fn cached_program(spec: &WorkloadSpec, seed: u64) -> SyntheticProgram {
         .entry((spec.name, seed))
         .or_insert_with(|| (spec.clone(), program.clone()));
     program
-}
-
-/// Run every job and return its stats **in job order**, fanning the work
-/// across `jobs` worker threads. `jobs <= 1` runs inline (no threads);
-/// results are identical either way because assembly is by index and each
-/// simulation is self-contained.
-pub fn run_jobs(list: &[Job], jobs: usize) -> Vec<SimStats> {
-    parallel_map(list, jobs, Job::run)
-}
-
-/// Run every `(bench, cfg)` pair of a study grid across `jobs` workers
-/// and return, per benchmark, the stats in config order.
-pub fn grid(
-    benches: &[&'static str],
-    cfgs: &[MachineConfig],
-    insts: u64,
-    jobs: usize,
-) -> Vec<Vec<SimStats>> {
-    let list: Vec<Job> = benches
-        .iter()
-        .flat_map(|&b| cfgs.iter().map(move |c| Job::new(b, c.clone(), insts)))
-        .collect();
-    run_jobs(&list, jobs)
-        .chunks_exact(cfgs.len())
-        .map(<[SimStats]>::to_vec)
-        .collect()
 }
 
 /// Order-preserving parallel map over a slice: applies `f` to every item
@@ -229,16 +254,6 @@ where
         .collect()
 }
 
-/// Simulate a benchmark by name.
-///
-/// # Panics
-///
-/// Panics if `name` is not one of the twelve benchmark models.
-pub fn run_benchmark(name: &str, cfg: MachineConfig, insts: u64) -> SimStats {
-    let spec = spec2000::by_name(name).unwrap_or_else(|| panic!("unknown benchmark `{name}`"));
-    Job::new(spec.name, cfg, insts).run()
-}
-
 /// Render one row of percentages after a left-aligned label.
 pub fn pct_row(label: &str, values: &[f64]) -> String {
     let mut s = format!("{label:10}");
@@ -267,8 +282,8 @@ mod tests {
     }
 
     #[test]
-    fn run_benchmark_smokes() {
-        let s = run_benchmark("gzip", MachineConfig::base_32(), 2_000);
+    fn a_job_smokes() {
+        let s = Job::new("gzip", MachineConfig::base_32(), 2_000).run();
         assert!(s.committed >= 2_000);
         assert!(s.ipc() > 0.1);
     }
@@ -276,7 +291,7 @@ mod tests {
     #[test]
     #[should_panic]
     fn unknown_benchmark_panics() {
-        run_benchmark("nope", MachineConfig::base_32(), 100);
+        Job::new("nope", MachineConfig::base_32(), 100).run();
     }
 
     #[test]
@@ -313,36 +328,25 @@ mod tests {
         }
     }
 
-    /// The mask is process-global and other tests run jobs concurrently,
-    /// so assert only that our own kinds are present (never that the mask
-    /// is otherwise empty).
+    /// A sweep's totals are its own: exactly the kinds, cycles and
+    /// commits of the study it ran, even with other tests simulating
+    /// concurrently.
     #[test]
-    fn sched_kind_tracking_reports_cli_labels() {
-        Job::new("gzip", MachineConfig::base_32(), 500).run();
-        Job::new(
-            "gzip",
-            MachineConfig::macro_op(mos_core::WakeupStyle::WiredOr, Some(32), 1),
-            500,
-        )
-        .run();
-        let kinds = take_sched_kinds();
-        assert!(kinds.contains(&"base"));
-        assert!(kinds.contains(&"mop-wor"));
-    }
-
-    /// Every configuration a study builds names a scheduler kind: each
-    /// job's [`tally`] looks its label up in [`SCHED_KINDS`] and panics
-    /// on a miss, so running every grid at a tiny budget checks them all.
-    #[test]
-    fn every_study_config_has_a_label() {
-        let insts = 200;
-        crate::tables::table2_with(insts, 1);
-        crate::fig13::run_with(insts, 1);
-        crate::fig14::run_with(insts, 1);
-        crate::fig15::run_with(insts, 1);
-        crate::fig16::run_with(insts, 1);
-        crate::ablations::run_all_with(insts, 1);
-        crate::extensions::run_all_with(insts, 1);
+    fn a_sweep_counts_exactly_its_own_runs() {
+        let sweep = Sweep::new(500, 2);
+        crate::fig16::run(&sweep);
+        assert_eq!(
+            sweep.sched_kinds(),
+            ["base", "mop-wor", "sf-squash", "sf-scoreboard"]
+        );
+        let stats = Sweep::new(500, 1)
+            .grid(&spec2000::names(), &crate::fig16::configs())
+            .concat();
+        assert_eq!(sweep.cycles(), stats.iter().map(|s| s.cycles).sum::<u64>());
+        assert_eq!(
+            sweep.commits(),
+            stats.iter().map(|s| s.committed).sum::<u64>()
+        );
     }
 
     #[test]
@@ -351,8 +355,8 @@ mod tests {
             Job::new("gzip", MachineConfig::base_32(), 2_000),
             Job::new("gap", MachineConfig::two_cycle_32(), 2_000),
         ];
-        let out = run_jobs(&list, 2);
-        let direct = run_benchmark("gzip", MachineConfig::base_32(), 2_000);
+        let out = Sweep::new(2_000, 2).run_jobs(&list);
+        let direct = list[0].run();
         assert_eq!(out[0].committed, direct.committed);
         assert_eq!(out[0].cycles, direct.cycles);
     }

@@ -2,8 +2,8 @@
 //! `mos_rv::suite` under every scheduler kind.
 //!
 //! Unlike the synthetic benchmark figures, these runs execute to the
-//! program's own halt (the suite programs are small), so the sweep is
-//! budget-independent. `experiments rv` prints the IPC table and
+//! program's own halt (the suite programs are small), so the study
+//! ignores the sweep's budget. `experiments rv` prints the IPC table and
 //! `experiments perf` times the sweep. The two numbers the paper's story
 //! turns on for real code, MOP pairability and the sched_loop CPI share,
 //! come from the differential oracle (`mossim rvdiff [--json]`).
@@ -14,51 +14,27 @@ use mos_rv::suite::{self, RvTestProgram};
 use mos_rv::{config_for, RvTraceSource, SCHED_KINDS};
 use mos_sim::{Simulator, SimStats};
 
-use crate::runner;
-
-/// One (program, scheduler) simulation of the sweep.
-#[derive(Debug, Clone)]
-pub struct RvRun {
-    /// Suite program name.
-    pub program: &'static str,
-    /// Scheduler label (one of [`mos_rv::SCHED_KINDS`]).
-    pub sched: &'static str,
-    /// Run statistics (the program ran to its halt).
-    pub stats: SimStats,
-}
+use crate::runner::Sweep;
 
 fn run_to_halt(p: &RvTestProgram, sched: &str) -> SimStats {
     let prog = p.assemble();
     let cfg = config_for(sched).unwrap_or_else(|| panic!("unknown scheduler `{sched}`"));
     let trace = RvTraceSource::new(&prog)
         .unwrap_or_else(|e| panic!("suite program `{}` does not lower: {e}", p.name));
-    let stats = Simulator::new(cfg.clone(), trace).run(u64::MAX);
-    runner::tally(&stats, &cfg);
-    stats
+    Simulator::new(cfg, trace).run(u64::MAX)
 }
 
-/// Run the whole suite under every scheduler kind (fanned across `jobs`
-/// worker threads), results in (program, scheduler) order.
-pub fn sweep(jobs: usize) -> Vec<RvRun> {
-    let mut cells = Vec::new();
-    for p in &suite::PROGRAMS {
-        for sched in SCHED_KINDS {
-            cells.push((p, sched));
-        }
-    }
-    runner::parallel_map(&cells, jobs, |&(p, sched)| RvRun {
-        program: p.name,
-        sched,
-        stats: run_to_halt(p, sched),
-    })
-}
+/// Every run's stats in (program, scheduler) order, printable as a
+/// table of IPC per program per scheduler.
+pub struct RvReport(Vec<SimStats>);
 
-/// The sweep as a printable table (IPC per program per scheduler).
-pub struct RvReport(Vec<RvRun>);
-
-/// Run the sweep and wrap it for display.
-pub fn run_with(jobs: usize) -> RvReport {
-    RvReport(sweep(jobs))
+/// Run the whole suite under every scheduler kind.
+pub fn run(sweep: &Sweep) -> RvReport {
+    let cells: Vec<_> = suite::PROGRAMS
+        .iter()
+        .flat_map(|p| SCHED_KINDS.iter().map(move |&sched| (p, sched)))
+        .collect();
+    RvReport(sweep.simulate(&cells, |&(p, sched)| (sched, run_to_halt(p, sched))))
 }
 
 impl fmt::Display for RvReport {
@@ -69,15 +45,10 @@ impl fmt::Display for RvReport {
             write!(f, " {sched:>13}")?;
         }
         writeln!(f)?;
-        for p in &suite::PROGRAMS {
+        for (p, row) in suite::PROGRAMS.iter().zip(self.0.chunks_exact(SCHED_KINDS.len())) {
             write!(f, "{:12}", p.name)?;
-            for sched in SCHED_KINDS {
-                let run = self
-                    .0
-                    .iter()
-                    .find(|r| r.program == p.name && r.sched == sched)
-                    .expect("sweep covers the full grid");
-                write!(f, " {:>13.3}", run.stats.ipc())?;
+            for stats in row {
+                write!(f, " {:>13.3}", stats.ipc())?;
             }
             writeln!(f)?;
         }
@@ -91,14 +62,9 @@ mod tests {
 
     #[test]
     fn sweep_covers_the_full_grid_and_is_job_count_invariant() {
-        let serial = sweep(1);
-        let threaded = sweep(4);
+        let RvReport(serial) = run(&Sweep::new(0, 1));
+        let RvReport(threaded) = run(&Sweep::new(0, 4));
         assert_eq!(serial.len(), suite::PROGRAMS.len() * SCHED_KINDS.len());
-        for (a, b) in serial.iter().zip(threaded.iter()) {
-            assert_eq!(a.program, b.program);
-            assert_eq!(a.sched, b.sched);
-            assert_eq!(a.stats.cycles, b.stats.cycles);
-            assert_eq!(a.stats.committed, b.stats.committed);
-        }
+        assert_eq!(serial, threaded);
     }
 }

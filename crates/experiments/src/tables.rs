@@ -6,7 +6,7 @@ use std::fmt;
 use mos_sim::MachineConfig;
 use mos_workload::spec2000;
 
-use crate::runner;
+use crate::runner::Sweep;
 
 /// Render Table 1: the machine configuration in the paper's format.
 pub fn table1() -> String {
@@ -77,26 +77,23 @@ pub struct Table2Result {
     pub insts: u64,
 }
 
-/// Run Table 2 across `jobs` worker threads: base scheduling IPCs,
-/// 32-entry vs unrestricted queue.
-pub fn table2_with(insts: u64, jobs: usize) -> Table2Result {
+/// Run Table 2: base scheduling IPCs, 32-entry vs unrestricted queue.
+pub fn table2(sweep: &Sweep) -> Table2Result {
     let benches = spec2000::names();
     let cfgs = [MachineConfig::base_32(), MachineConfig::base_unrestricted()];
     let rows = benches
         .iter()
-        .zip(runner::grid(&benches, &cfgs, insts, jobs))
+        .zip(sweep.grid(&benches, &cfgs))
         .map(|(&name, s)| Table2Row {
             bench: name.to_owned(),
             ipc_32: s[0].ipc(),
             ipc_unrestricted: s[1].ipc(),
         })
         .collect();
-    Table2Result { rows, insts }
-}
-
-/// Run Table 2 (one worker per core).
-pub fn table2(insts: u64) -> Table2Result {
-    table2_with(insts, runner::default_jobs())
+    Table2Result {
+        rows,
+        insts: sweep.insts,
+    }
 }
 
 impl fmt::Display for Table2Result {
@@ -129,7 +126,7 @@ mod tests {
 
     #[test]
     fn table2_unrestricted_no_worse() {
-        let t = table2(8_000);
+        let t = table2(&Sweep::new(8_000, crate::runner::default_jobs()));
         assert_eq!(t.rows.len(), 12);
         for r in &t.rows {
             assert!(

@@ -189,7 +189,10 @@ impl<T: TraceSource> Simulator<T> {
     /// # Panics
     ///
     /// Panics if `cfg.exec_offset` or `cfg.dl1.hit_latency` is zero: an
-    /// event due in the cycle that schedules it would never fire.
+    /// event due in the cycle that schedules it would never fire. Also
+    /// panics if a sized issue queue holds fewer entries than
+    /// `cfg.fetch_width`: insertion takes whole fetch groups, so such a
+    /// queue would never accept one and the pipeline would deadlock.
     pub fn new(cfg: MachineConfig, trace: T) -> Simulator<T> {
         assert!(
             cfg.exec_offset >= 1,
@@ -198,6 +201,10 @@ impl<T: TraceSource> Simulator<T> {
         assert!(
             cfg.dl1.hit_latency >= 1,
             "dl1.hit_latency must be at least 1: a load's hit/miss is discovered after it executes"
+        );
+        assert!(
+            cfg.sched.queue_entries.is_none_or(|n| n >= cfg.fetch_width),
+            "queue_entries must be at least fetch_width: insertion takes whole fetch groups"
         );
         // The farthest event is a MOP's last uop, `exec_offset +
         // max_mop_size - 1` cycles after select, or a load resolution
@@ -1590,6 +1597,14 @@ mod tests {
     fn zero_exec_offset_is_rejected() {
         let mut cfg = MachineConfig::base_32();
         cfg.exec_offset = 0;
+        let _ = Simulator::new(cfg, spec2000::by_name("gzip").unwrap().trace(42));
+    }
+
+    #[test]
+    #[should_panic(expected = "queue_entries must be at least fetch_width")]
+    fn queue_smaller_than_a_fetch_group_is_rejected() {
+        let mut cfg = MachineConfig::base_32();
+        cfg.sched.queue_entries = Some(cfg.fetch_width - 1);
         let _ = Simulator::new(cfg, spec2000::by_name("gzip").unwrap().trace(42));
     }
 

@@ -18,7 +18,8 @@
 #      otherwise break only the benchmark)
 #   4. `mossim trace --check` smoke per scheduler model
 #   5. `mossim report --json` + `mossim pipeview` smoke per scheduler model,
-#      and the scheduler aliases in the plain and report modes
+#      the scheduler aliases in the plain and report modes, and a queue
+#      smaller than a fetch group refused with an `error:` line
 #   6. `mossim cpistack` smoke per scheduler model (conservation + JSON)
 #      plus the base/2cycle/mop differential
 #   6b. memory-bound mcf under every scheduler model: `trace --check` and
@@ -30,10 +31,11 @@
 #      base/2cycle/mop CPI stacks
 #   8. run-ledger smoke against a throwaway root: save -> history ->
 #      diff (must be sim-identical)
-#   9. `experiments perf` smoke at a tiny budget (writes to /tmp, never
-#      over the committed BENCH_sim.json)
-# Optional extras with --full: jobs-determinism check + a 20k-budget perf
-# snapshot (also written to /tmp).
+#   9. `experiments all` at a small budget, byte-identical at --jobs 1 and
+#      --jobs 4; a zero budget refused; `experiments perf` smoke at a tiny
+#      budget (writes to /tmp, never over the committed BENCH_sim.json)
+# Optional extras with --full: fig14 jobs-determinism check at 20k + a
+# 20k-budget perf snapshot (also written to /tmp).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -90,6 +92,13 @@ grep -q "scheduler 2cycle" /tmp/verify_alias_plain.txt
     --json /tmp/verify_alias_report.json > /dev/null
 grep -q '"sched":"mop-wor"' /tmp/verify_alias_report.json
 echo "  twocycle -> 2cycle, mop -> mop-wor"
+
+echo "== queue smaller than a fetch group is refused =="
+status=0
+./target/release/mossim --queue 2 --insts 2000 > /dev/null 2> /tmp/verify_queue2.txt || status=$?
+[[ "$status" == 1 ]]
+grep -q "^error: --queue 2" /tmp/verify_queue2.txt
+echo "  --queue 2: exit 1 with an error line"
 
 echo "== cpistack smoke (every scheduler model) =="
 for sched in base 2cycle mop-2src mop-wor sf-squash sf-scoreboard spec-wakeup; do
@@ -163,6 +172,19 @@ grep -q "| gzip | mop-wor |" /tmp/verify_ledger_history.md
     > /tmp/verify_ledger_diff.md
 grep -q "Verdict: sim-identical" /tmp/verify_ledger_diff.md
 echo "  save/history/diff ok (two saves of one config are sim-identical)"
+
+echo "== experiments all: --jobs 1 vs --jobs 4 (byte-identical) =="
+./target/release/experiments all --insts 2000 --jobs 1 > /tmp/verify_all_j1.txt
+./target/release/experiments all --insts 2000 --jobs 4 > /tmp/verify_all_j4.txt
+cmp /tmp/verify_all_j1.txt /tmp/verify_all_j4.txt
+echo "  byte-identical"
+
+echo "== experiments: a zero budget is refused =="
+if ./target/release/experiments fig14 --insts 0 > /dev/null 2>&1; then
+    echo "  fig14 --insts 0 succeeded" >&2
+    exit 1
+fi
+echo "  fig14 --insts 0: usage error"
 
 echo "== experiments perf smoke (single-thread headline sweep) =="
 ./target/release/experiments perf --insts 2000 --out /tmp/verify_perf.json 2> /dev/null

@@ -14,7 +14,8 @@
 //!                       every mode also takes the aliases twocycle /
 //!                       two-cycle = 2cycle and mop / macroop / macro-op
 //!                       = mop-wor
-//!   --queue N           issue-queue entries; 0 = unrestricted (default 32)
+//!   --queue N           issue-queue entries; 0 = unrestricted (default 32),
+//!                       else at least the fetch width (4)
 //!   --stages N          extra MOP formation stages, 0..2 (default 1)
 //!   --insts N           committed instructions (default 100000)
 //!   --seed N            workload seed (default 42)
@@ -286,6 +287,14 @@ fn config_named(a: &Args, sched: &str) -> Result<MachineConfig, String> {
     let mut cfg = config_for(sched).ok_or_else(|| {
         format!("unknown scheduler `{sched}`; available: {}", SCHED_KINDS.join(", "))
     })?;
+    // Insertion takes whole fetch groups, so a smaller queue never
+    // accepts one and the pipeline deadlocks.
+    if (1..cfg.fetch_width).contains(&a.queue) {
+        return Err(format!(
+            "--queue {} is smaller than a fetch group; use 0 (unrestricted) or at least {}",
+            a.queue, cfg.fetch_width
+        ));
+    }
     cfg.sched.queue_entries = (a.queue != 0).then_some(a.queue);
     if cfg.mops_enabled() {
         cfg.extra_mop_stages = a.stages;

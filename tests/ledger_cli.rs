@@ -177,3 +177,20 @@ fn scheduler_aliases_work_in_every_mode() {
     assert!(doc.contains("\"sched\":\"mop-wor\""), "{doc}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A queue smaller than a fetch group can never accept one: mossim
+/// refuses it with a named minimum instead of deadlocking the pipeline.
+#[test]
+fn a_queue_smaller_than_a_fetch_group_is_a_usage_error() {
+    for sched in ["base", "mop-wor"] {
+        let out = mossim()
+            .args(["--sched", sched, "--queue", "2", "--insts", "2000"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{sched}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{sched}: {stderr}");
+        assert!(stderr.contains("error: --queue 2"), "{sched}: {stderr}");
+        assert!(stderr.contains("at least 4"), "{sched}: {stderr}");
+    }
+}
