@@ -407,6 +407,19 @@ impl Former {
         self.stats.cancelled += cancelled;
     }
 
+    /// Give up every pending pair, oldest first, as if each had expired:
+    /// appends one [`FormedItem::Cancel`] per pending, so its head issues
+    /// as a singleton and its tail, when it arrives, is steered as an
+    /// ordinary instruction. For a pipeline that cannot deliver the tails.
+    pub fn cancel_pending_into(&mut self, items: &mut Vec<FormedItem>) {
+        self.stats.cancelled += self.pending.len() as u64;
+        items.extend(
+            self.pending
+                .drain(..)
+                .map(|p| FormedItem::Cancel { pair_id: p.pair_id }),
+        );
+    }
+
     /// Record the control transition leaving `inst` into every pending
     /// pair whose span covers it.
     fn account_taken(&mut self, inst: &RenamedInst, pos: u64) {

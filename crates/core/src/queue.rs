@@ -27,6 +27,12 @@
 //! halves of a MOP together, since dependence tracking is in the MOP ID
 //! name space (Section 5.3.2) — and re-broadcasts when the data arrives,
 //! plus the configured replay penalty.
+//!
+//! The engine is event-driven per entry: each entry is filed in a ready
+//! calendar under the cycle it can next act, each tag keeps the chain of
+//! entries that read it, and a tag change re-files exactly those, so a
+//! cycle visits only the entries that are due (DESIGN §6 "Ready calendar
+//! and idle cycles").
 
 use std::sync::Arc;
 
@@ -107,7 +113,6 @@ struct Entry {
     collided: bool,
     /// Entry may not request selection before this cycle (replay penalty).
     hold_until: u64,
-    confirm_at: Option<u64>,
     /// Select-free: speculative wake broadcast already sent.
     spec_broadcast: bool,
     /// First cycle the entry requested selection with all sources ready
@@ -117,11 +122,17 @@ struct Entry {
     /// Cached readiness: the first cycle at which every source is visible
     /// to select, `max` of [`TagTable::ready_time`] over `srcs` (0 with no
     /// sources), so `ready <= now` is exactly "all sources ready". Exact
-    /// for a waiting entry whenever `sig` misses the table's dirty bits
-    /// (DESIGN §6 "Cached readiness and idle cycles").
+    /// for a waiting entry at all times: every tag mutation that moves a
+    /// visible ready time re-files that tag's consumers (DESIGN §6 "Ready
+    /// calendar and idle cycles").
     ready: u64,
-    /// Signature of `srcs`: bit `tag % 64` per source.
-    sig: u64,
+    /// The cycle this entry next needs the queue's attention, its place in
+    /// the ready calendar: for a waiting entry the first cycle it can
+    /// request or broadcast speculatively ([`IssueQueue::file`]), `u64::MAX`
+    /// while only an outside event can wake it; for an issued entry its
+    /// release cycle, when its execution is known good (the confirm
+    /// window after the grant, plus one cycle per further MOP member).
+    key: u64,
 }
 
 impl Entry {
@@ -142,17 +153,109 @@ impl Entry {
     fn is_mop(&self) -> bool {
         self.uops.len() > 1
     }
-
-    /// Recompute `sig` and `ready` after `srcs` changed.
-    fn cache_srcs(&mut self, tags: &TagTable) {
-        self.sig = self.srcs.iter().fold(0, |sig, &t| sig | tag_bit(t));
-        self.ready = tags.ready_time_of(&self.srcs);
-    }
 }
 
-/// Signature bit of `t` (see [`TagTable::dirty`]).
-fn tag_bit(t: Tag) -> u64 {
-    1 << (t.0 % 64)
+/// End of a chain (link 0 is a placeholder that is never used).
+const NIL: u32 = 0;
+
+/// One link of a [`Chains`] chain: an entry index and the next link.
+#[derive(Debug, Clone, Copy, Default)]
+struct Link {
+    entry: u32,
+    next: u32,
+}
+
+/// Singly linked chains of entry indices sharing one arena with a free
+/// list, so a chain allocates nothing once the arena has grown to its
+/// high-water mark. A chain is named by its first link (`NIL` if empty).
+#[derive(Debug, Clone)]
+struct Chains {
+    links: Vec<Link>,
+    free: u32,
+}
+
+impl Chains {
+    fn new() -> Chains {
+        Chains {
+            links: vec![Link::default()],
+            free: NIL,
+        }
+    }
+
+    /// Push `entry` onto the front of the chain headed by `head`.
+    fn push(&mut self, head: &mut u32, entry: usize) {
+        let link = Link {
+            entry: entry as u32,
+            next: *head,
+        };
+        *head = if self.free == NIL {
+            self.links.push(link);
+            (self.links.len() - 1) as u32
+        } else {
+            let node = self.free;
+            self.free = self.links[node as usize].next;
+            self.links[node as usize] = link;
+            node
+        };
+    }
+
+    /// The entry index of `link` and the link after it.
+    fn get(&self, link: u32) -> (usize, u32) {
+        let Link { entry, next } = self.links[link as usize];
+        (entry as usize, next)
+    }
+
+    /// The entries of `chain`, newest first.
+    fn iter(&self, chain: u32) -> impl Iterator<Item = usize> + '_ {
+        let mut link = chain;
+        std::iter::from_fn(move || {
+            (link != NIL).then(|| {
+                let (entry, next) = self.get(link);
+                link = next;
+                entry
+            })
+        })
+    }
+
+    /// Unlink the first link naming `entry` from the chain headed by
+    /// `head`, if any.
+    fn remove(&mut self, head: &mut u32, entry: usize) {
+        let mut prev = NIL;
+        let mut link = *head;
+        while link != NIL {
+            let (e, next) = self.get(link);
+            if e == entry {
+                if prev == NIL {
+                    *head = next;
+                } else {
+                    self.links[prev as usize].next = next;
+                }
+                self.links[link as usize].next = self.free;
+                self.free = link;
+                return;
+            }
+            prev = link;
+            link = next;
+        }
+    }
+
+    /// Chain `a` followed by chain `b`.
+    fn join(&mut self, a: u32, b: u32) -> u32 {
+        if a == NIL {
+            return b;
+        }
+        let mut tail = a;
+        while self.links[tail as usize].next != NIL {
+            tail = self.links[tail as usize].next;
+        }
+        self.links[tail as usize].next = b;
+        a
+    }
+
+    /// Return every link of `chain` to the free list.
+    fn free(&mut self, chain: u32) {
+        self.free = self.join(chain, self.free);
+    }
 }
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -169,6 +272,25 @@ struct TagState {
     /// tag's lifetime (tags are never reused), so slot accounting can
     /// charge the whole transitive wait to the miss.
     missed: bool,
+    /// Head of the chain of entries that read this tag ([`Link`]).
+    consumers: u32,
+}
+
+impl TagState {
+    /// First cycle the tag is visible to select; `u64::MAX` while no
+    /// wakeup is scheduled.
+    fn visible_at(&self) -> u64 {
+        self.ready_at.unwrap_or(u64::MAX)
+    }
+
+    /// Forget everything but the consumer chain (the tag is renamed
+    /// afresh).
+    fn reset(&mut self) {
+        *self = TagState {
+            consumers: self.consumers,
+            ..TagState::default()
+        };
+    }
 }
 
 /// Dense tag-state table. Tags are allocated by rename/formation from a
@@ -177,15 +299,28 @@ struct TagState {
 /// slots and advances `base` over the dead prefix. A tag outside the
 /// window (or with a cleared slot) is architecturally long done —
 /// consumers treat it as ready.
-#[derive(Debug, Clone, Default)]
+///
+/// Each state heads the chain of its consumers: exactly the occupied
+/// entries that name it as a source. An entry joins the chains of its
+/// sources at insert and `fuse_tail` and leaves them when it is freed or
+/// a half squash drops the source; a chain is freed when its tag's slot
+/// is cleared.
+#[derive(Debug, Clone)]
 struct TagTable {
     /// Tag number of `slots[0]`.
     base: u64,
     slots: Vec<Option<TagState>>,
-    /// Bit `tag % 64` of every tag whose state may have changed since the
-    /// queue last refreshed its entries' cached readiness. Every mutation
-    /// path (`get_mut`, `slot`, `remove`, `prune`) sets it.
-    dirty: u64,
+    consumers: Chains,
+}
+
+impl Default for TagTable {
+    fn default() -> TagTable {
+        TagTable {
+            base: 0,
+            slots: Vec::new(),
+            consumers: Chains::new(),
+        }
+    }
 }
 
 impl TagTable {
@@ -201,9 +336,7 @@ impl TagTable {
 
     fn get_mut(&mut self, t: Tag) -> Option<&mut TagState> {
         let i = self.idx(t)?;
-        let s = self.slots.get_mut(i).and_then(Option::as_mut)?;
-        self.dirty |= tag_bit(t);
-        Some(s)
+        self.slots.get_mut(i).and_then(Option::as_mut)
     }
 
     fn contains(&self, t: Tag) -> bool {
@@ -219,10 +352,10 @@ impl TagTable {
         if i >= self.slots.len() {
             self.slots.resize(i + 1, None);
         }
-        self.dirty |= tag_bit(t);
         Some(&mut self.slots[i])
     }
 
+    #[cfg(test)]
     fn insert(&mut self, t: Tag, s: TagState) {
         if let Some(slot) = self.slot(t) {
             *slot = Some(s);
@@ -236,13 +369,41 @@ impl TagTable {
         Some(slot.get_or_insert_with(TagState::default))
     }
 
-    fn remove(&mut self, t: Tag) {
-        if let Some(i) = self.idx(t) {
-            if let Some(slot) = self.slots.get_mut(i) {
-                *slot = None;
-                self.dirty |= tag_bit(t);
-            }
-        }
+    /// Clear `t`'s state and hand back its consumer chain, which the
+    /// caller re-files and frees ([`IssueQueue::release_chain`]).
+    fn remove(&mut self, t: Tag) -> u32 {
+        let Some(i) = self.idx(t) else {
+            return NIL;
+        };
+        self.slots
+            .get_mut(i)
+            .and_then(Option::take)
+            .map_or(NIL, |s| s.consumers)
+    }
+
+    /// Record that entry `entry` reads `t` (a no-op for an absent tag,
+    /// which its consumers already read as long done).
+    fn register(&mut self, t: Tag, entry: usize) {
+        let Some(s) = self
+            .idx(t)
+            .and_then(|i| self.slots.get_mut(i))
+            .and_then(Option::as_mut)
+        else {
+            return;
+        };
+        self.consumers.push(&mut s.consumers, entry);
+    }
+
+    /// Undo [`TagTable::register`].
+    fn unregister(&mut self, t: Tag, entry: usize) {
+        let Some(s) = self
+            .idx(t)
+            .and_then(|i| self.slots.get_mut(i))
+            .and_then(Option::as_mut)
+        else {
+            return;
+        };
+        self.consumers.remove(&mut s.consumers, entry);
     }
 
     /// Wakeup visible to select logic; absent tags are long done.
@@ -253,7 +414,7 @@ impl TagTable {
     /// First cycle `t` is visible to select: 0 for an absent tag (long
     /// done), `u64::MAX` while no wakeup is scheduled.
     fn ready_time(&self, t: Tag) -> u64 {
-        self.get(t).map_or(0, |s| s.ready_at.unwrap_or(u64::MAX))
+        self.get(t).map_or(0, TagState::visible_at)
     }
 
     /// First cycle every tag of `srcs` is visible to select.
@@ -271,23 +432,104 @@ impl TagTable {
 
     /// Clear states whose wakeup is older than `horizon`, then advance
     /// the floor over the cleared prefix so the vector stays bounded.
-    fn prune(&mut self, now: u64, horizon: u64) {
-        for (i, slot) in self.slots.iter_mut().enumerate() {
+    /// Returns the cleared states' consumer chains joined into one, for
+    /// the caller to re-file and free.
+    fn prune(&mut self, now: u64, horizon: u64) -> u32 {
+        let mut orphans = NIL;
+        for slot in &mut self.slots {
             let keep = slot.as_ref().is_none_or(|s| {
                 s.load_unresolved
                     || s.ready_at.is_none()
                     || s.ready_at.is_some_and(|r| r + horizon >= now)
             });
-            if !keep {
-                *slot = None;
-                self.dirty |= tag_bit(Tag(self.base + i as u64));
+            if keep {
+                continue;
             }
+            let chain = slot.take().map_or(NIL, |s| s.consumers);
+            orphans = self.consumers.join(chain, orphans);
         }
         let dead = self.slots.iter().take_while(|s| s.is_none()).count();
         if dead > 0 {
             self.slots.drain(..dead);
             self.base += dead as u64;
         }
+        orphans
+    }
+}
+
+/// Wheel size of the ready calendar: keys less than this many cycles
+/// ahead get a bucket, later ones wait in the overflow list. Covers a
+/// memory round trip plus the replay penalty.
+const WHEEL: usize = 256;
+
+/// The ready calendar: waiting entries filed by the cycle they can first
+/// request (or broadcast speculatively), issued entries by the cycle they
+/// are released, in power-of-two buckets shaped like the simulator's
+/// event wheel. Records are never removed early: a re-filed entry simply
+/// gains a new record, and a record counts only while its entry's `key`
+/// still equals the bucket's cycle, so stale records are dropped when
+/// their bucket is read.
+#[derive(Debug, Clone)]
+struct Calendar {
+    /// Each bucket's chain of records.
+    buckets: [u32; WHEEL],
+    records: Chains,
+    /// One bit per non-empty bucket.
+    occupied: [u64; WHEEL / 64],
+    /// `(entry, key)` records at least [`WHEEL`] cycles ahead when filed.
+    overflow: Vec<(u32, u64)>,
+}
+
+impl Calendar {
+    fn new() -> Calendar {
+        Calendar {
+            buckets: [NIL; WHEEL],
+            records: Chains::new(),
+            occupied: [0; WHEEL / 64],
+            overflow: Vec::new(),
+        }
+    }
+
+    fn bucket(at: u64) -> usize {
+        (at % WHEEL as u64) as usize
+    }
+
+    /// File entry `idx` under `key`, which lies after `now`.
+    fn file(&mut self, idx: usize, key: u64, now: u64) {
+        if key - now < WHEEL as u64 {
+            let b = Calendar::bucket(key);
+            self.records.push(&mut self.buckets[b], idx);
+            set_bit(&mut self.occupied, b);
+        } else {
+            self.overflow.push((idx as u32, key));
+        }
+    }
+
+    /// The records of `at`'s bucket.
+    fn records(&self, at: u64) -> impl Iterator<Item = usize> + '_ {
+        self.records.iter(self.buckets[Calendar::bucket(at)])
+    }
+
+    /// Empty `at`'s bucket.
+    fn clear(&mut self, at: u64) {
+        let b = Calendar::bucket(at);
+        let chain = std::mem::replace(&mut self.buckets[b], NIL);
+        self.records.free(chain);
+        clear_bit(&mut self.occupied, b);
+    }
+
+    /// The first non-empty bucket at or after `from` (wrapping).
+    fn next_occupied(&self, from: usize) -> Option<usize> {
+        let first_from = |lo: usize, hi: usize| {
+            (lo / 64..hi.div_ceil(64)).find_map(|w| {
+                let mut word = self.occupied[w];
+                if w == lo / 64 {
+                    word &= !0 << (lo % 64);
+                }
+                (word != 0).then(|| w * 64 + word.trailing_zeros() as usize)
+            })
+        };
+        first_from(from, WHEEL).or_else(|| first_from(0, from))
     }
 }
 
@@ -435,6 +677,13 @@ pub struct IssueQueue {
     waiting: Vec<u64>,
     /// One bit per entry index in [`EntryState::Issued`].
     issued: Vec<u64>,
+    /// One bit per waiting entry whose calendar `key` has come due
+    /// (`key <= now`): the only entries the speculative-wakeup and
+    /// request passes visit.
+    ready: Vec<u64>,
+    /// Every waiting entry due after `now`, and every issued entry, by
+    /// `key` (DESIGN §6 "Ready calendar and idle cycles").
+    calendar: Calendar,
     tags: TagTable,
     now: u64,
     next_gen: u64,
@@ -447,6 +696,8 @@ pub struct IssueQueue {
     req_buf: Vec<(UopId, usize)>,
     /// Reusable replay work list.
     work_buf: Vec<Tag>,
+    /// Reusable entry-index scratch for releases and replays.
+    idx_buf: Vec<usize>,
     /// Uop lists of released and squashed entries, reused by inserts
     /// (DESIGN §6): a list comes back once no grant shares it.
     uop_pool: Vec<Arc<Vec<SchedUop>>>,
@@ -464,7 +715,7 @@ pub struct IssueQueue {
     accounting: Option<Box<SlotAccounting>>,
     /// The last cycle released nothing, broadcast nothing speculatively
     /// and had no requester, so [`IssueQueue::next_active`] may look
-    /// ahead (DESIGN §6 "Cached readiness and idle cycles").
+    /// ahead (DESIGN §6 "Ready calendar and idle cycles").
     quiet: bool,
 }
 
@@ -479,6 +730,8 @@ impl IssueQueue {
             free: (0..cap).rev().collect(),
             waiting: vec![0; cap.div_ceil(64)],
             issued: vec![0; cap.div_ceil(64)],
+            ready: vec![0; cap.div_ceil(64)],
+            calendar: Calendar::new(),
             tags: TagTable::default(),
             now: 0,
             next_gen: 1,
@@ -487,6 +740,7 @@ impl IssueQueue {
             stats: QueueStats::default(),
             req_buf: Vec::new(),
             work_buf: Vec::new(),
+            idx_buf: Vec::new(),
             uop_pool: Vec::new(),
             trace: false,
             trace_buf: Vec::new(),
@@ -610,12 +864,126 @@ impl IssueQueue {
         Arc::new(v)
     }
 
-    /// Empty slot `idx` and put its uop list in the pool. The caller
-    /// clears the slot's state bit.
+    /// Empty slot `idx`, clear its bits, take it off its sources'
+    /// consumer chains and put its uop list in the pool. Its calendar
+    /// records go stale with it.
     fn free_entry(&mut self, idx: usize) {
         let e = self.entries[idx].take().expect("freed entry is occupied");
+        for (k, &t) in e.srcs.iter().enumerate() {
+            if !e.srcs[..k].contains(&t) {
+                self.tags.unregister(t, idx);
+            }
+        }
         self.uop_pool.push(e.uops);
         self.free.push(idx);
+        for bits in [&mut self.waiting, &mut self.issued, &mut self.ready] {
+            clear_bit(bits, idx);
+        }
+    }
+
+    /// Place entry `idx` under calendar key `key`: in the ready bitset if
+    /// due, on the wheel or the overflow list if later, nowhere if parked
+    /// (`u64::MAX`). A no-op when the key did not move, since placement
+    /// follows from the key and the clock alone.
+    fn place(&mut self, idx: usize, key: u64) {
+        let e = self.entries[idx].as_mut().expect("placed entry exists");
+        if e.key == key {
+            return;
+        }
+        e.key = key;
+        if key <= self.now {
+            set_bit(&mut self.ready, idx);
+        } else {
+            clear_bit(&mut self.ready, idx);
+            if key != u64::MAX {
+                self.calendar.file(idx, key, self.now);
+            }
+        }
+    }
+
+    /// File waiting entry `idx` by the first cycle it can act on its own:
+    /// broadcast speculatively (select-free kinds, at `ready`) or request
+    /// (once `hold_until` has passed too). A pending head is parked until
+    /// its tail or a cancel arrives.
+    fn file(&mut self, idx: usize) {
+        let e = self.entries[idx].as_ref().expect("filed entry exists");
+        debug_assert_eq!(e.state, EntryState::Waiting);
+        let key = self.waiting_key(e);
+        self.place(idx, key);
+    }
+
+    /// The calendar key of waiting entry `e` (see [`IssueQueue::file`]).
+    fn waiting_key(&self, e: &Entry) -> u64 {
+        if e.pending_tail {
+            u64::MAX
+        } else if self.config.kind.broadcasts_at_wakeup() && !e.spec_broadcast {
+            e.ready
+        } else {
+            e.ready.max(e.hold_until)
+        }
+    }
+
+    /// Recompute entry `idx`'s readiness and re-file it, if it is waiting
+    /// (issued entries are re-read when a replay makes them wait again).
+    fn refile(&mut self, idx: usize) {
+        let Some(e) = self.entries[idx].as_mut() else {
+            return;
+        };
+        if e.state != EntryState::Waiting {
+            return;
+        }
+        e.ready = self.tags.ready_time_of(&e.srcs);
+        self.file(idx);
+    }
+
+    /// Re-file every entry on consumer chain `chain`.
+    fn refile_chain(&mut self, chain: u32) {
+        let mut link = chain;
+        while link != NIL {
+            let (entry, next) = self.tags.consumers.get(link);
+            self.refile(entry);
+            link = next;
+        }
+    }
+
+    /// Re-file, then free, the consumer chain of a cleared tag (its
+    /// consumers now read it as long done).
+    fn release_chain(&mut self, chain: u32) {
+        self.refile_chain(chain);
+        self.tags.consumers.free(chain);
+    }
+
+    /// Apply `f` to `t`'s state (created first when `create`), then re-file
+    /// its consumers if the visible ready time moved: the one path by
+    /// which a tag mutation reaches the calendar. `None` when `t` has no
+    /// state (or lies below the pruned floor).
+    fn update_tag<R>(
+        &mut self,
+        t: Tag,
+        create: bool,
+        f: impl FnOnce(&mut TagState) -> R,
+    ) -> Option<R> {
+        let s = if create {
+            self.tags.ensure(t)
+        } else {
+            self.tags.get_mut(t)
+        }?;
+        let before = s.visible_at();
+        let r = f(s);
+        if s.visible_at() != before {
+            let chain = s.consumers;
+            self.refile_chain(chain);
+        }
+        Some(r)
+    }
+
+    /// Register entry `idx` as a consumer of each distinct tag of `srcs`.
+    fn register_srcs(&mut self, idx: usize, srcs: &[Tag]) {
+        for (k, &t) in srcs.iter().enumerate() {
+            if !srcs[..k].contains(&t) {
+                self.tags.register(t, idx);
+            }
+        }
     }
 
     /// Filter a uop's source tags against current tag state: tags nobody
@@ -654,11 +1022,10 @@ impl IssueQueue {
         let gen = self.next_gen;
         self.next_gen += 1;
         if let Some(dst) = uop.dst {
-            self.tags.insert(dst, TagState::default());
+            self.update_tag(dst, true, TagState::reset);
         }
         let srcs = self.live_srcs(&uop);
         let ready = self.tags.ready_time_of(&srcs);
-        let sig = srcs.iter().fold(0, |sig, &t| sig | tag_bit(t));
         if self.trace {
             self.trace_buf.push(TraceEvent::Rename {
                 cycle: self.now,
@@ -674,6 +1041,7 @@ impl IssueQueue {
                 wrong_path: uop.wrong_path,
             });
         }
+        self.register_srcs(idx, &srcs);
         self.entries[idx] = Some(Entry {
             gen,
             srcs,
@@ -684,14 +1052,15 @@ impl IssueQueue {
             state: EntryState::Waiting,
             collided: false,
             hold_until: 0,
-            confirm_at: None,
             spec_broadcast: false,
             woken_at: None,
             ready,
-            sig,
+            // Parked and unplaced, so `file` places any other key.
+            key: u64::MAX,
             uops: self.uop_list(uop),
         });
         set_bit(&mut self.waiting, idx);
+        self.file(idx);
         Ok(EntryId { index: idx, gen })
     }
 
@@ -717,12 +1086,14 @@ impl IssueQueue {
             return Err(InsertError::MopTooLarge);
         }
         let mop_tag = e.dst;
+        let mut added = SmallList::<Tag, 4>::new();
         for &t in &live {
             if Some(t) == mop_tag {
                 continue; // internal head->tail edge
             }
             if !e.srcs.contains(&t) {
                 e.srcs.push(t);
+                added.push(t);
             }
         }
         // Head and tail share one MOP ID; formation's translation table
@@ -730,7 +1101,9 @@ impl IssueQueue {
         e.pending_tail = false;
         Arc::make_mut(&mut e.uops).push(tail);
         let e = self.entries[head.index].as_mut().expect("fused above");
-        e.cache_srcs(&self.tags);
+        e.ready = self.tags.ready_time_of(&e.srcs);
+        self.register_srcs(head.index, &added);
+        self.file(head.index);
         if self.trace {
             let e = self.entries[head.index].as_ref().expect("fused above");
             let tail = e.uops.last().expect("just pushed");
@@ -758,6 +1131,7 @@ impl IssueQueue {
         if let Some(e) = self.entry_mut(id) {
             if e.state == EntryState::Waiting {
                 e.pending_tail = true;
+                self.file(id.index);
             }
         }
     }
@@ -769,6 +1143,7 @@ impl IssueQueue {
             if e.pending_tail {
                 e.pending_tail = false;
                 self.stats.cancelled_pendings += 1;
+                self.file(head.index);
             }
         }
     }
@@ -802,24 +1177,27 @@ impl IssueQueue {
             "cycles must be consecutive"
         );
         debug_assert!(self.bitsets_agree(), "bitsets disagree with entry states");
-        debug_assert!(self.ready_cache_agrees(), "cached readiness is stale");
+        debug_assert!(self.ready_cache_agrees(), "ready calendar is stale");
+        let first = self.stats.cycles == 0;
         self.now = now;
         self.stats.cycles += 1;
-        let mut quiet = true;
-
-        // Release entries whose execution is known good.
-        for w in 0..self.issued.len() {
-            for idx in Bits::of(w, self.issued[w]) {
-                let release = self.entries[idx]
-                    .as_ref()
-                    .is_some_and(|e| e.confirm_at.is_some_and(|c| c <= now));
-                if release {
-                    self.free_entry(idx);
-                    clear_bit(&mut self.issued, idx);
-                    quiet = false;
+        if first {
+            // The first call sets the epoch: entries filed before it that
+            // fell due in between are due now.
+            for w in 0..self.waiting.len() {
+                for idx in Bits::of(w, self.waiting[w]) {
+                    if self.entries[idx].as_ref().is_some_and(|e| e.key <= now) {
+                        set_bit(&mut self.ready, idx);
+                    }
                 }
             }
         }
+
+        // Merge `now`'s bucket: due waiting entries join the ready set and
+        // issued entries whose execution is known good are released, in
+        // ascending index order.
+        let released = self.merge_due();
+        let mut quiet = !released;
         let occ = self.occupancy() as u64;
         self.stats.occupancy_integral += occ;
         if let Some(m) = self.metrics.as_deref_mut() {
@@ -830,19 +1208,13 @@ impl IssueQueue {
 
         // Speculative wakeup phase (select-free and speculative-wakeup
         // schedulers): broadcast at wake time, before selection confirms.
-        // Each phase that reads cached readiness refreshes it on the way
-        // (`refresh_ready` in one pass with the phase's own walk).
         if select_free {
-            let stale = std::mem::take(&mut self.tags.dirty);
-            for w in 0..self.waiting.len() {
-                for idx in Bits::of(w, self.waiting[w]) {
-                    let e = self.entries[idx].as_mut().expect("waiting entry exists");
-                    // The live bits cover sources broadcast earlier in
-                    // this phase; they stay set for the request phase.
-                    if e.sig & (stale | self.tags.dirty) != 0 {
-                        e.ready = self.tags.ready_time_of(&e.srcs);
-                    }
-                    if e.pending_tail || e.spec_broadcast || e.ready > now {
+            for w in 0..self.ready.len() {
+                for idx in Bits::of(w, self.ready[w]) {
+                    let e = self.entries[idx].as_mut().expect("ready entry exists");
+                    // `ready` is read afresh: a broadcast earlier in this
+                    // pass may have re-filed the entry.
+                    if e.spec_broadcast || e.ready > now {
                         continue;
                     }
                     e.spec_broadcast = true;
@@ -851,37 +1223,33 @@ impl IssueQueue {
                     let dst = e.dst;
                     let is_load = e.uops[0].is_load;
                     if let Some(d) = dst {
-                        if let Some(s) = self.tags.ensure(d) {
+                        let sent = self.update_tag(d, true, |s| {
                             s.ready_at = Some(now + lat);
                             s.load_unresolved = is_load;
-                            if self.trace {
-                                self.trace_buf.push(TraceEvent::Wakeup {
-                                    cycle: now,
-                                    tag: d,
-                                    ready_at: now + lat,
-                                    speculative: true,
-                                });
-                            }
+                        });
+                        if self.trace && sent.is_some() {
+                            self.trace_buf.push(TraceEvent::Wakeup {
+                                cycle: now,
+                                tag: d,
+                                ready_at: now + lat,
+                                speculative: true,
+                            });
                         }
                     }
+                    self.file(idx);
                 }
             }
         }
 
         // Request phase (the scratch vector is queue-owned and reused):
-        // one cached-readiness comparison per entry, and tag reads only
-        // for entries whose sources changed.
-        let stale = std::mem::take(&mut self.tags.dirty);
+        // only the due entries are visited.
         let mut requesters = std::mem::take(&mut self.req_buf);
         requesters.clear();
         let metrics = self.metrics.is_some();
-        for w in 0..self.waiting.len() {
-            for idx in Bits::of(w, self.waiting[w]) {
-                let e = self.entries[idx].as_mut().expect("waiting entry exists");
-                if e.sig & stale != 0 {
-                    e.ready = self.tags.ready_time_of(&e.srcs);
-                }
-                if e.pending_tail || e.hold_until > now || e.ready > now {
+        for w in 0..self.ready.len() {
+            for idx in Bits::of(w, self.ready[w]) {
+                let e = self.entries[idx].as_mut().expect("ready entry exists");
+                if e.hold_until > now {
                     continue;
                 }
                 requesters.push((e.age, idx));
@@ -935,20 +1303,19 @@ impl IssueQueue {
                     width -= 1;
                     fu_avail[fu.index()] -= 1;
                     self.stats.pileup_replays += 1;
-                    for &t in &e.srcs {
-                        // Un-broadcast every stale wakeup for everyone
-                        // (entries and tags are disjoint borrows; no
-                        // source-list clone needed).
-                        if let Some(s) = self.tags.get_mut(t) {
+                    for k in 0..e.srcs.len() {
+                        // Un-broadcast every stale wakeup for everyone.
+                        let t = self.entries[idx].as_ref().expect("requester exists").srcs[k];
+                        self.update_tag(t, false, |s| {
                             if s.actual_at.is_none_or(|r| r > now) {
                                 s.ready_at = s.actual_at;
                             }
-                        }
+                        });
                     }
                     let penalty = u64::from(self.config.replay_penalty);
-                    if let Some(e) = self.entries[idx].as_mut() {
-                        e.hold_until = now + penalty;
-                    }
+                    let e = self.entries[idx].as_mut().expect("requester exists");
+                    e.hold_until = now + penalty;
+                    self.file(idx);
                     continue;
                 }
             }
@@ -967,12 +1334,13 @@ impl IssueQueue {
                 let is_load = e.uops.iter().any(|u| u.is_load);
                 let collided = e.collided;
                 let floor = u64::from(self.config.kind.wakeup_floor());
-                if let Some(s) = self.tags.ensure(d) {
+                let kind = self.config.kind;
+                let woke = self.update_tag(d, true, |s| {
                     let prev_ready = s.ready_at;
                     s.actual_at = Some(now + lat.max(1));
                     s.load_unresolved = is_load;
                     if select_free {
-                        match self.config.kind {
+                        match kind {
                             SchedulerKind::SelectFreeSquashDep => {
                                 // Dependents were squashed when we collided;
                                 // re-broadcast now with the re-wake penalty.
@@ -996,23 +1364,26 @@ impl IssueQueue {
                     } else {
                         s.ready_at = Some(now + lat.max(floor));
                     }
-                    if self.trace && s.ready_at != prev_ready {
-                        self.trace_buf.push(TraceEvent::Wakeup {
-                            cycle: now,
-                            tag: d,
-                            ready_at: s.ready_at.expect("broadcast sets a ready time"),
-                            speculative: false,
-                        });
-                    }
+                    (s.ready_at != prev_ready).then_some(s.visible_at())
+                });
+                if let (true, Some(Some(ready_at))) = (self.trace, woke) {
+                    self.trace_buf.push(TraceEvent::Wakeup {
+                        cycle: now,
+                        tag: d,
+                        ready_at,
+                        speculative: false,
+                    });
                 }
             }
 
             let e = self.entries[idx].as_mut().expect("entry exists");
             e.state = EntryState::Issued;
+            let confirm_at = now + u64::from(self.config.confirm_window) + (e.uops.len() as u64 - 1);
             clear_bit(&mut self.waiting, idx);
             set_bit(&mut self.issued, idx);
-            e.confirm_at =
-                Some(now + u64::from(self.config.confirm_window) + (e.uops.len() as u64 - 1));
+            // Released at its confirm cycle, but never before the next one.
+            self.place(idx, confirm_at.max(now + 1));
+            let e = self.entries[idx].as_mut().expect("entry exists");
             if let Some(m) = self.metrics.as_deref_mut() {
                 m.wakeup_select_delay.record(now - e.woken_at.take().unwrap_or(now));
             }
@@ -1053,24 +1424,46 @@ impl IssueQueue {
         }
     }
 
-    /// Bring every waiting entry's cached readiness up to date: re-read
-    /// the tags of exactly those entries whose source signature meets the
-    /// dirty bits, then clear the bits. Issued entries are skipped; a
-    /// replay recomputes their cache when they wait again. The cycle's
-    /// speculative-wakeup and request phases do the same inline.
-    fn refresh_ready(&mut self) {
-        let dirty = std::mem::take(&mut self.tags.dirty);
-        if dirty == 0 {
-            return;
-        }
-        for (w, &word) in self.waiting.iter().enumerate() {
-            for idx in Bits::of(w, word) {
-                let e = self.entries[idx].as_mut().expect("waiting entry exists");
-                if e.sig & dirty != 0 {
-                    e.ready = self.tags.ready_time_of(&e.srcs);
+    /// Merge `now`'s calendar bucket, after moving overflow records that
+    /// came within the wheel's horizon onto it: due waiting entries join
+    /// the ready set, and due issued entries are released in ascending
+    /// index order. Returns whether anything was released.
+    fn merge_due(&mut self) -> bool {
+        let now = self.now;
+        if !self.calendar.overflow.is_empty() {
+            let mut overflow = std::mem::take(&mut self.calendar.overflow);
+            overflow.retain(|&(idx, key)| {
+                let live = self.entries[idx as usize]
+                    .as_ref()
+                    .is_some_and(|e| e.key == key);
+                if live && key < now + WHEEL as u64 {
+                    self.calendar.file(idx as usize, key, now);
+                    return false;
                 }
+                live
+            });
+            self.calendar.overflow = overflow;
+        }
+        let mut released = std::mem::take(&mut self.idx_buf);
+        released.clear();
+        for idx in self.calendar.records(now) {
+            match &self.entries[idx] {
+                Some(e) if e.key == now => match e.state {
+                    EntryState::Waiting => set_bit(&mut self.ready, idx),
+                    EntryState::Issued => released.push(idx),
+                },
+                _ => {}
             }
         }
+        self.calendar.clear(now);
+        released.sort_unstable();
+        released.dedup();
+        for &idx in &released {
+            self.free_entry(idx);
+        }
+        let any = !released.is_empty();
+        self.idx_buf = released;
+        any
     }
 
     /// The earliest cycle after the current one at which this queue can
@@ -1084,47 +1477,90 @@ impl IssueQueue {
         if !self.quiet {
             return soon;
         }
-        self.refresh_ready();
-        let mut next = u64::MAX;
-        for w in 0..self.waiting.len() {
-            for idx in Bits::of(w, self.waiting[w] | self.issued[w]) {
-                let e = self.entries[idx].as_ref().expect("occupied entry exists");
-                next = next.min(self.wake_at(e));
-                if next <= soon {
-                    return soon;
+        let next = if self.accounting.is_some() {
+            // Stall causes can change between calendar keys: ask every
+            // occupied entry.
+            let mut next = u64::MAX;
+            for w in 0..self.waiting.len() {
+                for idx in Bits::of(w, self.waiting[w] | self.issued[w]) {
+                    let e = self.entries[idx].as_ref().expect("occupied entry exists");
+                    next = next.min(self.wake_at(e));
+                    if next <= soon {
+                        return soon;
+                    }
                 }
             }
+            next
+        } else if self.ready.iter().any(|&w| w != 0) {
+            soon
+        } else {
+            self.next_key()
+        };
+        next.max(soon)
+    }
+
+    /// The earliest calendar key after `now`: the first wheel bucket with
+    /// a live record, or an earlier overflow key; `u64::MAX` when nothing
+    /// is filed. Empties the stale buckets it passes.
+    fn next_key(&mut self) -> u64 {
+        let now = self.now;
+        let mut next = self
+            .calendar
+            .overflow
+            .iter()
+            .filter(|&&(idx, key)| {
+                self.entries[idx as usize]
+                    .as_ref()
+                    .is_some_and(|e| e.key == key)
+            })
+            .map(|&(_, key)| key)
+            .min()
+            .unwrap_or(u64::MAX);
+        let here = Calendar::bucket(now);
+        let mut from = Calendar::bucket(now + 1);
+        while let Some(b) = self.calendar.next_occupied(from) {
+            // Buckets come in clock order; the current cycle's own bucket
+            // is last and holds only stale records.
+            let d = (b + WHEEL - here) % WHEEL;
+            let at = now + if d == 0 { WHEEL as u64 } else { d as u64 };
+            if at >= next {
+                break;
+            }
+            let live = self
+                .calendar
+                .records(at)
+                .any(|idx| self.entries[idx].as_ref().is_some_and(|e| e.key == at));
+            if live {
+                next = at;
+                break;
+            }
+            self.calendar.clear(at);
+            from = (b + 1) % WHEEL;
         }
         next
     }
 
-    /// The first cycle after `now` at which entry `e` can change the
-    /// queue's behaviour or its slot accounting, assuming no outside
-    /// event; `u64::MAX` if only an outside event can wake it.
+    /// With slot accounting on, the first cycle after `now` at which
+    /// entry `e` can change the queue's behaviour or its stall cause,
+    /// assuming no outside event; `u64::MAX` if only an outside event can
+    /// wake it.
     fn wake_at(&self, e: &Entry) -> u64 {
+        let mut at = e.key;
+        if e.state == EntryState::Issued || e.pending_tail {
+            // Released at `key`; a pending head is charged to MOP fusion
+            // until a tail or a squash arrives.
+            return at;
+        }
+        // `stall_cause` compares `hold_until` and each source's visible
+        // and actual times against the clock.
         let now = self.now;
-        if e.state == EntryState::Issued {
-            return e.confirm_at.expect("issued entries have a confirm time");
+        if e.hold_until > now {
+            at = at.min(e.hold_until);
         }
-        if e.pending_tail {
-            // Charged to MOP fusion until a tail or a squash arrives.
-            return u64::MAX;
-        }
-        let mut at = e.ready.max(e.hold_until);
-        if self.config.kind.broadcasts_at_wakeup() && !e.spec_broadcast {
-            at = at.min(e.ready);
-        }
-        if self.accounting.is_some() {
-            // `stall_cause` compares `hold_until` and each source's
-            // visible and actual times against the clock.
-            if e.hold_until > now {
-                at = at.min(e.hold_until);
-            }
-            for s in e.srcs.iter().filter_map(|&t| self.tags.get(t)) {
-                for t in [s.ready_at, s.actual_at].into_iter().flatten() {
-                    if t > now {
-                        at = at.min(t);
-                    }
+        for s in e.srcs.iter().filter_map(|&t| self.tags.get(t)) {
+            for t in [s.ready_at, s.actual_at].into_iter().flatten() {
+                if t > now {
+                    at = at.min(t);
                 }
             }
         }
@@ -1156,7 +1592,7 @@ impl IssueQueue {
         }
     }
 
-    /// Every free slot has neither bit set and every occupied entry has
+    /// Every free slot has no state bit set and every occupied entry has
     /// exactly the bit of its state. Checked at the start of every debug
     /// cycle, which covers the previous cycle's grants and releases and
     /// every insert, fuse, replay and squash since.
@@ -1169,18 +1605,43 @@ impl IssueQueue {
         })
     }
 
-    /// Every waiting entry's signature matches its sources, and its cached
-    /// readiness is exact unless the dirty bits cover one of them. Checked
-    /// at the start of every debug cycle, like [`Self::bitsets_agree`].
+    /// The calendar is exact: every waiting entry's cached readiness
+    /// equals its sources' ready time and its key is the one
+    /// [`Self::waiting_key`] gives, every issued entry is released after
+    /// `now`, and every entry sits where its key says —
+    /// in the ready set if due, with a calendar record if later, nowhere
+    /// if parked. The consumer chains of every occupied entry's sources
+    /// hold exactly the occupied entries that name them. Checked at the
+    /// start of every debug cycle, like [`Self::bitsets_agree`].
     fn ready_cache_agrees(&self) -> bool {
-        self.waiting.iter().enumerate().all(|(w, &word)| {
-            Bits::of(w, word).all(|idx| {
-                let e = self.entries[idx].as_ref().expect("waiting entry exists");
-                let sig = e.srcs.iter().fold(0, |sig, &t| sig | tag_bit(t));
-                sig == e.sig
-                    && (e.sig & self.tags.dirty != 0
-                        || e.ready == self.tags.ready_time_of(&e.srcs))
-            })
+        let now = self.now;
+        self.entries.iter().enumerate().all(|(idx, e)| {
+            let Some(e) = e else {
+                return !test_bit(&self.ready, idx);
+            };
+            let keyed = match e.state {
+                EntryState::Waiting => {
+                    e.ready == self.tags.ready_time_of(&e.srcs) && e.key == self.waiting_key(e)
+                }
+                EntryState::Issued => e.key > now,
+            };
+            let due = e.state == EntryState::Waiting && e.key <= now;
+            let filed = e.key <= now
+                || e.key == u64::MAX
+                || self.calendar.records(e.key).any(|i| i == idx)
+                || self.calendar.overflow.contains(&(idx as u32, e.key));
+            let chained = e.srcs.iter().all(|&t| {
+                self.tags.get(t).is_none_or(|s| {
+                    let chain = || self.tags.consumers.iter(s.consumers);
+                    chain().filter(|&i| i == idx).count() == 1
+                        && chain().all(|i| {
+                            self.entries[i]
+                                .as_ref()
+                                .is_some_and(|c| c.srcs.contains(&t))
+                        })
+                })
+            });
+            keyed && test_bit(&self.ready, idx) == due && filed && chained
         })
     }
 
@@ -1291,9 +1752,8 @@ impl IssueQueue {
         };
         if self.config.kind == SchedulerKind::SelectFreeSquashDep && first {
             if let Some(d) = dst {
-                if let Some(s) = self.tags.get_mut(d) {
-                    s.ready_at = None; // squash dependents' wakeups
-                }
+                // Squash dependents' wakeups.
+                self.update_tag(d, false, |s| s.ready_at = None);
             }
         }
     }
@@ -1335,9 +1795,11 @@ impl IssueQueue {
             return;
         }
         let ready = data_ready_at + u64::from(self.config.replay_penalty);
-        s.ready_at = Some(ready);
-        s.actual_at = Some(ready);
-        s.missed = true;
+        self.update_tag(tag, false, |s| {
+            s.ready_at = Some(ready);
+            s.actual_at = Some(ready);
+            s.missed = true;
+        });
         if self.trace {
             self.trace_buf.push(TraceEvent::Wakeup {
                 cycle: self.now,
@@ -1352,53 +1814,61 @@ impl IssueQueue {
     /// Recursively pull issued-but-unconfirmed consumers of `tag` back to
     /// the waiting state, revoking their own broadcasts. Appends the
     /// replayed uop ids to `replayed`. `reissue_at` is the missed tag's
-    /// re-broadcast time (trace bookkeeping only).
+    /// re-broadcast time (trace bookkeeping only). Each tag's issued
+    /// consumers come off its consumer chain and replay in ascending
+    /// index order.
     fn replay_consumers(&mut self, tag: Tag, reissue_at: u64, replayed: &mut Vec<UopId>) {
         let mut work = std::mem::take(&mut self.work_buf);
+        let mut hit = std::mem::take(&mut self.idx_buf);
         work.clear();
         work.push(tag);
         while let Some(t) = work.pop() {
-            for w in 0..self.issued.len() {
-                for idx in Bits::of(w, self.issued[w]) {
-                    let e = self.entries[idx].as_mut().expect("issued entry exists");
-                    if !e.srcs.contains(&t) {
-                        continue;
-                    }
-                    e.state = EntryState::Waiting;
-                    e.confirm_at = None;
-                    e.spec_broadcast = false;
-                    e.collided = false;
-                    e.woken_at = None;
-                    e.ready = self.tags.ready_time_of(&e.srcs);
-                    clear_bit(&mut self.issued, idx);
-                    set_bit(&mut self.waiting, idx);
-                    self.stats.load_replay_uops += e.uops.len() as u64;
-                    replayed.extend(e.uops.iter().map(|u| u.id));
-                    if let Some(d) = e.dst {
-                        if let Some(s) = self.tags.get_mut(d) {
-                            s.ready_at = None;
-                            s.actual_at = None;
-                            s.missed = true;
-                        }
-                        work.push(d);
-                    }
-                    if self.trace {
-                        let e = self.entries[idx].as_ref().expect("replayed above");
-                        self.trace_buf.push(TraceEvent::Replay {
-                            cycle: self.now,
-                            entry: EntryId {
-                                index: idx,
-                                gen: e.gen,
-                            },
-                            uops: e.uops.iter().map(|u| u.id).collect(),
-                            tag: t,
-                            reissue_at,
-                        });
-                    }
+            hit.clear();
+            let chain = self.tags.get(t).map_or(NIL, |s| s.consumers);
+            hit.extend(self.tags.consumers.iter(chain).filter(|&idx| {
+                self.entries[idx]
+                    .as_ref()
+                    .is_some_and(|e| e.state == EntryState::Issued)
+            }));
+            hit.sort_unstable();
+            for &idx in &hit {
+                let e = self.entries[idx].as_mut().expect("issued entry exists");
+                e.state = EntryState::Waiting;
+                e.spec_broadcast = false;
+                e.collided = false;
+                e.woken_at = None;
+                e.ready = self.tags.ready_time_of(&e.srcs);
+                clear_bit(&mut self.issued, idx);
+                set_bit(&mut self.waiting, idx);
+                self.stats.load_replay_uops += e.uops.len() as u64;
+                replayed.extend(e.uops.iter().map(|u| u.id));
+                let dst = e.dst;
+                self.file(idx);
+                if let Some(d) = dst {
+                    self.update_tag(d, false, |s| {
+                        s.ready_at = None;
+                        s.actual_at = None;
+                        s.missed = true;
+                    });
+                    work.push(d);
+                }
+                if self.trace {
+                    let e = self.entries[idx].as_ref().expect("replayed above");
+                    self.trace_buf.push(TraceEvent::Replay {
+                        cycle: self.now,
+                        entry: EntryId {
+                            index: idx,
+                            gen: e.gen,
+                        },
+                        uops: e.uops.iter().map(|u| u.id).collect(),
+                        tag: t,
+                        reissue_at,
+                    });
                 }
             }
         }
         self.work_buf = work;
+        self.idx_buf = hit;
     }
 
     /// Branch-misprediction squash: remove every entry whose head uop is
@@ -1414,11 +1884,10 @@ impl IssueQueue {
                 if e.age >= first_squashed {
                     // Whole entry is wrong-path.
                     if let Some(d) = e.dst {
-                        self.tags.remove(d);
+                        let chain = self.tags.remove(d);
+                        self.release_chain(chain);
                     }
                     self.free_entry(idx);
-                    clear_bit(&mut self.waiting, idx);
-                    clear_bit(&mut self.issued, idx);
                     continue;
                 }
                 if e.uops.len() > 1 && e.uops.last().expect("non-empty").id >= first_squashed {
@@ -1427,12 +1896,25 @@ impl IssueQueue {
                     // was never among them).
                     let uops = Arc::make_mut(&mut e.uops);
                     uops.retain(|u| u.id < first_squashed);
-                    e.srcs.retain(|t| uops.iter().any(|u| u.srcs.contains(t)));
-                    e.cache_srcs(&self.tags);
+                    let mut dropped = SmallList::<Tag, 4>::new();
+                    e.srcs.retain(|&t| {
+                        let keep = uops.iter().any(|u| u.srcs.contains(&t));
+                        if !keep {
+                            dropped.push(t);
+                        }
+                        keep
+                    });
+                    e.ready = self.tags.ready_time_of(&e.srcs);
+                    for &t in &dropped {
+                        self.tags.unregister(t, idx);
+                    }
                 }
                 if e.pending_tail {
                     e.pending_tail = false;
                     self.stats.cancelled_pendings += 1;
+                }
+                if e.state == EntryState::Waiting {
+                    self.file(idx);
                 }
             }
         }
@@ -1450,7 +1932,8 @@ impl IssueQueue {
     /// safe once every consumer that could name those tags has been
     /// inserted. The simulator calls this periodically.
     pub fn prune_tags(&mut self, horizon: u64) {
-        self.tags.prune(self.now, horizon);
+        let orphans = self.tags.prune(self.now, horizon);
+        self.release_chain(orphans);
     }
 
     #[cfg(test)]
@@ -1956,6 +2439,7 @@ mod tests {
                     actual_at: Some(n),
                     load_unresolved: false,
                     missed: false,
+                    ..TagState::default()
                 },
             );
         }
@@ -1977,6 +2461,7 @@ mod tests {
                     actual_at: Some(n),
                     load_unresolved: n == 3,
                     missed: false,
+                    ..TagState::default()
                 },
             );
         }
@@ -1996,6 +2481,7 @@ mod tests {
                 actual_at: Some(0),
                 load_unresolved: false,
                 missed: false,
+                ..TagState::default()
             },
         );
         t.prune(100, 0);

@@ -1,12 +1,13 @@
 //! Additional issue-queue scenarios: mixed MOP/singleton contention,
 //! independent-MOP timing, multi-source wakeup, replay interactions with
-//! squash and pending bits, and property-based conservation checks.
+//! squash and pending bits, and property-based conservation checks,
+//! including random interleavings of every queue operation.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use proptest::prelude::*;
 
-use mos_core::queue::{IssueQueue, QueueStats};
+use mos_core::queue::{EntryId, IssueQueue, QueueStats};
 use mos_core::{SchedConfig, SchedUop, SchedulerKind, Tag, UopId, WakeupStyle};
 use mos_isa::InstClass;
 
@@ -274,6 +275,248 @@ proptest! {
                 "consumer {} at {} vs producer {} at {}",
                 c, sched[&c][0], p, sched[&p][0]
             );
+        }
+    }
+
+    /// Random interleavings of every queue operation — inserts, fused
+    /// and pending MOP heads, tail fusion and pending cancels, load hits
+    /// and misses, squashes, cycles and idle skips — under every
+    /// scheduler, with slot accounting on or off. Every uop that survives
+    /// issues exactly once more than it was replayed, the queue drains,
+    /// and the idle-cycle prediction holds before every skip. Debug
+    /// builds also check the queue's bitsets and ready calendar at the
+    /// start of every cycle.
+    #[test]
+    fn interleaved_operations_issue_every_survivor(
+        kind in prop::sample::select(vec![
+            SchedulerKind::Base,
+            SchedulerKind::TwoCycle,
+            SchedulerKind::MacroOp,
+            SchedulerKind::SelectFreeSquashDep,
+            SchedulerKind::SelectFreeScoreboard,
+            SchedulerKind::SpeculativeWakeup,
+        ]),
+        accounting in any::<bool>(),
+        ops in prop::collection::vec((0u8..10, 0u64..1 << 16, any::<bool>()), 20..160),
+    ) {
+        let mut d = Interleaving::new(kind, accounting);
+        for &(code, arg, flag) in &ops {
+            d.apply(code, arg, flag);
+        }
+        d.drain();
+        prop_assert_eq!(d.q.occupancy(), 0, "queue never drained under {:?}", kind);
+        for id in 0..d.next_id {
+            if d.squashed.contains(&id) {
+                continue;
+            }
+            let issued = d.issues.get(&id).copied().unwrap_or(0);
+            let replayed = d.replays.get(&id).copied().unwrap_or(0);
+            prop_assert_eq!(
+                issued,
+                replayed + 1,
+                "uop {} issued {} times, replayed {} under {:?}",
+                id, issued, replayed, kind
+            );
+        }
+    }
+}
+
+/// Drives one queue through a decoded operation sequence, keeping the
+/// bookkeeping a pipeline would: fresh tags, outstanding load outcomes
+/// (dropped when a replay cancels the issue they belong to), pending
+/// heads, and per-uop issue and replay counts.
+struct Interleaving {
+    q: IssueQueue,
+    /// Cycles run so far (the next cycle is `cycles`, counting skips).
+    cycles: u64,
+    next_id: u64,
+    next_tag: u64,
+    /// Destination tags a new uop may read (squashed ones leave).
+    pool: Vec<(u64, u64)>,
+    /// Pending heads awaiting a tail or a cancel: (entry, head id, tag).
+    pending: Vec<(EntryId, u64, u64)>,
+    /// Issued loads awaiting their outcome: (uop, tag, issue number).
+    loads: Vec<(u64, u64, u64)>,
+    issues: HashMap<u64, u64>,
+    replays: HashMap<u64, u64>,
+    squashed: HashSet<u64>,
+    out: Vec<mos_core::queue::Issued>,
+    replayed: Vec<UopId>,
+}
+
+impl Interleaving {
+    fn new(kind: SchedulerKind, accounting: bool) -> Interleaving {
+        let mut q = IssueQueue::new(cfg(kind));
+        q.set_slot_accounting(accounting);
+        Interleaving {
+            q,
+            cycles: 0,
+            next_id: 0,
+            next_tag: 100,
+            pool: Vec::new(),
+            pending: Vec::new(),
+            loads: Vec::new(),
+            issues: HashMap::new(),
+            replays: HashMap::new(),
+            squashed: HashSet::new(),
+            out: Vec::new(),
+            replayed: Vec::new(),
+        }
+    }
+
+    /// Up to two source tags picked from the pool by `arg`'s bits.
+    fn srcs(&self, arg: u64) -> Vec<u64> {
+        if self.pool.is_empty() {
+            return Vec::new();
+        }
+        let n = self.pool.len() as u64;
+        (0..arg % 3)
+            .map(|k| self.pool[((arg >> (4 + 5 * k)) % n) as usize].1)
+            .collect()
+    }
+
+    fn fresh(&mut self) -> (u64, u64) {
+        let ids = (self.next_id, self.next_tag);
+        self.next_id += 1;
+        self.next_tag += 1;
+        ids
+    }
+
+    fn apply(&mut self, code: u8, arg: u64, flag: bool) {
+        match code {
+            // A singleton: ALU, multiply or load.
+            0..=2 => {
+                if self.q.free_entries() == 0 {
+                    return self.step();
+                }
+                let class = [InstClass::IntAlu, InstClass::IntMul, InstClass::Load][code as usize];
+                let srcs = self.srcs(arg);
+                let (id, tag) = self.fresh();
+                self.q.insert(op(id, class, Some(tag), &srcs)).unwrap();
+                self.pool.push((id, tag));
+            }
+            // A MOP fused at once: the tail reads the head's tag.
+            3 => {
+                if self.q.free_entries() == 0 {
+                    return self.step();
+                }
+                let srcs = self.srcs(arg);
+                let (head, tag) = self.fresh();
+                let e = self.q.insert_mop_head(alu(head, Some(tag), &srcs)).unwrap();
+                let tail = self.next_id;
+                self.next_id += 1;
+                let mut tail_srcs = vec![tag];
+                tail_srcs.extend(self.srcs(arg >> 3));
+                self.q.fuse_tail(e, alu(tail, Some(tag), &tail_srcs)).unwrap();
+                self.pool.push((tail, tag));
+            }
+            // A pending head whose tail comes later (or never).
+            4 => {
+                if self.q.free_entries() == 0 {
+                    return self.step();
+                }
+                let srcs = self.srcs(arg);
+                let (head, tag) = self.fresh();
+                let e = self.q.insert_mop_head(alu(head, Some(tag), &srcs)).unwrap();
+                self.pending.push((e, head, tag));
+                self.pool.push((head, tag));
+            }
+            // The oldest pending head gets its tail, or gives up on it.
+            5 => {
+                if self.pending.is_empty() {
+                    return;
+                }
+                let (e, _, tag) = self.pending.remove(0);
+                if flag {
+                    let tail = self.next_id;
+                    self.next_id += 1;
+                    self.q.fuse_tail(e, alu(tail, Some(tag), &[tag])).unwrap();
+                } else {
+                    self.q.cancel_pending(e);
+                }
+            }
+            // The oldest outstanding load learns its outcome.
+            6 => {
+                if self.loads.is_empty() {
+                    return;
+                }
+                let (_, tag, _) = self.loads.remove(0);
+                let data_ready = self.cycles + 1 + arg % 30;
+                self.resolve(tag, flag, data_ready);
+            }
+            // A branch squashes everything from a recent uop on.
+            7 => {
+                let first = self.next_id.saturating_sub(arg % 8);
+                self.q.squash_from(UopId(first));
+                self.squashed.extend(first..self.next_id);
+                self.pool.retain(|&(id, _)| id < first);
+                self.loads.retain(|&(id, _, _)| id < first);
+                // Surviving heads lose their pending bits, squashed ones
+                // their entries.
+                self.pending.clear();
+            }
+            // Jump over the cycles the queue predicts to be idle.
+            8 => {
+                if self.cycles == 0 {
+                    return self.step();
+                }
+                let now = self.cycles - 1;
+                check_idle_prediction(&self.q, now);
+                let next = self.q.next_active();
+                if next > now + 1 {
+                    let k = (next - now - 1).min(1 + arg % 64);
+                    self.q.skip_idle(k);
+                    self.cycles += k;
+                }
+            }
+            _ => {
+                for _ in 0..=arg % 4 {
+                    self.step();
+                }
+            }
+        }
+    }
+
+    fn resolve(&mut self, tag: u64, hit: bool, data_ready: u64) {
+        self.q
+            .load_resolved_into(Tag(tag), hit, data_ready, &mut self.replayed);
+        for r in &self.replayed {
+            *self.replays.entry(r.0).or_default() += 1;
+            // A replayed load's outstanding outcome belongs to the issue
+            // the replay cancelled.
+            self.loads.retain(|&(id, _, _)| id != r.0);
+        }
+    }
+
+    fn step(&mut self) {
+        let now = self.cycles;
+        self.q.cycle_into(now, &mut self.out);
+        self.cycles += 1;
+        for iss in &self.out {
+            for u in iss.uops.iter() {
+                let n = self.issues.entry(u.id.0).or_default();
+                *n += 1;
+                if let (true, Some(tag)) = (u.is_load, u.dst) {
+                    self.loads.push((u.id.0, tag.0, *n));
+                }
+            }
+        }
+    }
+
+    /// Give up on every pending tail, then cycle until the queue empties,
+    /// every load hitting as soon as it issues.
+    fn drain(&mut self) {
+        for (e, _, _) in std::mem::take(&mut self.pending) {
+            self.q.cancel_pending(e);
+        }
+        for _ in 0..4_000 {
+            while let Some((_, tag, _)) = (!self.loads.is_empty()).then(|| self.loads.remove(0)) {
+                self.resolve(tag, true, self.cycles);
+            }
+            if self.q.occupancy() == 0 {
+                return;
+            }
+            self.step();
         }
     }
 }

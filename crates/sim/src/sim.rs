@@ -591,7 +591,7 @@ impl<T: TraceSource> Simulator<T> {
     }
 
     /// Jump the clock over cycles in which no stage can change any state
-    /// (DESIGN §6 "Cached readiness and idle cycles"): no event is due,
+    /// (DESIGN §6 "Ready calendar and idle cycles"): no event is due,
     /// nothing can insert, issue, commit or fetch, no pointer installs,
     /// no tag prune, metric boundary or deadlock check falls due, and
     /// with slot accounting no stall cause can change. The skipped cycles
@@ -617,7 +617,8 @@ impl<T: TraceSource> Simulator<T> {
                 false
             }
             Some(g) => {
-                if self.group_fits(g.insts.len()) {
+                let n = g.insts.len();
+                if self.group_fits(n) || self.stalled_on_pending_heads() {
                     return;
                 }
                 true
@@ -855,6 +856,14 @@ impl<T: TraceSource> Simulator<T> {
         }
         if !self.group_fits(group.insts.len()) {
             self.insert_blocked = true;
+            if self.stalled_on_pending_heads() {
+                // The heads hold the room their own tails need: fuse
+                // nothing, so they issue as singletons and free it.
+                let mut items = std::mem::take(&mut self.form_buf);
+                self.former.cancel_pending_into(&mut items);
+                self.apply_form_items(&mut items);
+                self.form_buf = items;
+            }
             return;
         }
         let mut group = self.front.pop_front().expect("checked above");
@@ -975,6 +984,19 @@ impl<T: TraceSource> Simulator<T> {
     /// instruction may need an entry (fused tails actually will not).
     fn group_fits(&self, n: usize) -> bool {
         self.queue.free_entries() >= n && self.rob.len() + n <= self.cfg.rob_entries
+    }
+
+    /// `true` when the blocked front group can never insert: MOP heads
+    /// wait for tails it carries, the queue will not act on its own, no
+    /// event is in flight and the ROB head cannot complete. A queue too
+    /// small for a pending head plus a whole group gets here (a 4- or
+    /// 5-entry queue under `mop-wor`); larger ones never do, since this
+    /// state would otherwise last until the deadlock check fires.
+    fn stalled_on_pending_heads(&mut self) -> bool {
+        !self.entry_map.is_empty()
+            && self.queue.next_active() == u64::MAX
+            && self.rob.front().is_none_or(|h| h.complete_at.is_none())
+            && self.events.iter().all(Vec::is_empty)
     }
 
     /// Apply (and drain) formation steering to the queue; returns the role
@@ -1614,6 +1636,19 @@ mod tests {
         let mut cfg = MachineConfig::base_32();
         cfg.dl1.hit_latency = 0;
         let _ = Simulator::new(cfg, spec2000::by_name("gzip").unwrap().trace(42));
+    }
+
+    /// A pending MOP head holding one of four or five entries used to
+    /// wait forever for a tail that needed a whole group's worth of room.
+    #[test]
+    fn tiny_mop_queues_commit_their_budget() {
+        for queue in [4, 5] {
+            let mut cfg = MachineConfig::macro_op(WakeupStyle::WiredOr, Some(queue), 1);
+            cfg.sched.queue_entries = Some(queue);
+            let s = run_spec("gzip", cfg, 5_000);
+            assert!(s.committed >= 5_000, "queue {queue}: {} commits", s.committed);
+            assert!(s.form.cancelled > 0, "queue {queue}: no pending was given up");
+        }
     }
 
     /// A deeper execute pipeline, a slower DL1 and three-wide MOP chains

@@ -18,8 +18,9 @@
 #      otherwise break only the benchmark)
 #   4. `mossim trace --check` smoke per scheduler model
 #   5. `mossim report --json` + `mossim pipeview` smoke per scheduler model,
-#      the scheduler aliases in the plain and report modes, and a queue
-#      smaller than a fetch group refused with an `error:` line
+#      the scheduler aliases in the plain and report modes, a queue
+#      smaller than a fetch group refused with an `error:` line, and
+#      4- and 5-entry `mop-wor` queues run to completion
 #   6. `mossim cpistack` smoke per scheduler model (conservation + JSON)
 #      plus the base/2cycle/mop differential
 #   6b. memory-bound mcf under every scheduler model: `trace --check` and
@@ -99,6 +100,14 @@ status=0
 [[ "$status" == 1 ]]
 grep -q "^error: --queue 2" /tmp/verify_queue2.txt
 echo "  --queue 2: exit 1 with an error line"
+
+echo "== tiny MOP queues run to completion =="
+for queue in 4 5; do
+    ./target/release/mossim --sched mop-wor --queue "$queue" --insts 20000 \
+        > "/tmp/verify_queue${queue}.txt"
+    grep -q "committed        20000" "/tmp/verify_queue${queue}.txt"
+    echo "  mop-wor --queue $queue: exit 0, budget committed"
+done
 
 echo "== cpistack smoke (every scheduler model) =="
 for sched in base 2cycle mop-2src mop-wor sf-squash sf-scoreboard spec-wakeup; do

@@ -194,3 +194,20 @@ fn a_queue_smaller_than_a_fetch_group_is_a_usage_error() {
         assert!(stderr.contains("at least 4"), "{sched}: {stderr}");
     }
 }
+
+/// A pending MOP head in a queue barely larger than a fetch group used to
+/// hold the room its own tail needed, until the deadlock check panicked.
+#[test]
+fn tiny_mop_queues_run_to_completion() {
+    for queue in ["4", "5"] {
+        let out = mossim()
+            .args(["--sched", "mop-wor", "--queue", queue, "--insts", "20000"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "--queue {queue}: {stderr}");
+        assert!(!stderr.contains("panicked"), "--queue {queue}: {stderr}");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("committed        20000"), "--queue {queue}: {stdout}");
+    }
+}
