@@ -24,7 +24,7 @@
 //! 5. afterwards pairs remaining candidates with identical (or no) source
 //!    origins into **independent MOPs** (Section 5.4.1).
 
-use mos_isa::{DynInst, Program, Reg, SmallList, StaticInst};
+use mos_isa::{DynInst, Program, Reg, StaticInst};
 
 use crate::config::{CycleDetection, MopConfig};
 use crate::pointer::MopPointer;
@@ -43,7 +43,7 @@ pub enum CtrlOut {
 }
 
 /// Detection-logic view of one renamed dynamic instruction.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DetectInst {
     /// Static index.
     pub sidx: u32,
@@ -55,9 +55,9 @@ pub struct DetectInst {
     pub is_valuegen: bool,
     /// Logical destination register.
     pub dst: Option<Reg>,
-    /// Logical source registers (zero register excluded); at most two per
-    /// instruction, so the list stays inline.
-    pub srcs: SmallList<Reg, 2>,
+    /// Logical source registers (zero register excluded): an instruction
+    /// names at most two.
+    pub srcs: [Option<Reg>; 2],
     /// Control transition from this instruction to the next in the stream.
     pub ctrl_out: CtrlOut,
 }
@@ -69,7 +69,9 @@ impl DetectInst {
         DetectInst::from_static(d.sidx, inst, d.taken, program.pc_of(d.sidx) & !63)
     }
 
-    /// Build the detection view from static pieces (testing convenience).
+    /// Build the detection view from static pieces: the instruction at
+    /// `sidx`, whether control left it taken on the committed path, and
+    /// its I-cache line.
     pub fn from_static(sidx: u32, inst: &StaticInst, taken: bool, line_addr: u64) -> DetectInst {
         use mos_isa::InstClass::*;
         let ctrl_out = if !taken {
@@ -79,13 +81,17 @@ impl DetectInst {
         } else {
             CtrlOut::TakenDirect
         };
+        let mut srcs = [None; 2];
+        for (slot, r) in srcs.iter_mut().zip(inst.src_regs()) {
+            *slot = Some(r);
+        }
         DetectInst {
             sidx,
             line_addr,
             is_candidate: inst.is_mop_candidate(),
             is_valuegen: inst.is_value_generating_candidate(),
             dst: inst.dst(),
-            srcs: inst.src_regs().collect(),
+            srcs,
             ctrl_out,
         }
     }
@@ -103,13 +109,6 @@ pub struct DetectedPair {
     /// `true` when the pair is an independent MOP (identical sources)
     /// rather than a dependent one.
     pub independent: bool,
-}
-
-#[derive(Debug, Clone)]
-struct Slot {
-    inst: DetectInst,
-    head: bool,
-    tail: bool,
 }
 
 /// Aggregate detection statistics.
@@ -131,19 +130,82 @@ pub struct DetectStats {
 /// `u64` bitmask per row.
 const MAX_WINDOW: usize = 64;
 
-// Independent-MOP source origins pack window positions and logical
-// registers into one u128 set.
-const _: () = assert!(MAX_WINDOW + Reg::NUM <= 128);
+// `external` holds one bit per logical register.
+const _: () = assert!(Reg::NUM <= 64);
+
+/// Last-writer entry of a register no slot in the window has written.
+const OUTSIDE: u8 = u8::MAX;
+
+/// One window position: what the matrix needs of a [`DetectInst`]. The
+/// per-position flags (MOP candidate, value generator, taken transfer
+/// out) are bitmasks in [`MopDetector`].
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    sidx: u32,
+    line_addr: u64,
+    srcs: [Option<Reg>; 2],
+    n_srcs: u8,
+    dst: Option<Reg>,
+}
+
+impl Slot {
+    const EMPTY: Slot = Slot {
+        sidx: 0,
+        line_addr: 0,
+        srcs: [None; 2],
+        n_srcs: 0,
+        dst: None,
+    };
+}
+
+/// Bits `from..` of a window mask.
+fn bits_from(from: usize) -> u64 {
+    u64::MAX.checked_shl(from as u32).unwrap_or(0)
+}
 
 /// The MOP detection engine. Feed one rename group per call to
 /// [`MopDetector::step`]; it holds the previous groups needed to cover the
 /// configured scope.
+///
+/// The window is a fixed array of slots, oldest first, that slides by
+/// whole groups. Everything known per position — candidate, value
+/// generator, taken direct or indirect transfer out, already a head or a
+/// tail — is a bitmask over window positions that slides with it. Each
+/// step rebuilds the dependence matrix of the whole window in one pass
+/// over a `u8` last-writer table (skipped when no slot could head a
+/// pair), and asks `has_pointer` only for a column that has some row to
+/// pair with, at most once. Pairs go into a buffer the detector reuses,
+/// so a step makes no heap allocation.
 #[derive(Debug, Clone)]
 pub struct MopDetector {
     config: MopConfig,
     max_srcs: Option<usize>,
     group_width: usize,
-    window: Vec<Slot>,
+    window: [Slot; MAX_WINDOW],
+    /// Occupied window slots.
+    len: usize,
+    candidates: u64,
+    valuegens: u64,
+    taken_direct: u64,
+    taken_indirect: u64,
+    /// Positions already claimed as a MOP head / tail.
+    heads: u64,
+    tails: u64,
+    /// Bit `i` of `deps[j]`: position `i` is the last writer of one of
+    /// `j`'s sources (the dependence matrix, by row).
+    deps: [u64; MAX_WINDOW],
+    /// `users[i]`: the rows that mark column `i`, i.e. the positions that
+    /// consume `i`'s result (the matrix by column).
+    users: [u64; MAX_WINDOW],
+    /// Bit `r` of `external[j]`: `j` reads logical register `r`, last
+    /// written outside the window. A slot's source origins are its `deps`
+    /// and `external` sets; two candidates with equal origins form an
+    /// independent MOP.
+    external: [u64; MAX_WINDOW],
+    /// Transitive ancestors of each position, built only under
+    /// [`CycleDetection::Precise`].
+    reach: [u64; MAX_WINDOW],
+    pairs: Vec<DetectedPair>,
     stats: DetectStats,
 }
 
@@ -162,7 +224,19 @@ impl MopDetector {
             config,
             max_srcs,
             group_width,
-            window: Vec::new(),
+            window: [Slot::EMPTY; MAX_WINDOW],
+            len: 0,
+            candidates: 0,
+            valuegens: 0,
+            taken_direct: 0,
+            taken_indirect: 0,
+            heads: 0,
+            tails: 0,
+            deps: [0; MAX_WINDOW],
+            users: [0; MAX_WINDOW],
+            external: [0; MAX_WINDOW],
+            reach: [0; MAX_WINDOW],
+            pairs: Vec::new(),
             stats: DetectStats::default(),
         }
     }
@@ -175,107 +249,96 @@ impl MopDetector {
     /// Forget all window state (e.g. across a pipeline squash, where the
     /// stream restarts from the recovery point).
     pub fn reset_window(&mut self) {
-        self.window.clear();
+        self.len = 0;
+        for mask in self.masks_mut() {
+            *mask = 0;
+        }
+    }
+
+    fn masks_mut(&mut self) -> [&mut u64; 6] {
+        [
+            &mut self.candidates,
+            &mut self.valuegens,
+            &mut self.taken_direct,
+            &mut self.taken_indirect,
+            &mut self.heads,
+            &mut self.tails,
+        ]
     }
 
     /// Process one rename group. `has_pointer(sidx)` reports whether a
     /// pointer for a head is already stored or pending;
     /// `blacklisted(head, tail)` consults the last-arrival filter's ban
-    /// list. Returns the pairs detected this step.
+    /// list. Both must answer the same throughout a call: `has_pointer` is
+    /// asked at most once per window slot. Returns the pairs detected this
+    /// step, valid until the next call.
     pub fn step(
         &mut self,
         group: &[DetectInst],
         mut has_pointer: impl FnMut(u32) -> bool,
         mut blacklisted: impl FnMut(u32, u32) -> bool,
-    ) -> Vec<DetectedPair> {
-        // Slide the window: keep at most (scope - group_width) old slots.
-        let keep = self.config.scope.saturating_sub(self.group_width);
-        if self.window.len() > keep {
-            self.window.drain(..self.window.len() - keep);
-        }
-        let cur_start = self.window.len();
-        for inst in group.iter().take(self.group_width) {
-            self.window.push(Slot {
-                inst: inst.clone(),
-                head: false,
-                tail: false,
-            });
-        }
-        let n = self.window.len();
+    ) -> &[DetectedPair] {
+        self.pairs.clear();
+        self.slide(group);
+        let cur_start = self.len - group.len().min(self.group_width);
 
-        // Direct register dependences within the window: bit i of deps[j]
-        // is set when window position i is the last writer of one of j's
-        // sources. The window holds at most MAX_WINDOW slots (asserted at
-        // construction), so rows are u64 bitmasks and nothing allocates.
-        let mut last_writer: [Option<usize>; Reg::NUM] = [None; Reg::NUM];
-        let mut deps = [0u64; MAX_WINDOW];
-        #[allow(clippy::needless_range_loop)] // j indexes two structures
-        for j in 0..n {
-            for src in &self.window[j].inst.srcs {
-                if let Some(i) = last_writer[src.index()] {
-                    deps[j] |= 1 << i;
-                }
-            }
-            if let Some(d) = self.window[j].inst.dst {
-                last_writer[d.index()] = Some(j);
-            }
+        // Columns that may head a dependent MOP (a tail may head a further
+        // link only when chaining, >2-wide MOPs, is enabled), and
+        // candidates that may head an independent one.
+        let chains = self.config.max_mop_size > 2;
+        let (heads_before, tails_before) = (self.heads, self.tails);
+        let members_before = heads_before | tails_before;
+        let mut dep_cols = self.valuegens & !heads_before & if chains { !0 } else { !tails_before };
+        let mut ind_cols = if self.config.group_independent {
+            self.candidates & !members_before
+        } else {
+            0
+        };
+        if dep_cols | ind_cols == 0 {
+            return &self.pairs;
         }
-        let feeds = |i: usize, j: usize| deps[j] & (1 << i) != 0;
+        self.build_rows();
 
-        // Transitive reachability (ancestor sets) for precise cycle mode.
-        let mut reach = [0u64; MAX_WINDOW];
-        for j in 0..n {
-            let mut d = deps[j];
-            while d != 0 {
-                let i = d.trailing_zeros() as usize;
-                d &= d - 1;
-                reach[j] |= reach[i] | (1 << i);
+        // A column with some row it could pair with asks whether its head
+        // already holds a pointer, at most once per step.
+        let (mut asked, mut held) = (0u64, 0u64);
+        let mut holds_pointer = |i: usize, sidx: u32| {
+            if asked & (1 << i) == 0 {
+                asked |= 1 << i;
+                held |= u64::from(has_pointer(sidx)) << i;
             }
-        }
-
-        let mut out = Vec::new();
+            held & (1 << i) != 0
+        };
 
         // --- Dependent-MOP pass ---
-        // Each column proposes its first eligible row; the priority decoder
+        // Each column proposes its first eligible row, judged against the
+        // membership the window had before this step; the priority decoder
         // then resolves rows claimed by several columns in favor of the
-        // oldest column, and losers forgo this step.
-        // proposals[..n_proposals] holds (column, row) in column order.
-        let mut proposals = [(0usize, 0usize); MAX_WINDOW];
-        let mut n_proposals = 0;
-        for i in 0..n {
-            let col = &self.window[i];
-            if col.head || !col.inst.is_valuegen || has_pointer(col.inst.sidx) {
+        // oldest column, and losers forgo this step. Columns propose in
+        // order, so each proposal is resolved as soon as it is made.
+        let mut row_taken = 0u64;
+        while dep_cols != 0 {
+            let i = dep_cols.trailing_zeros() as usize;
+            dep_cols &= dep_cols - 1;
+            // Rows in the previous group were already examined last step;
+            // a mark there still counts as the column's first.
+            let marks = self.users[i];
+            let rows = marks & bits_from((i + 1).max(cur_start));
+            let first_mark_row = if rows == marks { rows & rows.wrapping_neg() } else { 0 };
+            let mut eligible = rows & self.candidates & !members_before;
+            if eligible == 0 || holds_pointer(i, self.window[i].sidx) {
                 continue;
             }
-            // A tail may head a further link only when chaining (>2-wide
-            // MOPs) is enabled.
-            if col.tail && self.config.max_mop_size <= 2 {
-                continue;
-            }
-            // Rows in the previous group were already examined last step.
-            let row_begin = (i + 1).max(if i < cur_start { cur_start } else { i + 1 });
-            let mut mark_seen = (i + 1..row_begin).any(|j| feeds(i, j));
-            for j in row_begin..n {
-                if !feeds(i, j) {
+            while eligible != 0 {
+                let j = eligible.trailing_zeros() as usize;
+                eligible &= eligible - 1;
+                let (col, row) = (&self.window[i], &self.window[j]);
+                if blacklisted(col.sidx, row.sidx) {
                     continue;
                 }
-                let first_mark = !mark_seen;
-                mark_seen = true;
-                let row = &self.window[j];
-                if row.head || row.tail || !row.inst.is_candidate {
-                    continue;
-                }
-                if blacklisted(col.inst.sidx, row.inst.sidx) {
-                    continue;
-                }
-                let n_src_operands = row.inst.srcs.len();
                 let cycle_ok = match self.config.cycle_detection {
-                    CycleDetection::Heuristic => n_src_operands <= 1 || first_mark,
-                    CycleDetection::Precise => {
-                        // A deadlock needs some k strictly between i and j
-                        // that descends from i and feeds j.
-                        !((i + 1..j).any(|k| reach[k] & (1 << i) != 0 && reach[j] & (1 << k) != 0))
-                    }
+                    CycleDetection::Heuristic => row.n_srcs <= 1 || first_mark_row == 1 << j,
+                    CycleDetection::Precise => !self.closes_cycle(i, j),
                 };
                 if !cycle_ok {
                     self.stats.cycle_rejects += 1;
@@ -285,117 +348,175 @@ impl MopDetector {
                     self.stats.src_limit_rejects += 1;
                     continue;
                 }
-                match self.flow_between(i, j) {
-                    Some(_) => {}
-                    None => {
-                        self.stats.flow_rejects += 1;
-                        continue;
-                    }
+                let Some(control) = self.flow_between(i, j) else {
+                    self.stats.flow_rejects += 1;
+                    continue;
+                };
+                // The priority decoder: an older column claimed the row, or
+                // this column became a tail earlier this step (it may then
+                // head a pair only when chains are enabled).
+                if row_taken & (1 << j) == 0 && (chains || self.tails & (1 << i) == 0) {
+                    row_taken |= 1 << j;
+                    self.accept(i, j, control, false);
                 }
-                proposals[n_proposals] = (i, j);
-                n_proposals += 1;
                 break;
             }
         }
-        let mut row_taken = 0u64;
-        for &(i, j) in &proposals[..n_proposals] {
-            if row_taken & (1 << j) != 0 {
-                continue; // priority decoder: an older column claimed it
-            }
-            // An instruction claimed as a tail earlier this step may not
-            // also head a pair (unless >2-wide MOP chains are enabled).
-            if self.window[i].tail && self.config.max_mop_size <= 2 {
-                continue;
-            }
-            row_taken |= 1 << j;
-            self.window[i].head = true;
-            self.window[j].tail = true;
-            let control = self.flow_between(i, j).expect("checked above");
-            let head = &self.window[i].inst;
-            let tail = &self.window[j].inst;
-            out.push(DetectedPair {
-                head_sidx: head.sidx,
-                head_line: head.line_addr,
-                pointer: MopPointer::new((j - i) as u8, control, tail.sidx),
-                independent: false,
-            });
-            self.stats.dependent_pairs += 1;
-        }
 
         // --- Independent-MOP pass (Section 5.4.1) ---
-        if self.config.group_independent {
-            // Source origins, as a set: bit `i` for window producer
-            // position `i`, bit `MAX_WINDOW + r` for external logical
-            // register `r`. Two instructions pair when the sets are equal.
-            let mut origins = [0u128; MAX_WINDOW];
-            let mut lw: [Option<usize>; Reg::NUM] = [None; Reg::NUM];
-            #[allow(clippy::needless_range_loop)] // j indexes two structures
-            for j in 0..n {
-                for src in &self.window[j].inst.srcs {
-                    origins[j] |= match lw[src.index()] {
-                        Some(i) => 1 << i,
-                        None => 1 << (MAX_WINDOW + src.index()),
-                    };
-                }
-                if let Some(d) = self.window[j].inst.dst {
-                    lw[d.index()] = Some(j);
-                }
+        while ind_cols != 0 {
+            let i = ind_cols.trailing_zeros() as usize;
+            ind_cols &= ind_cols - 1;
+            let members = self.heads | self.tails;
+            if members & (1 << i) != 0 {
+                continue;
             }
-            for i in 0..n {
-                let c = &self.window[i];
-                if c.head || c.tail || !c.inst.is_candidate || has_pointer(c.inst.sidx) {
+            // Only pair across the frontier once, like the dependent
+            // pass: previous-group columns consider current-group rows.
+            let mut rows = self.candidates & !members & bits_from((i + 1).max(cur_start));
+            let mut same_origins = 0u64;
+            while rows != 0 {
+                let j = rows.trailing_zeros() as usize;
+                rows &= rows - 1;
+                let same = self.deps[i] == self.deps[j] && self.external[i] == self.external[j];
+                same_origins |= u64::from(same) << j;
+            }
+            if same_origins == 0 || holds_pointer(i, self.window[i].sidx) {
+                continue;
+            }
+            while same_origins != 0 {
+                let j = same_origins.trailing_zeros() as usize;
+                same_origins &= same_origins - 1;
+                if blacklisted(self.window[i].sidx, self.window[j].sidx) {
                     continue;
                 }
-                // Only pair across the frontier once, like the dependent
-                // pass: previous-group columns consider current-group rows.
-                let row_begin = (i + 1).max(if i < cur_start { cur_start } else { i + 1 });
-                for j in row_begin..n {
-                    let r = &self.window[j];
-                    if r.head || r.tail || !r.inst.is_candidate {
-                        continue;
-                    }
-                    if origins[i] != origins[j] || blacklisted(c.inst.sidx, r.inst.sidx) {
-                        continue;
-                    }
-                    let Some(control) = self.flow_between(i, j) else {
-                        continue;
-                    };
-                    out.push(DetectedPair {
-                        head_sidx: c.inst.sidx,
-                        head_line: c.inst.line_addr,
-                        pointer: MopPointer::new((j - i) as u8, control, r.inst.sidx)
-                            .independent(),
-                        independent: true,
-                    });
-                    self.stats.independent_pairs += 1;
-                    self.window[i].head = true;
-                    self.window[j].tail = true;
-                    break;
-                }
+                let Some(control) = self.flow_between(i, j) else {
+                    continue;
+                };
+                self.accept(i, j, control, true);
+                break;
             }
         }
-        out
+        &self.pairs
+    }
+
+    /// Drop the slots that fall out of scope (keeping at most `scope -
+    /// group_width` old ones) and append the group, at most `group_width`
+    /// of it.
+    fn slide(&mut self, group: &[DetectInst]) {
+        let keep = self.config.scope.saturating_sub(self.group_width);
+        if self.len > keep {
+            let drop = self.len - keep;
+            self.window.copy_within(drop..self.len, 0);
+            self.len = keep;
+            for mask in self.masks_mut() {
+                *mask = mask.checked_shr(drop as u32).unwrap_or(0);
+            }
+        }
+        for inst in group.iter().take(self.group_width) {
+            let p = self.len;
+            self.window[p] = Slot {
+                sidx: inst.sidx,
+                line_addr: inst.line_addr,
+                srcs: inst.srcs,
+                n_srcs: inst.srcs.iter().flatten().count() as u8,
+                dst: inst.dst,
+            };
+            self.candidates |= u64::from(inst.is_candidate) << p;
+            self.valuegens |= u64::from(inst.is_valuegen) << p;
+            self.taken_direct |= u64::from(inst.ctrl_out == CtrlOut::TakenDirect) << p;
+            self.taken_indirect |= u64::from(inst.ctrl_out == CtrlOut::TakenIndirect) << p;
+            self.len += 1;
+        }
+    }
+
+    /// One pass over a `u8` last-writer table, which maps each register
+    /// to the window position that last wrote it, or [`OUTSIDE`]. Builds
+    /// the dependence matrix by row and by column, the external sources
+    /// and (precise mode only) reachability.
+    fn build_rows(&mut self) {
+        let precise = self.config.cycle_detection == CycleDetection::Precise;
+        let mut last_writer = [OUTSIDE; Reg::NUM];
+        for j in 0..self.len {
+            let slot = self.window[j];
+            let (mut deps, mut external) = (0u64, 0u64);
+            self.users[j] = 0;
+            for src in slot.srcs.into_iter().flatten() {
+                match last_writer[src.index()] {
+                    OUTSIDE => external |= 1 << src.index(),
+                    i => {
+                        deps |= 1 << i;
+                        self.users[usize::from(i)] |= 1 << j;
+                    }
+                }
+            }
+            self.deps[j] = deps;
+            self.external[j] = external;
+            if precise {
+                let mut reach = deps;
+                let mut d = deps;
+                while d != 0 {
+                    reach |= self.reach[d.trailing_zeros() as usize];
+                    d &= d - 1;
+                }
+                self.reach[j] = reach;
+            }
+            if let Some(d) = slot.dst {
+                last_writer[d.index()] = j as u8;
+            }
+        }
+    }
+
+    /// Precise cycle check: grouping `i` with its consumer `j` deadlocks
+    /// when some `k` strictly between them descends from `i` and feeds
+    /// `j`.
+    fn closes_cycle(&self, i: usize, j: usize) -> bool {
+        let mut between = self.reach[j] & bits_from(i + 1);
+        while between != 0 {
+            let k = between.trailing_zeros() as usize;
+            between &= between - 1;
+            if self.reach[k] & (1 << i) != 0 {
+                return true;
+            }
+        }
+        false
+    }
+
+    /// Record the pair `(i, j)` and mark its members.
+    fn accept(&mut self, i: usize, j: usize, control: bool, independent: bool) {
+        let (head, tail) = (&self.window[i], &self.window[j]);
+        let mut pointer = MopPointer::new((j - i) as u8, control, tail.sidx);
+        if independent {
+            pointer = pointer.independent();
+            self.stats.independent_pairs += 1;
+        } else {
+            self.stats.dependent_pairs += 1;
+        }
+        self.pairs.push(DetectedPair {
+            head_sidx: head.sidx,
+            head_line: head.line_addr,
+            pointer,
+            independent,
+        });
+        self.heads |= 1 << i;
+        self.tails |= 1 << j;
     }
 
     /// Check the merged source-tag count against the wakeup-array limit:
-    /// the union of both instructions' sources, minus the tail's dependence
-    /// on the head (which becomes the internal MOP edge).
+    /// the head's source operands plus each further source of the tail,
+    /// minus the tail's dependence on the head (which becomes the internal
+    /// MOP edge). The tail reads the head's result, so at most one of its
+    /// sources can be further.
     fn src_limit_ok(&self, i: usize, j: usize) -> bool {
         let Some(limit) = self.max_srcs else {
             return true;
         };
-        let head = &self.window[i].inst;
-        let tail = &self.window[j].inst;
-        let mut union: SmallList<Reg, 4> = head.srcs.iter().copied().collect();
-        for s in &tail.srcs {
-            if Some(*s) == head.dst {
-                continue; // internal head->tail edge, no tag needed
-            }
-            if !union.contains(s) {
-                union.push(*s);
-            }
-        }
-        union.len() <= limit
+        let (head, tail) = (&self.window[i], &self.window[j]);
+        let further = tail
+            .srcs
+            .iter()
+            .any(|&s| s.is_some() && s != head.dst && !head.srcs.contains(&s));
+        usize::from(head.n_srcs) + usize::from(further) <= limit
     }
 
     /// Control-flow legality between window positions `i` and `j`
@@ -407,15 +528,15 @@ impl MopDetector {
         if offset == 0 || offset > MopPointer::MAX_OFFSET as usize || offset >= self.config.scope {
             return None;
         }
-        let mut taken_direct = 0;
-        for k in i..j {
-            match self.window[k].inst.ctrl_out {
-                CtrlOut::FallThrough => {}
-                CtrlOut::TakenDirect => taken_direct += 1,
-                CtrlOut::TakenIndirect => return None,
-            }
+        let span = bits_from(i) & !bits_from(j);
+        if self.taken_indirect & span != 0 {
+            return None;
         }
-        (taken_direct <= 1).then_some(taken_direct == 1)
+        match (self.taken_direct & span).count_ones() {
+            0 => Some(false),
+            1 => Some(true),
+            _ => None,
+        }
     }
 }
 
@@ -776,7 +897,7 @@ mod tests {
             ..MopConfig::default()
         };
         let mut p = MopDetector::new(cfg, None, 64);
-        let pairs = p.step(&g, no_ptr, no_bl);
+        let pairs = p.step(&g, no_ptr, no_bl).to_vec();
         assert_eq!(p.stats().cycle_rejects, 1, "the cycle at 40..=42 is seen");
         assert_eq!(pairs.len(), 1);
         assert_eq!((pairs[0].head_sidx, pairs[0].pointer.tail_sidx), (60, 61));

@@ -94,7 +94,7 @@ pub struct TableCheckpoint {
     map: [Option<Tag>; Reg::NUM],
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct Pending {
     pair_id: u64,
     mop_tag: Tag,
@@ -187,8 +187,15 @@ impl Former {
         out
     }
 
-    fn make_uop(&mut self, inst: &RenamedInst, dst: Option<Tag>, role: GroupRole) -> SchedUop {
-        let srcs = self.translate_srcs(&inst.srcs);
+    /// The uop for `inst`, whose sources translate to `srcs`; records its
+    /// destination `dst` in the translation table.
+    fn make_uop(
+        &mut self,
+        inst: &RenamedInst,
+        srcs: SmallList<Tag, 2>,
+        dst: Option<Tag>,
+        role: GroupRole,
+    ) -> SchedUop {
         if let (Some(r), Some(t)) = (inst.dst, dst) {
             self.table[r.index()] = Some(t);
         }
@@ -247,6 +254,9 @@ impl Former {
             let pos = self.pos;
             self.pos += 1;
             self.stats.insts += 1;
+            // Translated before this instruction's own destination is
+            // renamed, and only once however many pendings look at it.
+            let srcs = self.translate_srcs(&inst.srcs);
 
             // 1. Is this the tail a pending head expects? Every pending
             // whose expectation lands here either fuses (the first that
@@ -258,18 +268,14 @@ impl Former {
                     k += 1;
                     continue;
                 }
-                let p = &self.pending[k];
+                let p = self.pending[k];
                 // Links beyond the second member must be strictly
                 // single-source (their only dependence the chain itself):
                 // the paper's pairwise cycle heuristic does not cover
                 // cross-chain dependences, and a third member with an
                 // extra operand could close a dependence cycle through an
                 // instruction between the head and this tail.
-                let chain_safe = p.size < 2
-                    || self
-                        .translate_srcs(&inst.srcs)
-                        .iter()
-                        .all(|&t| t == p.mop_tag);
+                let chain_safe = p.size < 2 || srcs.iter().all(|&t| t == p.mop_tag);
                 let matches = !fused_here
                     && inst.sidx == p.expected_sidx
                     && !p.indirect_between
@@ -278,12 +284,11 @@ impl Former {
                     && inst.is_candidate
                     && chain_safe;
                 if !matches {
-                    let p = self.pending.remove(k);
+                    self.pending.remove(k);
                     items.push(FormedItem::Cancel { pair_id: p.pair_id });
                     self.stats.cancelled += 1;
                     continue; // same k now holds the next pending
                 }
-                let p = self.pending[k].clone();
                 let role = if p.independent {
                     GroupRole::MopIndependent
                 } else if inst.is_valuegen {
@@ -291,7 +296,7 @@ impl Former {
                 } else {
                     GroupRole::MopNonValueGen
                 };
-                let tail = self.make_uop(inst, Some(p.mop_tag), role);
+                let tail = self.make_uop(inst, srcs.clone(), Some(p.mop_tag), role);
                 // Chain a further link (>2-wide MOPs) when the tail has
                 // its own pointer and the size limit allows.
                 let chain = if p.size + 1 < self.max_mop_size {
@@ -344,7 +349,7 @@ impl Former {
                 } else {
                     GroupRole::MopValueGen
                 };
-                let head = self.make_uop(inst, Some(mop_tag), role);
+                let head = self.make_uop(inst, srcs, Some(mop_tag), role);
                 self.pending.push(Pending {
                     pair_id,
                     mop_tag,
@@ -374,7 +379,7 @@ impl Former {
             } else {
                 GroupRole::NotCandidate
             };
-            let uop = self.make_uop(inst, dst, role);
+            let uop = self.make_uop(inst, srcs, dst, role);
             items.push(FormedItem::Single(uop));
             self.account_taken(inst, pos);
         }

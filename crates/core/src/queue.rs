@@ -572,7 +572,7 @@ fn test_bit(words: &[u64], idx: usize) -> bool {
     words[idx / 64] & (1 << (idx % 64)) != 0
 }
 
-/// One issue decision returned by [`IssueQueue::cycle`].
+/// One issue decision appended by [`IssueQueue::cycle_into`].
 #[derive(Debug, Clone)]
 pub struct Issued {
     /// The entry that issued.
@@ -663,7 +663,8 @@ struct SlotAccounting {
 /// let mut q = IssueQueue::new(SchedConfig::default());
 /// let add = SchedUop::leaf(UopId(0), InstClass::IntAlu, Some(Tag(0)));
 /// q.insert(add).unwrap();
-/// let issued = q.cycle(0);
+/// let mut issued = Vec::new();
+/// q.cycle_into(0, &mut issued);
 /// assert_eq!(issued.len(), 1);
 /// ```
 #[derive(Debug, Clone)]
@@ -1156,20 +1157,10 @@ impl IssueQueue {
             .is_some_and(|e| e.gen == id.gen && e.pending_tail)
     }
 
-    /// Advance one cycle. `now` must increase by exactly one between
-    /// calls, counting the cycles [`IssueQueue::skip_idle`] skipped (the
-    /// first call sets the epoch). Returns the entries issued.
-    ///
-    /// Allocates the result vector; the hot simulator loop uses
-    /// [`IssueQueue::cycle_into`] with a reusable buffer instead.
-    pub fn cycle(&mut self, now: u64) -> Vec<Issued> {
-        let mut out = Vec::new();
-        self.cycle_into(now, &mut out);
-        out
-    }
-
     /// Advance one cycle, clearing `out` and appending this cycle's issue
-    /// decisions to it.
+    /// decisions to it. `now` must increase by exactly one between calls,
+    /// counting the cycles [`IssueQueue::skip_idle`] skipped (the first
+    /// call sets the epoch).
     pub fn cycle_into(&mut self, now: u64, out: &mut Vec<Issued>) {
         out.clear();
         debug_assert!(
@@ -1760,17 +1751,9 @@ impl IssueQueue {
 
     /// Report a load's cache outcome. On a miss, dependents issued in the
     /// load shadow are selectively replayed (transitively); the tag
-    /// re-broadcasts at `data_ready_at` plus the replay penalty. Returns
-    /// the uops pulled back for replay so the caller can invalidate any
-    /// in-flight execution bookkeeping for them.
-    pub fn load_resolved(&mut self, tag: Tag, hit: bool, data_ready_at: u64) -> Vec<UopId> {
-        let mut out = Vec::new();
-        self.load_resolved_into(tag, hit, data_ready_at, &mut out);
-        out
-    }
-
-    /// [`IssueQueue::load_resolved`] without allocating the result: `out`
-    /// is cleared and filled with the replayed uop ids.
+    /// re-broadcasts at `data_ready_at` plus the replay penalty. `out` is
+    /// cleared and filled with the uops pulled back for replay, so the
+    /// caller can invalidate any in-flight execution bookkeeping for them.
     pub fn load_resolved_into(
         &mut self,
         tag: Tag,
@@ -1978,12 +1961,14 @@ mod tests {
 
     /// Run a chain `a -> b` and return (issue cycle of a, issue cycle of b).
     fn chain_issue_cycles(kind: SchedulerKind) -> (u64, u64) {
+        let mut out = Vec::new();
         let mut q = IssueQueue::new(cfg(kind));
         q.insert(alu(0, Some(100), &[])).unwrap();
         q.insert(alu(1, Some(101), &[100])).unwrap();
         let mut cycles = (None, None);
         for now in 0..20 {
-            for i in q.cycle(now) {
+            q.cycle_into(now, &mut out);
+            for i in &out {
                 match i.uops[0].id {
                     UopId(0) => cycles.0 = Some(i.issue_cycle),
                     UopId(1) => cycles.1 = Some(i.issue_cycle),
@@ -2019,6 +2004,7 @@ mod tests {
     /// — which is consecutive execution for the tail's consumer.
     #[test]
     fn macro_op_timing_matches_figure5() {
+        let mut out = Vec::new();
         let mut q = IssueQueue::new(cfg(SchedulerKind::MacroOp));
         let e = q.insert_mop_head(alu(0, Some(100), &[])).unwrap();
         q.fuse_tail(e, alu(2, Some(100), &[100])).unwrap();
@@ -2027,7 +2013,8 @@ mod tests {
         let mut mop_cycle = None;
         let mut dep_cycles = Vec::new();
         for now in 0..20 {
-            for i in q.cycle(now) {
+            q.cycle_into(now, &mut out);
+            for i in &out {
                 if i.uops.len() == 2 {
                     mop_cycle = Some(i.issue_cycle);
                 } else {
@@ -2047,74 +2034,90 @@ mod tests {
 
     #[test]
     fn pending_head_does_not_request() {
+        let mut out = Vec::new();
         let mut q = IssueQueue::new(cfg(SchedulerKind::MacroOp));
         let e = q.insert_mop_head(alu(0, Some(100), &[])).unwrap();
-        assert!(q.cycle(0).is_empty(), "pending entry must not issue");
+        q.cycle_into(0, &mut out);
+        assert!(out.is_empty(), "pending entry must not issue");
         assert!(q.is_pending(e));
         q.fuse_tail(e, alu(1, Some(100), &[100])).unwrap();
-        let issued = q.cycle(1);
-        assert_eq!(issued.len(), 1);
-        assert_eq!(issued[0].uops.len(), 2);
+        q.cycle_into(1, &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].uops.len(), 2);
     }
 
     #[test]
     fn cancel_pending_releases_head_as_singleton() {
+        let mut out = Vec::new();
         let mut q = IssueQueue::new(cfg(SchedulerKind::MacroOp));
         let e = q.insert_mop_head(alu(0, Some(100), &[])).unwrap();
-        assert!(q.cycle(0).is_empty());
+        q.cycle_into(0, &mut out);
+        assert!(out.is_empty());
         q.cancel_pending(e);
-        let issued = q.cycle(1);
-        assert_eq!(issued.len(), 1);
-        assert_eq!(issued[0].uops.len(), 1);
+        q.cycle_into(1, &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].uops.len(), 1);
         assert_eq!(q.stats().cancelled_pendings, 1);
     }
 
     #[test]
     fn mop_blocks_issue_slot_next_cycle() {
+        let mut out = Vec::new();
         let mut cfgv = cfg(SchedulerKind::MacroOp);
         cfgv.issue_width = 1;
         let mut q = IssueQueue::new(cfgv);
         let e = q.insert_mop_head(alu(0, Some(100), &[])).unwrap();
         q.fuse_tail(e, alu(1, Some(100), &[100])).unwrap();
         q.insert(alu(2, Some(101), &[])).unwrap();
-        assert_eq!(q.cycle(0).len(), 1, "MOP wins by age");
-        assert!(q.cycle(1).is_empty(), "slot blocked while tail sequences");
-        assert_eq!(q.cycle(2).len(), 1);
+        q.cycle_into(0, &mut out);
+        assert_eq!(out.len(), 1, "MOP wins by age");
+        q.cycle_into(1, &mut out);
+        assert!(out.is_empty(), "slot blocked while tail sequences");
+        q.cycle_into(2, &mut out);
+        assert_eq!(out.len(), 1);
     }
 
     #[test]
     fn issue_width_limits_grants() {
+        let mut out = Vec::new();
         let mut q = IssueQueue::new(cfg(SchedulerKind::Base));
         for i in 0..6 {
             q.insert(alu(i, Some(100 + i), &[])).unwrap();
         }
-        assert_eq!(q.cycle(0).len(), 4, "width is 4");
-        assert_eq!(q.cycle(1).len(), 2);
+        q.cycle_into(0, &mut out);
+        assert_eq!(out.len(), 4, "width is 4");
+        q.cycle_into(1, &mut out);
+        assert_eq!(out.len(), 2);
     }
 
     #[test]
     fn fu_pool_limits_grants() {
+        let mut out = Vec::new();
         let mut q = IssueQueue::new(cfg(SchedulerKind::Base));
         for i in 0..3 {
             q.insert(load(i, 100 + i, &[])).unwrap();
         }
-        assert_eq!(q.cycle(0).len(), 2, "2 memory ports");
-        assert_eq!(q.cycle(1).len(), 1);
+        q.cycle_into(0, &mut out);
+        assert_eq!(out.len(), 2, "2 memory ports");
+        q.cycle_into(1, &mut out);
+        assert_eq!(out.len(), 1);
     }
 
     #[test]
     fn oldest_first_selection() {
+        let mut out = Vec::new();
         let mut c = cfg(SchedulerKind::Base);
         c.issue_width = 1;
         let mut q = IssueQueue::new(c);
         q.insert(alu(5, Some(105), &[])).unwrap();
         q.insert(alu(3, Some(103), &[])).unwrap();
-        let i = q.cycle(0);
-        assert_eq!(i[0].uops[0].id, UopId(3));
+        q.cycle_into(0, &mut out);
+        assert_eq!(out[0].uops[0].id, UopId(3));
     }
 
     #[test]
     fn queue_full_rejects_and_frees_after_confirm() {
+        let mut out = Vec::new();
         let mut c = cfg(SchedulerKind::Base);
         c.queue_entries = Some(2);
         c.confirm_window = 3;
@@ -2125,17 +2128,19 @@ mod tests {
             q.insert(alu(2, Some(102), &[])).unwrap_err(),
             InsertError::Full
         );
-        q.cycle(0); // both issue
+        q.cycle_into(0, &mut out); // both issue
         assert_eq!(q.occupancy(), 2, "entries held until confirmed");
-        q.cycle(1);
-        q.cycle(2);
-        q.cycle(3); // confirm_at = 0 + 3
+        q.cycle_into(1, &mut out);
+        q.cycle_into(2, &mut out);
+        q.cycle_into(3, &mut out); // confirm_at = 0 + 3
         assert_eq!(q.occupancy(), 0);
         q.insert(alu(2, Some(102), &[])).unwrap();
     }
 
     #[test]
     fn load_miss_replays_dependents_selectively() {
+        let mut out = Vec::new();
+        let mut replayed = Vec::new();
         let mut q = IssueQueue::new(cfg(SchedulerKind::Base));
         q.insert(load(0, 100, &[])).unwrap();
         q.insert(alu(1, Some(101), &[100])).unwrap(); // dependent
@@ -2145,9 +2150,10 @@ mod tests {
             // Load issues at 0; dependent wakes at 0 + 3 (assumed hit).
             // Miss discovered at cycle 5, data back at cycle 20.
             if now == 5 {
-                q.load_resolved(Tag(100), false, 20);
+                q.load_resolved_into(Tag(100), false, 20, &mut replayed);
             }
-            for i in q.cycle(now) {
+            q.cycle_into(now, &mut out);
+            for i in &out {
                 log.push((i.uops[0].id.0, i.issue_cycle));
             }
         }
@@ -2162,6 +2168,8 @@ mod tests {
 
     #[test]
     fn load_miss_replay_is_transitive() {
+        let mut out = Vec::new();
+        let mut replayed = Vec::new();
         let mut q = IssueQueue::new(cfg(SchedulerKind::Base));
         q.insert(load(0, 100, &[])).unwrap();
         q.insert(alu(1, Some(101), &[100])).unwrap();
@@ -2169,9 +2177,10 @@ mod tests {
         let mut reissues = 0;
         for now in 0..40 {
             if now == 6 {
-                q.load_resolved(Tag(100), false, 20);
+                q.load_resolved_into(Tag(100), false, 20, &mut replayed);
             }
-            for i in q.cycle(now) {
+            q.cycle_into(now, &mut out);
+            for i in &out {
                 if i.uops[0].id == UopId(2) {
                     reissues += 1;
                 }
@@ -2183,6 +2192,8 @@ mod tests {
 
     #[test]
     fn mop_replays_as_a_unit() {
+        let mut out = Vec::new();
+        let mut replayed = Vec::new();
         // Load feeds the MOP head; both uops must replay (Section 5.3.2).
         let mut q = IssueQueue::new(cfg(SchedulerKind::MacroOp));
         q.insert(load(0, 100, &[])).unwrap();
@@ -2191,9 +2202,10 @@ mod tests {
         let mut mop_issues = 0;
         for now in 0..40 {
             if now == 6 {
-                q.load_resolved(Tag(100), false, 20);
+                q.load_resolved_into(Tag(100), false, 20, &mut replayed);
             }
-            for i in q.cycle(now) {
+            q.cycle_into(now, &mut out);
+            for i in &out {
                 if i.uops.len() == 2 {
                     mop_issues += 1;
                 }
@@ -2204,15 +2216,18 @@ mod tests {
 
     #[test]
     fn load_hit_confirms_without_replay() {
+        let mut out = Vec::new();
+        let mut replayed = Vec::new();
         let mut q = IssueQueue::new(cfg(SchedulerKind::Base));
         q.insert(load(0, 100, &[])).unwrap();
         q.insert(alu(1, Some(101), &[100])).unwrap();
         let mut count = 0;
         for now in 0..20 {
             if now == 5 {
-                q.load_resolved(Tag(100), true, 5);
+                q.load_resolved_into(Tag(100), true, 5, &mut replayed);
             }
-            count += q.cycle(now).len();
+            q.cycle_into(now, &mut out);
+            count += out.len();
         }
         assert_eq!(count, 2);
         assert_eq!(q.stats().load_replay_uops, 0);
@@ -2232,6 +2247,7 @@ mod tests {
 
     #[test]
     fn half_squashed_mop_issues_head_alone() {
+        let mut out = Vec::new();
         let mut q = IssueQueue::new(cfg(SchedulerKind::MacroOp));
         // Tail reads an unready external tag 99, blocking the whole MOP.
         q.force_external_tag(Tag(99));
@@ -2239,13 +2255,14 @@ mod tests {
         let mut tail = alu(5, Some(100), &[100]);
         tail.srcs.push(Tag(99));
         q.fuse_tail(e, tail).unwrap();
-        assert!(q.cycle(0).is_empty(), "blocked by tail's operand");
+        q.cycle_into(0, &mut out);
+        assert!(out.is_empty(), "blocked by tail's operand");
         // Branch between 0 and 5 mispredicted: squash from id 3.
         q.squash_from(UopId(3));
-        let issued = q.cycle(1);
-        assert_eq!(issued.len(), 1);
-        assert_eq!(issued[0].uops.len(), 1, "head issues alone");
-        assert_eq!(issued[0].uops[0].id, UopId(0));
+        q.cycle_into(1, &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].uops.len(), 1, "head issues alone");
+        assert_eq!(out[0].uops[0].id, UopId(0));
     }
 
     #[test]
@@ -2272,6 +2289,7 @@ mod tests {
     /// member's external sources: the survivor must still wait for them.
     #[test]
     fn half_squashed_chain_keeps_the_middle_members_sources() {
+        let mut out = Vec::new();
         let mut c = cfg(SchedulerKind::MacroOp);
         c.mop.max_mop_size = 3;
         let mut q = IssueQueue::new(c);
@@ -2284,22 +2302,26 @@ mod tests {
         let srcs = q.entries[e.index].as_ref().unwrap().srcs.clone();
         assert_eq!(srcs, vec![Tag(50)], "head and middle sources, minus the MOP tag");
         for now in 0..10 {
-            assert!(q.cycle(now).is_empty(), "the middle member still waits on Tag(50)");
+            q.cycle_into(now, &mut out);
+            assert!(out.is_empty(), "the middle member still waits on Tag(50)");
         }
     }
 
     #[test]
     fn squash_clears_pending_bits() {
+        let mut out = Vec::new();
         let mut q = IssueQueue::new(cfg(SchedulerKind::MacroOp));
         let e = q.insert_mop_head(alu(0, Some(100), &[])).unwrap();
         assert!(q.is_pending(e));
         q.squash_from(UopId(1)); // tail (younger) can never arrive
         assert!(!q.is_pending(e));
-        assert_eq!(q.cycle(0).len(), 1);
+        q.cycle_into(0, &mut out);
+        assert_eq!(out.len(), 1);
     }
 
     #[test]
     fn squash_dep_collision_penalizes_dependent_rewake() {
+        let mut out = Vec::new();
         // Width 1 forces a collision between two ready producers; the
         // younger one's dependent pays the re-wake cycle.
         let mut c = cfg(SchedulerKind::SelectFreeSquashDep);
@@ -2310,7 +2332,8 @@ mod tests {
         q.insert(alu(2, Some(102), &[101])).unwrap(); // dependent of victim
         let mut sched: HashMap<u64, u64> = HashMap::new();
         for now in 0..20 {
-            for i in q.cycle(now) {
+            q.cycle_into(now, &mut out);
+            for i in &out {
                 sched.insert(i.uops[0].id.0, i.issue_cycle);
             }
         }
@@ -2323,6 +2346,7 @@ mod tests {
 
     #[test]
     fn scoreboard_pileup_consumes_bandwidth_and_replays() {
+        let mut out = Vec::new();
         let mut c = cfg(SchedulerKind::SelectFreeScoreboard);
         c.issue_width = 2;
         let mut q = IssueQueue::new(c);
@@ -2335,7 +2359,8 @@ mod tests {
         q.insert(alu(3, Some(103), &[102])).unwrap(); // mis-woken dependent
         let mut sched: HashMap<u64, Vec<u64>> = HashMap::new();
         for now in 0..20 {
-            for i in q.cycle(now) {
+            q.cycle_into(now, &mut out);
+            for i in &out {
                 sched.entry(i.uops[0].id.0).or_default().push(i.issue_cycle);
             }
         }
@@ -2357,6 +2382,7 @@ mod tests {
 
     #[test]
     fn speculative_wakeup_wastes_slots_on_failed_verification() {
+        let mut out = Vec::new();
         let mut c = cfg(SchedulerKind::SpeculativeWakeup);
         c.issue_width = 2;
         let mut q = IssueQueue::new(c);
@@ -2366,7 +2392,8 @@ mod tests {
         q.insert(alu(3, Some(103), &[102])).unwrap(); // woken speculatively
         let mut sched: HashMap<u64, u64> = HashMap::new();
         for now in 0..20 {
-            for i in q.cycle(now) {
+            q.cycle_into(now, &mut out);
+            for i in &out {
                 sched.insert(i.uops[0].id.0, i.issue_cycle);
             }
         }
@@ -2381,23 +2408,25 @@ mod tests {
 
     #[test]
     fn mean_occupancy_tracks_entries() {
+        let mut out = Vec::new();
         let mut c = cfg(SchedulerKind::Base);
         c.confirm_window = 100;
         let mut q = IssueQueue::new(c);
         q.insert(alu(0, Some(100), &[])).unwrap();
         for now in 0..10 {
-            q.cycle(now);
+            q.cycle_into(now, &mut out);
         }
         assert!((q.stats().mean_occupancy() - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn prune_tags_keeps_recent_and_unresolved() {
+        let mut out = Vec::new();
         let mut q = IssueQueue::new(cfg(SchedulerKind::Base));
         q.insert(load(0, 100, &[])).unwrap();
         q.insert(alu(1, Some(101), &[])).unwrap();
         for now in 0..5 {
-            q.cycle(now);
+            q.cycle_into(now, &mut out);
         }
         q.prune_tags(2);
         assert!(
@@ -2408,9 +2437,10 @@ mod tests {
 
     #[test]
     fn fuse_into_issued_entry_fails() {
+        let mut out = Vec::new();
         let mut q = IssueQueue::new(cfg(SchedulerKind::MacroOp));
         let e = q.insert(alu(0, Some(100), &[])).unwrap();
-        q.cycle(0);
+        q.cycle_into(0, &mut out);
         assert_eq!(
             q.fuse_tail(e, alu(1, Some(100), &[100])).unwrap_err(),
             InsertError::BadEntry
@@ -2501,30 +2531,32 @@ mod tests {
 
     #[test]
     fn consumer_of_pruned_tag_issues_immediately() {
+        let mut out = Vec::new();
         let mut q = IssueQueue::new(cfg(SchedulerKind::Base));
         q.insert(alu(0, Some(100), &[])).unwrap();
         for now in 0..10 {
-            q.cycle(now);
+            q.cycle_into(now, &mut out);
         }
         q.prune_tags(2);
         assert!(!q.tracks_tag(Tag(100)), "old resolved tag must be pruned");
         assert_eq!(q.tag_ready_time(Tag(100)), None);
         // A late consumer naming the pruned tag sees it as ready.
         q.insert(alu(1, None, &[100])).unwrap();
-        let issued = q.cycle(10);
-        assert_eq!(issued.len(), 1);
-        assert_eq!(issued[0].uops[0].id, UopId(1));
+        q.cycle_into(10, &mut out);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].uops[0].id, UopId(1));
     }
 
     #[test]
     fn queue_metrics_reconcile_with_stats() {
+        let mut out = Vec::new();
         let mut q = IssueQueue::new(cfg(SchedulerKind::Base));
         q.set_metrics(true);
         q.insert(alu(0, Some(100), &[])).unwrap();
         q.insert(alu(1, Some(101), &[100])).unwrap();
         q.insert(alu(2, None, &[101])).unwrap();
         for now in 0..20 {
-            q.cycle(now);
+            q.cycle_into(now, &mut out);
         }
         let m = q.metrics().expect("metrics enabled");
         let s = q.stats();
@@ -2542,6 +2574,7 @@ mod tests {
 
     #[test]
     fn wakeup_select_delay_counts_starved_cycles() {
+        let mut out = Vec::new();
         // Single-issue queue: two leaves wake together, one waits a cycle.
         let mut q = IssueQueue::new(SchedConfig {
             kind: SchedulerKind::Base,
@@ -2554,7 +2587,7 @@ mod tests {
         q.insert(alu(0, Some(100), &[])).unwrap();
         q.insert(alu(1, Some(101), &[])).unwrap();
         for now in 0..10 {
-            q.cycle(now);
+            q.cycle_into(now, &mut out);
         }
         let m = q.metrics().expect("metrics enabled");
         assert_eq!(m.wakeup_select_delay.count(), 2);
@@ -2564,10 +2597,11 @@ mod tests {
 
     #[test]
     fn metrics_off_collects_nothing() {
+        let mut out = Vec::new();
         let mut q = IssueQueue::new(cfg(SchedulerKind::Base));
         q.insert(alu(0, Some(100), &[])).unwrap();
         for now in 0..5 {
-            q.cycle(now);
+            q.cycle_into(now, &mut out);
         }
         assert!(q.metrics().is_none());
     }
@@ -2610,6 +2644,7 @@ mod tests {
     /// every other slot up to `hi`. Checks issue order, replay order,
     /// a mid-queue squash, release and the free-list reuse order.
     fn cross_word_scenario(queue_entries: Option<usize>, lo: usize, hi: usize) {
+        let mut out = Vec::new();
         let mut q = IssueQueue::new(SchedConfig {
             queue_entries,
             ..cfg(SchedulerKind::Base)
@@ -2636,7 +2671,8 @@ mod tests {
             if now == 5 {
                 // Miss: A and D replay in index order, then B through A's
                 // tag (the work list is a stack, so D's empty tag first).
-                let replayed = q.load_resolved(Tag(1000), false, 20);
+                let mut replayed = Vec::new();
+                q.load_resolved_into(Tag(1000), false, 20, &mut replayed);
                 assert_eq!(replayed, vec![UopId(2), UopId(4), UopId(3)]);
             }
             if now == 32 {
@@ -2648,7 +2684,8 @@ mod tests {
                 assert_eq!(ids, vec![hi, hi + 1, lo, hi - 1, hi - 2]);
                 assert_eq!(q.occupancy(), lo + 5);
             }
-            for i in q.cycle(now) {
+            q.cycle_into(now, &mut out);
+            for i in &out {
                 log.push((i.uops[0].id.0, i.issue_cycle));
             }
             match now {
@@ -2712,6 +2749,7 @@ mod tests {
     /// accounting, the cycle `next_active()` predicts must not be quiet:
     /// the prediction is exact, not just safe. Returns the cycles skipped.
     fn skip_matches_stepping(kind: SchedulerKind, observe: bool) -> u64 {
+        let mut replayed = Vec::new();
         const END: u64 = 600;
         const STORM: u64 = 10_000;
         let burst = |c: u64| c % 60 < 4;
@@ -2733,7 +2771,7 @@ mod tests {
             for qq in [&mut q, &mut stepped] {
                 qq.set_idle_cause(cause);
                 for &(_, tag, hit, ready) in resolves.iter().filter(|r| r.0 == now) {
-                    qq.load_resolved(tag, hit, ready);
+                    qq.load_resolved_into(tag, hit, ready, &mut replayed);
                 }
             }
             resolves.retain(|r| r.0 != now);
@@ -2814,6 +2852,7 @@ mod tests {
     /// hold-off, not the consumer's source wakeup.
     #[test]
     fn next_active_waits_out_a_pileup_hold_off() {
+        let mut out = Vec::new();
         let mut c = cfg(SchedulerKind::SelectFreeScoreboard);
         c.replay_penalty = 5;
         let mut q = IssueQueue::new(c);
@@ -2823,14 +2862,15 @@ mod tests {
         q.insert(alu(7, Some(107), &[106])).unwrap();
         let mut skips = 0;
         for now in 0..40 {
-            q.cycle(now);
+            q.cycle_into(now, &mut out);
             let next = q.clone().next_active();
             if next > now + 1 && next < u64::MAX {
                 let mut c = q.clone();
                 for t in now + 1..next {
-                    assert!(c.cycle(t).is_empty() && c.quiet, "activity at {t} before {next}");
+                    c.cycle_into(t, &mut out);
+                    assert!(out.is_empty() && c.quiet, "activity at {t} before {next}");
                 }
-                c.cycle(next);
+                c.cycle_into(next, &mut out);
                 assert!(!c.quiet, "predicted activity at {next}, none happened");
                 skips += 1;
             }
@@ -2910,6 +2950,7 @@ mod tests {
     /// refill with younger uops, so age order departs from slot order.
     #[test]
     fn oldest_idle_charges_equal_a_full_sort() {
+        let mut replayed = Vec::new();
         for kind in [
             SchedulerKind::Base,
             SchedulerKind::TwoCycle,
@@ -2935,7 +2976,7 @@ mod tests {
             let idle_cause = |now: u64| SlotCause::ALL[6 + (now % 3) as usize];
             while now < 800 {
                 for &(_, tag, hit, ready) in resolves.iter().filter(|r| r.0 == now) {
-                    q.load_resolved(tag, hit, ready);
+                    q.load_resolved_into(tag, hit, ready, &mut replayed);
                 }
                 resolves.retain(|r| r.0 != now);
                 for (e, id) in std::mem::take(&mut pending) {

@@ -31,9 +31,11 @@ fn op(id: u64, class: InstClass, dst: Option<u64>, srcs: &[u64]) -> SchedUop {
 }
 
 fn drain(q: &mut IssueQueue, cycles: u64) -> HashMap<u64, Vec<u64>> {
+    let mut out = Vec::new();
     let mut sched: HashMap<u64, Vec<u64>> = HashMap::new();
     for now in 0..cycles {
-        for i in q.cycle(now) {
+        q.cycle_into(now, &mut out);
+        for i in &out {
             for u in i.uops.iter() {
                 sched.entry(u.id.0).or_default().push(i.issue_cycle);
             }
@@ -132,6 +134,7 @@ fn merged_sources_all_gate_issue() {
 /// block two slots and two ALUs next cycle.
 #[test]
 fn two_mops_block_two_slots() {
+    let mut out = Vec::new();
     let mut c = cfg(SchedulerKind::MacroOp);
     c.issue_width = 4;
     c.fu_counts = [4, 2, 2, 2, 2];
@@ -145,7 +148,8 @@ fn two_mops_block_two_slots() {
     }
     let mut per_cycle: HashMap<u64, usize> = HashMap::new();
     for now in 0..10 {
-        for _ in q.cycle(now) {
+        q.cycle_into(now, &mut out);
+        for _ in &out {
             *per_cycle.entry(now).or_default() += 1;
         }
     }
@@ -158,6 +162,8 @@ fn two_mops_block_two_slots() {
 /// and re-issue; squashed consumers disappear without deadlock.
 #[test]
 fn squash_and_replay_interleave() {
+    let mut out = Vec::new();
+    let mut replayed = Vec::new();
     let mut q = IssueQueue::new(cfg(SchedulerKind::Base));
     let mut load = SchedUop::leaf(UopId(0), InstClass::Load, Some(Tag(100)));
     load.srcs.clear();
@@ -167,12 +173,13 @@ fn squash_and_replay_interleave() {
     let mut reissues_of_1 = 0;
     for now in 0..40 {
         if now == 5 {
-            q.load_resolved(Tag(100), false, 20);
+            q.load_resolved_into(Tag(100), false, 20, &mut replayed);
         }
         if now == 6 {
             q.squash_from(UopId(3));
         }
-        for i in q.cycle(now) {
+        q.cycle_into(now, &mut out);
+        for i in &out {
             if i.uops[0].id == UopId(1) {
                 reissues_of_1 += 1;
             }
@@ -188,24 +195,28 @@ fn squash_and_replay_interleave() {
 /// cancel_pending is idempotent and safe on issued/freed entries.
 #[test]
 fn cancel_pending_is_idempotent() {
+    let mut out = Vec::new();
     let mut q = IssueQueue::new(cfg(SchedulerKind::MacroOp));
     let e = q.insert_mop_head(alu(0, Some(100), &[])).unwrap();
     q.cancel_pending(e);
     q.cancel_pending(e);
     assert_eq!(q.stats().cancelled_pendings, 1);
-    let issued = q.cycle(0);
-    assert_eq!(issued.len(), 1);
-    q.cancel_pending(e); // now issued: no-op
+    q.cycle_into(0, &mut out);
+    assert_eq!(out.len(), 1);
+    q.cancel_pending(e); // now out: no-op
     assert_eq!(q.stats().cancelled_pendings, 1);
 }
 
 /// load_resolved on an unknown or squashed tag is a harmless no-op.
 #[test]
 fn load_resolved_unknown_tag_is_noop() {
+    let (mut out, mut replayed) = (Vec::new(), vec![UopId(7)]);
     let mut q = IssueQueue::new(cfg(SchedulerKind::Base));
-    assert!(q.load_resolved(Tag(999), false, 50).is_empty());
+    q.load_resolved_into(Tag(999), false, 50, &mut replayed);
+    assert!(replayed.is_empty(), "the buffer is cleared, nothing replays");
     q.insert(alu(0, Some(100), &[])).unwrap();
-    assert_eq!(q.cycle(0).len(), 1);
+    q.cycle_into(0, &mut out);
+    assert_eq!(out.len(), 1);
 }
 
 proptest! {

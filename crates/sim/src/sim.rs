@@ -942,7 +942,8 @@ impl<T: TraceSource> Simulator<T> {
             // Detection examines the correct-path renamed stream.
             if self.cfg.mops_enabled() {
                 if let Some(d) = fi.dyn_ {
-                    detect_group.push(DetectInst::from_dyn(&self.program, &d));
+                    let line = self.program.pc_of(fi.sidx) & !63;
+                    detect_group.push(DetectInst::from_static(fi.sidx, &inst, d.taken, line));
                 }
             }
         }

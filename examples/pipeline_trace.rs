@@ -40,6 +40,7 @@ fn branch(id: u64, srcs: &[u64]) -> SchedUop {
 
 /// Run the fragment and return issue cycles of instructions 1..=4.
 fn schedule(kind: SchedulerKind, fuse_1_and_3: bool) -> [Option<u64>; 4] {
+    let mut out = Vec::new();
     let cfg = SchedConfig {
         kind,
         ..SchedConfig::default()
@@ -60,7 +61,8 @@ fn schedule(kind: SchedulerKind, fuse_1_and_3: bool) -> [Option<u64>; 4] {
 
     let mut cycles = [None; 4];
     for now in 0..30 {
-        for iss in q.cycle(now) {
+        q.cycle_into(now, &mut out);
+        for iss in &out {
             for u in iss.uops.iter() {
                 cycles[(u.id.0 - 1) as usize] = Some(iss.issue_cycle);
             }

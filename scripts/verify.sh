@@ -33,7 +33,10 @@
 #   8. run-ledger smoke against a throwaway root: save -> history ->
 #      diff (must be sim-identical)
 #   9. `experiments all` at a small budget, byte-identical at --jobs 1 and
-#      --jobs 4; a zero budget refused; `experiments perf` smoke at a tiny
+#      --jobs 4 and to the pinned stdout digest in
+#      tests/golden/experiments_all_2000.sha256 (it covers the studies the
+#      trace digests do not: precise detection, scopes 4/16, a 100-cycle
+#      detection delay); a zero budget refused; `experiments perf` smoke at a tiny
 #      budget (writes to /tmp, never over the committed BENCH_sim.json)
 # Optional extras with --full: fig14 jobs-determinism check at 20k + a
 # 20k-budget perf snapshot (also written to /tmp).
@@ -182,11 +185,18 @@ grep -q "| gzip | mop-wor |" /tmp/verify_ledger_history.md
 grep -q "Verdict: sim-identical" /tmp/verify_ledger_diff.md
 echo "  save/history/diff ok (two saves of one config are sim-identical)"
 
-echo "== experiments all: --jobs 1 vs --jobs 4 (byte-identical) =="
+echo "== experiments all: --jobs 1 vs --jobs 4 vs the pinned digest =="
 ./target/release/experiments all --insts 2000 --jobs 1 > /tmp/verify_all_j1.txt
 ./target/release/experiments all --insts 2000 --jobs 4 > /tmp/verify_all_j4.txt
 cmp /tmp/verify_all_j1.txt /tmp/verify_all_j4.txt
 echo "  byte-identical"
+want=$(cut -d' ' -f1 tests/golden/experiments_all_2000.sha256)
+got=$(sha256sum /tmp/verify_all_j1.txt | cut -d' ' -f1)
+if [[ "$got" != "$want" ]]; then
+    echo "  experiments all --insts 2000 stdout digest $got, pinned $want" >&2
+    exit 1
+fi
+echo "  matches the pinned digest (tests/golden/experiments_all_2000.sha256)"
 
 echo "== experiments: a zero budget is refused =="
 if ./target/release/experiments fig14 --insts 0 > /dev/null 2>&1; then
