@@ -214,24 +214,6 @@ impl Former {
         }
     }
 
-    /// Process one rename group (at most the machine width), returning
-    /// queue-stage steering decisions in order. Call once per cycle; an
-    /// empty group (front-end bubble) still advances pending expiry.
-    ///
-    /// Pipelines that need to checkpoint the translation table between
-    /// instructions (for branch squash) use the incremental
-    /// [`Former::begin_group`] / [`Former::feed_into`] /
-    /// [`Former::end_group_into`] calls this method wraps.
-    pub fn step(&mut self, group: &[RenamedInst]) -> Vec<FormedItem> {
-        self.begin_group();
-        let mut items = Vec::with_capacity(group.len() + 1);
-        for inst in group {
-            self.feed_into(inst, &mut items);
-        }
-        self.end_group_into(&mut items);
-        items
-    }
-
     /// Start a rename group (advances pending-pair expiry bookkeeping).
     pub fn begin_group(&mut self) {
         self.step_no += 1;
@@ -472,10 +454,23 @@ mod tests {
         Former::new(true, 2)
     }
 
+    /// Form one rename group (at most the machine width) through the
+    /// incremental calls the simulator makes, returning the steering
+    /// decisions in order; an empty group still advances pending expiry.
+    fn step(f: &mut Former, group: &[RenamedInst]) -> Vec<FormedItem> {
+        f.begin_group();
+        let mut items = Vec::new();
+        for inst in group {
+            f.feed_into(inst, &mut items);
+        }
+        f.end_group_into(&mut items);
+        items
+    }
+
     #[test]
     fn same_group_pair_fuses() {
         let mut f = former();
-        let items = f.step(&[
+        let items = step(&mut f, &[
             with_ptr(ri(0, 10, Some(1), &[]), 1, false, 11),
             ri(1, 11, Some(2), &[1]),
         ]);
@@ -501,9 +496,9 @@ mod tests {
     #[test]
     fn consecutive_group_pair_fuses() {
         let mut f = former();
-        let i1 = f.step(&[with_ptr(ri(0, 10, Some(1), &[]), 4, false, 14)]);
+        let i1 = step(&mut f, &[with_ptr(ri(0, 10, Some(1), &[]), 4, false, 14)]);
         assert_eq!(i1.len(), 1);
-        let i2 = f.step(&[ri(1, 11, None, &[]), ri(2, 12, None, &[]), ri(3, 13, None, &[]), ri(4, 14, Some(2), &[1])]);
+        let i2 = step(&mut f, &[ri(1, 11, None, &[]), ri(2, 12, None, &[]), ri(3, 13, None, &[]), ri(4, 14, Some(2), &[1])]);
         assert!(
             i2.iter().any(|x| matches!(x, FormedItem::TailFuse { .. })),
             "tail in the next insert group must fuse: {i2:?}"
@@ -513,12 +508,12 @@ mod tests {
     #[test]
     fn stale_pending_cancelled_after_consecutive_group() {
         let mut f = former();
-        f.step(&[with_ptr(ri(0, 10, Some(1), &[]), 7, false, 17)]);
+        step(&mut f, &[with_ptr(ri(0, 10, Some(1), &[]), 7, false, 17)]);
         // Next group doesn't reach the expected position.
-        let i2 = f.step(&[ri(1, 11, None, &[])]);
+        let i2 = step(&mut f, &[ri(1, 11, None, &[])]);
         assert!(i2.iter().all(|x| !matches!(x, FormedItem::Cancel { .. })));
         // Two groups later the pending is stale.
-        let i3 = f.step(&[ri(2, 12, None, &[])]);
+        let i3 = step(&mut f, &[ri(2, 12, None, &[])]);
         assert!(
             i3.iter().any(|x| matches!(x, FormedItem::Cancel { .. })),
             "pending must expire after the consecutive group: {i3:?}"
@@ -529,7 +524,7 @@ mod tests {
     #[test]
     fn wrong_tail_sidx_cancels() {
         let mut f = former();
-        let items = f.step(&[
+        let items = step(&mut f, &[
             with_ptr(ri(0, 10, Some(1), &[]), 1, false, 11),
             ri(1, 99, Some(2), &[1]), // different static instruction
         ]);
@@ -546,7 +541,7 @@ mod tests {
         let head = with_ptr(ri(0, 10, Some(1), &[]), 2, true, 12);
         let mid = ri(1, 11, None, &[]); // not taken this time
         let tail = ri(2, 12, Some(2), &[1]);
-        let items = f.step(&[head, mid, tail]);
+        let items = step(&mut f, &[head, mid, tail]);
         assert!(
             items.iter().any(|x| matches!(x, FormedItem::Cancel { .. })),
             "fall-through path must not group with a taken-path pointer: {items:?}"
@@ -561,7 +556,7 @@ mod tests {
         br.taken = true;
         br.class = InstClass::CondBranch;
         let tail = ri(2, 30, Some(2), &[1]);
-        let items = f.step(&[head, br, tail]);
+        let items = step(&mut f, &[head, br, tail]);
         assert!(items.iter().any(|x| matches!(x, FormedItem::TailFuse { .. })));
     }
 
@@ -574,14 +569,14 @@ mod tests {
         jr.taken_indirect = true;
         jr.class = InstClass::IndirectJump;
         let tail = ri(2, 30, Some(2), &[1]);
-        let items = f.step(&[head, jr, tail]);
+        let items = step(&mut f, &[head, jr, tail]);
         assert!(items.iter().any(|x| matches!(x, FormedItem::Cancel { .. })));
     }
 
     #[test]
     fn consumers_of_head_and_tail_share_the_mop_tag() {
         let mut f = former();
-        let items = f.step(&[
+        let items = step(&mut f, &[
             with_ptr(ri(0, 10, Some(1), &[]), 1, false, 11),
             ri(1, 11, Some(2), &[1]),
             ri(2, 12, Some(3), &[1]), // reads head's r1
@@ -602,7 +597,7 @@ mod tests {
     #[test]
     fn untracked_sources_are_omitted() {
         let mut f = former();
-        let items = f.step(&[ri(0, 10, Some(1), &[5])]); // r5 never written
+        let items = step(&mut f, &[ri(0, 10, Some(1), &[5])]); // r5 never written
         match &items[0] {
             FormedItem::Single(u) => assert!(u.srcs.is_empty()),
             _ => panic!(),
@@ -612,7 +607,7 @@ mod tests {
     #[test]
     fn disabled_former_ignores_pointers() {
         let mut f = Former::new(false, 2);
-        let items = f.step(&[
+        let items = step(&mut f, &[
             with_ptr(ri(0, 10, Some(1), &[]), 1, false, 11),
             ri(1, 11, Some(2), &[1]),
         ]);
@@ -625,7 +620,7 @@ mod tests {
         let mut head = ri(0, 10, Some(1), &[7]);
         head.pointer = Some(MopPointer::new(1, false, 11).independent());
         let tail = ri(1, 11, Some(2), &[7]);
-        let items = f.step(&[head, tail]);
+        let items = step(&mut f, &[head, tail]);
         match (&items[0], &items[1]) {
             (
                 FormedItem::HeadPending { head, .. },
@@ -645,7 +640,7 @@ mod tests {
         let mut st = ri(1, 11, None, &[1]);
         st.class = InstClass::Store;
         st.is_valuegen = false;
-        let items = f.step(&[head, st]);
+        let items = step(&mut f, &[head, st]);
         match &items[1] {
             FormedItem::TailFuse { tail, .. } => {
                 assert_eq!(tail.role, GroupRole::MopNonValueGen)
@@ -657,12 +652,12 @@ mod tests {
     #[test]
     fn squash_restores_table_and_drops_pendings() {
         let mut f = former();
-        f.step(&[ri(0, 10, Some(1), &[])]);
+        step(&mut f, &[ri(0, 10, Some(1), &[])]);
         let cp = f.checkpoint();
-        f.step(&[with_ptr(ri(1, 11, Some(1), &[1]), 4, false, 15)]);
+        step(&mut f, &[with_ptr(ri(1, 11, Some(1), &[1]), 4, false, 15)]);
         f.squash(&cp);
         // r1 maps back to uop 0's tag: a new consumer sees the old tag.
-        let items = f.step(&[ri(2, 12, Some(3), &[1])]);
+        let items = step(&mut f, &[ri(2, 12, Some(3), &[1])]);
         match &items[0] {
             FormedItem::Single(u) => assert_eq!(u.srcs, vec![Tag(0)]),
             _ => panic!(),
@@ -678,7 +673,7 @@ mod tests {
         let a = with_ptr(ri(0, 10, Some(1), &[]), 1, false, 11);
         let b = with_ptr(ri(1, 11, Some(2), &[1]), 1, false, 12);
         let c = ri(2, 12, Some(3), &[2]);
-        let items = f.step(&[a, b, c]);
+        let items = step(&mut f, &[a, b, c]);
         let fuses: Vec<bool> = items
             .iter()
             .filter_map(|x| match x {
@@ -710,7 +705,7 @@ mod tests {
         let h1 = with_ptr(ri(0, 10, Some(1), &[]), 2, false, 12);
         let h2 = with_ptr(ri(1, 11, Some(2), &[]), 1, false, 99); // expects sidx 99 at pos 2
         let t = ri(2, 12, Some(3), &[1]);
-        let items = f.step(&[h1, h2, t]);
+        let items = step(&mut f, &[h1, h2, t]);
         // h2's expectation fails (sidx 12 != 99) -> cancel; then the tail
         // fuses with h1? Position 2 is expected by both pendings; the
         // first match wins deterministically.

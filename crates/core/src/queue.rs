@@ -34,7 +34,7 @@
 //! cycle visits only the entries that are due (DESIGN §6 "Ready calendar
 //! and idle cycles").
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use mos_isa::{FuKind, SmallList};
 use mos_metrics::Hist;
@@ -97,8 +97,8 @@ enum EntryState {
 struct Entry {
     gen: u64,
     /// Shared with every [`Issued`] grant of this entry, so a grant only
-    /// bumps a reference count; mutation goes through `Arc::make_mut`.
-    uops: Arc<Vec<SchedUop>>,
+    /// bumps a reference count; mutation goes through `Rc::make_mut`.
+    uops: Rc<Vec<SchedUop>>,
     /// Merged source tags (internal MOP edges removed). Inline up to four:
     /// a fused pair under the two-source CAM limit always fits, and only
     /// wired-OR pairs or longer chains can spill.
@@ -581,7 +581,7 @@ pub struct Issued {
     /// executes `uops[k]` in cycle `issue_cycle + k` (payload-RAM
     /// sequencing, Section 5.3.1). Shared with the queue entry, so a
     /// grant allocates nothing.
-    pub uops: Arc<Vec<SchedUop>>,
+    pub uops: Rc<Vec<SchedUop>>,
     /// Cycle of selection.
     pub issue_cycle: u64,
 }
@@ -701,7 +701,7 @@ pub struct IssueQueue {
     idx_buf: Vec<usize>,
     /// Uop lists of released and squashed entries, reused by inserts
     /// (DESIGN §6): a list comes back once no grant shares it.
-    uop_pool: Vec<Arc<Vec<SchedUop>>>,
+    uop_pool: Vec<Rc<Vec<SchedUop>>>,
     /// Event tracing enabled. When `false` (the default) no event value is
     /// ever constructed — every emission site is behind this one branch.
     trace: bool,
@@ -852,9 +852,9 @@ impl IssueQueue {
 
     /// A one-uop list holding `uop`, reusing a pooled list when no grant
     /// still shares it.
-    fn uop_list(&mut self, uop: SchedUop) -> Arc<Vec<SchedUop>> {
+    fn uop_list(&mut self, uop: SchedUop) -> Rc<Vec<SchedUop>> {
         if let Some(mut list) = self.uop_pool.pop() {
-            if let Some(v) = Arc::get_mut(&mut list) {
+            if let Some(v) = Rc::get_mut(&mut list) {
                 v.clear();
                 v.push(uop);
                 return list;
@@ -862,7 +862,7 @@ impl IssueQueue {
         }
         let mut v = Vec::with_capacity(self.config.mop.max_mop_size.max(1));
         v.push(uop);
-        Arc::new(v)
+        Rc::new(v)
     }
 
     /// Empty slot `idx`, clear its bits, take it off its sources'
@@ -1100,7 +1100,7 @@ impl IssueQueue {
         // Head and tail share one MOP ID; formation's translation table
         // aliases the tail's destination to it, so no new tag is made.
         e.pending_tail = false;
-        Arc::make_mut(&mut e.uops).push(tail);
+        Rc::make_mut(&mut e.uops).push(tail);
         let e = self.entries[head.index].as_mut().expect("fused above");
         e.ready = self.tags.ready_time_of(&e.srcs);
         self.register_srcs(head.index, &added);
@@ -1385,7 +1385,7 @@ impl IssueQueue {
                     index: idx,
                     gen: e.gen,
                 },
-                uops: Arc::clone(&e.uops),
+                uops: Rc::clone(&e.uops),
                 issue_cycle: now,
             });
             if self.trace {
@@ -1877,7 +1877,7 @@ impl IssueQueue {
                     // Half-squashed MOP: drop wrong-path tail uops and keep
                     // the sources of every surviving member (the MOP tag
                     // was never among them).
-                    let uops = Arc::make_mut(&mut e.uops);
+                    let uops = Rc::make_mut(&mut e.uops);
                     uops.retain(|u| u.id < first_squashed);
                     let mut dropped = SmallList::<Tag, 4>::new();
                     e.srcs.retain(|&t| {

@@ -183,7 +183,7 @@ impl MachineConfig {
 
     /// Total fetch-to-insert delay in cycles.
     pub fn front_delay(&self) -> u64 {
-        u64::from(self.front_depth + self.extra_mop_stages)
+        u64::from(self.front_depth) + u64::from(self.extra_mop_stages)
     }
 
     /// Whether the macro-op machinery (detection, pointers, formation) is
@@ -228,6 +228,13 @@ mod tests {
         assert!(c.mops_enabled());
         assert_eq!(c.front_delay(), 6);
         assert_eq!(c.sched.max_entry_sources(), Some(2));
+    }
+
+    #[test]
+    fn front_delay_does_not_wrap() {
+        let mut c = MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 0);
+        c.extra_mop_stages = u32::MAX;
+        assert_eq!(c.front_delay(), u64::from(c.front_depth) + u64::from(u32::MAX));
     }
 
     #[test]

@@ -79,6 +79,104 @@ struct RobEntry {
     load_tag: Option<Tag>,
 }
 
+/// The reorder buffer, a ring indexed by uop id: uop `i` lives in slot
+/// `i - base`, so finding a uop is a subtraction and a slot check. Ids a
+/// squash skipped stay as empty slots until they reach the head, which is
+/// always a live entry; `live` counts the occupied slots, the ROB's
+/// occupancy.
+#[derive(Debug, Default)]
+struct Rob {
+    slots: VecDeque<Option<RobEntry>>,
+    /// Uop id of `slots[0]`.
+    base: u64,
+    live: usize,
+}
+
+impl Rob {
+    fn len(&self) -> usize {
+        self.live
+    }
+
+    fn is_empty(&self) -> bool {
+        self.live == 0
+    }
+
+    /// Slot of uop `id`: a subtraction. Ids below `base` wrap to huge
+    /// values and fall outside the ring.
+    #[inline]
+    fn slot(&self, id: UopId) -> usize {
+        usize::try_from(id.0.wrapping_sub(self.base)).unwrap_or(usize::MAX)
+    }
+
+    /// The entry of uop `id`, if it is in flight.
+    #[inline]
+    fn get(&self, id: UopId) -> Option<&RobEntry> {
+        self.slots.get(self.slot(id))?.as_ref()
+    }
+
+    /// The entry of uop `id`, if it is in flight.
+    #[inline]
+    fn get_mut(&mut self, id: UopId) -> Option<&mut RobEntry> {
+        let i = self.slot(id);
+        self.slots.get_mut(i)?.as_mut()
+    }
+
+    /// The oldest in-flight uop.
+    fn head(&self) -> Option<&RobEntry> {
+        self.slots.front().and_then(Option::as_ref)
+    }
+
+    /// Append `e`, leaving an empty slot for every id skipped since the
+    /// youngest entry.
+    fn push(&mut self, e: RobEntry) {
+        if self.slots.is_empty() {
+            self.base = e.id.0;
+        }
+        let at = self.slot(e.id);
+        debug_assert!(at >= self.slots.len(), "uop ids enter the ROB in order");
+        self.slots.resize_with(at, || None);
+        self.slots.push_back(Some(e));
+        self.live += 1;
+    }
+
+    /// Remove the head, then the empty slots behind it, so the next
+    /// in-flight uop becomes the head.
+    fn pop_head(&mut self) -> Option<RobEntry> {
+        let head = self.slots.pop_front()?.expect("the ROB head is live");
+        self.base += 1;
+        self.live -= 1;
+        while self.slots.front().is_some_and(Option::is_none) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        Some(head)
+    }
+
+    /// Drop every uop younger than the in-flight uop `id` (a squash).
+    fn truncate_after(&mut self, id: UopId) {
+        let keep = self.slot(id) + 1;
+        debug_assert!(keep <= self.slots.len(), "{id:?} is in flight");
+        for b in self.slots.drain(keep..).flatten() {
+            // Wrong-path stores never entered store_inflight (no oracle
+            // address), so nothing to unwind there; the load tag dies with
+            // the ROB entry.
+            debug_assert!(b.dyn_.is_none(), "only wrong-path uops are squashed");
+            self.live -= 1;
+        }
+    }
+
+    /// The ring is exact: every slot holds the uop its id names or is
+    /// empty, the head slot is live and `live` counts the occupied slots.
+    /// Checked after every debug cycle, like the queue's own invariants.
+    fn agrees(&self) -> bool {
+        let ids_fit = self.slots.iter().zip(self.base..).all(|(e, id)| {
+            e.as_ref().is_none_or(|e| e.id.0 == id)
+        });
+        let occupied = self.slots.iter().filter(|e| e.is_some()).count();
+        ids_fit && self.slots.front().is_none_or(Option::is_some) && occupied == self.live
+    }
+}
+
 /// Recovery state of one in-flight branch that can squash (conditional,
 /// indirect or return), kept beside the ROB rather than in it.
 #[derive(Debug, Clone)]
@@ -146,7 +244,7 @@ pub struct Simulator<T: TraceSource> {
 
     // Back end.
     queue: IssueQueue,
-    rob: VecDeque<RobEntry>,
+    rob: Rob,
     /// One [`Checkpoint`] per in-flight branch that can squash, in uop-id
     /// order: pushed at rename, popped when the branch commits, truncated
     /// past the branch on a squash.
@@ -239,7 +337,7 @@ impl<T: TraceSource> Simulator<T> {
             former: Former::new(cfg.mops_enabled(), cfg.sched.mop.max_mop_size),
             entry_map: Vec::new(),
             queue: IssueQueue::new(cfg.sched.clone()),
-            rob: VecDeque::new(),
+            rob: Rob::default(),
             checkpoints: VecDeque::new(),
             events: (0..wheel).map(|_| Vec::new()).collect(),
             wheel_mask: wheel as u64 - 1,
@@ -478,10 +576,6 @@ impl<T: TraceSource> Simulator<T> {
         }
     }
 
-    fn rob_index(&self, id: UopId) -> Option<usize> {
-        self.rob.binary_search_by_key(&id, |e| e.id).ok()
-    }
-
     /// Schedule `ev` for cycle `at`, after the events already due then.
     fn schedule(&mut self, at: u64, ev: Ev) {
         debug_assert!(
@@ -560,6 +654,7 @@ impl<T: TraceSource> Simulator<T> {
             }
         }
 
+        debug_assert!(self.rob.agrees(), "ROB slots disagree with uop ids");
         self.check_conservation();
     }
 
@@ -603,7 +698,7 @@ impl<T: TraceSource> Simulator<T> {
         let accounting = self.slot_accounting();
         let mut next = self.last_commit_cycle + DEADLOCK_CYCLES;
         next = next.min((now / PRUNE_PERIOD + 1) * PRUNE_PERIOD);
-        if let Some(at) = self.rob.front().and_then(|h| h.complete_at) {
+        if let Some(at) = self.rob.head().and_then(|h| h.complete_at) {
             next = next.min(at);
         }
         if self.front.len() < FRONT_GROUPS && self.program.inst(self.fetch_pc).is_some() {
@@ -912,7 +1007,7 @@ impl<T: TraceSource> Simulator<T> {
                 });
             }
 
-            self.rob.push_back(RobEntry {
+            self.rob.push(RobEntry {
                 id,
                 sidx: fi.sidx,
                 class: inst.class(),
@@ -996,7 +1091,7 @@ impl<T: TraceSource> Simulator<T> {
     fn stalled_on_pending_heads(&mut self) -> bool {
         !self.entry_map.is_empty()
             && self.queue.next_active() == u64::MAX
-            && self.rob.front().is_none_or(|h| h.complete_at.is_none())
+            && self.rob.head().is_none_or(|h| h.complete_at.is_none())
             && self.events.iter().all(Vec::is_empty)
     }
 
@@ -1064,10 +1159,9 @@ impl<T: TraceSource> Simulator<T> {
             self.maybe_filter_last_arrival(iss);
         }
         for (k, uop) in iss.uops.iter().enumerate() {
-            let Some(idx) = self.rob_index(uop.id) else {
+            let Some(entry) = self.rob.get_mut(uop.id) else {
                 continue; // squashed between select and bookkeeping
             };
-            let entry = &mut self.rob[idx];
             entry.issue_gen += 1;
             let gen = entry.issue_gen;
             // Final grouping classification: a lone uop in an entry was
@@ -1085,7 +1179,7 @@ impl<T: TraceSource> Simulator<T> {
             };
             if uop.is_load {
                 if let Some(t) = uop.dst {
-                    self.rob[idx].load_tag = Some(t);
+                    entry.load_tag = Some(t);
                 }
             }
             let exec_at = iss.issue_cycle + u64::from(self.cfg.exec_offset) + k as u64;
@@ -1154,11 +1248,7 @@ impl<T: TraceSource> Simulator<T> {
                 data_ready,
             } => {
                 // Drop stale resolutions from replaced issues.
-                if let Some(idx) = self.rob_index(id) {
-                    if self.rob[idx].issue_gen != gen {
-                        return;
-                    }
-                } else {
+                if self.rob.get(id).is_none_or(|e| e.issue_gen != gen) {
                     return;
                 }
                 if let Some(tag) = tag {
@@ -1170,9 +1260,9 @@ impl<T: TraceSource> Simulator<T> {
                     self.queue.load_resolved_into(tag, hit, data_ready, &mut replayed);
                     self.drain_queue_trace();
                     for &rid in &replayed {
-                        if let Some(k) = self.rob_index(rid) {
-                            self.rob[k].complete_at = None;
-                            self.rob[k].issue_gen += 1;
+                        if let Some(e) = self.rob.get_mut(rid) {
+                            e.complete_at = None;
+                            e.issue_gen += 1;
                         }
                     }
                     self.replay_buf = replayed;
@@ -1183,15 +1273,14 @@ impl<T: TraceSource> Simulator<T> {
 
     fn exec_uop(&mut self, id: UopId, gen: u32) {
         let now = self.now;
-        let Some(idx) = self.rob_index(id) else {
+        let Some(e) = self.rob.get(id) else {
             return; // squashed
         };
-        if self.rob[idx].issue_gen != gen {
+        if e.issue_gen != gen {
             return; // superseded by a replay re-issue
         }
-        let class = self.rob[idx].class;
-        let dyn_ = self.rob[idx].dyn_;
-        match class {
+        let (class, dyn_, load_tag) = (e.class, e.dyn_, e.load_tag);
+        let complete_at = match class {
             InstClass::Load => {
                 let (latency, hit) = match dyn_.and_then(|d| d.eff_addr) {
                     Some(_) if self.cfg.ideal_memory => (self.cfg.dl1.hit_latency, true),
@@ -1220,8 +1309,6 @@ impl<T: TraceSource> Simulator<T> {
                     // Wrong-path load: assume a hit, no cache pollution.
                     None => (self.cfg.dl1.hit_latency, true),
                 };
-                let entry = &mut self.rob[idx];
-                entry.complete_at = Some(now + u64::from(latency));
                 // The dependent-visible data time on the scheduling scale:
                 // issue + agen(1) + memory latency. exec = issue + offset.
                 let issue_cycle = now - u64::from(self.cfg.exec_offset);
@@ -1229,43 +1316,39 @@ impl<T: TraceSource> Simulator<T> {
                 let discovery = now + u64::from(self.cfg.dl1.hit_latency);
                 // This load's broadcast tag (MOP-translated) was recorded
                 // on its ROB entry at issue.
-                let tag = self.rob[idx].load_tag;
                 self.schedule(
                     discovery,
                     Ev::LoadResolve {
                         id,
                         gen,
-                        tag,
+                        tag: load_tag,
                         hit,
                         data_ready,
                     },
                 );
+                now + u64::from(latency)
             }
-            InstClass::Store => {
-                self.rob[idx].complete_at = Some(now + 1);
-            }
-            InstClass::CondBranch | InstClass::IndirectJump | InstClass::Return => {
-                self.rob[idx].complete_at = Some(now + 1);
-                if dyn_.is_some() && !self.rob[idx].branch_resolved {
-                    self.rob[idx].branch_resolved = true;
-                    self.resolve_branch(idx);
-                }
-            }
-            _ => {
-                let lat = u64::from(class.exec_latency());
-                self.rob[idx].complete_at = Some(now + lat);
-            }
+            InstClass::Store
+            | InstClass::CondBranch
+            | InstClass::IndirectJump
+            | InstClass::Return => now + 1,
+            _ => now + u64::from(class.exec_latency()),
+        };
+        let e = self.rob.get_mut(id).expect("checked above");
+        e.complete_at = Some(complete_at);
+        if can_squash(class) && dyn_.is_some() && !e.branch_resolved {
+            e.branch_resolved = true;
+            self.resolve_branch(id);
         }
     }
 
-    fn resolve_branch(&mut self, idx: usize) {
+    fn resolve_branch(&mut self, id: UopId) {
         let now = self.now;
-        let e = &self.rob[idx];
+        let e = self.rob.get(id).expect("a resolving branch is in flight");
         let pc = self.program.pc_of(e.sidx);
-        let (id, mispredicted, actual_taken, actual_next) =
-            (e.id, e.mispredicted, e.actual_taken, e.actual_next);
-        let ghr_cp = e.ghr_cp;
-        let class = e.class;
+        let (mispredicted, actual_taken, actual_next) =
+            (e.mispredicted, e.actual_taken, e.actual_next);
+        let (ghr_cp, class, branch_sidx) = (e.ghr_cp, e.class, e.sidx);
 
         if class == InstClass::CondBranch {
             self.predictor.update(pc, actual_taken, ghr_cp);
@@ -1280,7 +1363,6 @@ impl<T: TraceSource> Simulator<T> {
         // --- Squash ---
         self.stats.squashes += 1;
         if self.obs.wants(EventKinds::SQUASH) {
-            let branch_sidx = self.rob[idx].sidx;
             self.obs.emit(TraceEvent::Squash {
                 cycle: now,
                 from: UopId(id.0 + 1),
@@ -1288,13 +1370,7 @@ impl<T: TraceSource> Simulator<T> {
             });
         }
         self.queue.squash_from(UopId(id.0 + 1));
-        while self.rob.back().is_some_and(|b| b.id > id) {
-            let b = self.rob.pop_back().expect("checked above");
-            // Wrong-path stores never entered store_inflight (no oracle
-            // address), so nothing to unwind there; the load tag dies with
-            // the ROB entry.
-            debug_assert!(b.dyn_.is_none(), "only wrong-path uops are squashed");
-        }
+        self.rob.truncate_after(id);
         while let Some(g) = self.front.pop_front() {
             self.recycle_group(g.insts);
         }
@@ -1322,13 +1398,13 @@ impl<T: TraceSource> Simulator<T> {
     fn commit_stage(&mut self) {
         let now = self.now;
         for _ in 0..self.cfg.commit_width {
-            let Some(head) = self.rob.front() else {
+            let Some(head) = self.rob.head() else {
                 return;
             };
             if head.complete_at.is_none_or(|c| c > now) {
                 return;
             }
-            let head = self.rob.pop_front().expect("checked above");
+            let head = self.rob.pop_head().expect("checked above");
             debug_assert!(head.dyn_.is_some(), "wrong-path uop reached commit");
             self.stats.committed += 1;
             self.last_commit_cycle = now;
@@ -1488,6 +1564,41 @@ mod tests {
         assert!(s.mispredicts > 0, "data-dependent branches must mispredict");
         assert!(s.squashes > 0);
         assert!(s.wrong_path_fetched > 0, "wrong path is really fetched");
+    }
+
+    /// The id-indexed ROB stays exact through every squash of a branchy
+    /// run, in release too: squashed ids leave empty slots behind the
+    /// branch while older uops wait, and lookups find exactly the live
+    /// uops.
+    #[test]
+    fn rob_ring_stays_exact_through_squashes() {
+        const N: u64 = 10_000;
+        let cfg = MachineConfig::base_32();
+        let t = spec2000::by_name("gcc").unwrap().trace(42);
+        let mut sim = Simulator::new(cfg.clone(), t);
+        let mut gapped_cycles = 0;
+        while sim.stats.committed < N {
+            sim.step();
+            assert!(sim.rob.agrees(), "ROB slots disagree at cycle {}", sim.now);
+            let rob = &sim.rob;
+            for (i, e) in rob.slots.iter().enumerate() {
+                let found = rob.get(UopId(rob.base + i as u64)).map(|f| f.id);
+                assert_eq!(found, e.as_ref().map(|e| e.id));
+            }
+            let past = UopId(rob.base + rob.slots.len() as u64);
+            assert!(rob.get(past).is_none());
+            assert!(rob.base == 0 || rob.get(UopId(rob.base - 1)).is_none());
+            if sim.rob.slots.len() > sim.rob.len() {
+                gapped_cycles += 1;
+            }
+            if sim.stats.committed < N {
+                sim.skip_idle_cycles();
+            }
+        }
+        let s = sim.snapshot();
+        assert!(s.squashes > 100, "gcc squashes often: {}", s.squashes);
+        assert!(gapped_cycles > 0, "squashed ids must leave empty slots");
+        assert_eq!(s, run_spec("gcc", cfg, N), "stepping by hand matches run");
     }
 
     #[test]

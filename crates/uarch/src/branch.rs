@@ -7,7 +7,7 @@
 //! simulator checkpoints and restores it across mispredictions via
 //! [`CombinedPredictor::history`] / [`CombinedPredictor::restore_history`].
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 /// A table of 2-bit saturating counters.
 #[derive(Debug, Clone)]
@@ -239,7 +239,7 @@ impl Btb {
 /// of the current contents is outstanding.
 #[derive(Debug, Clone)]
 pub struct ReturnAddressStack {
-    stack: Arc<Vec<u64>>,
+    stack: Rc<Vec<u64>>,
     top: usize,
     depth: usize,
 }
@@ -247,7 +247,7 @@ pub struct ReturnAddressStack {
 /// A [`ReturnAddressStack`] state saved for squash recovery.
 #[derive(Debug, Clone)]
 pub struct RasSnapshot {
-    stack: Arc<Vec<u64>>,
+    stack: Rc<Vec<u64>>,
     top: usize,
 }
 
@@ -256,7 +256,7 @@ impl ReturnAddressStack {
     pub fn new(depth: usize) -> ReturnAddressStack {
         assert!(depth > 0);
         ReturnAddressStack {
-            stack: Arc::new(vec![0; depth]),
+            stack: Rc::new(vec![0; depth]),
             top: 0,
             depth,
         }
@@ -265,7 +265,7 @@ impl ReturnAddressStack {
     /// Push a return address (on a call).
     pub fn push(&mut self, addr: u64) {
         self.top = (self.top + 1) % self.depth;
-        Arc::make_mut(&mut self.stack)[self.top] = addr;
+        Rc::make_mut(&mut self.stack)[self.top] = addr;
     }
 
     /// Pop the predicted return address (on a return).
@@ -278,7 +278,7 @@ impl ReturnAddressStack {
     /// Snapshot for squash recovery (shares the contents; no copy).
     pub fn snapshot(&self) -> RasSnapshot {
         RasSnapshot {
-            stack: Arc::clone(&self.stack),
+            stack: Rc::clone(&self.stack),
             top: self.top,
         }
     }

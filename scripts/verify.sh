@@ -10,7 +10,10 @@
 #      builds never reach it, their oracle reads every kind), and the
 #      release observer-timing check (every observer leaves simulated
 #      results unchanged; debug runs already carry the oracle and slot
-#      accounting, so only release compares against a truly plain run)
+#      accounting, so only release compares against a truly plain run),
+#      and the trace digests again in release (release builds compile out
+#      the debug ROB and queue invariants, so only a release digest shows
+#      that the release lookups are exact)
 #   3. clippy and rustdoc, warnings denied (a stale intra-doc link fails
 #      the build), and the mosbench package's tests (its
 #      pinned per-job results and smoke runs; the package is outside the
@@ -57,6 +60,9 @@ cargo test -q --release -p mos-rv --test commit_only
 
 echo "== observers keep simulated timing (release, truly plain baseline) =="
 cargo test -q --release --test observers_keep_timing
+
+echo "== trace digests (release, no debug invariants) =="
+cargo test -q --release --test trace_digest
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings

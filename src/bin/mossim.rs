@@ -85,6 +85,10 @@ use mopsched::sim::{
 };
 use mopsched::{asm, rv, workload};
 
+/// The most extra MOP formation stages `--stages` takes: the paper
+/// evaluates 0, 1 and 2.
+const MAX_STAGES: u32 = 2;
+
 fn parse() -> Result<Args, String> {
     let mut a = Args::default();
     let mut it = std::env::args().skip(1).peekable();
@@ -201,6 +205,12 @@ fn parse() -> Result<Args, String> {
             }
             other => return Err(format!("unknown flag `{other}`")),
         }
+    }
+    if a.stages > MAX_STAGES {
+        return Err(format!(
+            "--stages {} is outside the studied range; use 0..{MAX_STAGES}",
+            a.stages
+        ));
     }
     a.sched = canonical_sched(&a.sched).to_owned();
     Ok(a)

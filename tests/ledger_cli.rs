@@ -195,6 +195,24 @@ fn a_queue_smaller_than_a_fetch_group_is_a_usage_error() {
     }
 }
 
+/// `--stages` takes the paper's 0..2 and, like `--queue`, names a count
+/// outside that range instead of simulating a machine nobody studied.
+#[test]
+fn stages_beyond_the_studied_range_are_a_usage_error() {
+    for stages in ["3", "4294967295"] {
+        let out = mossim()
+            .args(["--stages", stages, "--insts", "2000"])
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{stages}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{stages}: {stderr}");
+        assert!(stderr.contains(&format!("error: --stages {stages}")), "{stderr}");
+    }
+    let out = mossim().args(["--stages", "2", "--insts", "2000"]).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+}
+
 /// A pending MOP head in a queue barely larger than a fetch group used to
 /// hold the room its own tail needed, until the deadlock check panicked.
 #[test]
