@@ -175,18 +175,24 @@ impl Ddg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mos_asm::{assemble, Interpreter};
+    use mos_asm::Interpreter;
+    use mos_isa::{Program, Reg, StaticInst as I};
+    use std::iter::once;
 
-    fn ddg_of(src: &str, n: usize) -> Ddg {
-        Ddg::from_trace(Interpreter::new(&assemble(src).expect("valid asm")), n)
+    fn r(n: u8) -> Reg {
+        Reg::int(n)
+    }
+
+    /// The graph of `insts` followed by a `halt`.
+    fn ddg_of(insts: impl IntoIterator<Item = I>) -> Ddg {
+        let p = Program::from_insts("t", insts.into_iter().chain([I::halt()]));
+        Ddg::from_trace(Interpreter::new(&p), 100)
     }
 
     #[test]
     fn serial_chain_critical_path() {
         // 6 dependent adds: path = 5 edges (the first has no producer).
-        let src = "li r1, 0\naddi r1, r1, 1\naddi r1, r1, 1\naddi r1, r1, 1\n\
-                   addi r1, r1, 1\naddi r1, r1, 1\nhalt";
-        let d = ddg_of(src, 100);
+        let d = ddg_of(once(I::li(r(1), 0)).chain(vec![I::addi(r(1), r(1), 1); 5]));
         assert_eq!(d.len(), 6);
         assert_eq!(d.critical_path(EdgeCosts::atomic()), 5);
         assert_eq!(d.critical_path(EdgeCosts::two_cycle()), 10);
@@ -194,15 +200,13 @@ mod tests {
 
     #[test]
     fn independent_work_has_flat_paths() {
-        let src = "li r1, 1\nli r2, 2\nli r3, 3\nli r4, 4\nhalt";
-        let d = ddg_of(src, 100);
+        let d = ddg_of((1..=4).map(|k| I::li(r(k), i64::from(k))));
         assert_eq!(d.critical_path(EdgeCosts::atomic()), 0);
     }
 
     #[test]
     fn load_edges_do_not_stretch_under_two_cycle() {
-        let src = "li r1, 0x100\nld r2, 0(r1)\naddi r3, r2, 1\nhalt";
-        let d = ddg_of(src, 100);
+        let d = ddg_of([I::li(r(1), 0x100), I::load(r(2), 0, r(1)), I::addi(r(3), r(2), 1)]);
         // li -> ld (1 or 2) then ld -> addi (3 either way).
         assert_eq!(d.critical_path(EdgeCosts::atomic()), 1 + 3);
         assert_eq!(d.critical_path(EdgeCosts::two_cycle()), 2 + 3);
@@ -210,8 +214,12 @@ mod tests {
 
     #[test]
     fn depths_are_monotone_in_the_floor() {
-        let src = "li r1, 1\naddi r2, r1, 1\nld r3, 0(r2)\naddi r4, r3, 1\nhalt";
-        let d = ddg_of(src, 100);
+        let d = ddg_of([
+            I::li(r(1), 1),
+            I::addi(r(2), r(1), 1),
+            I::load(r(3), 0, r(2)),
+            I::addi(r(4), r(3), 1),
+        ]);
         let a = d.depths(EdgeCosts::atomic());
         let b = d.depths(EdgeCosts::two_cycle());
         for (x, y) in a.iter().zip(&b) {
@@ -223,12 +231,7 @@ mod tests {
     fn window_depth_ignores_out_of_window_edges() {
         // A long serial chain: full-graph depth grows with length, but
         // a window of 4 sees at most 3 edges.
-        let mut src = String::from("li r1, 0\n");
-        for _ in 0..40 {
-            src.push_str("addi r1, r1, 1\n");
-        }
-        src.push_str("halt");
-        let d = ddg_of(&src, 100);
+        let d = ddg_of(once(I::li(r(1), 0)).chain(vec![I::addi(r(1), r(1), 1); 40]));
         let w = d.mean_window_depth(4, 1, EdgeCosts::atomic());
         assert!(w <= 3.0 + 1e-9, "window depth {w}");
         assert!(w > 2.0, "window depth {w}");
@@ -236,8 +239,12 @@ mod tests {
 
     #[test]
     fn single_cycle_edge_fraction() {
-        let src = "li r1, 0x100\nld r2, 0(r1)\naddi r3, r2, 1\naddi r4, r3, 1\nhalt";
-        let d = ddg_of(src, 100);
+        let d = ddg_of([
+            I::li(r(1), 0x100),
+            I::load(r(2), 0, r(1)),
+            I::addi(r(3), r(2), 1),
+            I::addi(r(4), r(3), 1),
+        ]);
         // Edges: li->ld (single-cycle producer), ld->addi (load), addi->addi (single).
         let f = d.single_cycle_edge_frac();
         assert!((f - 2.0 / 3.0).abs() < 1e-9, "{f}");
@@ -245,8 +252,7 @@ mod tests {
 
     #[test]
     fn zero_register_carries_no_edges() {
-        let src = "li r1, 1\nadd r2, zero, zero\nhalt";
-        let d = ddg_of(src, 100);
+        let d = ddg_of([I::li(r(1), 1), I::add(r(2), Reg::ZERO, Reg::ZERO)]);
         assert!(d.nodes()[1].preds.is_empty());
     }
 }

@@ -1,6 +1,6 @@
 //! Macro-op groupability characterization over arbitrary traces — the
 //! generalized form of the paper's Section 4 analyses, reusable for any
-//! [`TraceSource`] (kernels, synthetic models, recorded traces).
+//! [`TraceSource`] (RV32 programs, synthetic models, recorded traces).
 
 use mos_isa::{Reg, TraceSource};
 
@@ -142,15 +142,27 @@ pub fn candidate_profile<T: TraceSource>(mut trace: T, n: usize, horizon: usize)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mos_asm::{assemble, Interpreter};
+    use mos_asm::Interpreter;
+    use mos_isa::{Opcode, Program, Reg, StaticInst as I};
 
-    fn profile(src: &str) -> CandidateProfile {
-        candidate_profile(Interpreter::new(&assemble(src).expect("valid")), 100_000, 64)
+    fn r(n: u8) -> Reg {
+        Reg::int(n)
+    }
+
+    /// The profile of `insts` followed by a `halt`, looking `horizon`
+    /// instructions ahead.
+    fn profile_within(insts: impl IntoIterator<Item = I>, horizon: usize) -> CandidateProfile {
+        let p = Program::from_insts("t", insts.into_iter().chain([I::halt()]));
+        candidate_profile(Interpreter::new(&p), 100_000, horizon)
+    }
+
+    fn profile(insts: impl IntoIterator<Item = I>) -> CandidateProfile {
+        profile_within(insts, 64)
     }
 
     #[test]
     fn adjacent_pair_is_distance_one() {
-        let p = profile("li r1, 5\naddi r2, r1, 1\nhalt");
+        let p = profile([I::li(r(1), 5), I::addi(r(2), r(1), 1)]);
         assert_eq!(p.valuegen, 2);
         assert_eq!(p.distance_histogram[1], 1, "li -> addi at distance 1");
         assert_eq!(p.dead, 1, "addi's value dies");
@@ -159,20 +171,25 @@ mod tests {
 
     #[test]
     fn load_consumer_is_not_a_tail() {
-        let p = profile("li r1, 0x100\nld r2, 0(r1)\nhalt");
+        let p = profile([I::li(r(1), 0x100), I::load(r(2), 0, r(1))]);
         assert_eq!(p.no_candidate_tail, 1, "only consumer is a load");
     }
 
     #[test]
     fn overwrite_kills_the_head() {
-        let p = profile("li r1, 1\nli r1, 2\naddi r2, r1, 1\nhalt");
+        let p = profile([I::li(r(1), 1), I::li(r(1), 2), I::addi(r(2), r(1), 1)]);
         assert_eq!(p.dead, 2, "first li dies, addi's value dies");
         assert_eq!(p.distance_histogram[1], 1, "second li pairs with addi");
     }
 
     #[test]
     fn candidate_fractions_are_sane() {
-        let p = profile("li r1, 0x100\nld r2, 0(r1)\nmul r3, r2, r2\naddi r4, r3, 1\nhalt");
+        let p = profile([
+            I::li(r(1), 0x100),
+            I::load(r(2), 0, r(1)),
+            I::alu(Opcode::Mul, r(3), r(2), r(2)),
+            I::addi(r(4), r(3), 1),
+        ]);
         assert_eq!(p.total, 4);
         assert_eq!(p.candidates, 2, "li and addi");
         assert!((p.candidate_frac() - 0.5).abs() < 1e-9);
@@ -182,8 +199,10 @@ mod tests {
     #[test]
     fn a_tail_beyond_the_horizon_leaves_the_head_dead() {
         // r1's head at position 1; its only reader is 5 instructions on.
-        let src = "li r9, 0\nli r1, 5\nli r2, 0\nli r3, 0\nli r4, 0\nli r5, 0\naddi r6, r1, 1\nhalt";
-        let p = candidate_profile(Interpreter::new(&assemble(src).expect("valid")), 100, 4);
+        let mut insts = vec![I::li(r(9), 0), I::li(r(1), 5)];
+        insts.extend((2..=5).map(|k| I::li(r(k), 0)));
+        insts.push(I::addi(r(6), r(1), 1));
+        let p = profile_within(insts, 4);
         assert_eq!(p.valuegen, 7);
         assert_eq!(p.distance_histogram.iter().sum::<u64>(), 0, "no tail within 4");
         assert_eq!(p.dead, 7, "r1 aged out unread at distance 4");
@@ -191,9 +210,13 @@ mod tests {
 
     #[test]
     fn totals_balance() {
-        let p = profile(
-            "li r1, 2\nloop: addi r2, r1, 3\nslli r3, r2, 1\naddi r1, r1, -1\nbnez r1, loop\nhalt",
-        );
+        let p = profile([
+            I::li(r(1), 2),
+            I::addi(r(2), r(1), 3), // 1: loop
+            I::alui(Opcode::Slli, r(3), r(2), 1),
+            I::addi(r(1), r(1), -1),
+            I::branch(Opcode::Bnez, r(1), 1),
+        ]);
         let classified: u64 =
             p.distance_histogram.iter().sum::<u64>() + p.no_candidate_tail + p.dead;
         assert_eq!(classified, p.valuegen, "every head classified exactly once");

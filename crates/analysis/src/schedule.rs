@@ -111,16 +111,23 @@ impl ScheduleModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mos_asm::{assemble, Interpreter};
+    use mos_asm::Interpreter;
+    use mos_isa::{Opcode, Program, Reg, StaticInst as I};
+    use std::iter::once;
 
-    fn ddg_of(src: &str) -> Ddg {
-        Ddg::from_trace(Interpreter::new(&assemble(src).expect("valid")), 100_000)
+    fn r(n: u8) -> Reg {
+        Reg::int(n)
+    }
+
+    /// The graph of `insts` followed by a `halt`.
+    fn ddg_of(insts: impl IntoIterator<Item = I>) -> Ddg {
+        let p = Program::from_insts("t", insts.into_iter().chain([I::halt()]));
+        Ddg::from_trace(Interpreter::new(&p), 100_000)
     }
 
     #[test]
     fn width_bound_dominates_flat_graphs() {
-        let src = "li r1, 1\nli r2, 2\nli r3, 3\nli r4, 4\nli r5, 5\nli r6, 6\nli r7, 7\nli r8, 8\nhalt";
-        let d = ddg_of(src);
+        let d = ddg_of((1..=8).map(|k| I::li(r(k), i64::from(k))));
         let m = ScheduleModel::table1_atomic();
         assert_eq!(m.lower_bound_cycles(&d), 2, "8 insts / width 4");
         assert!((m.ipc_upper_bound(&d) - 4.0).abs() < 1e-9);
@@ -128,12 +135,7 @@ mod tests {
 
     #[test]
     fn chain_bound_dominates_serial_graphs() {
-        let mut src = String::from("li r1, 0\n");
-        for _ in 0..50 {
-            src.push_str("addi r1, r1, 1\n");
-        }
-        src.push_str("halt");
-        let d = ddg_of(&src);
+        let d = ddg_of(once(I::li(r(1), 0)).chain(vec![I::addi(r(1), r(1), 1); 50]));
         let atomic = ScheduleModel::table1_atomic();
         let two = ScheduleModel::table1_two_cycle();
         assert_eq!(atomic.lower_bound_cycles(&d), 50);
@@ -145,17 +147,15 @@ mod tests {
 
     #[test]
     fn estimate_never_beats_the_bound() {
-        let src = r"
-            li r1, 30
-            li r2, 0
-        loop:
-            add r2, r2, r1
-            ld r3, 0(r2)
-            add r2, r2, r3
-            addi r1, r1, -1
-            bnez r1, loop
-            halt";
-        let d = ddg_of(src);
+        let d = ddg_of([
+            I::li(r(1), 30),
+            I::li(r(2), 0),
+            I::add(r(2), r(2), r(1)), // 2: loop
+            I::load(r(3), 0, r(2)),
+            I::add(r(2), r(2), r(3)),
+            I::addi(r(1), r(1), -1),
+            I::branch(Opcode::Bnez, r(1), 2),
+        ]);
         for m in [ScheduleModel::table1_atomic(), ScheduleModel::table1_two_cycle()] {
             assert!(m.estimate_cycles(&d) >= m.lower_bound_cycles(&d));
         }
@@ -166,12 +166,7 @@ mod tests {
         // Independent instructions, tiny window: issue rate still capped
         // by completion of older work... with 1-cycle ops the window never
         // binds, so use a long-latency producer stream.
-        let mut src = String::new();
-        for i in 0..16 {
-            src.push_str(&format!("li r{}, {}\n", 1 + (i % 8), i));
-        }
-        src.push_str("halt");
-        let d = ddg_of(&src);
+        let d = ddg_of((0..16u8).map(|i| I::li(r(1 + i % 8), i64::from(i))));
         let narrow = ScheduleModel {
             width: 4,
             window: 4,
@@ -187,7 +182,7 @@ mod tests {
 
     #[test]
     fn empty_graph_is_trivial() {
-        let d = Ddg::from_trace(Interpreter::new(&assemble("halt").unwrap()), 10);
+        let d = ddg_of([]);
         let m = ScheduleModel::table1_atomic();
         assert_eq!(m.estimate_cycles(&d), 0);
         assert_eq!(m.lower_bound_cycles(&d), 0);

@@ -5,21 +5,22 @@
 
 use mos_analysis::{Ddg, EdgeCosts, ScheduleModel};
 use mos_isa::TraceSource;
+use mos_rv::{suite, RvTraceSource};
 use mos_sim::{MachineConfig, Simulator};
-use mos_workload::{kernels, spec2000};
+use mos_workload::spec2000;
 
 #[test]
-fn simulator_never_beats_the_bound_on_kernels() {
-    for k in kernels::all() {
-        let ddg = Ddg::from_trace(k.interpreter(), usize::MAX);
-        // Committed counts exclude no-ops; our kernels contain none on
-        // the committed path, so the graph matches the committed stream.
+fn simulator_never_beats_the_bound_on_rv_programs() {
+    for p in suite::PROGRAMS.iter().chain(&suite::KERNELS) {
+        let prog = p.assemble();
+        let trace = || RvTraceSource::new(&prog).expect("suite program lowers");
+        let ddg = Ddg::from_trace(trace(), usize::MAX);
         let bound = ScheduleModel::table1_atomic().lower_bound_cycles(&ddg);
-        let stats = Simulator::new(MachineConfig::base_32(), k.interpreter()).run(u64::MAX);
+        let stats = Simulator::new(MachineConfig::base_32(), trace()).run(u64::MAX);
         assert!(
             stats.cycles >= bound,
             "{}: simulated {} cycles beats analytical bound {}",
-            k.name,
+            p.name,
             stats.cycles,
             bound
         );

@@ -2,8 +2,6 @@ use std::collections::HashMap;
 
 use mos_isa::{DynInst, Opcode, Program, Reg, TraceSource};
 
-use crate::Image;
-
 /// Architectural state of the functional machine: 32 integer registers,
 /// 32 floating-point registers, and a sparse 8-byte-word memory.
 #[derive(Debug, Clone, Default)]
@@ -80,7 +78,7 @@ impl ArchState {
     }
 }
 
-/// Architectural interpreter over an assembled [`Image`].
+/// Architectural interpreter over a native [`Program`].
 ///
 /// Yields one [`DynInst`] per executed instruction; iteration ends at
 /// `halt`, on a fall-off-the-end, or on an invalid indirect-jump target
@@ -95,17 +93,12 @@ pub struct Interpreter {
 }
 
 impl Interpreter {
-    /// Start interpreting `image` at its entry point with `.word`
-    /// directives preloaded.
-    pub fn new(image: &Image) -> Interpreter {
-        let mut state = ArchState::new();
-        for &(addr, value) in &image.data {
-            state.store(addr, value);
-        }
+    /// Start interpreting `program` at its entry point, memory empty.
+    pub fn new(program: &Program) -> Interpreter {
         Interpreter {
-            program: image.program.clone(),
-            state,
-            pc: image.program.entry(),
+            program: program.clone(),
+            state: ArchState::new(),
+            pc: program.entry(),
             halted: false,
             faulted: false,
         }
@@ -310,33 +303,31 @@ impl TraceSource for Interpreter {
     }
 }
 
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::assemble;
+    use mos_isa::StaticInst as I;
 
-    fn run(src: &str) -> (Vec<DynInst>, ArchState) {
-        Interpreter::new(&assemble(src).unwrap()).run_collect(100_000)
+    fn r(n: u8) -> Reg {
+        Reg::int(n)
     }
 
-    #[test]
-    fn arithmetic_basics() {
-        let (_, s) = run("li r1, 6\nli r2, 7\nmul r3, r1, r2\nsub r4, r3, r1\nhalt");
-        assert_eq!(s.int_reg(Reg::int(3)), 42);
-        assert_eq!(s.int_reg(Reg::int(4)), 36);
+    fn run(insts: impl IntoIterator<Item = I>) -> (Vec<DynInst>, ArchState) {
+        Interpreter::new(&Program::from_insts("t", insts)).run_collect(100_000)
     }
 
     #[test]
     fn loop_sums_correctly() {
-        let (trace, s) = run(r"
-            li r1, 10      ; counter
-            li r2, 0       ; sum
-        loop:
-            add r2, r2, r1
-            addi r1, r1, -1
-            bnez r1, loop
-            halt");
-        assert_eq!(s.int_reg(Reg::int(2)), 55);
+        let (trace, s) = run([
+            I::li(r(1), 10), // counter
+            I::li(r(2), 0),  // sum
+            I::add(r(2), r(2), r(1)),
+            I::addi(r(1), r(1), -1),
+            I::branch(Opcode::Bnez, r(1), 2),
+            I::halt(),
+        ]);
+        assert_eq!(s.int_reg(r(2)), 55);
         // 2 setup + 10 iterations * 3
         assert_eq!(trace.len(), 32);
         // last branch not taken
@@ -345,111 +336,97 @@ mod tests {
     }
 
     #[test]
-    fn memory_and_preload() {
-        let (trace, s) = run(".word 0x100, 99\nli r1, 0x100\nld r2, 0(r1)\nst r2, 8(r1)\nld r3, 8(r1)\nhalt");
-        assert_eq!(s.int_reg(Reg::int(3)), 99);
-        assert_eq!(trace[1].eff_addr, Some(0x100));
+    fn memory_round_trip_reports_addresses() {
+        let (trace, s) = run([
+            I::li(r(1), 0x100),
+            I::li(r(2), 99),
+            I::store(r(2), 8, r(1)),
+            I::load(r(3), 8, r(1)),
+            I::halt(),
+        ]);
+        assert_eq!(s.int_reg(r(3)), 99);
         assert_eq!(trace[2].eff_addr, Some(0x108));
+        assert_eq!(trace[3].eff_addr, Some(0x108));
+        assert_eq!(trace[1].eff_addr, None);
     }
 
     #[test]
     fn call_and_ret() {
-        let (trace, s) = run(r"
-            .entry main
-        f:
-            li r5, 123
-            ret
-        main:
-            call f
-            mov r6, r5
-            halt");
-        assert_eq!(s.int_reg(Reg::int(6)), 123);
-        let calls: Vec<_> = trace.iter().filter(|d| d.taken).collect();
-        assert_eq!(calls.len(), 2); // call + ret
-    }
-
-    #[test]
-    fn fp_operations() {
-        let (_, s) = run(r"
-            li r1, 3
-            itof f1, r1
-            fadd f2, f1, f1
-            fmul f3, f2, f1
-            ftoi r2, f3
-            halt");
-        assert_eq!(s.int_reg(Reg::int(2)), 18);
-        assert!((s.fp_reg(Reg::fp(3)) - 18.0).abs() < 1e-9);
+        let (trace, s) = run([
+            I::call(3),
+            I::mov(r(6), r(5)),
+            I::halt(),
+            I::li(r(5), 123),
+            I::ret(),
+        ]);
+        assert_eq!(s.int_reg(r(6)), 123);
+        let taken: Vec<_> = trace.iter().filter(|d| d.taken).collect();
+        assert_eq!(taken.len(), 2); // call + ret
     }
 
     #[test]
     fn fp_memory_round_trip() {
-        let (_, s) = run(r"
-            li r1, 7
-            itof f1, r1
-            li r9, 0x200
-            fst f1, 0(r9)
-            fld f2, 0(r9)
-            ftoi r2, f2
-            halt");
-        assert_eq!(s.int_reg(Reg::int(2)), 7);
+        let (_, s) = run([
+            I::li(r(1), 7),
+            I::alui(Opcode::Itof, Reg::fp(1), r(1), 0),
+            I::li(r(9), 0x200),
+            I::store(Reg::fp(1), 0, r(9)),
+            I::load(Reg::fp(2), 0, r(9)),
+            I::alui(Opcode::Ftoi, r(2), Reg::fp(2), 0),
+            I::halt(),
+        ]);
+        assert_eq!(s.int_reg(r(2)), 7);
     }
 
     #[test]
     fn two_source_branches_and_imm_shifts() {
-        let (trace, s) = run(r"
-            li   r1, -8
-            srai r2, r1, 1      ; -4 (arithmetic)
-            sltiu r3, r1, 3     ; -8 as unsigned is huge -> 0
-            li   r4, 5
-            li   r5, 5
-            beq  r4, r5, eq     ; taken
-            li   r6, 111
-        eq:
-            blt  r1, r4, lt     ; -8 < 5, taken
-            li   r6, 222
-        lt:
-            bgeu r1, r4, done   ; unsigned -8 >= 5, taken
-            li   r6, 333
-        done:
-            halt");
-        assert_eq!(s.int_reg(Reg::int(2)), -4);
-        assert_eq!(s.int_reg(Reg::int(3)), 0);
-        assert_eq!(s.int_reg(Reg::int(6)), 0, "all three branches taken");
+        let (trace, s) = run([
+            I::li(r(1), -8),
+            I::alui(Opcode::Srai, r(2), r(1), 1),  // -4 (arithmetic)
+            I::alui(Opcode::Sltiu, r(3), r(1), 3), // -8 as unsigned is huge -> 0
+            I::li(r(4), 5),
+            I::li(r(5), 5),
+            I::branch2(Opcode::Beq, r(4), r(5), 7), // taken
+            I::li(r(6), 111),
+            I::branch2(Opcode::Blt, r(1), r(4), 9), // -8 < 5, taken
+            I::li(r(6), 222),
+            I::branch2(Opcode::Bgeu, r(1), r(4), 11), // unsigned -8 >= 5, taken
+            I::li(r(6), 333),
+            I::halt(),
+        ]);
+        assert_eq!(s.int_reg(r(2)), -4);
+        assert_eq!(s.int_reg(r(3)), 0);
+        assert_eq!(s.int_reg(r(6)), 0, "all three branches taken");
         assert_eq!(trace.iter().filter(|d| d.taken).count(), 3);
     }
 
     #[test]
-    fn div_by_zero_yields_zero() {
-        let (_, s) = run("li r1, 5\nli r2, 0\ndiv r3, r1, r2\nhalt");
-        assert_eq!(s.int_reg(Reg::int(3)), 0);
-    }
-
-    #[test]
-    fn zero_register_is_immutable() {
-        let (_, s) = run("li zero, 7\nadd r1, zero, zero\nhalt");
-        assert_eq!(s.int_reg(Reg::int(1)), 0);
-    }
-
-    #[test]
-    fn bad_indirect_jump_faults() {
-        let img = assemble("li r1, 9999\njr r1\nhalt").unwrap();
-        let mut i = Interpreter::new(&img);
-        let n = i.by_ref().count();
-        assert_eq!(n, 1);
-        assert!(!i.stopped_cleanly());
+    fn bad_indirect_jump_and_falling_off_the_end_fault() {
+        for (insts, ran) in [
+            (vec![I::li(r(1), 9999), I::jr(r(1)), I::halt()], 1),
+            (vec![I::li(r(1), 1), I::li(r(2), 2)], 2),
+        ] {
+            let mut i = Interpreter::new(&Program::from_insts("t", insts));
+            assert_eq!(i.by_ref().count(), ran);
+            assert!(!i.stopped_cleanly());
+        }
     }
 
     #[test]
     fn halt_stops_cleanly() {
-        let img = assemble("nop\nhalt").unwrap();
-        let mut i = Interpreter::new(&img);
+        let mut i = Interpreter::new(&Program::from_insts("t", [I::nop(), I::halt()]));
         assert_eq!(i.by_ref().count(), 1);
         assert!(i.stopped_cleanly());
     }
 
     #[test]
     fn next_sidx_chains() {
-        let (trace, _) = run("li r1, 2\nloop: addi r1, r1, -1\nbnez r1, loop\nhalt");
+        let (trace, _) = run([
+            I::li(r(1), 2),
+            I::addi(r(1), r(1), -1),
+            I::branch(Opcode::Bnez, r(1), 1),
+            I::halt(),
+        ]);
         for w in trace.windows(2) {
             assert_eq!(w[0].next_sidx, w[1].sidx);
         }

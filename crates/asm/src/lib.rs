@@ -1,47 +1,36 @@
 //! # mos-asm
 //!
-//! A small assembler and architectural (functional) interpreter for the
-//! `mos-isa` instruction set. Together they play the role SimpleScalar's
-//! functional simulator played for the paper: turning programs into exact
-//! committed-path dynamic traces ([`mos_isa::DynInst`] streams) that the
-//! timing simulator consumes, and providing a golden reference for
-//! correctness checks.
-//!
-//! ## Assembly syntax
-//!
-//! ```text
-//! ; comments run to end of line
-//! .entry main          ; optional, defaults to the first instruction
-//! .word 0x1000, 42     ; preload 8-byte memory word
-//! main:
-//!     li   r1, 10
-//! loop:
-//!     addi r1, r1, -1
-//!     bnez r1, loop
-//!     halt
-//! ```
-//!
-//! Register names are `r0..r31` (aliases: `zero` = r31, `sp` = r30,
-//! `ra` = r26) and `f0..f31`. Loads and stores use `imm(reg)` addressing.
+//! The architectural (functional) interpreter for native `mos-isa`
+//! programs. It turns a [`mos_isa::Program`] into the exact committed-path
+//! dynamic trace ([`mos_isa::DynInst`] stream) the timing simulator
+//! consumes, and is the golden reference the random-program property tests
+//! check every scheduler against. Hand-written programs are RV32 assembly,
+//! run through `mos-rv`; native programs are built from
+//! [`mos_isa::StaticInst`]s.
 //!
 //! ## Example
 //!
 //! ```
-//! # fn main() -> Result<(), Box<dyn std::error::Error>> {
-//! use mos_asm::{assemble, Interpreter};
+//! use mos_asm::Interpreter;
+//! use mos_isa::{Opcode, Program, Reg, StaticInst};
 //!
-//! let img = assemble("li r1, 3\nloop: addi r1, r1, -1\nbnez r1, loop\nhalt")?;
+//! let r1 = Reg::int(1);
+//! let img = Program::from_insts(
+//!     "countdown",
+//!     [
+//!         StaticInst::li(r1, 3),
+//!         StaticInst::addi(r1, r1, -1),
+//!         StaticInst::branch(Opcode::Bnez, r1, 1),
+//!         StaticInst::halt(),
+//!     ],
+//! );
 //! let (trace, state) = Interpreter::new(&img).run_collect(1_000);
-//! assert_eq!(state.int_reg(mos_isa::Reg::int(1)), 0);
+//! assert_eq!(state.int_reg(r1), 0);
 //! assert_eq!(trace.len(), 7); // li + 3x(addi, bnez)
-//! # Ok(())
-//! # }
 //! ```
 
 #![warn(missing_docs)]
 
 mod interp;
-mod parser;
 
 pub use interp::{ArchState, Interpreter};
-pub use parser::{assemble, AsmError, Image};

@@ -3,168 +3,214 @@
 //! interpreter is the golden reference for the whole workspace, so its
 //! semantics deserve line-item coverage.
 
-use mos_asm::{assemble, Interpreter};
-use mos_isa::Reg;
+use mos_asm::Interpreter;
+use mos_isa::Opcode::{self, *};
+use mos_isa::{Program, Reg, StaticInst as I};
 
-fn run_expect(src: &str, reg: u8, expect: i64) {
-    let img = assemble(src).unwrap_or_else(|e| panic!("assemble failed: {e}\n{src}"));
-    let (_, state) = Interpreter::new(&img).run_collect(100_000);
+fn r(n: u8) -> Reg {
+    Reg::int(n)
+}
+
+fn f(n: u8) -> Reg {
+    Reg::fp(n)
+}
+
+/// Run `insts` followed by a `halt` and check that `r<reg>` ends as `expect`.
+fn run_expect(insts: &[I], reg: u8, expect: i64) {
+    let program = Program::from_insts("t", insts.iter().copied().chain([I::halt()]));
+    let (_, state) = Interpreter::new(&program).run_collect(100_000);
     assert_eq!(
-        state.int_reg(Reg::int(reg)),
+        state.int_reg(r(reg)),
         expect,
-        "r{reg} mismatch for:\n{src}"
+        "r{reg} mismatch for:\n{program}"
     );
+}
+
+/// `op r3, r1, r2` with `r1 = a`, `r2 = b`.
+fn binop(op: Opcode, a: i64, b: i64, expect: i64) {
+    run_expect(
+        &[I::li(r(1), a), I::li(r(2), b), I::alu(op, r(3), r(1), r(2))],
+        3,
+        expect,
+    );
+}
+
+/// `op r2, r1, imm` with `r1 = a`.
+fn immop(op: Opcode, a: i64, imm: i64, expect: i64) {
+    run_expect(&[I::li(r(1), a), I::alui(op, r(2), r(1), imm)], 2, expect);
 }
 
 #[test]
 fn add_sub_wrap() {
-    run_expect("li r1, 20\nli r2, 22\nadd r3, r1, r2\nhalt", 3, 42);
-    run_expect("li r1, 5\nli r2, 9\nsub r3, r1, r2\nhalt", 3, -4);
+    binop(Add, 20, 22, 42);
+    binop(Sub, 5, 9, -4);
     // Wrapping at i64 boundaries must not panic.
-    run_expect(
-        "li r1, 0x7fffffffffffffff\nli r2, 1\nadd r3, r1, r2\nhalt",
-        3,
-        i64::MIN,
-    );
+    binop(Add, i64::MAX, 1, i64::MIN);
 }
 
 #[test]
 fn addi_subi() {
-    run_expect("li r1, 10\naddi r2, r1, -3\nhalt", 2, 7);
-    run_expect("li r1, 10\nsubi r2, r1, 3\nhalt", 2, 7);
+    immop(Addi, 10, -3, 7);
+    immop(Subi, 10, 3, 7);
 }
 
 #[test]
 fn bitwise_ops() {
-    run_expect("li r1, 0b1100\nli r2, 0b1010\nand r3, r1, r2\nhalt", 3, 0b1000);
-    run_expect("li r1, 0b1100\nli r2, 0b1010\nor r3, r1, r2\nhalt", 3, 0b1110);
-    run_expect("li r1, 0b1100\nli r2, 0b1010\nxor r3, r1, r2\nhalt", 3, 0b0110);
-    run_expect("li r1, 0\nnot r2, r1\nhalt", 2, -1);
-    run_expect("li r1, 0xff\nandi r2, r1, 0x0f\nhalt", 2, 0x0f);
-    run_expect("li r1, 0xf0\nori r2, r1, 0x0f\nhalt", 2, 0xff);
-    run_expect("li r1, 0xff\nxori r2, r1, 0x0f\nhalt", 2, 0xf0);
+    binop(And, 0b1100, 0b1010, 0b1000);
+    binop(Or, 0b1100, 0b1010, 0b1110);
+    binop(Xor, 0b1100, 0b1010, 0b0110);
+    run_expect(&[I::li(r(1), 0), I::not(r(2), r(1))], 2, -1);
+    immop(Andi, 0xff, 0x0f, 0x0f);
+    immop(Ori, 0xf0, 0x0f, 0xff);
+    immop(Xori, 0xff, 0x0f, 0xf0);
 }
 
 #[test]
 fn shifts_mask_their_amount() {
-    run_expect("li r1, 1\nslli r2, r1, 4\nhalt", 2, 16);
-    run_expect("li r1, 16\nsrli r2, r1, 4\nhalt", 2, 1);
-    run_expect("li r1, 1\nli r2, 68\nsll r3, r1, r2\nhalt", 3, 16, );
+    immop(Slli, 1, 4, 16);
+    immop(Srli, 16, 4, 1);
+    binop(Sll, 1, 68, 16);
     // srl is a logical shift: sign bit does not smear.
-    run_expect("li r1, -8\nli r2, 1\nsrl r3, r1, r2\nhalt", 3, ((-8i64) as u64 >> 1) as i64);
+    binop(Srl, -8, 1, ((-8i64) as u64 >> 1) as i64);
     // sra is arithmetic: sign preserved.
-    run_expect("li r1, -8\nli r2, 1\nsra r3, r1, r2\nhalt", 3, -4);
+    binop(Sra, -8, 1, -4);
 }
 
 #[test]
 fn comparisons_signed_and_unsigned() {
-    run_expect("li r1, -1\nli r2, 1\nslt r3, r1, r2\nhalt", 3, 1);
+    binop(Slt, -1, 1, 1);
     // Unsigned: -1 is the largest value.
-    run_expect("li r1, -1\nli r2, 1\nsltu r3, r1, r2\nhalt", 3, 0);
-    run_expect("li r1, 5\nslti r2, r1, 6\nhalt", 2, 1);
-    run_expect("li r1, 7\nli r2, 7\ncmpeq r3, r1, r2\nhalt", 3, 1);
-    run_expect("li r1, 7\nli r2, 8\ncmpeq r3, r1, r2\nhalt", 3, 0);
+    binop(Sltu, -1, 1, 0);
+    immop(Slti, 5, 6, 1);
+    binop(Cmpeq, 7, 7, 1);
+    binop(Cmpeq, 7, 8, 0);
 }
 
 #[test]
 fn mul_div_semantics() {
-    run_expect("li r1, -6\nli r2, 7\nmul r3, r1, r2\nhalt", 3, -42);
-    run_expect("li r1, 42\nli r2, -7\ndiv r3, r1, r2\nhalt", 3, -6);
-    run_expect("li r1, 7\nli r2, 2\ndiv r3, r1, r2\nhalt", 3, 3);
-    run_expect("li r1, 1\nli r2, 0\ndiv r3, r1, r2\nhalt", 3, 0, );
+    binop(Mul, -6, 7, -42);
+    binop(Div, 42, -7, -6);
+    binop(Div, 7, 2, 3);
+    binop(Div, 1, 0, 0);
     // i64::MIN / -1 would overflow; wrapping_div keeps it defined.
-    run_expect(
-        "li r1, 0x7fffffffffffffff\nli r2, 1\nadd r1, r1, r2\nli r2, -1\ndiv r3, r1, r2\nhalt",
-        3,
-        i64::MIN,
-    );
+    binop(Div, i64::MIN, -1, i64::MIN);
 }
 
 #[test]
 fn mov_li() {
-    run_expect("li r1, 99\nmov r2, r1\nhalt", 2, 99);
-    run_expect("li r1, -0x10\nhalt", 1, -16);
+    run_expect(&[I::li(r(1), 99), I::mov(r(2), r(1))], 2, 99);
+    run_expect(&[I::li(r(1), -0x10)], 1, -16);
 }
 
 #[test]
 fn branch_directions() {
-    run_expect("li r1, 0\nli r3, 1\nbeqz r1, t\nli r3, 2\nt: halt", 3, 1);
-    run_expect("li r1, 5\nli r3, 1\nbeqz r1, t\nli r3, 2\nt: halt", 3, 2);
-    run_expect("li r1, 5\nli r3, 1\nbnez r1, t\nli r3, 2\nt: halt", 3, 1);
-    run_expect("li r1, -1\nli r3, 1\nbltz r1, t\nli r3, 2\nt: halt", 3, 1);
-    run_expect("li r1, 0\nli r3, 1\nbltz r1, t\nli r3, 2\nt: halt", 3, 2);
-    run_expect("li r1, 0\nli r3, 1\nbgez r1, t\nli r3, 2\nt: halt", 3, 1);
-    run_expect("li r1, -1\nli r3, 1\nbgez r1, t\nli r3, 2\nt: halt", 3, 2);
+    // r3 ends 1 when `op r1` is taken over the `li r3, 2`, else 2.
+    for (op, v, taken) in [
+        (Beqz, 0, true),
+        (Beqz, 5, false),
+        (Bnez, 5, true),
+        (Bltz, -1, true),
+        (Bltz, 0, false),
+        (Bgez, 0, true),
+        (Bgez, -1, false),
+    ] {
+        let insts = [
+            I::li(r(1), v),
+            I::li(r(3), 1),
+            I::branch(op, r(1), 4),
+            I::li(r(3), 2),
+        ];
+        run_expect(&insts, 3, if taken { 1 } else { 2 });
+    }
 }
 
 #[test]
 fn jumps_and_indirect() {
-    run_expect("j skip\nli r1, 1\nskip: li r2, 2\nhalt", 2, 2);
+    run_expect(&[I::jmp(2), I::li(r(1), 1), I::li(r(2), 2)], 2, 2);
     // jr through a register holding a static index.
-    run_expect("li r1, 4\njr r1\nli r2, 1\nhalt\nli r2, 9\nj done\ndone: halt", 2, 9);
+    let insts = [
+        I::li(r(1), 4),
+        I::jr(r(1)),
+        I::li(r(2), 1),
+        I::halt(),
+        I::li(r(2), 9),
+        I::jmp(6),
+    ];
+    run_expect(&insts, 2, 9);
 }
 
 #[test]
 fn memory_word_addressing() {
     // Sub-word addresses alias the containing 8-byte word.
-    run_expect(
-        "li r1, 0x100\nli r2, 7\nst r2, 0(r1)\nld r3, 4(r1)\nhalt",
-        3,
-        7,
-    );
+    let st = [I::li(r(1), 0x100), I::li(r(2), 7), I::store(r(2), 0, r(1))];
+    run_expect(&[&st[..], &[I::load(r(3), 4, r(1))]].concat(), 3, 7);
     // Different words do not alias.
-    run_expect(
-        "li r1, 0x100\nli r2, 7\nst r2, 0(r1)\nld r3, 8(r1)\nhalt",
-        3,
-        0,
-    );
+    run_expect(&[&st[..], &[I::load(r(3), 8, r(1))]].concat(), 3, 0);
     // Negative displacement.
-    run_expect(
-        "li r1, 0x108\nli r2, 5\nst r2, -8(r1)\nli r4, 0x100\nld r3, 0(r4)\nhalt",
-        3,
-        5,
-    );
+    let insts = [
+        I::li(r(1), 0x108),
+        I::li(r(2), 5),
+        I::store(r(2), -8, r(1)),
+        I::li(r(4), 0x100),
+        I::load(r(3), 0, r(4)),
+    ];
+    run_expect(&insts, 3, 5);
 }
 
 #[test]
 fn fp_family() {
-    let src = |body: &str| format!("li r1, 9\nli r2, 2\nitof f1, r1\nitof f2, r2\n{body}\nftoi r3, f3\nhalt");
-    run_expect(&src("fadd f3, f1, f2"), 3, 11);
-    run_expect(&src("fsub f3, f1, f2"), 3, 7);
-    run_expect(&src("fmul f3, f1, f2"), 3, 18);
-    run_expect(&src("fdiv f3, f1, f2"), 3, 4); // 4.5 truncates toward zero
-    run_expect("li r1, 3\nitof f1, r1\nfneg f2, f1\nftoi r3, f2\nhalt", 3, -3);
+    // f3 = op(9.0, 2.0), truncated back into r3.
+    for (op, expect) in [(Fadd, 11), (Fsub, 7), (Fmul, 18), (Fdiv, 4)] {
+        let insts = [
+            I::li(r(1), 9),
+            I::li(r(2), 2),
+            I::alui(Itof, f(1), r(1), 0),
+            I::alui(Itof, f(2), r(2), 0),
+            I::alu(op, f(3), f(1), f(2)),
+            I::alui(Ftoi, r(3), f(3), 0), // 4.5 truncates toward zero
+        ];
+        run_expect(&insts, 3, expect);
+    }
+    let insts = [
+        I::li(r(1), 3),
+        I::alui(Itof, f(1), r(1), 0),
+        I::alui(Fneg, f(2), f(1), 0),
+        I::alui(Ftoi, r(3), f(2), 0),
+    ];
+    run_expect(&insts, 3, -3);
 }
 
 #[test]
 fn call_ret_nesting() {
-    run_expect(
-        r"
-        .entry main
-    inner:
-        addi r5, r5, 100
-        ret
-    outer:
-        mov r7, ra          ; calls clobber ra: callee-save it
-        addi r5, r5, 10
-        call inner
-        addi r5, r5, 1
-        mov ra, r7
-        ret
-    main:
-        li r5, 0
-        call outer
-        mov r6, r5
-        halt",
-        6,
-        111,
-    );
+    let insts = [
+        I::li(r(5), 0), // main
+        I::call(6),
+        I::mov(r(6), r(5)),
+        I::halt(),
+        I::addi(r(5), r(5), 100), // 4: inner
+        I::ret(),
+        I::mov(r(7), Reg::RA), // 6: outer; calls clobber ra, so save it
+        I::addi(r(5), r(5), 10),
+        I::call(4),
+        I::addi(r(5), r(5), 1),
+        I::mov(Reg::RA, r(7)),
+        I::ret(),
+    ];
+    run_expect(&insts, 6, 111);
 }
 
 #[test]
 fn zero_register_semantics_everywhere() {
-    run_expect("li zero, 42\nadd r1, zero, zero\nhalt", 1, 0);
-    run_expect("li r1, 5\nadd r2, r1, zero\nhalt", 2, 5);
+    let z = Reg::ZERO;
+    run_expect(&[I::li(z, 42), I::add(r(1), z, z)], 1, 0);
+    run_expect(&[I::li(r(1), 5), I::add(r(2), r(1), z)], 2, 5);
     // Store using zero as data writes 0.
-    run_expect("li r1, 0x200\nli r3, 9\nst r3, 0(r1)\nst zero, 0(r1)\nld r2, 0(r1)\nhalt", 2, 0);
+    let insts = [
+        I::li(r(1), 0x200),
+        I::li(r(3), 9),
+        I::store(r(3), 0, r(1)),
+        I::store(z, 0, r(1)),
+        I::load(r(2), 0, r(1)),
+    ];
+    run_expect(&insts, 2, 0);
 }

@@ -187,8 +187,8 @@ impl StaticInst {
         self.target
     }
 
-    /// Replace the static target (used by the assembler when resolving
-    /// forward labels).
+    /// Replace the static target (used by program builders that place a
+    /// transfer before its target exists).
     pub fn with_target(mut self, target: u32) -> StaticInst {
         self.target = Some(target);
         self

@@ -14,8 +14,9 @@
 //!   instruction cache (program counters are `4 * index`),
 //! * [`DynInst`] and [`TraceSource`] — the dynamic, committed-path oracle
 //!   trace a timing simulator consumes (branch outcomes and effective
-//!   addresses), produced either by the functional interpreter in `mos-asm`
-//!   or the synthetic workload walker in `mos-workload`,
+//!   addresses), produced by the RV32 frontend in `mos-rv`, the native
+//!   functional interpreter in `mos-asm`, or the synthetic workload walker
+//!   in `mos-workload`,
 //! * [`SmallList`] — an inline-first list for the short, bounded source
 //!   operand lists the per-instruction pipeline path carries.
 //!

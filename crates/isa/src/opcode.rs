@@ -1,5 +1,4 @@
 use std::fmt;
-use std::str::FromStr;
 
 
 use crate::class::InstClass;
@@ -8,7 +7,7 @@ use crate::class::InstClass;
 ///
 /// The set is deliberately small but covers every latency class of the
 /// paper's machine model (Table 1) plus enough arithmetic/control variety to
-/// write real kernels in `mos-asm`.
+/// lower real RV32 programs (`mos-rv`) and model SPEC-like code.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum Opcode {
@@ -126,7 +125,7 @@ impl Opcode {
         }
     }
 
-    /// Mnemonic as accepted by the `mos-asm` assembler.
+    /// Assembly mnemonic, as printed in listings and pipeline views.
     pub fn mnemonic(self) -> &'static str {
         use Opcode::*;
         match self {
@@ -205,42 +204,16 @@ impl fmt::Display for Opcode {
     }
 }
 
-/// Error returned when parsing an unknown mnemonic.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseOpcodeError(pub(crate) String);
-
-impl fmt::Display for ParseOpcodeError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown mnemonic `{}`", self.0)
-    }
-}
-
-impl std::error::Error for ParseOpcodeError {}
-
-impl FromStr for Opcode {
-    type Err = ParseOpcodeError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        Opcode::all()
-            .find(|op| op.mnemonic() == s)
-            .ok_or_else(|| ParseOpcodeError(s.to_owned()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn mnemonic_round_trip() {
-        for op in Opcode::all() {
-            assert_eq!(op.mnemonic().parse::<Opcode>().unwrap(), op);
-        }
-    }
-
-    #[test]
-    fn unknown_mnemonic_is_an_error() {
-        assert!("bogus".parse::<Opcode>().is_err());
+    fn mnemonics_are_distinct() {
+        let mut seen: Vec<_> = Opcode::all().map(Opcode::mnemonic).collect();
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), Opcode::all().count());
     }
 
     #[test]

@@ -41,6 +41,16 @@ impl Program {
         }
     }
 
+    /// A program of `insts` in order, entered at index 0.
+    pub fn from_insts(
+        name: impl Into<String>,
+        insts: impl IntoIterator<Item = StaticInst>,
+    ) -> Program {
+        let mut p = Program::new(name);
+        p.code.extend(insts);
+        p
+    }
+
     /// Human-readable program name.
     pub fn name(&self) -> &str {
         &self.name
@@ -53,7 +63,7 @@ impl Program {
         idx
     }
 
-    /// Attach a label to a static index (used by the assembler and for
+    /// Attach a label to a static index (used by program builders and for
     /// diagnostics).
     pub fn set_label(&mut self, name: impl Into<String>, idx: u32) {
         self.labels.insert(name.into(), idx);

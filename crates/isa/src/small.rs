@@ -116,6 +116,7 @@ impl<T: Copy + Default, const N: usize> Deref for SmallList<T, N> {
 }
 
 impl<T: Copy + Default, const N: usize> Extend<T> for SmallList<T, N> {
+    #[inline]
     fn extend<I: IntoIterator<Item = T>>(&mut self, iter: I) {
         for x in iter {
             self.push(x);
@@ -124,6 +125,7 @@ impl<T: Copy + Default, const N: usize> Extend<T> for SmallList<T, N> {
 }
 
 impl<T: Copy + Default, const N: usize> FromIterator<T> for SmallList<T, N> {
+    #[inline]
     fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> SmallList<T, N> {
         let mut l = SmallList::new();
         l.extend(iter);

@@ -165,9 +165,12 @@ pub struct RunIdent<'a> {
     /// also hold `"figure"` (whole figure sweeps) and `"rv_probe"` (an
     /// RV32 pairability probe); nothing saves those kinds any more.
     pub kind: &'a str,
-    /// Workload name (benchmark / kernel / rv program / figure).
+    /// Workload name (benchmark / rv program / figure; older archives
+    /// may also name a native assembly kernel).
     pub bench: &'a str,
-    /// Workload source: `"bench"`, `"kernel"`, `"rv"`, or `"sweep"`.
+    /// Workload source: `"bench"`, `"rv"`, or `"sweep"`; older archives
+    /// may also hold `"kernel"` (the removed `mossim --kernel`), and
+    /// those records still load.
     pub source: &'a str,
     /// Scheduler label (CLI vocabulary; `"all"` for sweeps).
     pub sched: &'a str,

@@ -66,9 +66,12 @@ pub struct RunRecord {
     /// Record kind: `"run"`; older archives may also hold `"figure"` or
     /// `"rv_probe"`.
     pub kind: String,
-    /// Workload name (benchmark / kernel / rv program / figure).
+    /// Workload name (benchmark / rv program / figure; older archives
+    /// may also name a native assembly kernel).
     pub bench: String,
-    /// Workload source: `"bench"`, `"kernel"`, `"rv"`, or `"sweep"`.
+    /// Workload source: `"bench"`, `"rv"`, or `"sweep"`; older archives
+    /// may also hold `"kernel"` (the removed `mossim --kernel`), and
+    /// those records still load.
     pub source: String,
     /// Scheduler label (CLI vocabulary; `"all"` for sweeps).
     pub sched: String,

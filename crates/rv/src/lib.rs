@@ -22,7 +22,9 @@
 //!
 //! [`suite::PROGRAMS`] carries the checked-in real-program suite
 //! (`tests/programs/*.s`): loops, recursion, memcpy/strlen-style memory
-//! kernels, and branchy code.
+//! kernels, and branchy code. [`suite::KERNELS`] holds more small
+//! programs (`tests/programs/kernels/*.s`) that only tests and `mossim
+//! --rv NAME` run.
 
 #![warn(missing_docs)]
 

@@ -1,6 +1,8 @@
 //! The checked-in RV32 test-program suite (`tests/programs/*.s`),
 //! embedded at compile time so integration tests, the fuzzer's sanity
-//! anchors, and the experiments driver all run the same real programs.
+//! anchors, and the experiments driver all run the same real programs,
+//! plus the assembly kernels (`tests/programs/kernels/*.s`) that only
+//! tests and `mossim --rv NAME` run.
 
 use crate::asm::assemble;
 use crate::inst::RvProgram;
@@ -71,9 +73,55 @@ pub const PROGRAMS: [RvTestProgram; 7] = [
     },
 ];
 
-/// Look up a suite program by name.
+/// The assembly kernels: more small programs for the tests, kept out of
+/// [`PROGRAMS`] so the suite-wide experiments, `mossim rvdiff`'s default
+/// set and the host benchmark keep their inputs.
+pub const KERNELS: [RvTestProgram; 8] = [
+    RvTestProgram {
+        name: "dot_product",
+        source: include_str!("../../../tests/programs/kernels/dot_product.s"),
+        expect: &[(A0, 4160)],
+    },
+    RvTestProgram {
+        name: "list_chase",
+        source: include_str!("../../../tests/programs/kernels/list_chase.s"),
+        expect: &[(A0, 448)],
+    },
+    RvTestProgram {
+        name: "string_hash",
+        source: include_str!("../../../tests/programs/kernels/string_hash.s"),
+        expect: &[(A0, 6138493)],
+    },
+    RvTestProgram {
+        name: "fibonacci",
+        source: include_str!("../../../tests/programs/kernels/fibonacci.s"),
+        expect: &[(A0, 832040)],
+    },
+    RvTestProgram {
+        name: "call_tree",
+        source: include_str!("../../../tests/programs/kernels/call_tree.s"),
+        expect: &[(A0, 2047)],
+    },
+    RvTestProgram {
+        name: "matmul",
+        source: include_str!("../../../tests/programs/kernels/matmul.s"),
+        expect: &[(A0, 16)],
+    },
+    RvTestProgram {
+        name: "checksum",
+        source: include_str!("../../../tests/programs/kernels/checksum.s"),
+        expect: &[(A0, 30627)],
+    },
+    RvTestProgram {
+        name: "binsearch",
+        source: include_str!("../../../tests/programs/kernels/binsearch.s"),
+        expect: &[(A0, 11)],
+    },
+];
+
+/// Look up a suite program or kernel by name.
 pub fn by_name(name: &str) -> Option<&'static RvTestProgram> {
-    PROGRAMS.iter().find(|p| p.name == name)
+    PROGRAMS.iter().chain(&KERNELS).find(|p| p.name == name)
 }
 
 #[cfg(test)]
@@ -83,7 +131,7 @@ mod tests {
 
     #[test]
     fn every_program_halts_with_its_expected_registers() {
-        for p in &PROGRAMS {
+        for p in PROGRAMS.iter().chain(&KERNELS) {
             let rv = p.assemble();
             let mut interp = RvInterp::new(&rv);
             interp.run_collect(10_000_000);
@@ -107,6 +155,11 @@ mod tests {
     #[test]
     fn lookup_by_name() {
         assert_eq!(by_name("gcd").unwrap().name, "gcd");
+        assert_eq!(by_name("matmul").unwrap().name, "matmul");
         assert!(by_name("missing").is_none());
+        let mut names: Vec<_> = PROGRAMS.iter().chain(&KERNELS).map(|p| p.name).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), PROGRAMS.len() + KERNELS.len(), "names are unique");
     }
 }

@@ -19,7 +19,7 @@ use crate::stats::SimStats;
 /// One run's issue-slot accounting, normalized for reporting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CpiStack {
-    /// Workload name (benchmark or kernel).
+    /// Workload name (benchmark or RV32 program).
     pub bench: String,
     /// Scheduler spelling the run used (CLI vocabulary).
     pub sched: String,

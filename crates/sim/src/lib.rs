@@ -32,10 +32,9 @@
 //!
 //! ```
 //! use mos_sim::{MachineConfig, Simulator};
-//! use mos_workload::kernels;
 //!
-//! let trace = kernels::SUM_LOOP.interpreter();
-//! let stats = Simulator::new(MachineConfig::base_unrestricted(), trace).run(1_000);
+//! let trace = mos_workload::spec2000::by_name("gzip").unwrap().trace(42);
+//! let stats = Simulator::new(MachineConfig::base_unrestricted(), trace).run(5_000);
 //! assert!(stats.ipc() > 0.5);
 //! ```
 

@@ -19,7 +19,7 @@ use crate::stats::SimStats;
 /// Identity of the run being reported.
 #[derive(Debug, Clone)]
 pub struct RunMeta {
-    /// Workload name (benchmark or kernel).
+    /// Workload name (benchmark or RV32 program).
     pub bench: String,
     /// Scheduler configuration name (CLI spelling).
     pub sched: String,
@@ -252,22 +252,22 @@ impl RunReport {
 mod tests {
     use super::*;
     use crate::MachineConfig;
-    use mos_workload::kernels;
+    use mos_workload::spec2000;
 
     fn tiny_report(metrics: bool) -> RunReport {
-        let k = kernels::by_name("sum_loop").unwrap();
-        let mut sim = Simulator::new(MachineConfig::base_32(), k.interpreter());
+        let trace = spec2000::by_name("gzip").unwrap().trace(42);
+        let mut sim = Simulator::new(MachineConfig::base_32(), trace);
         if metrics {
             sim.enable_metrics(100);
         }
-        sim.run(u64::MAX);
+        sim.run(2_000);
         RunReport::collect(
             &mut sim,
             RunMeta {
-                bench: "sum_loop".into(),
+                bench: "gzip".into(),
                 sched: "base".into(),
-                insts: u64::MAX,
-                seed: 0,
+                insts: 2_000,
+                seed: 42,
                 interval: if metrics { 100 } else { 0 },
             },
             HostProfile::default(),
@@ -299,7 +299,7 @@ mod tests {
     fn renders_json_and_markdown() {
         let r = tiny_report(true);
         let j = r.to_json();
-        assert!(j.starts_with("{\"meta\":{\"bench\":\"sum_loop\""));
+        assert!(j.starts_with("{\"meta\":{\"bench\":\"gzip\""));
         assert!(j.contains("\"totals\":{\"cycles\":"));
         assert!(j.contains("\"series\":{\"interval\":100"));
         assert!(j.contains("\"cycles_per_second\":"));

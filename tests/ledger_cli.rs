@@ -229,3 +229,22 @@ fn tiny_mop_queues_run_to_completion() {
         assert!(stdout.contains("committed        20000"), "--queue {queue}: {stdout}");
     }
 }
+
+/// A program without `ebreak` runs off the end of its code. The timing
+/// run used to wait for a next instruction until the deadlock check
+/// panicked; now it drains and exits 0, while `rvdiff` still reports the
+/// oracle's unclean halt.
+#[test]
+fn a_program_that_runs_off_its_code_drains_cleanly() {
+    let dir = temp_dir("no_ebreak");
+    let src = dir.join("no_ebreak.s");
+    std::fs::write(&src, "_start:\n    li a0, 1\n").unwrap();
+    let path = src.to_str().unwrap();
+    let (stdout, _) = run_ok(mossim().args(["--rv", path]));
+    assert!(stdout.contains("committed            1"), "{stdout}");
+    let out = mossim().args(["rvdiff", "--rv", path]).output().expect("binary runs");
+    let text = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{text}");
+    assert!(text.contains("did not halt cleanly after 1 insts (faulted: true)"), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

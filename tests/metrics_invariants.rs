@@ -8,9 +8,10 @@
 use mopsched::core::WakeupStyle;
 use mopsched::experiments::runner::parallel_map;
 use mopsched::metrics::{bucket_bounds, bucket_index, Hist};
+use mopsched::rv::{suite, RvTraceSource};
 use mopsched::sim::report::{HostProfile, RunMeta, RunReport};
 use mopsched::sim::{MachineConfig, Simulator};
-use mopsched::workload::{kernels, spec2000};
+use mopsched::workload::spec2000;
 use mos_testutil::json;
 
 /// One observed gzip `mop-wor` run with metrics on, wrapped into a report.
@@ -148,13 +149,14 @@ fn histogram_buckets_split_exactly_at_powers_of_two() {
 
 #[test]
 fn per_worker_histogram_merge_is_byte_identical_for_any_job_count() {
-    // One cheap simulation per kernel, each yielding an occupancy
+    // One cheap simulation per RV program, each yielding an occupancy
     // histogram; merging the positional results must not depend on how
     // many workers computed them.
-    let kernels = kernels::all();
+    let programs: Vec<_> = suite::PROGRAMS.iter().chain(&suite::KERNELS).collect();
     let merged_with = |jobs: usize| -> String {
-        let hists: Vec<Hist> = parallel_map(&kernels, jobs, |k| {
-            let mut sim = Simulator::new(MachineConfig::base_32(), k.interpreter());
+        let hists: Vec<Hist> = parallel_map(&programs, jobs, |p| {
+            let trace = RvTraceSource::new(&p.assemble()).expect("suite program lowers");
+            let mut sim = Simulator::new(MachineConfig::base_32(), trace);
             sim.enable_metrics(64);
             sim.run(u64::MAX);
             sim.queue_metrics().expect("metrics enabled").occupancy.clone()

@@ -1,15 +1,14 @@
 //! Cross-crate integration: the timing pipeline must commit exactly the
-//! instruction stream the functional machine executes — for every kernel
-//! and every scheduler — and must be deterministic. The same contract
-//! holds on the RV32 frontend, where the functional machine is the RV32
-//! interpreter behind `RvTraceSource`.
+//! instruction stream the functional machine executes — for every kernel,
+//! every RV32 program and every scheduler — and must be deterministic.
+//! The RV32 functional machine is the interpreter behind `RvTraceSource`;
+//! small native programs run on the native interpreter.
 
-use mopsched::asm::{assemble, Interpreter};
+use mopsched::asm::Interpreter;
 use mopsched::core::WakeupStyle;
-use mopsched::isa::InstClass;
-use mopsched::rv;
+use mopsched::isa::{InstClass, Opcode, Program, Reg, StaticInst as I};
+use mopsched::rv::{self, suite};
 use mopsched::sim::{MachineConfig, Simulator};
-use mopsched::workload::kernels;
 
 fn all_schedulers() -> Vec<(&'static str, MachineConfig)> {
     vec![
@@ -23,37 +22,26 @@ fn all_schedulers() -> Vec<(&'static str, MachineConfig)> {
     ]
 }
 
-fn functional_commits(image: &mopsched::asm::Image) -> u64 {
-    let (trace, _) = Interpreter::new(image).run_collect(usize::MAX);
+fn functional_commits(program: &Program) -> u64 {
+    let (trace, _) = Interpreter::new(program).run_collect(usize::MAX);
     trace
         .iter()
-        .filter(|d| image.program.inst(d.sidx).expect("valid").class() != InstClass::Nop)
+        .filter(|d| program.inst(d.sidx).expect("valid").class() != InstClass::Nop)
         .count() as u64
 }
 
-#[test]
-fn every_kernel_commits_identically_under_every_scheduler() {
-    for kernel in kernels::all() {
-        let image = kernel.image();
-        let expected = functional_commits(&image);
-        for (label, cfg) in all_schedulers() {
-            let stats = Simulator::new(cfg, Interpreter::new(&image)).run(u64::MAX);
-            assert_eq!(
-                stats.committed, expected,
-                "{}/{label}: committed {} != functional {}",
-                kernel.name, stats.committed, expected
-            );
-        }
-    }
+fn rv_trace(name: &str) -> rv::RvTraceSource {
+    let prog = suite::by_name(name).expect("suite program").assemble();
+    rv::RvTraceSource::new(&prog).expect("suite program lowers")
 }
 
-/// The same commit-exactness contract on the RV32 path: the pipeline must
+/// The commit-exactness contract on the RV32 path: the pipeline must
 /// commit exactly the uop stream the RV32 oracle's lowering expands to,
-/// for every suite program and every scheduler (this file's scheduler
-/// list, which includes off-preset variants like `mop-wor+2`).
-#[test]
-fn every_rv_program_commits_identically_under_every_scheduler() {
-    for p in &rv::suite::PROGRAMS {
+/// for every given program and every scheduler (this file's scheduler
+/// list, which includes off-preset variants like `mop-wor+2`), at a
+/// plausible IPC.
+fn assert_commits_identically_under_every_scheduler(programs: &[suite::RvTestProgram]) {
+    for p in programs {
         let prog = p.assemble();
         let lowered = rv::lower(&prog).expect("suite program lowers");
         let mut interp = rv::RvInterp::new(&prog);
@@ -79,16 +67,45 @@ fn every_rv_program_commits_identically_under_every_scheduler() {
                 "{}/{label}: committed {} != functional {}",
                 p.name, stats.committed, expected
             );
+            assert!(
+                stats.ipc() > 0.05 && stats.ipc() < 4.0,
+                "{}/{label}: ipc {:.3}",
+                p.name,
+                stats.ipc()
+            );
         }
     }
 }
 
+/// The workload kernels (RV32 sources under `tests/programs/kernels/`).
+#[test]
+fn every_kernel_commits_identically_under_every_scheduler() {
+    assert_commits_identically_under_every_scheduler(&suite::KERNELS);
+}
+
+/// The RV32 suite programs.
+#[test]
+fn every_rv_program_commits_identically_under_every_scheduler() {
+    assert_commits_identically_under_every_scheduler(&suite::PROGRAMS);
+}
+
+/// Bubble sort's data-dependent compares mispredict, so wrong paths are
+/// really fetched and squashed, and its swaps are reloaded on the next
+/// inner iteration while the stores are still in flight.
+#[test]
+fn bubble_sort_squashes_wrong_paths_and_forwards_from_stores() {
+    let s = Simulator::new(MachineConfig::base_32(), rv_trace("bubble_sort")).run(u64::MAX);
+    assert!(s.mispredicts > 0, "data-dependent branches must mispredict");
+    assert!(s.squashes > 0);
+    assert!(s.wrong_path_fetched > 0, "wrong path is really fetched");
+    assert!(s.load_forwards > 0, "swap/reload pattern must forward");
+}
+
 #[test]
 fn runs_are_deterministic() {
-    let image = kernels::DOT_PRODUCT.image();
     let cfg = MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 1);
-    let a = Simulator::new(cfg.clone(), Interpreter::new(&image)).run(u64::MAX);
-    let b = Simulator::new(cfg, Interpreter::new(&image)).run(u64::MAX);
+    let a = Simulator::new(cfg.clone(), rv_trace("dot_product")).run(u64::MAX);
+    let b = Simulator::new(cfg, rv_trace("dot_product")).run(u64::MAX);
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.committed, b.committed);
     assert_eq!(a.roles, b.roles);
@@ -98,56 +115,62 @@ fn runs_are_deterministic() {
 #[test]
 fn fused_pairs_do_not_change_architectural_behaviour() {
     // A dense chain of groupable single-cycle ops around memory and
-    // branches: macro-op mode must commit the same count and the kernel's
-    // functional result must hold regardless.
-    let src = r"
-        li   r1, 200
-        li   r2, 0
-        li   r3, 0x9000
-    loop:
-        addi r4, r1, 3
-        sub  r5, r4, r1
-        st   r5, 0(r3)
-        ld   r6, 0(r3)
-        add  r2, r2, r6
-        addi r3, r3, 8
-        addi r1, r1, -1
-        bnez r1, loop
-        mov  r10, r2
-        halt";
-    let image = assemble(src).expect("valid kernel");
-    let (_, state) = Interpreter::new(&image).run_collect(1_000_000);
-    assert_eq!(state.int_reg(mopsched::isa::Reg::int(10)), 600, "3 * 200");
+    // branches: macro-op mode must commit the same count and the
+    // program's functional result must hold regardless.
+    let r = Reg::int;
+    let program = Program::from_insts(
+        "chain",
+        [
+            I::li(r(1), 200),
+            I::li(r(2), 0),
+            I::li(r(3), 0x9000),
+            I::addi(r(4), r(1), 3), // 3: loop
+            I::sub(r(5), r(4), r(1)),
+            I::store(r(5), 0, r(3)),
+            I::load(r(6), 0, r(3)),
+            I::add(r(2), r(2), r(6)),
+            I::addi(r(3), r(3), 8),
+            I::addi(r(1), r(1), -1),
+            I::branch(Opcode::Bnez, r(1), 3),
+            I::mov(r(10), r(2)),
+            I::halt(),
+        ],
+    );
+    let (_, state) = Interpreter::new(&program).run_collect(1_000_000);
+    assert_eq!(state.int_reg(r(10)), 600, "3 * 200");
 
-    let expected = functional_commits(&image);
+    let expected = functional_commits(&program);
     let mop = Simulator::new(
         MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 0),
-        Interpreter::new(&image),
+        Interpreter::new(&program),
     )
     .run(u64::MAX);
     assert_eq!(mop.committed, expected);
     assert!(
         mop.grouped_frac() > 0.3,
-        "chain kernel should group heavily: {:.2}",
+        "chain program should group heavily: {:.2}",
         mop.grouped_frac()
     );
 }
 
 #[test]
 fn tiny_and_degenerate_programs_drain_cleanly() {
-    for src in [
-        "halt",
-        "nop\nhalt",
-        "li r1, 1\nhalt",
-        "j end\nnop\nend: halt",
+    let r1 = Reg::int(1);
+    for insts in [
+        vec![I::halt()],
+        vec![I::nop(), I::halt()],
+        vec![I::li(r1, 1), I::halt()],
+        vec![I::jmp(2), I::nop(), I::halt()],
         // Loop executed zero times.
-        "li r1, 0\nbeqz r1, end\nnop\nend: halt",
+        vec![I::li(r1, 0), I::branch(Opcode::Beqz, r1, 3), I::nop(), I::halt()],
+        // No halt: the program runs off the end of its code.
+        vec![I::li(r1, 1), I::li(Reg::int(2), 2)],
     ] {
-        let image = assemble(src).expect("valid");
+        let program = Program::from_insts("tiny", insts);
+        let expected = functional_commits(&program);
         for (label, cfg) in all_schedulers() {
-            let expected = functional_commits(&image);
-            let stats = Simulator::new(cfg, Interpreter::new(&image)).run(u64::MAX);
-            assert_eq!(stats.committed, expected, "{label} on {src:?}");
+            let stats = Simulator::new(cfg, Interpreter::new(&program)).run(u64::MAX);
+            assert_eq!(stats.committed, expected, "{label} on:\n{program}");
         }
     }
 }

@@ -3,36 +3,37 @@
 //! The fixture was produced by the CLI itself:
 //!
 //! ```text
-//! mossim pipeview --kernel sum_loop --sched mop-wor --uops 24 \
-//!     --out tests/golden/sum_loop_mop_wor.kanata
+//! mossim pipeview --rv sum_loop --sched mop-wor --uops 24 \
+//!     --out tests/golden/sum_loop_rv_mop_wor.kanata
 //! ```
 //!
-//! so this test pins the whole chain — event stream → timeline observer
-//! → Kanata renderer — to a known-good trace. A diff here means either
-//! the simulated schedule of `sum_loop` changed (a timing regression) or
-//! the export format drifted; regenerate the fixture with the command
-//! above only after deciding the new behaviour is intended.
+//! so this test pins the whole chain — RV32 frontend → event stream →
+//! timeline observer → Kanata renderer — to a known-good trace. A diff
+//! here means either the simulated schedule of the suite's `sum_loop`
+//! changed (a timing regression) or the export format drifted; regenerate
+//! the fixture with the command above only after deciding the new
+//! behaviour is intended.
 
 use mopsched::core::WakeupStyle;
+use mopsched::isa::TraceSource;
+use mopsched::rv::{suite, RvTraceSource};
 use mopsched::sim::{MachineConfig, Simulator};
-use mopsched::workload::kernels;
 
-const GOLDEN: &str = include_str!("golden/sum_loop_mop_wor.kanata");
+const GOLDEN: &str = include_str!("golden/sum_loop_rv_mop_wor.kanata");
 
 #[test]
 fn kanata_export_matches_the_golden_trace() {
-    let k = kernels::by_name("sum_loop").expect("fixture kernel");
+    let prog = suite::by_name("sum_loop").expect("fixture program").assemble();
+    let trace = RvTraceSource::new(&prog).expect("sum_loop lowers");
+    let program = trace.program().clone();
     let cfg = MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 1);
-    let mut sim = Simulator::new(cfg, k.interpreter());
+    let mut sim = Simulator::new(cfg, trace);
     sim.enable_timeline(24);
     sim.run(u64::MAX);
-    let got = sim
-        .timeline()
-        .expect("timeline enabled")
-        .to_kanata(&k.image().program);
+    let got = sim.timeline().expect("timeline enabled").to_kanata(&program);
     assert_eq!(
         got, GOLDEN,
-        "Kanata export diverged from tests/golden/sum_loop_mop_wor.kanata; \
+        "Kanata export diverged from tests/golden/sum_loop_rv_mop_wor.kanata; \
          see the module docs for how to regenerate it"
     );
 }

@@ -6,7 +6,7 @@
 
 use proptest::prelude::*;
 
-use mopsched::asm::{Image, Interpreter};
+use mopsched::asm::Interpreter;
 use mopsched::core::WakeupStyle;
 use mopsched::isa::{InstClass, Opcode, Program, Reg, StaticInst};
 use mopsched::sim::MachineConfig;
@@ -50,7 +50,7 @@ fn body_op() -> impl Strategy<Value = BodyOp> {
 
 /// A random, always-terminating program: a counted loop around a random
 /// body (skip branches only jump forward inside the body).
-fn program_strategy() -> impl Strategy<Value = Image> {
+fn program_strategy() -> impl Strategy<Value = Program> {
     (2u32..20, prop::collection::vec(body_op(), 1..24)).prop_map(|(trips, body)| {
         let mut p = Program::new("random");
         let alu3 = [Opcode::Add, Opcode::Sub, Opcode::And, Opcode::Or, Opcode::Xor];
@@ -110,18 +110,15 @@ fn program_strategy() -> impl Strategy<Value = Image> {
         p.push(StaticInst::branch(Opcode::Bnez, Reg::int(9), top));
         p.push(StaticInst::halt());
         p.validate().expect("generated program is structurally valid");
-        Image {
-            program: p,
-            data: Vec::new(),
-        }
+        p
     })
 }
 
-fn functional_commits(image: &Image) -> (u64, i64) {
-    let mut interp = Interpreter::new(image);
+fn functional_commits(program: &Program) -> (u64, i64) {
+    let mut interp = Interpreter::new(program);
     let n = interp
         .by_ref()
-        .filter(|d| image.program.inst(d.sidx).expect("valid").class() != InstClass::Nop)
+        .filter(|d| program.inst(d.sidx).expect("valid").class() != InstClass::Nop)
         .count() as u64;
     assert!(interp.stopped_cleanly(), "random program must halt");
     (n, interp.state().int_reg(Reg::int(1)))
@@ -135,8 +132,8 @@ proptest! {
     /// The timing pipeline never deadlocks, loses or duplicates commits on
     /// random programs, under every scheduler.
     #[test]
-    fn schedulers_commit_the_functional_stream(image in program_strategy()) {
-        let (expected, _) = functional_commits(&image);
+    fn schedulers_commit_the_functional_stream(program in program_strategy()) {
+        let (expected, _) = functional_commits(&program);
         for (name, cfg) in [
             ("base", MachineConfig::base_32()),
             ("2cycle", MachineConfig::two_cycle_32()),
@@ -146,7 +143,7 @@ proptest! {
         ] {
             // A mismatch fails with the trailing event window, not a bare
             // stats diff: the excerpt shows where the machine wedged.
-            run_traced(cfg, Interpreter::new(&image), u64::MAX, 256)
+            run_traced(cfg, Interpreter::new(&program), u64::MAX, 256)
                 .assert_committed(expected, name);
         }
     }
@@ -154,12 +151,12 @@ proptest! {
     /// Macro-op chains (future-work sizes) are deadlock-free too: the
     /// chain-safety rule in formation must hold for arbitrary dataflow.
     #[test]
-    fn mop_chains_never_deadlock(image in program_strategy()) {
-        let (expected, _) = functional_commits(&image);
+    fn mop_chains_never_deadlock(program in program_strategy()) {
+        let (expected, _) = functional_commits(&program);
         for size in [3usize, 4] {
             let mut cfg = MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 1);
             cfg.sched.mop.max_mop_size = size;
-            run_traced(cfg, Interpreter::new(&image), u64::MAX, 256)
+            run_traced(cfg, Interpreter::new(&program), u64::MAX, 256)
                 .assert_committed(expected, &format!("mop chain size {size}"));
         }
     }
@@ -167,11 +164,11 @@ proptest! {
     /// The cycle-detection ablation arm (precise in-window detection) is
     /// also deadlock-free and commit-exact.
     #[test]
-    fn precise_cycle_detection_is_safe(image in program_strategy()) {
-        let (expected, _) = functional_commits(&image);
+    fn precise_cycle_detection_is_safe(program in program_strategy()) {
+        let (expected, _) = functional_commits(&program);
         let mut cfg = MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 0);
         cfg.sched.mop.cycle_detection = mopsched::core::CycleDetection::Precise;
-        run_traced(cfg, Interpreter::new(&image), u64::MAX, 256)
+        run_traced(cfg, Interpreter::new(&program), u64::MAX, 256)
             .assert_committed(expected, "precise cycle detection");
     }
 }

@@ -1,9 +1,9 @@
 //! End-to-end differential validation of the RV32 frontend: every suite
-//! program, run through every scheduler kind, must commit exactly the uop
-//! stream the RV32 functional oracle predicts and reproduce the oracle's
-//! final architectural state — plus the CPI-stack shape claim the paper's
-//! story rests on (the 2-cycle loop pays a sched_loop tax that macro-op
-//! scheduling removes).
+//! program and kernel, run through every scheduler kind, must commit
+//! exactly the uop stream the RV32 functional oracle predicts and
+//! reproduce the oracle's final architectural state — plus the CPI-stack
+//! shape claim the paper's story rests on (the 2-cycle loop pays a
+//! sched_loop tax that macro-op scheduling removes).
 
 use mopsched::core::SlotCause;
 use mopsched::rv::{self, suite};
@@ -13,7 +13,7 @@ const MAX_STEPS: usize = 10_000_000;
 
 #[test]
 fn every_suite_program_matches_the_oracle_under_every_scheduler() {
-    for p in &suite::PROGRAMS {
+    for p in suite::PROGRAMS.iter().chain(&suite::KERNELS) {
         let prog = p.assemble();
         for sched in rv::SCHED_KINDS {
             let cfg = rv::config_for(sched).expect("known scheduler");
@@ -35,7 +35,7 @@ fn suite_expectations_hold_when_replayed_through_the_pipeline() {
     // run_differential already replays commits through a fresh RvState and
     // compares against the oracle; here we additionally pin the documented
     // per-program results so a semantics bug in *both* paths cannot hide.
-    for p in &suite::PROGRAMS {
+    for p in suite::PROGRAMS.iter().chain(&suite::KERNELS) {
         let prog = p.assemble();
         let mut interp = rv::RvInterp::new(&prog);
         interp.run_collect(MAX_STEPS);
