@@ -206,7 +206,11 @@ mod tests {
 
     #[test]
     fn load_edges_do_not_stretch_under_two_cycle() {
-        let d = ddg_of([I::li(r(1), 0x100), I::load(r(2), 0, r(1)), I::addi(r(3), r(2), 1)]);
+        let d = ddg_of([
+            I::li(r(1), 0x100),
+            I::load(r(2), 0, r(1)),
+            I::addi(r(3), r(2), 1),
+        ]);
         // li -> ld (1 or 2) then ld -> addi (3 either way).
         assert_eq!(d.critical_path(EdgeCosts::atomic()), 1 + 3);
         assert_eq!(d.critical_path(EdgeCosts::two_cycle()), 2 + 3);

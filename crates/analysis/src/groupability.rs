@@ -26,11 +26,7 @@ impl CandidateProfile {
     /// Fraction of heads with a candidate tail within `d` instructions.
     pub fn within(&self, d: usize) -> f64 {
         let total = self.valuegen.max(1) as f64;
-        let sum: u64 = self
-            .distance_histogram
-            .iter()
-            .take(d + 1)
-            .sum();
+        let sum: u64 = self.distance_histogram.iter().take(d + 1).sum();
         sum as f64 / total
     }
 
@@ -51,7 +47,11 @@ impl CandidateProfile {
 /// `horizon` instructions after it issued is closed as it stands (no
 /// candidate tail found), so every counted distance is at most
 /// `horizon`.
-pub fn candidate_profile<T: TraceSource>(mut trace: T, n: usize, horizon: usize) -> CandidateProfile {
+pub fn candidate_profile<T: TraceSource>(
+    mut trace: T,
+    n: usize,
+    horizon: usize,
+) -> CandidateProfile {
     let program = trace.program().clone();
     #[derive(Clone, Copy)]
     struct Head {
@@ -204,7 +204,11 @@ mod tests {
         insts.push(I::addi(r(6), r(1), 1));
         let p = profile_within(insts, 4);
         assert_eq!(p.valuegen, 7);
-        assert_eq!(p.distance_histogram.iter().sum::<u64>(), 0, "no tail within 4");
+        assert_eq!(
+            p.distance_histogram.iter().sum::<u64>(),
+            0,
+            "no tail within 4"
+        );
         assert_eq!(p.dead, 7, "r1 aged out unread at distance 4");
     }
 

@@ -156,7 +156,10 @@ mod tests {
             I::addi(r(1), r(1), -1),
             I::branch(Opcode::Bnez, r(1), 2),
         ]);
-        for m in [ScheduleModel::table1_atomic(), ScheduleModel::table1_two_cycle()] {
+        for m in [
+            ScheduleModel::table1_atomic(),
+            ScheduleModel::table1_two_cycle(),
+        ] {
             assert!(m.estimate_cycles(&d) >= m.lower_bound_cycles(&d));
         }
     }

@@ -67,8 +67,14 @@ fn analytical_floor_sensitivity_tracks_the_simulator() {
     };
     let (ga, va) = (sensitivity_analytic("gap"), sensitivity_analytic("vortex"));
     let (gs, vs) = (sensitivity_sim("gap"), sensitivity_sim("vortex"));
-    assert!(ga < va, "analytic: gap {ga:.3} should lose more than vortex {va:.3}");
-    assert!(gs < vs, "simulated: gap {gs:.3} should lose more than vortex {vs:.3}");
+    assert!(
+        ga < va,
+        "analytic: gap {ga:.3} should lose more than vortex {va:.3}"
+    );
+    assert!(
+        gs < vs,
+        "simulated: gap {gs:.3} should lose more than vortex {vs:.3}"
+    );
 }
 
 #[test]

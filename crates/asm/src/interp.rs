@@ -159,7 +159,10 @@ impl Interpreter {
             Xori => s.set_int_reg(inst.dst_raw(), rs(s, 0) ^ inst.imm()),
             Not => s.set_int_reg(inst.dst_raw(), !rs(s, 0)),
             Sll => s.set_int_reg(inst.dst_raw(), rs(s, 0).wrapping_shl(rs(s, 1) as u32 & 63)),
-            Slli => s.set_int_reg(inst.dst_raw(), rs(s, 0).wrapping_shl(inst.imm() as u32 & 63)),
+            Slli => s.set_int_reg(
+                inst.dst_raw(),
+                rs(s, 0).wrapping_shl(inst.imm() as u32 & 63),
+            ),
             Srl => s.set_int_reg(
                 inst.dst_raw(),
                 ((rs(s, 0) as u64).wrapping_shr(rs(s, 1) as u32 & 63)) as i64,
@@ -169,9 +172,15 @@ impl Interpreter {
                 ((rs(s, 0) as u64).wrapping_shr(inst.imm() as u32 & 63)) as i64,
             ),
             Sra => s.set_int_reg(inst.dst_raw(), rs(s, 0).wrapping_shr(rs(s, 1) as u32 & 63)),
-            Srai => s.set_int_reg(inst.dst_raw(), rs(s, 0).wrapping_shr(inst.imm() as u32 & 63)),
+            Srai => s.set_int_reg(
+                inst.dst_raw(),
+                rs(s, 0).wrapping_shr(inst.imm() as u32 & 63),
+            ),
             Slt => s.set_int_reg(inst.dst_raw(), i64::from(rs(s, 0) < rs(s, 1))),
-            Sltu => s.set_int_reg(inst.dst_raw(), i64::from((rs(s, 0) as u64) < (rs(s, 1) as u64))),
+            Sltu => s.set_int_reg(
+                inst.dst_raw(),
+                i64::from((rs(s, 0) as u64) < (rs(s, 1) as u64)),
+            ),
             Slti => s.set_int_reg(inst.dst_raw(), i64::from(rs(s, 0) < inst.imm())),
             Sltiu => s.set_int_reg(
                 inst.dst_raw(),
@@ -303,7 +312,6 @@ impl TraceSource for Interpreter {
     }
 }
 
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -382,7 +390,7 @@ mod tests {
     fn two_source_branches_and_imm_shifts() {
         let (trace, s) = run([
             I::li(r(1), -8),
-            I::alui(Opcode::Srai, r(2), r(1), 1),  // -4 (arithmetic)
+            I::alui(Opcode::Srai, r(2), r(1), 1), // -4 (arithmetic)
             I::alui(Opcode::Sltiu, r(3), r(1), 3), // -8 as unsigned is huge -> 0
             I::li(r(4), 5),
             I::li(r(5), 5),

@@ -1,7 +1,6 @@
 //! Scheduler and macro-op formation configuration (Section 6.2's
 //! scheduler configurations).
 
-
 /// Which scheduling-loop model the issue queue runs (Section 6.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchedulerKind {

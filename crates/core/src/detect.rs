@@ -324,7 +324,11 @@ impl MopDetector {
             // a mark there still counts as the column's first.
             let marks = self.users[i];
             let rows = marks & bits_from((i + 1).max(cur_start));
-            let first_mark_row = if rows == marks { rows & rows.wrapping_neg() } else { 0 };
+            let first_mark_row = if rows == marks {
+                rows & rows.wrapping_neg()
+            } else {
+                0
+            };
             let mut eligible = rows & self.candidates & !members_before;
             if eligible == 0 || holds_pointer(i, self.window[i].sidx) {
                 continue;
@@ -716,7 +720,10 @@ mod tests {
         let mut d = det();
         let pairs = d.step(&g, no_ptr, no_bl);
         assert_eq!(pairs.len(), 1);
-        assert!(pairs[0].pointer.control, "control bit set across taken branch");
+        assert!(
+            pairs[0].pointer.control,
+            "control bit set across taken branch"
+        );
     }
 
     #[test]
@@ -731,11 +738,19 @@ mod tests {
         };
         let mut d = det();
         assert!(d
-            .step(&mk([CtrlOut::TakenIndirect, CtrlOut::FallThrough]), no_ptr, no_bl)
+            .step(
+                &mk([CtrlOut::TakenIndirect, CtrlOut::FallThrough]),
+                no_ptr,
+                no_bl
+            )
             .is_empty());
         let mut d = det();
         assert!(d
-            .step(&mk([CtrlOut::TakenDirect, CtrlOut::TakenDirect]), no_ptr, no_bl)
+            .step(
+                &mk([CtrlOut::TakenDirect, CtrlOut::TakenDirect]),
+                no_ptr,
+                no_bl
+            )
             .is_empty());
         assert!(d.stats().flow_rejects >= 1);
     }

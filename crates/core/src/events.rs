@@ -340,7 +340,10 @@ impl TraceEvent {
                 filtered,
                 ..
             } => {
-                let _ = write!(s, ",\"head\":{head_sidx},\"line\":{line},\"filtered\":{filtered}");
+                let _ = write!(
+                    s,
+                    ",\"head\":{head_sidx},\"line\":{line},\"filtered\":{filtered}"
+                );
             }
             TraceEvent::Wakeup {
                 tag,
@@ -420,7 +423,11 @@ impl TraceEvent {
                 complete_at,
                 ..
             } => {
-                let _ = write!(s, ",\"id\":{},\"sidx\":{sidx},\"complete_at\":{complete_at}", id.0);
+                let _ = write!(
+                    s,
+                    ",\"id\":{},\"sidx\":{sidx},\"complete_at\":{complete_at}",
+                    id.0
+                );
             }
             TraceEvent::Squash {
                 from, branch_sidx, ..
@@ -686,11 +693,7 @@ impl RingSink {
     /// failure messages.
     pub fn excerpt(&self, n: usize) -> String {
         let skip = self.buf.len().saturating_sub(n);
-        let mut s = format!(
-            "last {} of {} events:\n",
-            self.buf.len() - skip,
-            self.seen
-        );
+        let mut s = format!("last {} of {} events:\n", self.buf.len() - skip, self.seen);
         for ev in self.buf.iter().skip(skip) {
             s.push_str("  ");
             s.push_str(&ev.to_json());

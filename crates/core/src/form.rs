@@ -470,14 +470,19 @@ mod tests {
     #[test]
     fn same_group_pair_fuses() {
         let mut f = former();
-        let items = step(&mut f, &[
-            with_ptr(ri(0, 10, Some(1), &[]), 1, false, 11),
-            ri(1, 11, Some(2), &[1]),
-        ]);
+        let items = step(
+            &mut f,
+            &[
+                with_ptr(ri(0, 10, Some(1), &[]), 1, false, 11),
+                ri(1, 11, Some(2), &[1]),
+            ],
+        );
         assert_eq!(items.len(), 2);
         assert!(matches!(items[0], FormedItem::HeadPending { .. }));
         match &items[1] {
-            FormedItem::TailFuse { tail, chain_more, .. } => {
+            FormedItem::TailFuse {
+                tail, chain_more, ..
+            } => {
                 assert!(!chain_more);
                 assert_eq!(tail.role, GroupRole::MopValueGen);
                 // Internal edge: tail's source is the MOP tag itself.
@@ -498,7 +503,15 @@ mod tests {
         let mut f = former();
         let i1 = step(&mut f, &[with_ptr(ri(0, 10, Some(1), &[]), 4, false, 14)]);
         assert_eq!(i1.len(), 1);
-        let i2 = step(&mut f, &[ri(1, 11, None, &[]), ri(2, 12, None, &[]), ri(3, 13, None, &[]), ri(4, 14, Some(2), &[1])]);
+        let i2 = step(
+            &mut f,
+            &[
+                ri(1, 11, None, &[]),
+                ri(2, 12, None, &[]),
+                ri(3, 13, None, &[]),
+                ri(4, 14, Some(2), &[1]),
+            ],
+        );
         assert!(
             i2.iter().any(|x| matches!(x, FormedItem::TailFuse { .. })),
             "tail in the next insert group must fuse: {i2:?}"
@@ -524,10 +537,13 @@ mod tests {
     #[test]
     fn wrong_tail_sidx_cancels() {
         let mut f = former();
-        let items = step(&mut f, &[
-            with_ptr(ri(0, 10, Some(1), &[]), 1, false, 11),
-            ri(1, 99, Some(2), &[1]), // different static instruction
-        ]);
+        let items = step(
+            &mut f,
+            &[
+                with_ptr(ri(0, 10, Some(1), &[]), 1, false, 11),
+                ri(1, 99, Some(2), &[1]), // different static instruction
+            ],
+        );
         assert!(items.iter().any(|x| matches!(x, FormedItem::Cancel { .. })));
         // The impostor is still inserted normally.
         assert!(items.iter().any(|x| matches!(x, FormedItem::Single(_))));
@@ -557,7 +573,9 @@ mod tests {
         br.class = InstClass::CondBranch;
         let tail = ri(2, 30, Some(2), &[1]);
         let items = step(&mut f, &[head, br, tail]);
-        assert!(items.iter().any(|x| matches!(x, FormedItem::TailFuse { .. })));
+        assert!(items
+            .iter()
+            .any(|x| matches!(x, FormedItem::TailFuse { .. })));
     }
 
     #[test]
@@ -576,12 +594,15 @@ mod tests {
     #[test]
     fn consumers_of_head_and_tail_share_the_mop_tag() {
         let mut f = former();
-        let items = step(&mut f, &[
-            with_ptr(ri(0, 10, Some(1), &[]), 1, false, 11),
-            ri(1, 11, Some(2), &[1]),
-            ri(2, 12, Some(3), &[1]), // reads head's r1
-            ri(3, 13, Some(4), &[2]), // reads tail's r2
-        ]);
+        let items = step(
+            &mut f,
+            &[
+                with_ptr(ri(0, 10, Some(1), &[]), 1, false, 11),
+                ri(1, 11, Some(2), &[1]),
+                ri(2, 12, Some(3), &[1]), // reads head's r1
+                ri(3, 13, Some(4), &[2]), // reads tail's r2
+            ],
+        );
         let tag = match &items[0] {
             FormedItem::HeadPending { head, .. } => head.dst.unwrap(),
             _ => panic!(),
@@ -607,10 +628,13 @@ mod tests {
     #[test]
     fn disabled_former_ignores_pointers() {
         let mut f = Former::new(false, 2);
-        let items = step(&mut f, &[
-            with_ptr(ri(0, 10, Some(1), &[]), 1, false, 11),
-            ri(1, 11, Some(2), &[1]),
-        ]);
+        let items = step(
+            &mut f,
+            &[
+                with_ptr(ri(0, 10, Some(1), &[]), 1, false, 11),
+                ri(1, 11, Some(2), &[1]),
+            ],
+        );
         assert!(items.iter().all(|x| matches!(x, FormedItem::Single(_))));
     }
 
@@ -622,10 +646,7 @@ mod tests {
         let tail = ri(1, 11, Some(2), &[7]);
         let items = step(&mut f, &[head, tail]);
         match (&items[0], &items[1]) {
-            (
-                FormedItem::HeadPending { head, .. },
-                FormedItem::TailFuse { tail, .. },
-            ) => {
+            (FormedItem::HeadPending { head, .. }, FormedItem::TailFuse { tail, .. }) => {
                 assert_eq!(head.role, GroupRole::MopIndependent);
                 assert_eq!(tail.role, GroupRole::MopIndependent);
             }
@@ -664,7 +685,9 @@ mod tests {
         }
         // No cancel was emitted for the squashed pending — queue squash
         // already removed the entry — and no fuse can match it later.
-        assert!(items.iter().all(|x| !matches!(x, FormedItem::TailFuse { .. })));
+        assert!(items
+            .iter()
+            .all(|x| !matches!(x, FormedItem::TailFuse { .. })));
     }
 
     #[test]

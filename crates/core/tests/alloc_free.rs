@@ -280,7 +280,11 @@ fn formation_and_queue_cycles_do_not_allocate() {
         core.queue.stats().issued_uops - issued
     );
     assert!(core.queue.stats().cancelled_pendings > 0);
-    assert!(core.skipped > skipped + 100, "skipped {}", core.skipped - skipped);
+    assert!(
+        core.skipped > skipped + 100,
+        "skipped {}",
+        core.skipped - skipped
+    );
     assert_eq!(made, 0, "{made} allocations in 6000 steady-state cycles");
 }
 

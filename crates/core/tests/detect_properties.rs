@@ -311,7 +311,10 @@ fn detect_oracle_rejects_fabricated_violations() {
     let disjoint = vec![K::Alu1 { dst: 1, a: 9 }, K::Alu1 { dst: 2, a: 8 }];
     assert!(detect_oracle(&disjoint, &[fake(1)], None).is_err());
     // A two-source union of three registers must trip the CAM limit.
-    let wide = vec![K::Alu2 { dst: 1, a: 8, b: 9 }, K::Alu2 { dst: 2, a: 1, b: 7 }];
+    let wide = vec![
+        K::Alu2 { dst: 1, a: 8, b: 9 },
+        K::Alu2 { dst: 2, a: 1, b: 7 },
+    ];
     assert!(detect_oracle(&wide, &[fake(1)], Some(2)).is_err());
 }
 
@@ -412,8 +415,9 @@ impl ReferenceDetector {
                 }
                 let cycle_ok = match self.config.cycle_detection {
                     CycleDetection::Heuristic => reference_srcs(row).len() <= 1 || first_mark,
-                    CycleDetection::Precise => !((i + 1..j)
-                        .any(|k| reach[k] & (1 << i) != 0 && reach[j] & (1 << k) != 0)),
+                    CycleDetection::Precise => {
+                        !((i + 1..j).any(|k| reach[k] & (1 << i) != 0 && reach[j] & (1 << k) != 0))
+                    }
                 };
                 if !cycle_ok {
                     self.stats.cycle_rejects += 1;
@@ -642,5 +646,8 @@ fn detector_matches_the_reference_in_lockstep() {
             rejects_seen += s.cycle_rejects + s.src_limit_rejects + s.flow_rejects;
         }
     }
-    assert!(pairs_seen > 10_000 && rejects_seen > 1_000, "{pairs_seen} pairs, {rejects_seen} rejects");
+    assert!(
+        pairs_seen > 10_000 && rejects_seen > 1_000,
+        "{pairs_seen} pairs, {rejects_seen} rejects"
+    );
 }

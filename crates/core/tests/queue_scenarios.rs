@@ -91,7 +91,10 @@ fn check_idle_prediction(q: &IssueQueue, now: u64) {
     if next < now + 64 {
         c.cycle_into(next, &mut out);
         let acted = !out.is_empty() || c.occupancy() != occupancy || frozen(&c) != stats;
-        assert!(acted, "predicted activity at {next}, but the cycle was quiet");
+        assert!(
+            acted,
+            "predicted activity at {next}, but the cycle was quiet"
+        );
     }
 }
 
@@ -106,7 +109,11 @@ fn independent_mop_consumer_timing() {
     let sched = drain(&mut q, 20);
     assert_eq!(sched[&0], vec![0]);
     assert_eq!(sched[&1], vec![0], "members issue as one entry");
-    assert_eq!(sched[&2], vec![2], "consumer wakes at S+2, as in plain 2-cycle");
+    assert_eq!(
+        sched[&2],
+        vec![2],
+        "consumer wakes at S+2, as in plain 2-cycle"
+    );
 }
 
 /// A three-source MOP (wired-OR) waits for all of them.
@@ -141,7 +148,8 @@ fn two_mops_block_two_slots() {
     let mut q = IssueQueue::new(c);
     for k in 0..2u64 {
         let e = q.insert_mop_head(alu(k * 2, Some(100 + k), &[])).unwrap();
-        q.fuse_tail(e, alu(k * 2 + 1, Some(100 + k), &[100 + k])).unwrap();
+        q.fuse_tail(e, alu(k * 2 + 1, Some(100 + k), &[100 + k]))
+            .unwrap();
     }
     for k in 0..6u64 {
         q.insert(alu(10 + k, Some(200 + k), &[])).unwrap();
@@ -213,7 +221,10 @@ fn load_resolved_unknown_tag_is_noop() {
     let (mut out, mut replayed) = (Vec::new(), vec![UopId(7)]);
     let mut q = IssueQueue::new(cfg(SchedulerKind::Base));
     q.load_resolved_into(Tag(999), false, 50, &mut replayed);
-    assert!(replayed.is_empty(), "the buffer is cleared, nothing replays");
+    assert!(
+        replayed.is_empty(),
+        "the buffer is cleared, nothing replays"
+    );
     q.insert(alu(0, Some(100), &[])).unwrap();
     q.cycle_into(0, &mut out);
     assert_eq!(out.len(), 1);
@@ -418,7 +429,9 @@ impl Interleaving {
                 self.next_id += 1;
                 let mut tail_srcs = vec![tag];
                 tail_srcs.extend(self.srcs(arg >> 3));
-                self.q.fuse_tail(e, alu(tail, Some(tag), &tail_srcs)).unwrap();
+                self.q
+                    .fuse_tail(e, alu(tail, Some(tag), &tail_srcs))
+                    .unwrap();
                 self.pool.push((tail, tag));
             }
             // A pending head whose tail comes later (or never).

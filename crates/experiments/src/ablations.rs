@@ -224,7 +224,10 @@ mod tests {
         let a = detection_delay(&sweep());
         for (bench, base, arms) in &a.rows {
             let rel = arms[0] / base;
-            assert!(rel > 0.95, "{bench}: delay=100 at {rel:.3} of fast detection");
+            assert!(
+                rel > 0.95,
+                "{bench}: delay=100 at {rel:.3} of fast detection"
+            );
         }
     }
 
@@ -246,7 +249,11 @@ mod tests {
         assert_eq!(a.arms.len(), 2);
         for (bench, base, arms) in &a.rows {
             // Bigger MOPs should not catastrophically hurt.
-            assert!(arms[1] / base > 0.85, "{bench}: size=4 {:.3}", arms[1] / base);
+            assert!(
+                arms[1] / base > 0.85,
+                "{bench}: size=4 {:.3}",
+                arms[1] / base
+            );
         }
     }
 }

@@ -78,7 +78,10 @@ fn main() -> ExitCode {
     } else {
         &["--insts", "--jobs"]
     };
-    if args[1..].chunks(2).any(|opt| !known.contains(&opt[0].as_str())) {
+    if args[1..]
+        .chunks(2)
+        .any(|opt| !known.contains(&opt[0].as_str()))
+    {
         return usage();
     }
     let insts = match flag::<u64>(&args, "--insts") {

@@ -180,7 +180,9 @@ pub fn cpi_breakdown(sweep: &Sweep) -> Matrix {
         MachineConfig::base_32().with_ideal_branch(),
         MachineConfig::base_32().with_ideal_memory(),
         // Scheduling-loop share: ideal machine, atomic vs 2-cycle loop.
-        MachineConfig::base_32().with_ideal_branch().with_ideal_memory(),
+        MachineConfig::base_32()
+            .with_ideal_branch()
+            .with_ideal_memory(),
         MachineConfig::two_cycle_32()
             .with_ideal_branch()
             .with_ideal_memory(),
@@ -342,7 +344,9 @@ mod tests {
         }
         // mcf is memory-bound: idealizing memory must be transformative.
         let real = Job::new("mcf", MachineConfig::base_32(), N).run().ipc();
-        let im = Job::new("mcf", MachineConfig::base_32().with_ideal_memory(), N).run().ipc();
+        let im = Job::new("mcf", MachineConfig::base_32().with_ideal_memory(), N)
+            .run()
+            .ipc();
         assert!(im > real * 1.5, "mcf: {real:.3} -> {im:.3}");
     }
 

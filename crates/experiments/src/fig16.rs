@@ -37,8 +37,20 @@ impl Fig16Result {
     /// Geomeans of (squash-dep, scoreboard, macro-op).
     pub fn means(&self) -> (f64, f64, f64) {
         (
-            geomean(&self.rows.iter().map(|r| r.select_free_squash_dep).collect::<Vec<_>>()),
-            geomean(&self.rows.iter().map(|r| r.select_free_scoreboard).collect::<Vec<_>>()),
+            geomean(
+                &self
+                    .rows
+                    .iter()
+                    .map(|r| r.select_free_squash_dep)
+                    .collect::<Vec<_>>(),
+            ),
+            geomean(
+                &self
+                    .rows
+                    .iter()
+                    .map(|r| r.select_free_scoreboard)
+                    .collect::<Vec<_>>(),
+            ),
             geomean(&self.rows.iter().map(|r| r.mop_wired_or).collect::<Vec<_>>()),
         )
     }

@@ -54,7 +54,13 @@ pub fn analyze_one(name: &str, insts: usize) -> Fig6Row {
     let p = candidate_profile(spec.trace(crate::runner::SEED), insts, HORIZON);
     let tails = |d: &[u64]| d.iter().sum::<u64>();
     let h = &p.distance_histogram;
-    let buckets = [tails(&h[1..4]), tails(&h[4..8]), tails(&h[8..]), p.no_candidate_tail, p.dead];
+    let buckets = [
+        tails(&h[1..4]),
+        tails(&h[4..8]),
+        tails(&h[8..]),
+        p.no_candidate_tail,
+        p.dead,
+    ];
     let denom = buckets.iter().sum::<u64>().max(1) as f64;
     Fig6Row {
         bench: name.to_owned(),
@@ -120,9 +126,17 @@ mod tests {
     fn valuegen_pct_tracks_paper_header() {
         // gzip 56.3 %, eon 27.8 % in the paper.
         let gzip = analyze_one("gzip", 30_000);
-        assert!((gzip.valuegen_pct - 56.3).abs() < 6.0, "{}", gzip.valuegen_pct);
+        assert!(
+            (gzip.valuegen_pct - 56.3).abs() < 6.0,
+            "{}",
+            gzip.valuegen_pct
+        );
         let eon = analyze_one("eon", 30_000);
-        assert!((eon.valuegen_pct - 27.8).abs() < 6.0, "{}", eon.valuegen_pct);
+        assert!(
+            (eon.valuegen_pct - 27.8).abs() < 6.0,
+            "{}",
+            eon.valuegen_pct
+        );
     }
 
     #[test]

@@ -73,8 +73,7 @@ fn grouping(name: &str, insts: usize, max_size: usize) -> GroupingShare {
     let mut mop_sizes: Vec<(u64, u64)> = Vec::new(); // (head pos, members)
     let mut total = 0u64;
 
-    let retire = |w: &WinInst,
-                      counts: &mut (u64, u64, u64, u64)| {
+    let retire = |w: &WinInst, counts: &mut (u64, u64, u64, u64)| {
         if !w.is_candidate {
             counts.3 += 1;
         } else if w.group.is_some() {
@@ -204,7 +203,10 @@ impl GroupingShare {
 
 impl fmt::Display for Fig7Result {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "Figure 7: instructions groupable into different MOP sizes")?;
+        writeln!(
+            f,
+            "Figure 7: instructions groupable into different MOP sizes"
+        )?;
         writeln!(
             f,
             "{:8} | {:>6} {:>6} {:>6} | {:>6} {:>6} {:>6} {:>8}  (% of committed)",

@@ -23,7 +23,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
-use mos_sim::{MachineConfig, Simulator, SimStats, SCHED_KINDS};
+use mos_sim::{MachineConfig, SimStats, Simulator, SCHED_KINDS};
 use mos_workload::spec2000;
 use mos_workload::{SyntheticProgram, WorkloadSpec};
 

@@ -12,7 +12,7 @@ use std::fmt;
 
 use mos_rv::suite::{self, RvTestProgram};
 use mos_rv::{config_for, RvTraceSource, SCHED_KINDS};
-use mos_sim::{Simulator, SimStats};
+use mos_sim::{SimStats, Simulator};
 
 use crate::runner::Sweep;
 
@@ -45,7 +45,10 @@ impl fmt::Display for RvReport {
             write!(f, " {sched:>13}")?;
         }
         writeln!(f)?;
-        for (p, row) in suite::PROGRAMS.iter().zip(self.0.chunks_exact(SCHED_KINDS.len())) {
+        for (p, row) in suite::PROGRAMS
+            .iter()
+            .zip(self.0.chunks_exact(SCHED_KINDS.len()))
+        {
             write!(f, "{:12}", p.name)?;
             for stats in row {
                 write!(f, " {:>13.3}", stats.ipc())?;

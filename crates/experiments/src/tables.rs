@@ -39,9 +39,7 @@ pub fn table1() -> String {
     ));
     s.push_str(&format!(
         "                 {} RAS, {}-entry {}-way BTB, >=14 cycles misprediction recovery\n",
-        c.branch.ras_depth,
-        c.branch.btb_entries,
-        c.branch.btb_ways
+        c.branch.ras_depth, c.branch.btb_entries, c.branch.btb_ways
     ));
     s.push_str(&format!(
         "  Memory:        {}KB {}-way {}B IL1 ({}), {}KB {}-way {}B DL1 ({}), {}KB {}-way {}B L2 ({}), memory ({})\n",
@@ -105,7 +103,11 @@ impl fmt::Display for Table2Result {
         )?;
         writeln!(f, "{:8} {:>8} {:>14}", "bench", "32-entry", "unrestricted")?;
         for r in &self.rows {
-            writeln!(f, "{:8} {:8.2} {:14.2}", r.bench, r.ipc_32, r.ipc_unrestricted)?;
+            writeln!(
+                f,
+                "{:8} {:8.2} {:14.2}",
+                r.bench, r.ipc_32, r.ipc_unrestricted
+            )?;
         }
         Ok(())
     }

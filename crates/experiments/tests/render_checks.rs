@@ -9,8 +9,8 @@ const N: u64 = 4_000;
 
 fn has_all_benchmarks(text: &str) {
     for b in [
-        "bzip", "crafty", "eon", "gap", "gcc", "gzip", "mcf", "parser", "perl", "twolf",
-        "vortex", "vpr",
+        "bzip", "crafty", "eon", "gap", "gcc", "gzip", "mcf", "parser", "perl", "twolf", "vortex",
+        "vpr",
     ] {
         assert!(text.contains(b), "missing {b} in:\n{text}");
     }

@@ -1,6 +1,5 @@
 use std::fmt;
 
-
 /// Latency/resource class of an instruction, mirroring Table 1 of the paper.
 ///
 /// The class determines execution latency, which functional-unit pool the
@@ -67,7 +66,9 @@ impl InstClass {
     pub fn fu(self) -> FuKind {
         use InstClass::*;
         match self {
-            IntAlu | CondBranch | Jump | Call | IndirectJump | Return | Nop | Halt => FuKind::IntAlu,
+            IntAlu | CondBranch | Jump | Call | IndirectJump | Return | Nop | Halt => {
+                FuKind::IntAlu
+            }
             IntMul | IntDiv => FuKind::IntMulDiv,
             FpAlu => FuKind::FpAlu,
             FpMul | FpDiv => FuKind::FpMulDiv,
@@ -181,7 +182,10 @@ mod tests {
     #[test]
     fn single_cycle_classes_match_paper_candidates() {
         assert!(InstClass::IntAlu.is_single_cycle());
-        assert!(InstClass::Store.is_single_cycle(), "store address generation");
+        assert!(
+            InstClass::Store.is_single_cycle(),
+            "store address generation"
+        );
         assert!(InstClass::CondBranch.is_single_cycle());
         assert!(!InstClass::Load.is_single_cycle());
         assert!(!InstClass::IntMul.is_single_cycle());

@@ -1,6 +1,5 @@
 use std::fmt;
 
-
 use crate::{InstClass, Opcode, Reg};
 
 /// A static instruction as laid out in the program image.
@@ -98,7 +97,11 @@ impl StaticInst {
     ///
     /// `srcs[0]` is the address base, `srcs[1]` the stored value.
     pub fn store(rval: Reg, imm: i64, rbase: Reg) -> StaticInst {
-        let op = if rval.is_fp() { Opcode::Fst } else { Opcode::St };
+        let op = if rval.is_fp() {
+            Opcode::Fst
+        } else {
+            Opcode::St
+        };
         StaticInst::new(op, None, [Some(rbase), Some(rval)], imm, None)
     }
 
@@ -326,8 +329,9 @@ mod tests {
     #[test]
     fn load_and_mul_are_not_candidates() {
         assert!(!StaticInst::load(Reg::int(1), 0, Reg::int(2)).is_mop_candidate());
-        assert!(!StaticInst::alu(Opcode::Mul, Reg::int(1), Reg::int(2), Reg::int(3))
-            .is_mop_candidate());
+        assert!(
+            !StaticInst::alu(Opcode::Mul, Reg::int(1), Reg::int(2), Reg::int(3)).is_mop_candidate()
+        );
     }
 
     #[test]

@@ -1,6 +1,5 @@
 use std::fmt;
 
-
 use crate::class::InstClass;
 
 /// Operation performed by a [`StaticInst`](crate::StaticInst).

@@ -1,7 +1,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-
 use crate::StaticInst;
 
 /// A static program image: a flat sequence of [`StaticInst`]s.
@@ -106,7 +105,10 @@ impl Program {
 
     /// Iterate over `(static index, instruction)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &StaticInst)> {
-        self.code.iter().enumerate().map(|(i, inst)| (i as u32, inst))
+        self.code
+            .iter()
+            .enumerate()
+            .map(|(i, inst)| (i as u32, inst))
     }
 
     /// Byte program counter of a static index.
@@ -242,7 +244,10 @@ mod tests {
         p.push(StaticInst::jmp(999));
         assert_eq!(
             p.validate(),
-            Err(ProgramBuildError::TargetOutOfRange { idx: 4, target: 999 })
+            Err(ProgramBuildError::TargetOutOfRange {
+                idx: 4,
+                target: 999
+            })
         );
     }
 

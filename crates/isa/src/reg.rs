@@ -1,6 +1,5 @@
 use std::fmt;
 
-
 /// An architectural register: integer registers `r0..r31` and floating-point
 /// registers `f0..f31`.
 ///

@@ -1,6 +1,5 @@
 use std::sync::Arc;
 
-
 use crate::Program;
 
 /// One committed-path dynamic instruction: which static instruction ran,

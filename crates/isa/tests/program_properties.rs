@@ -6,14 +6,21 @@ use proptest::prelude::*;
 use mos_isa::{Opcode, Program, Reg, StaticInst};
 
 fn arb_alu() -> impl Strategy<Value = StaticInst> {
-    (0u8..31, 0u8..32, 0u8..32, prop::sample::select(vec![
-        Opcode::Add,
-        Opcode::Sub,
-        Opcode::And,
-        Opcode::Or,
-        Opcode::Xor,
-    ]))
-        .prop_map(|(d, a, b, op)| StaticInst::alu(op, Reg::int(d), Reg::int(a % 32), Reg::int(b % 32)))
+    (
+        0u8..31,
+        0u8..32,
+        0u8..32,
+        prop::sample::select(vec![
+            Opcode::Add,
+            Opcode::Sub,
+            Opcode::And,
+            Opcode::Or,
+            Opcode::Xor,
+        ]),
+    )
+        .prop_map(|(d, a, b, op)| {
+            StaticInst::alu(op, Reg::int(d), Reg::int(a % 32), Reg::int(b % 32))
+        })
 }
 
 proptest! {
@@ -93,7 +100,11 @@ proptest! {
 fn every_opcode_has_a_distinct_mnemonic() {
     let mut seen = std::collections::HashSet::new();
     for op in Opcode::all() {
-        assert!(seen.insert(op.mnemonic()), "duplicate mnemonic {}", op.mnemonic());
+        assert!(
+            seen.insert(op.mnemonic()),
+            "duplicate mnemonic {}",
+            op.mnemonic()
+        );
     }
 }
 

@@ -60,12 +60,12 @@ pub fn diff(a: &RunRecord, b: &RunRecord, noise_pct: f64) -> DiffOutcome {
         ("insts", a.insts.to_string(), b.insts.to_string()),
         ("seed", a.seed.to_string(), b.seed.to_string()),
         ("git_rev", a.git_rev.clone(), b.git_rev.clone()),
-        ("unix_time", a.unix_time.to_string(), b.unix_time.to_string()),
         (
-            "cached",
-            a.cached.to_string(),
-            b.cached.to_string(),
+            "unix_time",
+            a.unix_time.to_string(),
+            b.unix_time.to_string(),
         ),
+        ("cached", a.cached.to_string(), b.cached.to_string()),
     ] {
         let _ = writeln!(out, "| {name} | {va} | {vb} |");
     }

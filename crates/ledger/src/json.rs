@@ -306,10 +306,7 @@ mod tests {
         let v = parse(r#"{"a":[1,2.5,-3],"b":{"c":"x\ty","d":null},"e":true}"#).unwrap();
         assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
         assert_eq!(v.get("a").unwrap().as_arr().unwrap()[0].as_u64(), Some(1));
-        assert_eq!(
-            v.get("b").unwrap().get("c").unwrap().as_str(),
-            Some("x\ty")
-        );
+        assert_eq!(v.get("b").unwrap().get("c").unwrap().as_str(), Some("x\ty"));
         assert_eq!(v.get("b").unwrap().get("d"), Some(&Value::Null));
         assert_eq!(v.get("e"), Some(&Value::Bool(true)));
     }

@@ -113,7 +113,10 @@ pub fn push_config(p: &mut Preimage, cfg: &MachineConfig) {
     } = sched;
     p.push("config.sched.kind", format_args!("{kind:?}"));
     p.push("config.sched.wakeup", format_args!("{wakeup:?}"));
-    p.push("config.sched.queue_entries", format_args!("{queue_entries:?}"));
+    p.push(
+        "config.sched.queue_entries",
+        format_args!("{queue_entries:?}"),
+    );
     p.push("config.sched.issue_width", issue_width);
     p.push("config.sched.fu_counts", format_args!("{fu_counts:?}"));
     p.push("config.sched.confirm_window", confirm_window);
@@ -130,7 +133,10 @@ pub fn push_config(p: &mut Preimage, cfg: &MachineConfig) {
     } = mop;
     p.push("config.mop.max_mop_size", max_mop_size);
     p.push("config.mop.scope", scope);
-    p.push("config.mop.cycle_detection", format_args!("{cycle_detection:?}"));
+    p.push(
+        "config.mop.cycle_detection",
+        format_args!("{cycle_detection:?}"),
+    );
     p.push("config.mop.detection_delay", detection_delay);
     p.push("config.mop.group_independent", group_independent);
     p.push("config.mop.last_arrival_filter", last_arrival_filter);

@@ -129,10 +129,7 @@ impl RunRecord {
 
     /// Value of a named total, if recorded.
     pub fn total(&self, name: &str) -> Option<f64> {
-        self.totals
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, v)| v)
+        self.totals.iter().find(|(n, _)| n == name).map(|&(_, v)| v)
     }
 
     /// The record as a JSON [`Value`] tree (canonical field order).
@@ -190,10 +187,7 @@ impl RunRecord {
             ),
             ("totals".into(), totals),
             ("cpi".into(), cpi),
-            (
-                "report".into(),
-                self.report.clone().unwrap_or(Value::Null),
-            ),
+            ("report".into(), self.report.clone().unwrap_or(Value::Null)),
         ])
     }
 

@@ -144,7 +144,11 @@ impl Ledger {
             .map_err(|e| format!("write {}: {e}", tmp.display()))?;
         if let Err(e) = std::fs::rename(&tmp, &path) {
             let _ = std::fs::remove_file(&tmp);
-            return Err(format!("rename {} -> {}: {e}", tmp.display(), path.display()));
+            return Err(format!(
+                "rename {} -> {}: {e}",
+                tmp.display(),
+                path.display()
+            ));
         }
         self.append_index(record)?;
         Ok(path)
@@ -184,8 +188,13 @@ impl Ledger {
     /// Load the record archived under `key`.
     pub fn load(&self, key: &str) -> Result<RunRecord, String> {
         let path = self.record_path(key);
-        let text = std::fs::read_to_string(&path)
-            .map_err(|e| format!("no record {} in ledger {}: {e}", short(key), self.root.display()))?;
+        let text = std::fs::read_to_string(&path).map_err(|e| {
+            format!(
+                "no record {} in ledger {}: {e}",
+                short(key),
+                self.root.display()
+            )
+        })?;
         RunRecord::parse(&text).map_err(|e| format!("{}: {e}", path.display()))
     }
 
@@ -213,9 +222,9 @@ impl Ledger {
         if spec == "latest" || spec.starts_with("latest-") {
             let back: usize = match spec.strip_prefix("latest-") {
                 None => 0,
-                Some(n) => n
-                    .parse()
-                    .map_err(|_| format!("bad run spec `{spec}` (use latest, latest-N, or a key prefix)"))?,
+                Some(n) => n.parse().map_err(|_| {
+                    format!("bad run spec `{spec}` (use latest, latest-N, or a key prefix)")
+                })?,
             };
             if index.len() <= back {
                 return Err(format!(
@@ -261,7 +270,9 @@ impl Ledger {
         limit: usize,
     ) -> String {
         use std::fmt::Write as _;
-        let mut out = String::from("| seq | key | kind | bench | sched | insts | git_rev | unix_time | cached |\n");
+        let mut out = String::from(
+            "| seq | key | kind | bench | sched | insts | git_rev | unix_time | cached |\n",
+        );
         out.push_str("|---:|---|---|---|---|---:|---|---:|---|\n");
         let mut shown = 0usize;
         for e in self.index().iter().rev() {
@@ -300,10 +311,8 @@ mod tests {
     use mos_sim::SimStats;
 
     fn temp_root(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "mos_ledger_test_{tag}_{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("mos_ledger_test_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -363,7 +372,10 @@ mod tests {
         ledger.save(&a).unwrap();
         assert_eq!(ledger.index().len(), 2);
         assert_eq!(ledger.index()[1].seq, 2);
-        assert_eq!(ledger.resolve("latest").unwrap(), ledger.resolve("latest-1").unwrap());
+        assert_eq!(
+            ledger.resolve("latest").unwrap(),
+            ledger.resolve("latest-1").unwrap()
+        );
         let _ = std::fs::remove_dir_all(ledger.root());
     }
 
@@ -408,12 +420,20 @@ mod tests {
         a.unix_time += 1;
         let path = ledger.save(&a).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        assert_eq!(RunRecord::parse(&text).unwrap(), a, "record is complete and current");
+        assert_eq!(
+            RunRecord::parse(&text).unwrap(),
+            a,
+            "record is complete and current"
+        );
         let shard: Vec<_> = std::fs::read_dir(path.parent().unwrap())
             .unwrap()
             .map(|e| e.unwrap().file_name())
             .collect();
-        assert_eq!(shard, vec![path.file_name().unwrap().to_owned()], "no temp file left");
+        assert_eq!(
+            shard,
+            vec![path.file_name().unwrap().to_owned()],
+            "no temp file left"
+        );
         let _ = std::fs::remove_dir_all(ledger.root());
     }
 

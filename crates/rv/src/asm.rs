@@ -22,7 +22,10 @@ pub struct RvAsmError {
 
 impl RvAsmError {
     fn new(line: usize, msg: impl Into<String>) -> RvAsmError {
-        RvAsmError { line, msg: msg.into() }
+        RvAsmError {
+            line,
+            msg: msg.into(),
+        }
     }
 }
 
@@ -112,7 +115,10 @@ fn parse_imm_in(tok: &str, line: usize, lo: i64, hi: i64) -> Result<i32, RvAsmEr
 fn parse_imm32(tok: &str, line: usize) -> Result<i32, RvAsmError> {
     let v = parse_imm(tok, line)?;
     if v < i64::from(i32::MIN) || v > i64::from(u32::MAX) {
-        return Err(RvAsmError::new(line, format!("constant {v} exceeds 32 bits")));
+        return Err(RvAsmError::new(
+            line,
+            format!("constant {v} exceeds 32 bits"),
+        ));
     }
     Ok(v as u32 as i32)
 }
@@ -124,7 +130,10 @@ fn parse_mem(tok: &str, line: usize) -> Result<(i32, u8), RvAsmError> {
         .find('(')
         .ok_or_else(|| RvAsmError::new(line, format!("expected imm(reg), got `{t}`")))?;
     if !t.ends_with(')') {
-        return Err(RvAsmError::new(line, format!("expected imm(reg), got `{t}`")));
+        return Err(RvAsmError::new(
+            line,
+            format!("expected imm(reg), got `{t}`"),
+        ));
     }
     let imm = if open == 0 {
         0
@@ -259,7 +268,10 @@ fn parse_directive(
         ".byte" | ".word" => {
             let parts: Vec<&str> = rest.split(',').map(str::trim).collect();
             if parts.len() < 2 {
-                return Err(RvAsmError::new(lineno, format!("{dir} takes `addr, value...`")));
+                return Err(RvAsmError::new(
+                    lineno,
+                    format!("{dir} takes `addr, value...`"),
+                ));
             }
             let mut addr = parse_imm32(parts[0], lineno)? as u32;
             for v in &parts[1..] {
@@ -297,7 +309,10 @@ fn parse_directive(
             }
             Ok(())
         }
-        _ => Err(RvAsmError::new(lineno, format!("unknown directive `{dir}`"))),
+        _ => Err(RvAsmError::new(
+            lineno,
+            format!("unknown directive `{dir}`"),
+        )),
     }
 }
 
@@ -329,11 +344,21 @@ fn parse_inst(
     };
     let i_type = |op: RvOp| -> Result<RvInst, RvAsmError> {
         expect(3)?;
-        Ok(RvInst::i(op, reg(0)?, reg(1)?, parse_imm_in(ops[2], line, -2048, 2047)?))
+        Ok(RvInst::i(
+            op,
+            reg(0)?,
+            reg(1)?,
+            parse_imm_in(ops[2], line, -2048, 2047)?,
+        ))
     };
     let shift = |op: RvOp| -> Result<RvInst, RvAsmError> {
         expect(3)?;
-        Ok(RvInst::i(op, reg(0)?, reg(1)?, parse_imm_in(ops[2], line, 0, 31)?))
+        Ok(RvInst::i(
+            op,
+            reg(0)?,
+            reg(1)?,
+            parse_imm_in(ops[2], line, 0, 31)?,
+        ))
     };
     let load = |op: RvOp| -> Result<RvInst, RvAsmError> {
         expect(2)?;
@@ -452,11 +477,19 @@ fn parse_inst(
         }
         "lui" => {
             expect(2)?;
-            out.push(RvInst::u(Lui, reg(0)?, parse_imm_in(ops[1], line, 0, 0xf_ffff)?));
+            out.push(RvInst::u(
+                Lui,
+                reg(0)?,
+                parse_imm_in(ops[1], line, 0, 0xf_ffff)?,
+            ));
         }
         "auipc" => {
             expect(2)?;
-            out.push(RvInst::u(Auipc, reg(0)?, parse_imm_in(ops[1], line, 0, 0xf_ffff)?));
+            out.push(RvInst::u(
+                Auipc,
+                reg(0)?,
+                parse_imm_in(ops[1], line, 0, 0xf_ffff)?,
+            ));
         }
         "jal" => match ops.len() {
             1 => {
@@ -549,7 +582,10 @@ fn parse_inst(
             out.push(RvInst::sys(Ebreak));
         }
         _ => {
-            return Err(RvAsmError::new(line, format!("unknown mnemonic `{mnemonic}`")));
+            return Err(RvAsmError::new(
+                line,
+                format!("unknown mnemonic `{mnemonic}`"),
+            ));
         }
     }
     Ok(pending)

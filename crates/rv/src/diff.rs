@@ -17,8 +17,8 @@ use std::sync::Arc;
 use mos_isa::InstClass;
 use mos_sim::{CpiStack, MachineConfig, SharedCommitLog, SimStats, Simulator};
 
-use crate::interp::{execute, RvInterp, RvState};
 use crate::inst::RvProgram;
+use crate::interp::{execute, RvInterp, RvState};
 use crate::lower::{lower, LowerError};
 use crate::trace::RvTraceSource;
 
@@ -246,7 +246,13 @@ mod tests {
     fn nonterminating_programs_are_reported() {
         let rv = assemble("spin", "spin:\nj spin").unwrap();
         let err = run_differential(&rv, "base", config_for("base").unwrap(), 1000).unwrap_err();
-        assert!(matches!(err, DiffError::DidNotHalt { faulted: false, retired: 1000 }));
+        assert!(matches!(
+            err,
+            DiffError::DidNotHalt {
+                faulted: false,
+                retired: 1000
+            }
+        ));
     }
 
     #[test]

@@ -20,11 +20,7 @@ pub struct RvDecodeError {
 
 impl fmt::Display for RvDecodeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "word {} ({:#010x}): {}",
-            self.idx, self.word, self.what
-        )
+        write!(f, "word {} ({:#010x}): {}", self.idx, self.word, self.what)
     }
 }
 
@@ -89,9 +85,7 @@ pub fn encode_word(inst: &RvInst) -> u32 {
                 | OP_BRANCH
         }
         Lb | Lh | Lw | Lbu | Lhu => (imm & 0xfff) << 20 | rs1 | f3 | rd | OP_LOAD,
-        Sb | Sh | Sw => {
-            (imm >> 5 & 0x7f) << 25 | rs2 | rs1 | f3 | (imm & 0x1f) << 7 | OP_STORE
-        }
+        Sb | Sh | Sw => (imm >> 5 & 0x7f) << 25 | rs2 | rs1 | f3 | (imm & 0x1f) << 7 | OP_STORE,
         Addi | Slti | Sltiu | Xori | Ori | Andi => (imm & 0xfff) << 20 | rs1 | f3 | rd | OP_IMM,
         Slli => (imm & 0x1f) << 20 | rs1 | f3 | rd | OP_IMM,
         Srli => (imm & 0x1f) << 20 | rs1 | f3 | rd | OP_IMM,
@@ -282,7 +276,14 @@ mod tests {
             RvInst::sys(RvOp::Ecall),
             RvInst::sys(RvOp::Ebreak),
         ];
-        for op in [RvOp::Beq, RvOp::Bne, RvOp::Blt, RvOp::Bge, RvOp::Bltu, RvOp::Bgeu] {
+        for op in [
+            RvOp::Beq,
+            RvOp::Bne,
+            RvOp::Blt,
+            RvOp::Bge,
+            RvOp::Bltu,
+            RvOp::Bgeu,
+        ] {
             cases.push(RvInst::branch(op, 5, 6, -4096));
             cases.push(RvInst::branch(op, 31, 0, 4094));
         }
@@ -292,16 +293,38 @@ mod tests {
         for op in [RvOp::Sb, RvOp::Sh, RvOp::Sw] {
             cases.push(RvInst::store(op, 11, 2047, 12));
         }
-        for op in [RvOp::Addi, RvOp::Slti, RvOp::Sltiu, RvOp::Xori, RvOp::Ori, RvOp::Andi] {
+        for op in [
+            RvOp::Addi,
+            RvOp::Slti,
+            RvOp::Sltiu,
+            RvOp::Xori,
+            RvOp::Ori,
+            RvOp::Andi,
+        ] {
             cases.push(RvInst::i(op, 13, 14, -1));
         }
         for op in [RvOp::Slli, RvOp::Srli, RvOp::Srai] {
             cases.push(RvInst::i(op, 15, 16, 31));
         }
         for op in [
-            RvOp::Add, RvOp::Sub, RvOp::Sll, RvOp::Slt, RvOp::Sltu, RvOp::Xor, RvOp::Srl,
-            RvOp::Sra, RvOp::Or, RvOp::And, RvOp::Mul, RvOp::Mulh, RvOp::Mulhsu, RvOp::Mulhu,
-            RvOp::Div, RvOp::Divu, RvOp::Rem, RvOp::Remu,
+            RvOp::Add,
+            RvOp::Sub,
+            RvOp::Sll,
+            RvOp::Slt,
+            RvOp::Sltu,
+            RvOp::Xor,
+            RvOp::Srl,
+            RvOp::Sra,
+            RvOp::Or,
+            RvOp::And,
+            RvOp::Mul,
+            RvOp::Mulh,
+            RvOp::Mulhsu,
+            RvOp::Mulhu,
+            RvOp::Div,
+            RvOp::Divu,
+            RvOp::Rem,
+            RvOp::Remu,
         ] {
             cases.push(RvInst::r(op, 17, 18, 19));
         }

@@ -121,8 +121,8 @@ impl RvOp {
         [
             Lui, Auipc, Jal, Jalr, Beq, Bne, Blt, Bge, Bltu, Bgeu, Lb, Lh, Lw, Lbu, Lhu, Sb, Sh,
             Sw, Addi, Slti, Sltiu, Xori, Ori, Andi, Slli, Srli, Srai, Add, Sub, Sll, Slt, Sltu,
-            Xor, Srl, Sra, Or, And, Fence, Ecall, Ebreak, Mul, Mulh, Mulhsu, Mulhu, Div, Divu,
-            Rem, Remu,
+            Xor, Srl, Sra, Or, And, Fence, Ecall, Ebreak, Mul, Mulh, Mulhsu, Mulhu, Div, Divu, Rem,
+            Remu,
         ]
         .into_iter()
     }
@@ -165,9 +165,9 @@ impl fmt::Display for RvOp {
 /// Panics if `n >= 32`.
 pub fn abi_name(n: u8) -> &'static str {
     const NAMES: [&str; 32] = [
-        "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0", "a1", "a2", "a3",
-        "a4", "a5", "a6", "a7", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11",
-        "t3", "t4", "t5", "t6",
+        "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0", "a1", "a2", "a3", "a4",
+        "a5", "a6", "a7", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11", "t3", "t4",
+        "t5", "t6",
     ];
     NAMES[n as usize]
 }
@@ -195,42 +195,90 @@ pub struct RvInst {
 impl RvInst {
     /// R-type `op rd, rs1, rs2`.
     pub fn r(op: RvOp, rd: u8, rs1: u8, rs2: u8) -> RvInst {
-        RvInst { op, rd, rs1, rs2, imm: 0 }
+        RvInst {
+            op,
+            rd,
+            rs1,
+            rs2,
+            imm: 0,
+        }
     }
 
     /// I-type `op rd, rs1, imm` (also immediate shifts and `jalr`).
     pub fn i(op: RvOp, rd: u8, rs1: u8, imm: i32) -> RvInst {
-        RvInst { op, rd, rs1, rs2: 0, imm }
+        RvInst {
+            op,
+            rd,
+            rs1,
+            rs2: 0,
+            imm,
+        }
     }
 
     /// Load `op rd, imm(rs1)`.
     pub fn load(op: RvOp, rd: u8, imm: i32, rs1: u8) -> RvInst {
-        RvInst { op, rd, rs1, rs2: 0, imm }
+        RvInst {
+            op,
+            rd,
+            rs1,
+            rs2: 0,
+            imm,
+        }
     }
 
     /// Store `op rs2, imm(rs1)`.
     pub fn store(op: RvOp, rs2: u8, imm: i32, rs1: u8) -> RvInst {
-        RvInst { op, rd: 0, rs1, rs2, imm }
+        RvInst {
+            op,
+            rd: 0,
+            rs1,
+            rs2,
+            imm,
+        }
     }
 
     /// Branch `op rs1, rs2, byte-offset`.
     pub fn branch(op: RvOp, rs1: u8, rs2: u8, offset: i32) -> RvInst {
-        RvInst { op, rd: 0, rs1, rs2, imm: offset }
+        RvInst {
+            op,
+            rd: 0,
+            rs1,
+            rs2,
+            imm: offset,
+        }
     }
 
     /// U-type `op rd, imm20` (`imm` is the unshifted 20-bit value).
     pub fn u(op: RvOp, rd: u8, imm: i32) -> RvInst {
-        RvInst { op, rd, rs1: 0, rs2: 0, imm }
+        RvInst {
+            op,
+            rd,
+            rs1: 0,
+            rs2: 0,
+            imm,
+        }
     }
 
     /// `jal rd, byte-offset`.
     pub fn jal(rd: u8, offset: i32) -> RvInst {
-        RvInst { op: RvOp::Jal, rd, rs1: 0, rs2: 0, imm: offset }
+        RvInst {
+            op: RvOp::Jal,
+            rd,
+            rs1: 0,
+            rs2: 0,
+            imm: offset,
+        }
     }
 
     /// System/fence instruction with no operands.
     pub fn sys(op: RvOp) -> RvInst {
-        RvInst { op, rd: 0, rs1: 0, rs2: 0, imm: 0 }
+        RvInst {
+            op,
+            rd: 0,
+            rs1: 0,
+            rs2: 0,
+            imm: 0,
+        }
     }
 }
 
@@ -238,11 +286,7 @@ impl fmt::Display for RvInst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         use RvOp::*;
         let m = self.op.mnemonic();
-        let (rd, rs1, rs2) = (
-            abi_name(self.rd),
-            abi_name(self.rs1),
-            abi_name(self.rs2),
-        );
+        let (rd, rs1, rs2) = (abi_name(self.rd), abi_name(self.rs1), abi_name(self.rs2));
         match self.op {
             Lui | Auipc => write!(f, "{m} {rd}, {:#x}", self.imm),
             Jal => write!(f, "{m} {rd}, {:+}", self.imm),
@@ -351,10 +395,19 @@ mod tests {
     #[test]
     fn display_shapes() {
         assert_eq!(RvInst::r(RvOp::Add, 10, 5, 6).to_string(), "add a0, t0, t1");
-        assert_eq!(RvInst::i(RvOp::Addi, 10, 10, -1).to_string(), "addi a0, a0, -1");
+        assert_eq!(
+            RvInst::i(RvOp::Addi, 10, 10, -1).to_string(),
+            "addi a0, a0, -1"
+        );
         assert_eq!(RvInst::load(RvOp::Lw, 5, 8, 2).to_string(), "lw t0, 8(sp)");
-        assert_eq!(RvInst::store(RvOp::Sw, 5, -4, 2).to_string(), "sw t0, -4(sp)");
-        assert_eq!(RvInst::branch(RvOp::Bne, 5, 0, -8).to_string(), "bne t0, zero, -8");
+        assert_eq!(
+            RvInst::store(RvOp::Sw, 5, -4, 2).to_string(),
+            "sw t0, -4(sp)"
+        );
+        assert_eq!(
+            RvInst::branch(RvOp::Bne, 5, 0, -8).to_string(),
+            "bne t0, zero, -8"
+        );
         assert_eq!(RvInst::sys(RvOp::Ecall).to_string(), "ecall");
     }
 

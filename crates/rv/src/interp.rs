@@ -382,8 +382,7 @@ mod tests {
 
     #[test]
     fn memory_widths_and_sign_extension() {
-        let i = run(
-            "_start:
+        let i = run("_start:
                 li t0, 0x1000
                 li t1, -2      # 0xfffffffe
                 sw t1, 0(t0)
@@ -393,8 +392,7 @@ mod tests {
                 lhu a3, 0(t0)  # 0xfffe
                 sh zero, 2(t0)
                 lw a4, 0(t0)   # 0x0000fffe
-                ebreak",
-        );
+                ebreak");
         assert_eq!(i.state().reg(10) as i32, -2);
         assert_eq!(i.state().reg(11), 254);
         assert_eq!(i.state().reg(12) as i32, -2);
@@ -404,8 +402,7 @@ mod tests {
 
     #[test]
     fn m_extension_edge_cases() {
-        let i = run(
-            "_start:
+        let i = run("_start:
                 li t0, -2147483648
                 li t1, -1
                 div a0, t0, t1    # overflow -> INT_MIN
@@ -417,8 +414,7 @@ mod tests {
                 li t3, 7
                 li t4, 3
                 divu a5, t3, t4
-                ebreak",
-        );
+                ebreak");
         assert_eq!(i.state().reg(10), 0x8000_0000);
         assert_eq!(i.state().reg(11), 0);
         assert_eq!(i.state().reg(12), u32::MAX);
@@ -429,8 +425,7 @@ mod tests {
 
     #[test]
     fn call_ret_and_stack() {
-        let i = run(
-            "_start:
+        let i = run("_start:
                 li a0, 5
                 call double
                 ebreak
@@ -440,8 +435,7 @@ mod tests {
                 lw t0, 0(sp)
                 add a0, t0, t0
                 addi sp, sp, 4
-                ret",
-        );
+                ret");
         assert_eq!(i.state().reg(10), 10);
         assert_eq!(i.state().reg(2), STACK_TOP);
     }

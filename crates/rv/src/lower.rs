@@ -56,7 +56,10 @@ impl fmt::Display for LowerError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             LowerError::BadTarget { idx, offset } => {
-                write!(f, "rv inst {idx}: branch offset {offset} leaves the program")
+                write!(
+                    f,
+                    "rv inst {idx}: branch offset {offset} leaves the program"
+                )
             }
             LowerError::Empty => write!(f, "rv program is empty"),
         }
@@ -331,6 +334,9 @@ mod tests {
         let mut rv = RvProgram::new("t");
         rv.insts.push(RvInst::branch(RvOp::Beq, 1, 2, 64));
         assert!(matches!(lower(&rv), Err(LowerError::BadTarget { .. })));
-        assert!(matches!(lower(&RvProgram::new("e")), Err(LowerError::Empty)));
+        assert!(matches!(
+            lower(&RvProgram::new("e")),
+            Err(LowerError::Empty)
+        ));
     }
 }

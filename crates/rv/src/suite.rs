@@ -142,12 +142,7 @@ mod tests {
                 interp.retired()
             );
             for &(reg, want) in p.expect {
-                assert_eq!(
-                    interp.state().reg(reg),
-                    want,
-                    "{}: x{reg} mismatch",
-                    p.name
-                );
+                assert_eq!(interp.state().reg(reg), want, "{}: x{reg} mismatch", p.name);
             }
         }
     }
@@ -160,6 +155,10 @@ mod tests {
         let mut names: Vec<_> = PROGRAMS.iter().chain(&KERNELS).map(|p| p.name).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), PROGRAMS.len() + KERNELS.len(), "names are unique");
+        assert_eq!(
+            names.len(),
+            PROGRAMS.len() + KERNELS.len(),
+            "names are unique"
+        );
     }
 }

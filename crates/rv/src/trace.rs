@@ -9,8 +9,8 @@ use std::sync::Arc;
 
 use mos_isa::{DynInst, Program, TraceSource};
 
-use crate::interp::{RvInterp, RvStep};
 use crate::inst::RvProgram;
+use crate::interp::{RvInterp, RvStep};
 use crate::lower::{lower, LowerError, Lowered};
 
 /// A [`TraceSource`] over an RV32 program: the lowered uop program plus a
@@ -30,7 +30,10 @@ impl RvTraceSource {
     /// Returns [`LowerError`] for an empty program or out-of-image
     /// transfer targets.
     pub fn new(rv: &RvProgram) -> Result<RvTraceSource, LowerError> {
-        Ok(RvTraceSource::with_lowered(Arc::new(lower(rv)?), RvInterp::new(rv)))
+        Ok(RvTraceSource::with_lowered(
+            Arc::new(lower(rv)?),
+            RvInterp::new(rv),
+        ))
     }
 
     /// Build from an already-lowered program and a fresh interpreter over
@@ -63,7 +66,11 @@ impl RvTraceSource {
         let next = self.lowered.start_of(step.next_idx);
         for sidx in bundle {
             let is_last = sidx == last;
-            let inst = self.lowered.program.inst(sidx).expect("bundle uop in range");
+            let inst = self
+                .lowered
+                .program
+                .inst(sidx)
+                .expect("bundle uop in range");
             self.pending.push_back(DynInst {
                 sidx,
                 next_sidx: if is_last { next } else { sidx + 1 },
@@ -140,7 +147,11 @@ mod tests {
 
     #[test]
     fn eff_addr_rides_the_memory_uop() {
-        let rv = assemble("t", "_start:\nli t0, 0x40\nsw t0, 4(t0)\nlw t1, 4(t0)\nebreak").unwrap();
+        let rv = assemble(
+            "t",
+            "_start:\nli t0, 0x40\nsw t0, 4(t0)\nlw t1, 4(t0)\nebreak",
+        )
+        .unwrap();
         let src = RvTraceSource::new(&rv).unwrap();
         let ds: Vec<DynInst> = src.collect();
         let mems: Vec<u64> = ds.iter().filter_map(|d| d.eff_addr).collect();

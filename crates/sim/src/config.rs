@@ -140,11 +140,7 @@ impl MachineConfig {
 
     /// Macro-op scheduling with the given wakeup style, queue size, and
     /// extra formation stages.
-    pub fn macro_op(
-        wakeup: WakeupStyle,
-        queue: Option<usize>,
-        extra_stages: u32,
-    ) -> MachineConfig {
+    pub fn macro_op(wakeup: WakeupStyle, queue: Option<usize>, extra_stages: u32) -> MachineConfig {
         let mut c = Self::table1(SchedulerKind::MacroOp, wakeup, queue);
         c.extra_mop_stages = extra_stages;
         c
@@ -153,20 +149,32 @@ impl MachineConfig {
     /// Select-free scheduling, Squash Dep recovery, 32-entry queue
     /// (Figure 16).
     pub fn select_free_squash_dep_32() -> MachineConfig {
-        Self::table1(SchedulerKind::SelectFreeSquashDep, WakeupStyle::WiredOr, Some(32))
+        Self::table1(
+            SchedulerKind::SelectFreeSquashDep,
+            WakeupStyle::WiredOr,
+            Some(32),
+        )
     }
 
     /// Select-free scheduling, Scoreboard recovery, 32-entry queue
     /// (Figure 16).
     pub fn select_free_scoreboard_32() -> MachineConfig {
-        Self::table1(SchedulerKind::SelectFreeScoreboard, WakeupStyle::WiredOr, Some(32))
+        Self::table1(
+            SchedulerKind::SelectFreeScoreboard,
+            WakeupStyle::WiredOr,
+            Some(32),
+        )
     }
 
     /// Speculative wakeup (Stark et al.), 32-entry queue — the
     /// wakeup-phase-speculation counterpart to select-free scheduling,
     /// used by the extension study.
     pub fn speculative_wakeup_32() -> MachineConfig {
-        Self::table1(SchedulerKind::SpeculativeWakeup, WakeupStyle::WiredOr, Some(32))
+        Self::table1(
+            SchedulerKind::SpeculativeWakeup,
+            WakeupStyle::WiredOr,
+            Some(32),
+        )
     }
 
     /// Idealize branch prediction (limit studies).
@@ -219,7 +227,10 @@ mod tests {
         assert_eq!(c.sched.queue_entries, Some(32));
         assert_eq!(c.sched.load_sched_latency, 3, "agen + 2-cycle DL1");
         assert_eq!(c.memory_latency, 100);
-        assert!(MachineConfig::base_unrestricted().sched.queue_entries.is_none());
+        assert!(MachineConfig::base_unrestricted()
+            .sched
+            .queue_entries
+            .is_none());
     }
 
     #[test]
@@ -234,7 +245,10 @@ mod tests {
     fn front_delay_does_not_wrap() {
         let mut c = MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 0);
         c.extra_mop_stages = u32::MAX;
-        assert_eq!(c.front_delay(), u64::from(c.front_depth) + u64::from(u32::MAX));
+        assert_eq!(
+            c.front_delay(),
+            u64::from(c.front_depth) + u64::from(u32::MAX)
+        );
     }
 
     #[test]

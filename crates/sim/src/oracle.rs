@@ -69,11 +69,7 @@ pub struct Violation {
 
 impl std::fmt::Display for Violation {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "cycle {}: {}\n{}",
-            self.cycle, self.message, self.window
-        )
+        write!(f, "cycle {}: {}\n{}", self.cycle, self.message, self.window)
     }
 }
 
@@ -297,10 +293,7 @@ impl InvariantOracle {
                     }
                     _ => self.violate(
                         c,
-                        format!(
-                            "selected unknown entry [{slot},{}]",
-                            entry.generation()
-                        ),
+                        format!("selected unknown entry [{slot},{}]", entry.generation()),
                     ),
                 }
                 if uops.len() > 1 && self.kind != SchedulerKind::MacroOp {
@@ -402,7 +395,10 @@ impl InvariantOracle {
                     if id.0 <= last_id {
                         self.violate(
                             c,
-                            format!("commit of uop {} after uop {last_id}: out of program order", id.0),
+                            format!(
+                                "commit of uop {} after uop {last_id}: out of program order",
+                                id.0
+                            ),
                         );
                     }
                     if c < last_cycle {
@@ -523,17 +519,9 @@ mod tests {
         q.set_tracing(true);
         let mut evs = Vec::new();
         // Producer uop 0 -> Tag(0); consumer uop 1 reads Tag(0).
-        let mut prod = mos_core::SchedUop::leaf(
-            UopId(0),
-            mos_isa::InstClass::IntAlu,
-            Some(Tag(0)),
-        );
+        let mut prod = mos_core::SchedUop::leaf(UopId(0), mos_isa::InstClass::IntAlu, Some(Tag(0)));
         prod.sched_latency = 1;
-        let mut cons = mos_core::SchedUop::leaf(
-            UopId(1),
-            mos_isa::InstClass::IntAlu,
-            Some(Tag(1)),
-        );
+        let mut cons = mos_core::SchedUop::leaf(UopId(1), mos_isa::InstClass::IntAlu, Some(Tag(1)));
         cons.sched_latency = 1;
         cons.srcs = [Tag(0)].into_iter().collect();
         let e0 = q.insert(prod).unwrap();
@@ -606,7 +594,9 @@ mod tests {
             complete_at: 9,
         });
         assert_eq!(oracle.violations().len(), 1);
-        assert!(oracle.violations()[0].message.contains("out of program order"));
+        assert!(oracle.violations()[0]
+            .message
+            .contains("out of program order"));
     }
 
     #[test]

@@ -169,9 +169,11 @@ impl Rob {
     /// empty, the head slot is live and `live` counts the occupied slots.
     /// Checked after every debug cycle, like the queue's own invariants.
     fn agrees(&self) -> bool {
-        let ids_fit = self.slots.iter().zip(self.base..).all(|(e, id)| {
-            e.as_ref().is_none_or(|e| e.id.0 == id)
-        });
+        let ids_fit = self
+            .slots
+            .iter()
+            .zip(self.base..)
+            .all(|(e, id)| e.as_ref().is_none_or(|e| e.id.0 == id));
         let occupied = self.slots.iter().filter(|e| e.is_some()).count();
         ids_fit && self.slots.front().is_none_or(Option::is_some) && occupied == self.live
     }
@@ -491,7 +493,9 @@ impl<T: TraceSource> Simulator<T> {
     /// enables tracing of every kind for the whole run. Like every
     /// observer, the timeline attaches before the first cycle.
     pub fn enable_timeline(&mut self, cap: usize) {
-        self.attach("enable the timeline", |o| o.timeline = Some(Timeline::new(cap)));
+        self.attach("enable the timeline", |o| {
+            o.timeline = Some(Timeline::new(cap))
+        });
     }
 
     /// The recorded timelines, if [`Simulator::enable_timeline`] was
@@ -557,10 +561,9 @@ impl<T: TraceSource> Simulator<T> {
     fn cumulative(&self) -> Cum {
         let q = self.queue.stats();
         let p = self.pointers.stats();
-        let (delay_sum, delay_count) = self
-            .queue
-            .metrics()
-            .map_or((0, 0), |m| (m.wakeup_select_delay.sum(), m.wakeup_select_delay.count()));
+        let (delay_sum, delay_count) = self.queue.metrics().map_or((0, 0), |m| {
+            (m.wakeup_select_delay.sum(), m.wakeup_select_delay.count())
+        });
         Cum {
             cycles: self.now,
             committed: self.stats.committed,
@@ -624,7 +627,8 @@ impl<T: TraceSource> Simulator<T> {
             }
         });
         let mut issued = std::mem::take(&mut self.issue_buf);
-        self.queue.set_idle_cause(self.idle_cause(now, self.insert_blocked));
+        self.queue
+            .set_idle_cause(self.idle_cause(now, self.insert_blocked));
         self.queue.cycle_into(now, &mut issued);
         self.drain_queue_trace();
         for iss in &issued {
@@ -748,7 +752,8 @@ impl<T: TraceSource> Simulator<T> {
         let k = next - soon;
         // With accounting on, a skip stops at the redirect bubble's end, so
         // the first skipped cycle's cause holds for all of them.
-        self.queue.set_idle_cause(self.idle_cause(soon, insert_blocked));
+        self.queue
+            .set_idle_cause(self.idle_cause(soon, insert_blocked));
         self.queue.skip_idle(k);
         self.now += k;
         self.skipped_cycles += k;
@@ -987,10 +992,7 @@ impl<T: TraceSource> Simulator<T> {
                 dst: inst.dst(),
                 srcs: inst.src_regs().collect(),
                 taken: fi.stream_taken,
-                taken_indirect: matches!(
-                    inst.class(),
-                    InstClass::IndirectJump | InstClass::Return
-                ),
+                taken_indirect: matches!(inst.class(), InstClass::IndirectJump | InstClass::Return),
                 pointer: fi.pointer,
                 is_candidate: inst.is_mop_candidate(),
                 is_valuegen: inst.is_value_generating_candidate(),
@@ -1262,7 +1264,8 @@ impl<T: TraceSource> Simulator<T> {
                     // bump the generation so in-flight Exec/LoadResolve
                     // events from the cancelled issue are dropped.
                     let mut replayed = std::mem::take(&mut self.replay_buf);
-                    self.queue.load_resolved_into(tag, hit, data_ready, &mut replayed);
+                    self.queue
+                        .load_resolved_into(tag, hit, data_ready, &mut replayed);
                     self.drain_queue_trace();
                     for &rid in &replayed {
                         if let Some(e) = self.rob.get_mut(rid) {
@@ -1437,10 +1440,9 @@ impl<T: TraceSource> Simulator<T> {
                         self.stats.mispredicts += 1;
                     }
                 }
-                InstClass::IndirectJump | InstClass::Return
-                    if head.mispredicted => {
-                        self.stats.mispredicts += 1;
-                    }
+                InstClass::IndirectJump | InstClass::Return if head.mispredicted => {
+                    self.stats.mispredicts += 1;
+                }
                 InstClass::Load => {
                     self.stats.loads += 1;
                 }
@@ -1449,9 +1451,7 @@ impl<T: TraceSource> Simulator<T> {
                     if let Some(addr) = head.dyn_.and_then(|d| d.eff_addr) {
                         // Retire the forwarding entry and write the cache.
                         let key = addr & !7;
-                        if let Some(i) =
-                            self.store_inflight.iter().position(|&(a, _)| a == key)
-                        {
+                        if let Some(i) = self.store_inflight.iter().position(|&(a, _)| a == key) {
                             self.store_inflight[i].1 -= 1;
                             if self.store_inflight[i].1 == 0 {
                                 self.store_inflight.swap_remove(i);
@@ -1515,10 +1515,22 @@ mod tests {
     fn macro_op_recovers_two_cycle_loss() {
         let base = run_sum_loop(100, MachineConfig::base_32());
         let two = run_sum_loop(100, MachineConfig::two_cycle_32());
-        let mop = run_sum_loop(100, MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 0));
-        assert!(mop.ipc() > two.ipc(), "mop {:.3} vs two {:.3}", mop.ipc(), two.ipc());
+        let mop = run_sum_loop(
+            100,
+            MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 0),
+        );
+        assert!(
+            mop.ipc() > two.ipc(),
+            "mop {:.3} vs two {:.3}",
+            mop.ipc(),
+            two.ipc()
+        );
         assert!(mop.ipc() <= base.ipc() * 1.05);
-        assert!(mop.grouped_frac() > 0.2, "grouping {:.3}", mop.grouped_frac());
+        assert!(
+            mop.grouped_frac() > 0.2,
+            "grouping {:.3}",
+            mop.grouped_frac()
+        );
     }
 
     #[test]
@@ -1528,7 +1540,11 @@ mod tests {
             MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 1),
             30_000,
         );
-        assert!(mop.grouped_frac() > 0.15, "grouped {:.3}", mop.grouped_frac());
+        assert!(
+            mop.grouped_frac() > 0.15,
+            "grouped {:.3}",
+            mop.grouped_frac()
+        );
         assert!(mop.mop_entries_issued > 0);
         assert!(mop.pointers.0 > 0, "pointers installed");
     }
@@ -1580,7 +1596,11 @@ mod tests {
     #[test]
     fn mcf_misses_the_caches() {
         let s = run_spec("mcf", MachineConfig::base_32(), 20_000);
-        assert!(s.dl1_miss_rate() > 0.2, "mcf dl1 miss rate {:.3}", s.dl1_miss_rate());
+        assert!(
+            s.dl1_miss_rate() > 0.2,
+            "mcf dl1 miss rate {:.3}",
+            s.dl1_miss_rate()
+        );
         assert!(s.ipc() < 1.0, "mcf must be memory-bound: {:.3}", s.ipc());
     }
 
@@ -1648,8 +1668,16 @@ mod tests {
 
     #[test]
     fn extra_formation_stages_cost_a_little() {
-        let s0 = run_spec("gzip", MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 0), 20_000);
-        let s2 = run_spec("gzip", MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 2), 20_000);
+        let s0 = run_spec(
+            "gzip",
+            MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 0),
+            20_000,
+        );
+        let s2 = run_spec(
+            "gzip",
+            MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 2),
+            20_000,
+        );
         assert!(
             s2.ipc() <= s0.ipc() * 1.01,
             "deeper front end cannot help: {:.3} vs {:.3}",
@@ -1684,7 +1712,11 @@ mod tests {
     #[test]
     fn idealization_flags_eliminate_their_stalls() {
         let real = run_spec("crafty", MachineConfig::base_32(), 15_000);
-        let ib = run_spec("crafty", MachineConfig::base_32().with_ideal_branch(), 15_000);
+        let ib = run_spec(
+            "crafty",
+            MachineConfig::base_32().with_ideal_branch(),
+            15_000,
+        );
         assert_eq!(ib.mispredicts, 0);
         assert_eq!(ib.squashes, 0);
         assert_eq!(ib.wrong_path_fetched, 0);
@@ -1726,8 +1758,15 @@ mod tests {
             let mut cfg = MachineConfig::macro_op(WakeupStyle::WiredOr, Some(queue), 1);
             cfg.sched.queue_entries = Some(queue);
             let s = run_spec("gzip", cfg, 5_000);
-            assert!(s.committed >= 5_000, "queue {queue}: {} commits", s.committed);
-            assert!(s.form.cancelled > 0, "queue {queue}: no pending was given up");
+            assert!(
+                s.committed >= 5_000,
+                "queue {queue}: {} commits",
+                s.committed
+            );
+            assert!(
+                s.form.cancelled > 0,
+                "queue {queue}: no pending was given up"
+            );
         }
     }
 
@@ -1745,7 +1784,10 @@ mod tests {
         let s = run_spec("gzip", cfg, 20_000);
         assert!(s.committed >= 20_000);
         assert!(s.squashes > 0, "wrong paths are recovered");
-        assert!(s.queue.load_replay_uops > 0, "misses replay through the wheel");
+        assert!(
+            s.queue.load_replay_uops > 0,
+            "misses replay through the wheel"
+        );
         // Each granted MOP adds one uop per member past the first, so
         // uops beyond one per entry and one per MOP are third members.
         let extra_uops = s.queue.issued_uops - s.queue.issued_entries;

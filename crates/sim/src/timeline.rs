@@ -245,7 +245,9 @@ impl EventSink for Timeline {
                 wrong_path,
                 ..
             } => self.record_insert(id.0, sidx, fetched_at, cycle, wrong_path),
-            TraceEvent::Select { cycle, ref uops, .. } => {
+            TraceEvent::Select {
+                cycle, ref uops, ..
+            } => {
                 let head = (uops.len() > 1).then(|| uops[0].0);
                 for u in uops {
                     self.record_issue(u.0, cycle, head);
@@ -329,7 +331,10 @@ mod tests {
         let k = t.to_kanata(&p);
         assert!(k.contains("S\t0\t5\tX"), "first attempt starts X: {k}");
         assert!(k.contains("S\t0\t6\tR"), "replay wait lane opens: {k}");
-        assert!(k.contains("E\t0\t12\tR"), "replay wait ends at re-issue: {k}");
+        assert!(
+            k.contains("E\t0\t12\tR"),
+            "replay wait ends at re-issue: {k}"
+        );
         assert!(k.contains("S\t0\t12\tX"), "final issue re-enters X: {k}");
     }
 

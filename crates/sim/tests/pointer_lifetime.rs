@@ -6,9 +6,9 @@
 
 use std::collections::HashMap;
 
+use mos_core::WakeupStyle;
 use mos_sim::{MachineConfig, SharedRing, Simulator, TraceEvent};
 use mos_workload::spec2000;
-use mos_core::WakeupStyle;
 
 /// Per-head lifecycle state reconstructed from the stream.
 #[derive(Default)]
@@ -62,7 +62,9 @@ fn pointer_lifetime_follows_evict_and_redetect_protocol() {
                     );
                     heads.entry(head_sidx).or_default().pending.push(visible_at);
                 }
-                TraceEvent::PointerInstall { cycle, head_sidx, .. } => {
+                TraceEvent::PointerInstall {
+                    cycle, head_sidx, ..
+                } => {
                     let h = heads.entry(head_sidx).or_default();
                     // Re-arming is only legal once some detection's delay
                     // has elapsed; consume the earliest such detection.
@@ -84,7 +86,9 @@ fn pointer_lifetime_follows_evict_and_redetect_protocol() {
                     h.installed = true;
                     h.installs += 1;
                 }
-                TraceEvent::PointerHit { cycle, head_sidx, .. } => {
+                TraceEvent::PointerHit {
+                    cycle, head_sidx, ..
+                } => {
                     assert!(
                         heads.get(&head_sidx).is_some_and(|h| h.installed),
                         "fetch used a pointer for head {head_sidx} at cycle {cycle} \
@@ -92,7 +96,12 @@ fn pointer_lifetime_follows_evict_and_redetect_protocol() {
                     );
                     hits += 1;
                 }
-                TraceEvent::PointerEvict { cycle, head_sidx, filtered: f, .. } => {
+                TraceEvent::PointerEvict {
+                    cycle,
+                    head_sidx,
+                    filtered: f,
+                    ..
+                } => {
                     let h = heads.entry(head_sidx).or_default();
                     assert!(
                         h.installed,

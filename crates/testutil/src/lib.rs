@@ -86,7 +86,10 @@ pub fn run_traced_with_commits<T: TraceSource>(
     let mut sim = Simulator::new(cfg, trace);
     let ring = SharedRing::new(keep_last);
     let log = SharedCommitLog::new();
-    sim.set_event_sink(Box::new(TeeSink(Box::new(ring.clone()), Box::new(log.clone()))));
+    sim.set_event_sink(Box::new(TeeSink(
+        Box::new(ring.clone()),
+        Box::new(log.clone()),
+    )));
     let stats = sim.run(max_commits);
     let run = TracedRun {
         stats,

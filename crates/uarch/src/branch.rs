@@ -17,7 +17,10 @@ struct CounterTable {
 
 impl CounterTable {
     fn new(entries: usize) -> CounterTable {
-        assert!(entries.is_power_of_two(), "table size must be a power of two");
+        assert!(
+            entries.is_power_of_two(),
+            "table size must be a power of two"
+        );
         // Initialize weakly taken, the usual SimpleScalar default.
         CounterTable {
             counters: vec![2; entries],
@@ -159,8 +162,7 @@ impl CombinedPredictor {
     /// Restore the global history after a squash: the checkpoint taken at
     /// the mispredicted branch, extended with its actual outcome.
     pub fn restore_history(&mut self, history_at_predict: u64, actual_taken: bool) {
-        self.history =
-            ((history_at_predict << 1) | u64::from(actual_taken)) & self.history_mask;
+        self.history = ((history_at_predict << 1) | u64::from(actual_taken)) & self.history_mask;
     }
 }
 
@@ -306,7 +308,10 @@ mod tests {
             }
             p.update(pc, true, h);
         }
-        assert!(correct > 90, "always-taken branch should be learned: {correct}");
+        assert!(
+            correct > 90,
+            "always-taken branch should be learned: {correct}"
+        );
     }
 
     #[test]
@@ -327,7 +332,10 @@ mod tests {
             p.update(pc, taken, h);
         }
         // Bimodal alone would get ~50%; gshare captures the pattern.
-        assert!(correct > 300, "alternating branch should be learned: {correct}");
+        assert!(
+            correct > 300,
+            "alternating branch should be learned: {correct}"
+        );
     }
 
     #[test]

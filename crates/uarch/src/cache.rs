@@ -3,7 +3,6 @@
 //! (2 cycles), 256KB 4-way 128B-line unified L2 (8 cycles), 100-cycle
 //! main memory.
 
-
 /// Geometry and latency of one cache level.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -187,7 +186,11 @@ impl MemoryHierarchy {
 
     /// Table 1 data side: DL1 + L2 + 100-cycle memory.
     pub fn data_side() -> MemoryHierarchy {
-        MemoryHierarchy::new(Cache::new(CacheConfig::dl1()), Cache::new(CacheConfig::l2()), 100)
+        MemoryHierarchy::new(
+            Cache::new(CacheConfig::dl1()),
+            Cache::new(CacheConfig::l2()),
+            100,
+        )
     }
 
     /// Table 1 instruction side: IL1 + L2 + 100-cycle memory.
@@ -195,7 +198,11 @@ impl MemoryHierarchy {
     /// (The paper's L2 is unified; `mos-sim` routes instruction and data
     /// misses through one shared L2 instance instead of this convenience.)
     pub fn inst_side() -> MemoryHierarchy {
-        MemoryHierarchy::new(Cache::new(CacheConfig::il1()), Cache::new(CacheConfig::l2()), 100)
+        MemoryHierarchy::new(
+            Cache::new(CacheConfig::il1()),
+            Cache::new(CacheConfig::l2()),
+            100,
+        )
     }
 
     /// Access `addr`, filling all levels on the way down.

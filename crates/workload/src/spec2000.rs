@@ -3,7 +3,6 @@
 //! paper's mechanisms react to. See DESIGN.md for the substitution
 //! rationale and EXPERIMENTS.md for paper-vs-measured comparisons.
 
-
 use crate::synth::{SynthTrace, SyntheticProgram};
 
 /// Instruction-mix fractions of committed instructions; the remainder
@@ -146,44 +145,272 @@ pub fn all() -> Vec<WorkloadSpec> {
     // alu + call = Figure 6's value-generating candidate fraction.
     vec![
         // bzip: 49.2 % valuegen; compression loops, modest working set.
-        spec!("bzip", body=160, load=0.25, store=0.10, br=0.145, mul=0.013, div=0.0, fp=0.0, call=0.028,
-              short=0.78, geo=0.40, longmax=32, randbr=0.12, takenp=0.35, ws=256*KB, stride=0.75, hot=0.9, purity=0.8, trip=24),
+        spec!(
+            "bzip",
+            body = 160,
+            load = 0.25,
+            store = 0.10,
+            br = 0.145,
+            mul = 0.013,
+            div = 0.0,
+            fp = 0.0,
+            call = 0.028,
+            short = 0.78,
+            geo = 0.40,
+            longmax = 32,
+            randbr = 0.12,
+            takenp = 0.35,
+            ws = 256 * KB,
+            stride = 0.75,
+            hot = 0.9,
+            purity = 0.8,
+            trip = 24
+        ),
         // crafty: 50.9 %; chess eval, branchy with bit tricks.
-        spec!("crafty", body=192, load=0.24, store=0.08, br=0.155, mul=0.013, div=0.003, fp=0.0, call=0.035,
-              short=0.75, geo=0.38, longmax=36, randbr=0.14, takenp=0.40, ws=96*KB, stride=0.55, hot=0.9, purity=0.85, trip=16),
+        spec!(
+            "crafty",
+            body = 192,
+            load = 0.24,
+            store = 0.08,
+            br = 0.155,
+            mul = 0.013,
+            div = 0.003,
+            fp = 0.0,
+            call = 0.035,
+            short = 0.75,
+            geo = 0.38,
+            longmax = 36,
+            randbr = 0.14,
+            takenp = 0.40,
+            ws = 96 * KB,
+            stride = 0.55,
+            hot = 0.9,
+            purity = 0.85,
+            trip = 16
+        ),
         // eon: only 27.8 % valuegen — FP-heavy C++ ray tracer, high ILP.
-        spec!("eon", body=176, load=0.24, store=0.13, br=0.10, mul=0.012, div=0.0, fp=0.24, call=0.045,
-              short=0.55, geo=0.30, longmax=40, randbr=0.08, takenp=0.30, ws=64*KB, stride=0.80, hot=0.88, purity=0.7, trip=20),
+        spec!(
+            "eon",
+            body = 176,
+            load = 0.24,
+            store = 0.13,
+            br = 0.10,
+            mul = 0.012,
+            div = 0.0,
+            fp = 0.24,
+            call = 0.045,
+            short = 0.55,
+            geo = 0.30,
+            longmax = 40,
+            randbr = 0.08,
+            takenp = 0.30,
+            ws = 64 * KB,
+            stride = 0.80,
+            hot = 0.88,
+            purity = 0.7,
+            trip = 20
+        ),
         // gap: 48.7 %; very short dependence edges (87 % of pairs within
         // 8 insts) — the worst case for 2-cycle scheduling (-19.1 %).
-        spec!("gap", body=168, load=0.3, store=0.11, br=0.06, mul=0.04, div=0.003, fp=0.0, call=0.03,
-              short=0.95, geo=0.7, longmax=24, randbr=0.02, takenp=0.3, ws=192*KB, stride=0.95, hot=0.995, purity=0.97, trip=28),
+        spec!(
+            "gap",
+            body = 168,
+            load = 0.3,
+            store = 0.11,
+            br = 0.06,
+            mul = 0.04,
+            div = 0.003,
+            fp = 0.0,
+            call = 0.03,
+            short = 0.95,
+            geo = 0.7,
+            longmax = 24,
+            randbr = 0.02,
+            takenp = 0.3,
+            ws = 192 * KB,
+            stride = 0.95,
+            hot = 0.995,
+            purity = 0.97,
+            trip = 28
+        ),
         // gcc: 37.4 %; big instruction footprint, mixed distances.
-        spec!("gcc", body=320, load=0.27, store=0.13, br=0.19, mul=0.026, div=0.0, fp=0.01, call=0.04,
-              short=0.68, geo=0.34, longmax=40, randbr=0.16, takenp=0.38, ws=512*KB, stride=0.50, hot=0.8, purity=0.8, trip=10),
+        spec!(
+            "gcc",
+            body = 320,
+            load = 0.27,
+            store = 0.13,
+            br = 0.19,
+            mul = 0.026,
+            div = 0.0,
+            fp = 0.01,
+            call = 0.04,
+            short = 0.68,
+            geo = 0.34,
+            longmax = 40,
+            randbr = 0.16,
+            takenp = 0.38,
+            ws = 512 * KB,
+            stride = 0.50,
+            hot = 0.8,
+            purity = 0.8,
+            trip = 10
+        ),
         // gzip: 56.3 % — the highest candidate fraction, short edges.
-        spec!("gzip", body=136, load=0.21, store=0.08, br=0.135, mul=0.012, div=0.0, fp=0.0, call=0.02,
-              short=0.9, geo=0.6, longmax=28, randbr=0.04, takenp=0.32, ws=128*KB, stride=0.75, hot=0.99, purity=0.93, trip=32),
+        spec!(
+            "gzip",
+            body = 136,
+            load = 0.21,
+            store = 0.08,
+            br = 0.135,
+            mul = 0.012,
+            div = 0.0,
+            fp = 0.0,
+            call = 0.02,
+            short = 0.9,
+            geo = 0.6,
+            longmax = 28,
+            randbr = 0.04,
+            takenp = 0.32,
+            ws = 128 * KB,
+            stride = 0.75,
+            hot = 0.99,
+            purity = 0.93,
+            trip = 32
+        ),
         // mcf: 40.2 %; pointer chasing over a working set far beyond L2 —
         // Table 2's 0.34 IPC comes from memory, not the scheduler.
-        spec!("mcf", body=128, load=0.31, store=0.09, br=0.19, mul=0.008, div=0.0, fp=0.0, call=0.015,
-              short=0.72, geo=0.40, longmax=28, randbr=0.1, takenp=0.30, ws=8*MB, stride=0.10, hot=0.42, purity=0.72, trip=40),
+        spec!(
+            "mcf",
+            body = 128,
+            load = 0.31,
+            store = 0.09,
+            br = 0.19,
+            mul = 0.008,
+            div = 0.0,
+            fp = 0.0,
+            call = 0.015,
+            short = 0.72,
+            geo = 0.40,
+            longmax = 28,
+            randbr = 0.1,
+            takenp = 0.30,
+            ws = 8 * MB,
+            stride = 0.10,
+            hot = 0.42,
+            purity = 0.72,
+            trip = 40
+        ),
         // parser: 47.5 %; short-ish edges, mid working set.
-        spec!("parser", body=192, load=0.28, store=0.11, br=0.11, mul=0.025, div=0.0, fp=0.0, call=0.035,
-              short=0.9, geo=0.6, longmax=32, randbr=0.05, takenp=0.36, ws=320*KB, stride=0.45, hot=0.98, purity=0.9, trip=14),
+        spec!(
+            "parser",
+            body = 192,
+            load = 0.28,
+            store = 0.11,
+            br = 0.11,
+            mul = 0.025,
+            div = 0.0,
+            fp = 0.0,
+            call = 0.035,
+            short = 0.9,
+            geo = 0.6,
+            longmax = 32,
+            randbr = 0.05,
+            takenp = 0.36,
+            ws = 320 * KB,
+            stride = 0.45,
+            hot = 0.98,
+            purity = 0.9,
+            trip = 14
+        ),
         // perl: 42.7 %; interpreter dispatch, mixed.
-        spec!("perl", body=224, load=0.28, store=0.12, br=0.14, mul=0.013, div=0.0, fp=0.0, call=0.05,
-              short=0.72, geo=0.42, longmax=36, randbr=0.08, takenp=0.38, ws=192*KB, stride=0.55, hot=0.94, purity=0.82, trip=12),
+        spec!(
+            "perl",
+            body = 224,
+            load = 0.28,
+            store = 0.12,
+            br = 0.14,
+            mul = 0.013,
+            div = 0.0,
+            fp = 0.0,
+            call = 0.05,
+            short = 0.72,
+            geo = 0.42,
+            longmax = 36,
+            randbr = 0.08,
+            takenp = 0.38,
+            ws = 192 * KB,
+            stride = 0.55,
+            hot = 0.94,
+            purity = 0.82,
+            trip = 12
+        ),
         // twolf: 47.7 %; placement/routing loops.
-        spec!("twolf", body=132, load=0.27, store=0.11, br=0.1, mul=0.03, div=0.003, fp=0.02, call=0.025,
-              short=0.9, geo=0.6, longmax=32, randbr=0.05, takenp=0.34, ws=256*KB, stride=0.50, hot=0.98, purity=0.9, trip=18),
+        spec!(
+            "twolf",
+            body = 132,
+            load = 0.27,
+            store = 0.11,
+            br = 0.1,
+            mul = 0.03,
+            div = 0.003,
+            fp = 0.02,
+            call = 0.025,
+            short = 0.9,
+            geo = 0.6,
+            longmax = 32,
+            randbr = 0.05,
+            takenp = 0.34,
+            ws = 256 * KB,
+            stride = 0.50,
+            hot = 0.98,
+            purity = 0.9,
+            trip = 18
+        ),
         // vortex: 37.6 %; the longest dependence edges (only 54 % of
         // pairs within 8 insts) — 2-cycle scheduling barely hurts (-1.3 %).
-        spec!("vortex", body=288, load=0.28, store=0.15, br=0.17, mul=0.014, div=0.0, fp=0.01, call=0.05,
-              short=0.48, geo=0.28, longmax=44, randbr=0.1, takenp=0.30, ws=448*KB, stride=0.60, hot=0.75, purity=0.7, trip=12),
+        spec!(
+            "vortex",
+            body = 288,
+            load = 0.28,
+            store = 0.15,
+            br = 0.17,
+            mul = 0.014,
+            div = 0.0,
+            fp = 0.01,
+            call = 0.05,
+            short = 0.48,
+            geo = 0.28,
+            longmax = 44,
+            randbr = 0.1,
+            takenp = 0.30,
+            ws = 448 * KB,
+            stride = 0.60,
+            hot = 0.75,
+            purity = 0.7,
+            trip = 12
+        ),
         // vpr: 44.7 %; FPGA place & route, slight FP.
-        spec!("vpr", body=176, load=0.25, store=0.10, br=0.14, mul=0.013, div=0.0, fp=0.05, call=0.03,
-              short=0.85, geo=0.5, longmax=32, randbr=0.06, takenp=0.34, ws=160*KB, stride=0.55, hot=0.95, purity=0.92, trip=20),
+        spec!(
+            "vpr",
+            body = 176,
+            load = 0.25,
+            store = 0.10,
+            br = 0.14,
+            mul = 0.013,
+            div = 0.0,
+            fp = 0.05,
+            call = 0.03,
+            short = 0.85,
+            geo = 0.5,
+            longmax = 32,
+            randbr = 0.06,
+            takenp = 0.34,
+            ws = 160 * KB,
+            stride = 0.55,
+            hot = 0.95,
+            purity = 0.92,
+            trip = 20
+        ),
     ]
 }
 

@@ -362,8 +362,6 @@ impl<'a> Generator<'a> {
         }
     }
 
-
-
     /// Find the integer producer nearest to `distance` instructions before
     /// the next slot to be emitted, staying within the live rotation
     /// window. With `prefer_alu`, search among single-cycle ALU producers
@@ -408,7 +406,6 @@ impl<'a> Generator<'a> {
             .unwrap_or(Reg::int(BASE_REG))
     }
 
-
     fn push(&mut self, inst: StaticInst, model: SlotModel) -> u32 {
         let idx = self.program.push(inst);
         self.models.push(model);
@@ -443,7 +440,11 @@ impl<'a> Generator<'a> {
         };
         if self.rng.random::<f64>() < self.spec.stride_frac {
             // Unit-stride streaming: one miss per 64B line (8 words).
-            AddrModel::Stride { base, stride: 8, span }
+            AddrModel::Stride {
+                base,
+                stride: 8,
+                span,
+            }
         } else {
             AddrModel::Random { base, span }
         }
@@ -507,9 +508,15 @@ impl<'a> Generator<'a> {
                     let d2 = self.sample_distance();
                     let pa2 = self.rng.random::<f64>() < self.spec.chain_purity * 0.85;
                     let s2 = self.src_int(ctx, d2, pa2);
-                    let op = *[Opcode::Add, Opcode::Sub, Opcode::And, Opcode::Or, Opcode::Xor]
-                        .get(self.rng.random_range(0..5usize))
-                        .expect("in range");
+                    let op = *[
+                        Opcode::Add,
+                        Opcode::Sub,
+                        Opcode::And,
+                        Opcode::Or,
+                        Opcode::Xor,
+                    ]
+                    .get(self.rng.random_range(0..5usize))
+                    .expect("in range");
                     self.push(StaticInst::alu(op, dst, s1, s2), SlotModel::None);
                 } else {
                     let op = *[Opcode::Addi, Opcode::Subi, Opcode::Slli, Opcode::Andi]
@@ -604,7 +611,11 @@ impl<'a> Generator<'a> {
                 let d2 = self.sample_distance();
                 let s2 = self.src_int(ctx, d2, false);
                 let dst = self.dst_int(ctx);
-                let op = if kind == Kind::Mul { Opcode::Mul } else { Opcode::Div };
+                let op = if kind == Kind::Mul {
+                    Opcode::Mul
+                } else {
+                    Opcode::Div
+                };
                 self.push(StaticInst::alu(op, dst, s1, s2), SlotModel::None);
             }
             Kind::Fp => {
@@ -748,9 +759,7 @@ impl Iterator for SynthTrace {
                     SlotModel::Branch(OutcomeModel::Pattern { period }) => {
                         c.is_multiple_of(u64::from(*period))
                     }
-                    SlotModel::Branch(OutcomeModel::Random { p }) => {
-                        self.rng.random::<f64>() < *p
-                    }
+                    SlotModel::Branch(OutcomeModel::Random { p }) => self.rng.random::<f64>() < *p,
                     _ => false,
                 };
                 if taken {

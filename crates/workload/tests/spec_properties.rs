@@ -14,7 +14,9 @@ fn class_fracs(name: &str) -> HashMap<InstClass, f64> {
     let p = t.program().clone();
     let mut counts: HashMap<InstClass, usize> = HashMap::new();
     for d in t.by_ref().take(N) {
-        *counts.entry(p.inst(d.sidx).expect("valid").class()).or_default() += 1;
+        *counts
+            .entry(p.inst(d.sidx).expect("valid").class())
+            .or_default() += 1;
     }
     counts
         .into_iter()
@@ -76,7 +78,11 @@ fn valuegen_fraction_matches_figure6_header() {
         let vg = t
             .by_ref()
             .take(N)
-            .filter(|d| p.inst(d.sidx).expect("valid").is_value_generating_candidate())
+            .filter(|d| {
+                p.inst(d.sidx)
+                    .expect("valid")
+                    .is_value_generating_candidate()
+            })
             .count() as f64
             / N as f64;
         assert!(

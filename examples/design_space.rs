@@ -21,8 +21,12 @@ fn main() {
         eprintln!("unknown benchmark `{bench}`");
         std::process::exit(1);
     };
-    let queue_sizes: [(&str, Option<usize>); 4] =
-        [("16", Some(16)), ("32", Some(32)), ("64", Some(64)), ("unrestricted", None)];
+    let queue_sizes: [(&str, Option<usize>); 4] = [
+        ("16", Some(16)),
+        ("32", Some(32)),
+        ("64", Some(64)),
+        ("unrestricted", None),
+    ];
 
     println!("design space for `{bench}` ({insts} insts): IPC by queue size and scheduler\n");
     println!(

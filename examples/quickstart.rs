@@ -12,10 +12,7 @@ use mopsched::workload::spec2000;
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let bench = args.first().map(String::as_str).unwrap_or("gzip");
-    let insts: u64 = args
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(100_000);
+    let insts: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(100_000);
 
     let Some(spec) = spec2000::by_name(bench) else {
         eprintln!(
@@ -48,7 +45,8 @@ fn main() {
         if stats.grouped_frac() > 0.0 {
             println!(
                 "{:30} -> {:.1} % of instructions grouped into MOPs,",
-                "", 100.0 * stats.grouped_frac()
+                "",
+                100.0 * stats.grouped_frac()
             );
             println!(
                 "{:30}    {} MOP entries issued, {:.1} % fewer queue insertions,",

@@ -125,10 +125,7 @@ fn parse() -> Result<Args, String> {
         _ => {}
     }
     while let Some(flag) = it.next() {
-        let mut val = |name: &str| {
-            it.next()
-                .ok_or_else(|| format!("missing value for {name}"))
-        };
+        let mut val = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         match flag.as_str() {
             "--bench" => {
                 a.bench = val("--bench")?;
@@ -154,11 +151,7 @@ fn parse() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--insts: {e}"))?
             }
-            "--seed" => {
-                a.seed = val("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
+            "--seed" => a.seed = val("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?,
             "--ideal-branch" => a.ideal_branch = true,
             "--ideal-memory" => a.ideal_memory = true,
             "--out" if a.trace || a.pipeview => a.out = Some(val("--out")?),
@@ -177,9 +170,7 @@ fn parse() -> Result<Args, String> {
                     .map_err(|e| format!("--noise: {e}"))?
             }
             "--last" if a.trace => {
-                a.last = val("--last")?
-                    .parse()
-                    .map_err(|e| format!("--last: {e}"))?
+                a.last = val("--last")?.parse().map_err(|e| format!("--last: {e}"))?
             }
             "--check" if a.trace => a.check = true,
             "--interval" if a.report => {
@@ -190,9 +181,7 @@ fn parse() -> Result<Args, String> {
             "--json" if a.report || a.cpistack || a.rvdiff => a.json = Some(val("--json")?),
             "--compare" if a.cpistack => a.compare = Some(val("--compare")?),
             "--uops" if a.pipeview => {
-                a.uops = val("--uops")?
-                    .parse()
-                    .map_err(|e| format!("--uops: {e}"))?
+                a.uops = val("--uops")?.parse().map_err(|e| format!("--uops: {e}"))?
             }
             "--timeline" => {
                 a.timeline = val("--timeline")?
@@ -293,7 +282,10 @@ impl Default for Args {
 /// needs configurations for schedulers other than `a.sched`.
 fn config_named(a: &Args, sched: &str) -> Result<MachineConfig, String> {
     let mut cfg = config_for(sched).ok_or_else(|| {
-        format!("unknown scheduler `{sched}`; available: {}", SCHED_KINDS.join(", "))
+        format!(
+            "unknown scheduler `{sched}`; available: {}",
+            SCHED_KINDS.join(", ")
+        )
     })?;
     // Insertion takes whole fetch groups, so a smaller queue never
     // accepts one and the pipeline deadlocks.
@@ -326,15 +318,17 @@ fn load_rv(spec: &str) -> Result<rv::RvProgram, String> {
     // A bare name that is neither a suite program nor a file is almost
     // certainly a typo: name the suite instead of a bare read error.
     if !std::path::Path::new(spec).exists() && !spec.contains(['/', '.']) {
-        let known: Vec<&str> =
-            rv::suite::PROGRAMS.iter().chain(&rv::suite::KERNELS).map(|p| p.name).collect();
+        let known: Vec<&str> = rv::suite::PROGRAMS
+            .iter()
+            .chain(&rv::suite::KERNELS)
+            .map(|p| p.name)
+            .collect();
         return Err(format!(
             "unknown rv program `{spec}`; suite programs: {known:?} (or pass a .s / flat-binary path)"
         ));
     }
     if spec.ends_with(".s") || spec.ends_with(".S") {
-        let src =
-            std::fs::read_to_string(spec).map_err(|e| format!("reading {spec}: {e}"))?;
+        let src = std::fs::read_to_string(spec).map_err(|e| format!("reading {spec}: {e}"))?;
         rv::assemble(&name, &src).map_err(|e| format!("{spec}: {e}"))
     } else {
         let bytes = std::fs::read(spec).map_err(|e| format!("reading {spec}: {e}"))?;
@@ -360,8 +354,8 @@ fn load_workload(a: &Args) -> Result<(Workload, Box<dyn TraceSource>), String> {
     let queue = (a.queue != 0).then_some(a.queue);
     if let Some(spec) = &a.rv {
         let prog = load_rv(spec)?;
-        let trace = rv::RvTraceSource::new(&prog)
-            .map_err(|e| format!("lowering `{}`: {e}", prog.name))?;
+        let trace =
+            rv::RvTraceSource::new(&prog).map_err(|e| format!("lowering `{}`: {e}", prog.name))?;
         let w = Workload {
             name: spec.clone(),
             source: "rv",
@@ -467,7 +461,11 @@ fn save_record(
     };
     let store = open_ledger(a);
     let path = store.save(&record)?;
-    eprintln!("ledger: saved {} -> {}", ledger::short(&key), path.display());
+    eprintln!(
+        "ledger: saved {} -> {}",
+        ledger::short(&key),
+        path.display()
+    );
     Ok(())
 }
 
@@ -545,11 +543,17 @@ fn run_rvdiff(a: &Args) -> Result<(), String> {
                     fields.extend([
                         ("pass".to_string(), Value::Bool(true)),
                         ("rv_retired".to_string(), Value::Num(rep.rv_retired as f64)),
-                        ("uops_committed".to_string(), Value::Num(rep.uops_committed as f64)),
+                        (
+                            "uops_committed".to_string(),
+                            Value::Num(rep.uops_committed as f64),
+                        ),
                         ("cycles".to_string(), Value::Num(rep.cycles as f64)),
                         ("ipc".to_string(), Value::Num(rep.ipc)),
                         ("fusion_rate".to_string(), Value::Num(rep.fusion_rate)),
-                        ("sched_loop_share".to_string(), Value::Num(rep.sched_loop_share)),
+                        (
+                            "sched_loop_share".to_string(),
+                            Value::Num(rep.sched_loop_share),
+                        ),
                     ]);
                 }
                 Err(e) => {
@@ -567,7 +571,10 @@ fn run_rvdiff(a: &Args) -> Result<(), String> {
     if let Some(path) = &a.json {
         use ledger::json::Value;
         let doc = Value::Obj(vec![
-            ("schema".to_string(), Value::Num(ledger::SCHEMA_VERSION as f64)),
+            (
+                "schema".to_string(),
+                Value::Num(ledger::SCHEMA_VERSION as f64),
+            ),
             ("programs".to_string(), Value::Num(programs.len() as f64)),
             ("schedulers".to_string(), Value::Num(scheds.len() as f64)),
             ("failures".to_string(), Value::Num(failures as f64)),
@@ -705,7 +712,9 @@ fn run_cpistack(a: &Args) -> Result<(), String> {
         let stats = sim.run(a.insts);
         let sim_seconds = t.elapsed().as_secs_f64();
         let stack = CpiStack::from_stats(&w.name, sched, width, &stats);
-        stack.check_conservation().map_err(|e| format!("{sched}: {e}"))?;
+        stack
+            .check_conservation()
+            .map_err(|e| format!("{sched}: {e}"))?;
         if let Some(cfg) = &saved_cfg {
             save_record(a, &w, sched, cfg, &stats, Some(&stack), sim_seconds, None)?;
         }
@@ -777,7 +786,16 @@ fn run(a: &Args) -> Result<(), String> {
     if let Some(cfg) = &saved_cfg {
         let width = cfg.sched.issue_width as u64;
         let stack = CpiStack::from_stats(&w.name, &a.sched, width, &stats);
-        save_record(a, &w, &a.sched, cfg, &stats, Some(&stack), sim_seconds, None)?;
+        save_record(
+            a,
+            &w,
+            &a.sched,
+            cfg,
+            &stats,
+            Some(&stack),
+            sim_seconds,
+            None,
+        )?;
     }
     if let Some(t) = sim.timeline() {
         println!("\nfirst {} uops:", t.entries().len());

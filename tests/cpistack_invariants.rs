@@ -64,8 +64,12 @@ enum BodyOp {
 fn body_op() -> impl Strategy<Value = BodyOp> {
     let r = 1u8..9;
     prop_oneof![
-        (0u8..5, r.clone(), r.clone(), r.clone())
-            .prop_map(|(op, dst, a, b)| BodyOp::Alu { op, dst, a, b }),
+        (0u8..5, r.clone(), r.clone(), r.clone()).prop_map(|(op, dst, a, b)| BodyOp::Alu {
+            op,
+            dst,
+            a,
+            b
+        }),
         (r.clone(), 0i64..16).prop_map(|(dst, off)| BodyOp::Load { dst, off: off * 8 }),
         (r.clone(), 0i64..16).prop_map(|(val, off)| BodyOp::Store { val, off: off * 8 }),
         (r.clone(), r.clone(), r.clone()).prop_map(|(dst, a, b)| BodyOp::Mul { dst, a, b }),
@@ -78,7 +82,13 @@ fn body_op() -> impl Strategy<Value = BodyOp> {
 fn program_strategy() -> impl Strategy<Value = Program> {
     (2u32..16, prop::collection::vec(body_op(), 1..20)).prop_map(|(trips, body)| {
         let mut p = Program::new("random");
-        let alu3 = [Opcode::Add, Opcode::Sub, Opcode::And, Opcode::Or, Opcode::Xor];
+        let alu3 = [
+            Opcode::Add,
+            Opcode::Sub,
+            Opcode::And,
+            Opcode::Or,
+            Opcode::Xor,
+        ];
         p.push(StaticInst::li(Reg::int(9), i64::from(trips))); // counter
         p.push(StaticInst::li(Reg::int(20), 0x8000)); // memory base
         for k in 1..9u8 {
@@ -120,14 +130,17 @@ fn program_strategy() -> impl Strategy<Value = Program> {
         p.push(StaticInst::addi(Reg::int(9), Reg::int(9), -1));
         p.push(StaticInst::branch(Opcode::Bnez, Reg::int(9), top));
         p.push(StaticInst::halt());
-        p.validate().expect("generated program is structurally valid");
+        p.validate()
+            .expect("generated program is structurally valid");
         p
     })
 }
 
 /// The RV32 suite's `sum_loop`: a 1-cycle dependence chain.
 fn sum_loop() -> RvTraceSource {
-    let prog = suite::by_name("sum_loop").expect("suite program").assemble();
+    let prog = suite::by_name("sum_loop")
+        .expect("suite program")
+        .assemble();
     RvTraceSource::new(&prog).expect("sum_loop lowers")
 }
 
@@ -209,7 +222,10 @@ fn cpistack_json_schema_roundtrips() {
     let st = CpiStack::from_stats("sum_loop", "2cycle", 4, &stats);
 
     let v = json::parse(&st.to_json()).expect("cpistack json parses");
-    assert_eq!(v.get("bench").and_then(json::Value::as_str), Some("sum_loop"));
+    assert_eq!(
+        v.get("bench").and_then(json::Value::as_str),
+        Some("sum_loop")
+    );
     assert_eq!(v.get("sched").and_then(json::Value::as_str), Some("2cycle"));
     assert_eq!(
         v.get("cycles").and_then(json::Value::as_u64),
@@ -231,7 +247,10 @@ fn cpistack_json_schema_roundtrips() {
     assert_eq!(causes.len(), SlotCause::ALL.len());
     let mut slot_sum = 0;
     for (c, &cause) in causes.iter().zip(SlotCause::ALL.iter()) {
-        assert_eq!(c.get("cause").and_then(json::Value::as_str), Some(cause.name()));
+        assert_eq!(
+            c.get("cause").and_then(json::Value::as_str),
+            Some(cause.name())
+        );
         slot_sum += c.get("slots").and_then(json::Value::as_u64).expect("slots");
         assert!(c.get("share").and_then(json::Value::as_num).is_some());
         assert!(c.get("cpi").and_then(json::Value::as_num).is_some());
@@ -258,14 +277,26 @@ fn differential_json_schema_roundtrips() {
         ),
     ];
     let v = json::parse(&cpistack::compare_json(&stacks)).expect("differential json parses");
-    let parsed = v.get("stacks").and_then(json::Value::as_arr).expect("stacks");
+    let parsed = v
+        .get("stacks")
+        .and_then(json::Value::as_arr)
+        .expect("stacks");
     assert_eq!(parsed.len(), 3);
-    let deltas = v.get("deltas").and_then(json::Value::as_arr).expect("deltas");
+    let deltas = v
+        .get("deltas")
+        .and_then(json::Value::as_arr)
+        .expect("deltas");
     assert_eq!(deltas.len(), 2);
     for (d, expect_sched) in deltas.iter().zip(["2cycle", "mop-wor"]) {
-        assert_eq!(d.get("sched").and_then(json::Value::as_str), Some(expect_sched));
+        assert_eq!(
+            d.get("sched").and_then(json::Value::as_str),
+            Some(expect_sched)
+        );
         assert_eq!(d.get("vs").and_then(json::Value::as_str), Some("base"));
-        let causes = d.get("causes").and_then(json::Value::as_arr).expect("causes");
+        let causes = d
+            .get("causes")
+            .and_then(json::Value::as_arr)
+            .expect("causes");
         assert_eq!(causes.len(), SlotCause::ALL.len());
     }
     // The parsed deltas tell the paper's story too: 2cycle's sched_loop
@@ -283,5 +314,8 @@ fn differential_json_schema_roundtrips() {
     let two_delta = loop_delta(&deltas[0]);
     let mop_delta = loop_delta(&deltas[1]);
     assert!(two_delta > 0.0, "2cycle loop-penalty delta: {two_delta}");
-    assert!(mop_delta < two_delta, "mop {mop_delta} vs 2cycle {two_delta}");
+    assert!(
+        mop_delta < two_delta,
+        "mop {mop_delta} vs 2cycle {two_delta}"
+    );
 }

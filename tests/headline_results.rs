@@ -27,7 +27,10 @@ fn two_cycle_loses_and_gap_is_the_worst_case() {
     let gap_base = ipc("gap", MachineConfig::base_unrestricted());
     let gap_two = ipc("gap", MachineConfig::two_cycle_unrestricted());
     let gap_rel = gap_two / gap_base;
-    assert!(gap_rel < 0.90, "gap must lose >10 % under 2-cycle: {gap_rel:.3}");
+    assert!(
+        gap_rel < 0.90,
+        "gap must lose >10 % under 2-cycle: {gap_rel:.3}"
+    );
 
     let vortex_base = ipc("vortex", MachineConfig::base_unrestricted());
     let vortex_two = ipc("vortex", MachineConfig::two_cycle_unrestricted());
@@ -44,7 +47,10 @@ fn macro_op_recovers_most_of_the_two_cycle_loss() {
     for bench in ["gap", "gzip", "parser"] {
         let base = ipc(bench, MachineConfig::base_unrestricted());
         let two = ipc(bench, MachineConfig::two_cycle_unrestricted());
-        let mop = ipc(bench, MachineConfig::macro_op(WakeupStyle::WiredOr, None, 0));
+        let mop = ipc(
+            bench,
+            MachineConfig::macro_op(WakeupStyle::WiredOr, None, 0),
+        );
         let recovered = (mop - two) / (base - two).max(1e-9);
         assert!(
             recovered > 0.5,
@@ -61,14 +67,20 @@ fn contention_makes_macro_op_competitive_with_base() {
     let mut total_rel = 0.0;
     for bench in ["gap", "gzip", "mcf", "twolf"] {
         let base = ipc(bench, MachineConfig::base_32());
-        let mop = ipc(bench, MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 1));
+        let mop = ipc(
+            bench,
+            MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 1),
+        );
         let rel = mop / base;
         total_rel += rel;
         if rel >= 1.0 {
             wins += 1;
         }
     }
-    assert!(wins >= 2, "several benchmarks outperform base under contention");
+    assert!(
+        wins >= 2,
+        "several benchmarks outperform base under contention"
+    );
     assert!(total_rel / 4.0 > 0.97, "mean {:.3}", total_rel / 4.0);
 }
 
@@ -78,8 +90,14 @@ fn select_free_ordering_matches_figure16() {
         let base = ipc(bench, MachineConfig::base_32());
         let sd = ipc(bench, MachineConfig::select_free_squash_dep_32());
         let sb = ipc(bench, MachineConfig::select_free_scoreboard_32());
-        assert!(sd <= base * 1.02, "{bench}: squash-dep {sd:.3} vs base {base:.3}");
-        assert!(sb <= sd * 1.02, "{bench}: scoreboard {sb:.3} vs squash-dep {sd:.3}");
+        assert!(
+            sd <= base * 1.02,
+            "{bench}: squash-dep {sd:.3} vs base {base:.3}"
+        );
+        assert!(
+            sb <= sd * 1.02,
+            "{bench}: scoreboard {sb:.3} vs squash-dep {sd:.3}"
+        );
     }
 }
 
@@ -92,10 +110,7 @@ fn full_suite_ordering_guard() {
     for name in spec2000::names() {
         let base = ipc(name, MachineConfig::base_unrestricted());
         let two = ipc(name, MachineConfig::two_cycle_unrestricted());
-        let mop = ipc(
-            name,
-            MachineConfig::macro_op(WakeupStyle::WiredOr, None, 0),
-        );
+        let mop = ipc(name, MachineConfig::macro_op(WakeupStyle::WiredOr, None, 0));
         assert!(base > 0.05 && base < 4.0, "{name}: base {base:.3}");
         assert!(
             two <= base * 1.02,
@@ -122,6 +137,9 @@ fn grouping_band_and_eon_minimum() {
     for b in ["gzip", "gap", "parser"] {
         let g = spec(b).grouped_frac();
         assert!(g > 0.3 && g < 0.65, "{b}: grouped {g:.2}");
-        assert!(eon < g, "eon ({eon:.2}) is the paper's lowest-coverage benchmark");
+        assert!(
+            eon < g,
+            "eon ({eon:.2}) is the paper's lowest-coverage benchmark"
+        );
     }
 }

@@ -54,11 +54,7 @@ fn save_history_diff_pipeline() {
     save_once(&ledger);
     save_once(&ledger);
 
-    let (history, _) = run_ok(mossim().args([
-        "history",
-        "--ledger-dir",
-        ledger.to_str().unwrap(),
-    ]));
+    let (history, _) = run_ok(mossim().args(["history", "--ledger-dir", ledger.to_str().unwrap()]));
     assert!(history.contains("| gzip | mop-wor | 5000 |"), "{history}");
     assert_eq!(
         history.matches("| run |").count(),
@@ -99,12 +95,24 @@ fn diff_rejects_bad_specs() {
     let ledger = dir.join("ledger");
     save_once(&ledger);
     let out = mossim()
-        .args(["diff", "latest-5", "latest", "--ledger-dir", ledger.to_str().unwrap()])
+        .args([
+            "diff",
+            "latest-5",
+            "latest",
+            "--ledger-dir",
+            ledger.to_str().unwrap(),
+        ])
         .output()
         .unwrap();
     assert!(!out.status.success(), "latest-5 must fail with one save");
     let out = mossim()
-        .args(["diff", "zz", "latest", "--ledger-dir", ledger.to_str().unwrap()])
+        .args([
+            "diff",
+            "zz",
+            "latest",
+            "--ledger-dir",
+            ledger.to_str().unwrap(),
+        ])
         .output()
         .unwrap();
     assert!(!out.status.success(), "non-hex prefix must fail");
@@ -149,7 +157,10 @@ fn rvdiff_json_report_matches_the_schema() {
                 "missing {field}"
             );
         }
-        let share = r.get("sched_loop_share").and_then(json::Value::as_num).unwrap();
+        let share = r
+            .get("sched_loop_share")
+            .and_then(json::Value::as_num)
+            .unwrap();
         assert!((0.0..=1.0).contains(&share), "share out of range: {share}");
     }
     let _ = std::fs::remove_dir_all(&dir);
@@ -207,10 +218,21 @@ fn stages_beyond_the_studied_range_are_a_usage_error() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{stages}: {stderr}");
         assert!(!stderr.contains("panicked"), "{stages}: {stderr}");
-        assert!(stderr.contains(&format!("error: --stages {stages}")), "{stderr}");
+        assert!(
+            stderr.contains(&format!("error: --stages {stages}")),
+            "{stderr}"
+        );
     }
-    let out = mossim().args(["--stages", "2", "--insts", "2000"]).output().expect("binary runs");
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stderr));
+    let out = mossim()
+        .args(["--stages", "2", "--insts", "2000"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
 }
 
 /// A pending MOP head in a queue barely larger than a fetch group used to
@@ -226,7 +248,10 @@ fn tiny_mop_queues_run_to_completion() {
         assert_eq!(out.status.code(), Some(0), "--queue {queue}: {stderr}");
         assert!(!stderr.contains("panicked"), "--queue {queue}: {stderr}");
         let stdout = String::from_utf8_lossy(&out.stdout);
-        assert!(stdout.contains("committed        20000"), "--queue {queue}: {stdout}");
+        assert!(
+            stdout.contains("committed        20000"),
+            "--queue {queue}: {stdout}"
+        );
     }
 }
 
@@ -242,9 +267,15 @@ fn a_program_that_runs_off_its_code_drains_cleanly() {
     let path = src.to_str().unwrap();
     let (stdout, _) = run_ok(mossim().args(["--rv", path]));
     assert!(stdout.contains("committed            1"), "{stdout}");
-    let out = mossim().args(["rvdiff", "--rv", path]).output().expect("binary runs");
+    let out = mossim()
+        .args(["rvdiff", "--rv", path])
+        .output()
+        .expect("binary runs");
     let text = String::from_utf8_lossy(&out.stdout) + String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{text}");
-    assert!(text.contains("did not halt cleanly after 1 insts (faulted: true)"), "{text}");
+    assert!(
+        text.contains("did not halt cleanly after 1 insts (faulted: true)"),
+        "{text}"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

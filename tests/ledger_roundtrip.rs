@@ -30,7 +30,10 @@ fn pinned_record(key_fill: &str, cycles: u64, host: f64) -> RunRecord {
     let mut slots = SlotCounts::default();
     slots.add(SlotCause::Useful, stats.committed);
     slots.add(SlotCause::SchedLoop, cycles / 10);
-    slots.add(SlotCause::Drained, 4 * cycles - stats.committed - cycles / 10);
+    slots.add(
+        SlotCause::Drained,
+        4 * cycles - stats.committed - cycles / 10,
+    );
     RunRecord {
         schema: SCHEMA_VERSION,
         key: key_fill.repeat(32),

@@ -21,13 +21,7 @@ fn observed_run(interval: u64, insts: u64) -> RunReport {
 }
 
 /// One observed run of `bench` on `cfg` with metrics on, as a report.
-fn observed(
-    bench: &str,
-    sched: &str,
-    cfg: MachineConfig,
-    interval: u64,
-    insts: u64,
-) -> RunReport {
+fn observed(bench: &str, sched: &str, cfg: MachineConfig, interval: u64, insts: u64) -> RunReport {
     let trace = spec2000::by_name(bench).unwrap().trace(42);
     let mut sim = Simulator::new(cfg, trace);
     sim.enable_metrics(interval);
@@ -137,8 +131,17 @@ fn histogram_buckets_split_exactly_at_powers_of_two() {
     for i in 1..64usize {
         let lo = 1u64 << (i - 1);
         let hi = (1u64 << i) - 1;
-        assert_eq!(bucket_index(lo), i, "2^{} is the low edge of bucket {i}", i - 1);
-        assert_eq!(bucket_index(hi), i, "2^{i}-1 is the high edge of bucket {i}");
+        assert_eq!(
+            bucket_index(lo),
+            i,
+            "2^{} is the low edge of bucket {i}",
+            i - 1
+        );
+        assert_eq!(
+            bucket_index(hi),
+            i,
+            "2^{i}-1 is the high edge of bucket {i}"
+        );
         assert_eq!(bucket_bounds(i), (lo, hi));
         if hi < u64::MAX {
             assert_eq!(bucket_index(hi + 1), i + 1, "2^{i} starts the next bucket");
@@ -159,7 +162,10 @@ fn per_worker_histogram_merge_is_byte_identical_for_any_job_count() {
             let mut sim = Simulator::new(MachineConfig::base_32(), trace);
             sim.enable_metrics(64);
             sim.run(u64::MAX);
-            sim.queue_metrics().expect("metrics enabled").occupancy.clone()
+            sim.queue_metrics()
+                .expect("metrics enabled")
+                .occupancy
+                .clone()
         });
         let mut total = Hist::default();
         for h in &hists {

@@ -43,7 +43,9 @@ fn run(
     attach: impl FnOnce(&mut Sim),
     check: impl FnOnce(&mut Sim, &SimStats),
 ) -> SimStats {
-    let trace = spec2000::by_name(bench).expect("known benchmark").trace(SEED);
+    let trace = spec2000::by_name(bench)
+        .expect("known benchmark")
+        .trace(SEED);
     let mut sim = Simulator::new(cfg.clone(), trace);
     attach(&mut sim);
     let stats = sim.run(INSTS);
@@ -102,7 +104,11 @@ fn every_observer_leaves_simulated_results_unchanged() {
                 |_, stats| assert_eq!(ring.total_seen(), stats.events.total(), "{job}"),
             );
             assert!(traced.events.total() > 0, "{job}: the ring saw no events");
-            assert_eq!(simulated(traced), plain, "{job}: a ring sink changed the run");
+            assert_eq!(
+                simulated(traced),
+                plain,
+                "{job}: a ring sink changed the run"
+            );
 
             let log = SharedCommitLog::new();
             let logged = run(
@@ -111,7 +117,11 @@ fn every_observer_leaves_simulated_results_unchanged() {
                 |sim| sim.set_event_sink(Box::new(log.clone())),
                 |_, stats| assert_eq!(log.len() as u64, stats.committed, "{job}"),
             );
-            assert_eq!(simulated(logged), plain, "{job}: a commit log changed the run");
+            assert_eq!(
+                simulated(logged),
+                plain,
+                "{job}: a commit log changed the run"
+            );
 
             let checked = run(
                 bench,
@@ -122,7 +132,11 @@ fn every_observer_leaves_simulated_results_unchanged() {
                     assert!(oracle.violations().is_empty(), "{job}: oracle violations");
                 },
             );
-            assert_eq!(simulated(checked), plain, "{job}: the oracle changed the run");
+            assert_eq!(
+                simulated(checked),
+                plain,
+                "{job}: the oracle changed the run"
+            );
 
             let timed = run(
                 bench,
@@ -133,7 +147,11 @@ fn every_observer_leaves_simulated_results_unchanged() {
                     assert_eq!(entries, 256, "{job}: timeline not filled");
                 },
             );
-            assert_eq!(simulated(timed), plain, "{job}: the timeline changed the run");
+            assert_eq!(
+                simulated(timed),
+                plain,
+                "{job}: the timeline changed the run"
+            );
         }
     }
 }
@@ -191,8 +209,7 @@ fn record(bench: &str, cfg: &MachineConfig, which: [bool; 6]) -> (SimStats, Reco
                 slots: slots.then_some(stats.slots),
                 ring: ring.then(|| ring_h.to_jsonl()),
                 commits: log.then(|| log_h.take()),
-                timeline: timeline
-                    .then(|| sim.timeline().expect("timeline on").entries().to_vec()),
+                timeline: timeline.then(|| sim.timeline().expect("timeline on").entries().to_vec()),
             });
         },
     );
@@ -211,7 +228,11 @@ fn all_observers_at_once_record_what_each_records_alone() {
             let job = format!("{bench} under {sched}");
             let (plain, _) = record(bench, cfg, [false; 6]);
             let (stats, all) = record(bench, cfg, [true; 6]);
-            assert_eq!(simulated(stats), simulated(plain), "{job}: observers changed the run");
+            assert_eq!(
+                simulated(stats),
+                simulated(plain),
+                "{job}: observers changed the run"
+            );
             let solo = |i: usize| {
                 let mut which = [false; 6];
                 which[i] = true;
@@ -224,8 +245,16 @@ fn all_observers_at_once_record_what_each_records_alone() {
                 commits: solo(3).commits,
                 timeline: solo(5).timeline,
             };
-            assert!(all.commits.as_ref().is_some_and(|c| c.len() as u64 >= INSTS), "{job}");
-            assert_eq!(all, alone, "{job}: an observer recorded differently alongside others");
+            assert!(
+                all.commits
+                    .as_ref()
+                    .is_some_and(|c| c.len() as u64 >= INSTS),
+                "{job}"
+            );
+            assert_eq!(
+                all, alone,
+                "{job}: an observer recorded differently alongside others"
+            );
         }
     }
 }
@@ -237,7 +266,12 @@ fn all_observers_at_once_record_what_each_records_alone() {
 #[should_panic(expected = "attach the oracle before the first cycle")]
 fn a_late_oracle_is_refused() {
     let (_, cfg) = &schedulers()[0];
-    run("gzip", cfg, |_| {}, |sim, _| sim.attach_oracle(OracleMode::Collect));
+    run(
+        "gzip",
+        cfg,
+        |_| {},
+        |sim, _| sim.attach_oracle(OracleMode::Collect),
+    );
 }
 
 #[test]
@@ -246,18 +280,29 @@ fn every_observer_is_refused_after_the_first_cycle() {
     let late: [(&str, Attach); 5] = [
         ("enable metrics", |sim| sim.enable_metrics(500)),
         ("enable slot accounting", |sim| sim.enable_slot_accounting()),
-        ("attach an event sink", |sim| sim.set_event_sink(Box::new(SharedRing::new(16)))),
-        ("attach the oracle", |sim| sim.attach_oracle(OracleMode::Collect)),
+        ("attach an event sink", |sim| {
+            sim.set_event_sink(Box::new(SharedRing::new(16)))
+        }),
+        ("attach the oracle", |sim| {
+            sim.attach_oracle(OracleMode::Collect)
+        }),
         ("enable the timeline", |sim| sim.enable_timeline(16)),
     ];
     let (_, cfg) = &schedulers()[0];
     for (what, attach) in late {
-        let trace = spec2000::by_name("gzip").expect("known benchmark").trace(SEED);
+        let trace = spec2000::by_name("gzip")
+            .expect("known benchmark")
+            .trace(SEED);
         let mut sim = Simulator::new(cfg.clone(), trace);
         sim.run(100);
         let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| attach(&mut sim)));
         let message = refused.expect_err(what);
-        let message = message.downcast_ref::<String>().expect("formatted panic message");
-        assert!(message.contains(&format!("{what} before the first cycle")), "{message}");
+        let message = message
+            .downcast_ref::<String>()
+            .expect("formatted panic message");
+        assert!(
+            message.contains(&format!("{what} before the first cycle")),
+            "{message}"
+        );
     }
 }

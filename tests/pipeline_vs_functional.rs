@@ -14,9 +14,18 @@ fn all_schedulers() -> Vec<(&'static str, MachineConfig)> {
     vec![
         ("base", MachineConfig::base_32()),
         ("two-cycle", MachineConfig::two_cycle_32()),
-        ("mop-2src", MachineConfig::macro_op(WakeupStyle::CamTwoSource, Some(32), 0)),
-        ("mop-wor+1", MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 1)),
-        ("mop-wor+2", MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 2)),
+        (
+            "mop-2src",
+            MachineConfig::macro_op(WakeupStyle::CamTwoSource, Some(32), 0),
+        ),
+        (
+            "mop-wor+1",
+            MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 1),
+        ),
+        (
+            "mop-wor+2",
+            MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 2),
+        ),
         ("sf-squash", MachineConfig::select_free_squash_dep_32()),
         ("sf-scoreboard", MachineConfig::select_free_scoreboard_32()),
     ]
@@ -162,7 +171,12 @@ fn tiny_and_degenerate_programs_drain_cleanly() {
         vec![I::li(r1, 1), I::halt()],
         vec![I::jmp(2), I::nop(), I::halt()],
         // Loop executed zero times.
-        vec![I::li(r1, 0), I::branch(Opcode::Beqz, r1, 3), I::nop(), I::halt()],
+        vec![
+            I::li(r1, 0),
+            I::branch(Opcode::Beqz, r1, 3),
+            I::nop(),
+            I::halt(),
+        ],
         // No halt: the program runs off the end of its code.
         vec![I::li(r1, 1), I::li(Reg::int(2), 2)],
     ] {

@@ -23,14 +23,19 @@ const GOLDEN: &str = include_str!("golden/sum_loop_rv_mop_wor.kanata");
 
 #[test]
 fn kanata_export_matches_the_golden_trace() {
-    let prog = suite::by_name("sum_loop").expect("fixture program").assemble();
+    let prog = suite::by_name("sum_loop")
+        .expect("fixture program")
+        .assemble();
     let trace = RvTraceSource::new(&prog).expect("sum_loop lowers");
     let program = trace.program().clone();
     let cfg = MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 1);
     let mut sim = Simulator::new(cfg, trace);
     sim.enable_timeline(24);
     sim.run(u64::MAX);
-    let got = sim.timeline().expect("timeline enabled").to_kanata(&program);
+    let got = sim
+        .timeline()
+        .expect("timeline enabled")
+        .to_kanata(&program);
     assert_eq!(
         got, GOLDEN,
         "Kanata export diverged from tests/golden/sum_loop_rv_mop_wor.kanata; \

@@ -28,10 +28,18 @@ fn body_op() -> impl Strategy<Value = BodyOp> {
     // Registers r1..r8 participate; r20 is the memory base.
     let r = 1u8..9;
     prop_oneof![
-        (0u8..5, r.clone(), r.clone(), r.clone())
-            .prop_map(|(op, dst, a, b)| BodyOp::Alu { op, dst, a, b }),
-        (0u8..4, r.clone(), r.clone(), 1i64..32)
-            .prop_map(|(op, dst, a, imm)| BodyOp::AluImm { op, dst, a, imm }),
+        (0u8..5, r.clone(), r.clone(), r.clone()).prop_map(|(op, dst, a, b)| BodyOp::Alu {
+            op,
+            dst,
+            a,
+            b
+        }),
+        (0u8..4, r.clone(), r.clone(), 1i64..32).prop_map(|(op, dst, a, imm)| BodyOp::AluImm {
+            op,
+            dst,
+            a,
+            imm
+        }),
         (r.clone(), 0i64..16).prop_map(|(dst, off)| BodyOp::Load {
             dst,
             base: 20,
@@ -53,7 +61,13 @@ fn body_op() -> impl Strategy<Value = BodyOp> {
 fn program_strategy() -> impl Strategy<Value = Program> {
     (2u32..20, prop::collection::vec(body_op(), 1..24)).prop_map(|(trips, body)| {
         let mut p = Program::new("random");
-        let alu3 = [Opcode::Add, Opcode::Sub, Opcode::And, Opcode::Or, Opcode::Xor];
+        let alu3 = [
+            Opcode::Add,
+            Opcode::Sub,
+            Opcode::And,
+            Opcode::Or,
+            Opcode::Xor,
+        ];
         let alui = [Opcode::Addi, Opcode::Subi, Opcode::Andi, Opcode::Slli];
         p.push(StaticInst::li(Reg::int(9), i64::from(trips))); // counter
         p.push(StaticInst::li(Reg::int(20), 0x8000)); // memory base
@@ -109,7 +123,8 @@ fn program_strategy() -> impl Strategy<Value = Program> {
         p.push(StaticInst::addi(Reg::int(9), Reg::int(9), -1));
         p.push(StaticInst::branch(Opcode::Bnez, Reg::int(9), top));
         p.push(StaticInst::halt());
-        p.validate().expect("generated program is structurally valid");
+        p.validate()
+            .expect("generated program is structurally valid");
         p
     })
 }

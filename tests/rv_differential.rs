@@ -65,7 +65,9 @@ fn sched_loop_share(prog: &rv::RvProgram, sched: &str) -> f64 {
 /// of its issued entries.
 #[test]
 fn two_cycle_sched_loop_share_exceeds_base_and_mop_on_sum_loop() {
-    let prog = suite::by_name("sum_loop").expect("suite program").assemble();
+    let prog = suite::by_name("sum_loop")
+        .expect("suite program")
+        .assemble();
     let base = sched_loop_share(&prog, "base");
     let two = sched_loop_share(&prog, "2cycle");
     let mop = sched_loop_share(&prog, "mop-wor");
@@ -107,7 +109,6 @@ fn encoded_binaries_pass_the_differential_check() {
     let bytes = rv::encode_program(&prog);
     let decoded = rv::decode_flat("gcd-bin", &bytes).expect("decodes");
     let cfg = rv::config_for("mop-2src").expect("known scheduler");
-    let report =
-        rv::run_differential(&decoded, "mop-2src", cfg, MAX_STEPS).expect("differential");
+    let report = rv::run_differential(&decoded, "mop-2src", cfg, MAX_STEPS).expect("differential");
     assert!(report.rv_retired > 0);
 }

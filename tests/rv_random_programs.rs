@@ -30,10 +30,18 @@ fn body_op() -> impl Strategy<Value = BodyOp> {
     // body.
     let r = 5u8..13;
     prop_oneof![
-        (0u8..8, r.clone(), r.clone(), r.clone())
-            .prop_map(|(op, rd, rs1, rs2)| BodyOp::Alu { op, rd, rs1, rs2 }),
-        (0u8..6, r.clone(), r.clone(), 0i32..64)
-            .prop_map(|(op, rd, rs1, imm)| BodyOp::AluImm { op, rd, rs1, imm }),
+        (0u8..8, r.clone(), r.clone(), r.clone()).prop_map(|(op, rd, rs1, rs2)| BodyOp::Alu {
+            op,
+            rd,
+            rs1,
+            rs2
+        }),
+        (0u8..6, r.clone(), r.clone(), 0i32..64).prop_map(|(op, rd, rs1, imm)| BodyOp::AluImm {
+            op,
+            rd,
+            rs1,
+            imm
+        }),
         (0u8..3, r.clone(), 0i32..16).prop_map(|(op, rd, off)| BodyOp::Load {
             op,
             rd,
@@ -44,8 +52,12 @@ fn body_op() -> impl Strategy<Value = BodyOp> {
             rs2,
             off: off * 4
         }),
-        (0u8..4, r.clone(), r.clone(), r.clone())
-            .prop_map(|(op, rd, rs1, rs2)| BodyOp::Mul { op, rd, rs1, rs2 }),
+        (0u8..4, r.clone(), r.clone(), r.clone()).prop_map(|(op, rd, rs1, rs2)| BodyOp::Mul {
+            op,
+            rd,
+            rs1,
+            rs2
+        }),
         (0u8..4, r.clone(), 1u8..4).prop_map(|(op, rs1, dist)| BodyOp::Skip { op, rs1, dist }),
         (r, 0i32..256).prop_map(|(rd, imm)| BodyOp::Lui { rd, imm }),
     ]
@@ -122,8 +134,12 @@ fn program_strategy() -> impl Strategy<Value = RvProgram> {
         // Decrement and loop.
         let here = p.insts.len() as u32 + 1;
         p.insts.push(RvInst::i(RvOp::Addi, 29, 29, -1));
-        p.insts
-            .push(RvInst::branch(RvOp::Bne, 29, 0, (top as i32 - here as i32) * 4));
+        p.insts.push(RvInst::branch(
+            RvOp::Bne,
+            29,
+            0,
+            (top as i32 - here as i32) * 4,
+        ));
         p.insts.push(RvInst::sys(RvOp::Ebreak));
         p
     })

@@ -72,7 +72,10 @@ fn commits_are_in_program_order() {
                 format!("uop {} recorded after younger uop {}", e.id, pid)
             });
             run.expect(pc <= c, || {
-                format!("uop {} committed at {} after uop {} at {}", e.id, c, pid, pc)
+                format!(
+                    "uop {} committed at {} after uop {} at {}",
+                    e.id, c, pid, pc
+                )
             });
         }
         last = Some((e.id, c));
@@ -100,7 +103,10 @@ fn fused_members_issue_together_and_sequence() {
         // Same entry => identical (final) issue cycle.
         if let (Some(hi), Some(ti)) = (head.last_issue(), e.last_issue()) {
             run.expect(hi == ti, || {
-                format!("head {} and tail {} issued apart ({hi} vs {ti})", head.id, e.id)
+                format!(
+                    "head {} and tail {} issued apart ({hi} vs {ti})",
+                    head.id, e.id
+                )
             });
         }
         // Payload-RAM sequencing: tail executes after the head.
@@ -114,7 +120,10 @@ fn fused_members_issue_together_and_sequence() {
         }
         fused_pairs += 1;
     }
-    assert!(fused_pairs > 50, "expected plenty of fused pairs: {fused_pairs}");
+    assert!(
+        fused_pairs > 50,
+        "expected plenty of fused pairs: {fused_pairs}"
+    );
 }
 
 #[test]

@@ -19,7 +19,10 @@ use mopsched::workload::spec2000;
 const INSTS: u64 = 3_000;
 const SEED: u64 = 42;
 const BENCHES: [&str; 2] = ["gzip", "mcf"];
-const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/trace_digests.txt");
+const GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/trace_digests.txt"
+);
 
 /// Hashes every event's JSON line as it arrives, so the stream is never
 /// buffered.
@@ -60,7 +63,11 @@ fn trace_streams_match_the_pinned_digests() {
     }
     let want = std::fs::read_to_string(GOLDEN).expect("golden file present");
     let want: Vec<&str> = want.lines().collect();
-    assert_eq!(want.len(), got.len(), "one golden line per bench × scheduler");
+    assert_eq!(
+        want.len(),
+        got.len(),
+        "one golden line per bench × scheduler"
+    );
     for (w, g) in want.iter().zip(&got) {
         assert_eq!(
             *w, g,
