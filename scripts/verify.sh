@@ -14,7 +14,9 @@
 #      and the trace digests again in release (release builds compile out
 #      the debug ROB and queue invariants, so only a release digest shows
 #      that the release lookups are exact)
-#   3. clippy and rustdoc, warnings denied (a stale intra-doc link fails
+#   3. `cargo fmt --all --check` (the workspace is rustfmt-clean; the
+#      mosbench package is its own workspace and is not checked), clippy
+#      and rustdoc, warnings denied (a stale intra-doc link fails
 #      the build), and the mosbench package's tests (its
 #      pinned per-job results and smoke runs; the package is outside the
 #      workspace, so a queue API change or a moved simulated result would
@@ -66,6 +68,9 @@ cargo test -q --release --test observers_keep_timing
 
 echo "== trace digests (release, no debug invariants) =="
 cargo test -q --release --test trace_digest
+
+echo "== rustfmt (workspace is formatted) =="
+cargo fmt --all --check
 
 echo "== clippy (deny warnings) =="
 cargo clippy --workspace --all-targets -- -D warnings
