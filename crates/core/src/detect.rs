@@ -202,9 +202,12 @@ pub struct MopDetector {
     /// and `external` sets; two candidates with equal origins form an
     /// independent MOP.
     external: [u64; MAX_WINDOW],
-    /// Transitive ancestors of each position, built only under
-    /// [`CycleDetection::Precise`].
+    /// Transitive ancestors of each position, with every accepted pair
+    /// merged into one node: built only under [`CycleDetection::Precise`].
     reach: [u64; MAX_WINDOW],
+    /// `group[i]`: the positions of `i`'s MOP, `i` included (just `i`
+    /// until it pairs). Kept only under [`CycleDetection::Precise`].
+    group: [u64; MAX_WINDOW],
     pairs: Vec<DetectedPair>,
     stats: DetectStats,
 }
@@ -236,6 +239,7 @@ impl MopDetector {
             users: [0; MAX_WINDOW],
             external: [0; MAX_WINDOW],
             reach: [0; MAX_WINDOW],
+            group: [0; MAX_WINDOW],
             pairs: Vec::new(),
             stats: DetectStats::default(),
         }
@@ -409,9 +413,16 @@ impl MopDetector {
     /// of it.
     fn slide(&mut self, group: &[DetectInst]) {
         let keep = self.config.scope.saturating_sub(self.group_width);
+        let precise = self.config.cycle_detection == CycleDetection::Precise;
         if self.len > keep {
             let drop = self.len - keep;
             self.window.copy_within(drop..self.len, 0);
+            if precise {
+                self.group.copy_within(drop..self.len, 0);
+                for g in &mut self.group[..keep] {
+                    *g >>= drop;
+                }
+            }
             self.len = keep;
             for mask in self.masks_mut() {
                 *mask = mask.checked_shr(drop as u32).unwrap_or(0);
@@ -430,6 +441,9 @@ impl MopDetector {
             self.valuegens |= u64::from(inst.is_valuegen) << p;
             self.taken_direct |= u64::from(inst.ctrl_out == CtrlOut::TakenDirect) << p;
             self.taken_indirect |= u64::from(inst.ctrl_out == CtrlOut::TakenIndirect) << p;
+            if precise {
+                self.group[p] = 1 << p;
+            }
             self.len += 1;
         }
     }
@@ -439,7 +453,6 @@ impl MopDetector {
     /// the dependence matrix by row and by column, the external sources
     /// and (precise mode only) reachability.
     fn build_rows(&mut self) {
-        let precise = self.config.cycle_detection == CycleDetection::Precise;
         let mut last_writer = [OUTSIDE; Reg::NUM];
         for j in 0..self.len {
             let slot = self.window[j];
@@ -456,29 +469,57 @@ impl MopDetector {
             }
             self.deps[j] = deps;
             self.external[j] = external;
-            if precise {
-                let mut reach = deps;
-                let mut d = deps;
-                while d != 0 {
-                    reach |= self.reach[d.trailing_zeros() as usize];
-                    d &= d - 1;
-                }
-                self.reach[j] = reach;
-            }
             if let Some(d) = slot.dst {
                 last_writer[d.index()] = j as u8;
             }
         }
+        if self.config.cycle_detection == CycleDetection::Precise {
+            self.close_reach();
+        }
     }
 
-    /// Precise cycle check: grouping `i` with its consumer `j` deadlocks
-    /// when some `k` strictly between them descends from `i` and feeds
-    /// `j`.
+    /// Transitive ancestors of every position, where an accepted pair is
+    /// one node: a MOP issues only once the sources of all its members
+    /// are ready, so each member waits on what any member waits on, and
+    /// a consumer of one member waits on the whole MOP. Merged nodes can
+    /// point backwards in the window, so this iterates to a fixed point
+    /// (one pass, plus one to confirm, when nothing is paired).
+    fn close_reach(&mut self) {
+        for x in 0..self.len {
+            let (mut members, mut waits) = (self.group[x], 0);
+            while members != 0 {
+                waits |= self.deps[members.trailing_zeros() as usize];
+                members &= members - 1;
+            }
+            self.reach[x] = waits;
+        }
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for x in 0..self.len {
+                let mut reach = self.reach[x];
+                let mut d = reach;
+                while d != 0 {
+                    let k = d.trailing_zeros() as usize;
+                    d &= d - 1;
+                    reach |= self.reach[k] | self.group[k];
+                }
+                changed |= reach != self.reach[x];
+                self.reach[x] = reach;
+            }
+        }
+    }
+
+    /// Precise cycle check: grouping `i`'s MOP with that of its consumer
+    /// `j` deadlocks when some position `k` outside both descends from
+    /// `i`'s MOP and feeds `j`'s. (A path the other way round would run
+    /// `i → j → k → i`, a cycle the window never holds.) Without earlier
+    /// pairs, such a `k` lies strictly between `i` and `j`.
     fn closes_cycle(&self, i: usize, j: usize) -> bool {
-        let mut between = self.reach[j] & bits_from(i + 1);
-        while between != 0 {
-            let k = between.trailing_zeros() as usize;
-            between &= between - 1;
+        let mut outside = self.reach[j] & !(self.group[i] | self.group[j]);
+        while outside != 0 {
+            let k = outside.trailing_zeros() as usize;
+            outside &= outside - 1;
             if self.reach[k] & (1 << i) != 0 {
                 return true;
             }
@@ -504,6 +545,15 @@ impl MopDetector {
         });
         self.heads |= 1 << i;
         self.tails |= 1 << j;
+        if self.config.cycle_detection == CycleDetection::Precise {
+            let merged = self.group[i] | self.group[j];
+            let mut members = merged;
+            while members != 0 {
+                self.group[members.trailing_zeros() as usize] = merged;
+                members &= members - 1;
+            }
+            self.close_reach();
+        }
     }
 
     /// Check the merged source-tag count against the wakeup-array limit:
@@ -675,6 +725,41 @@ mod tests {
         let mut p = MopDetector::new(cfg, None, 4);
         assert!(p.step(&g, no_ptr, no_bl).is_empty());
         assert_eq!(p.stats().cycle_rejects, 1);
+    }
+
+    #[test]
+    fn precise_mode_sees_cycles_through_accepted_pairs() {
+        // Edges i0->i2, i1->i2, i1->i4, i3->i4, i0->i3. Step one pairs
+        // (i0, i2); step two proposes (i1, i4). No position strictly
+        // between i1 and i4 descends from i1, yet the MOP {i0, i2} waits
+        // on i1 (through i2) and feeds i4 (through i3): the pair would
+        // make {i1, i4} wait on {i0, i2} and {i0, i2} on {i1, i4}.
+        let g1 = vec![
+            di(0, StaticInst::addi(r(1), r(9), 1)),
+            di(1, StaticInst::addi(r(2), r(8), 1)),
+            di(2, StaticInst::add(r(3), r(1), r(2))),
+            di(3, StaticInst::addi(r(4), r(1), 1)),
+        ];
+        let g2 = vec![di(4, StaticInst::add(r(5), r(2), r(4)))];
+        let cfg = MopConfig {
+            cycle_detection: CycleDetection::Precise,
+            ..MopConfig::default()
+        };
+        let mut p = MopDetector::new(cfg, None, 4);
+        let first = p.step(&g1, no_ptr, no_bl).to_vec();
+        assert_eq!(first.len(), 1);
+        assert_eq!((first[0].head_sidx, first[0].pointer.tail_sidx), (0, 2));
+        let rejects = p.stats().cycle_rejects;
+        let second = p.step(&g2, no_ptr, no_bl).to_vec();
+        assert!(
+            second.iter().all(|q| q.head_sidx != 1),
+            "(i1, i4) closes a cycle through {{i0, i2}}: {second:?}"
+        );
+        assert_eq!(p.stats().cycle_rejects, rejects + 1);
+        // i3 may still head i4: {i3, i4} waits on i0 and i1, nothing
+        // waits on it.
+        assert_eq!(second.len(), 1);
+        assert_eq!((second[0].head_sidx, second[0].pointer.tail_sidx), (3, 4));
     }
 
     #[test]

@@ -320,17 +320,18 @@ fn detect_oracle_rejects_fabricated_violations() {
 
 /// A straightforward transcription of the detection matrix that rebuilds
 /// everything each step: the window is a `Vec` of owned slots, the
-/// dependence matrix, reachability and independent-MOP origins are
-/// rebuilt from scratch, every column asks `has_pointer` afresh, and all
-/// proposals are collected before the priority decoder resolves them.
-/// [`MopDetector`] must agree with it pair for pair and counter for
-/// counter.
+/// dependence matrix and independent-MOP origins are rebuilt from
+/// scratch, every column asks `has_pointer` afresh, and the precise cycle
+/// check searches the whole graph of MOPs for a cycle. [`MopDetector`]
+/// must agree with it pair for pair and counter for counter.
 struct ReferenceDetector {
     config: MopConfig,
     max_srcs: Option<usize>,
     group_width: usize,
-    /// `(instruction, head, tail)` in stream order.
-    window: Vec<(DetectInst, bool, bool)>,
+    /// `(instruction, head, tail, MOP label)` in stream order; the members
+    /// of one MOP share a label, a lone instruction has one of its own.
+    window: Vec<(DetectInst, bool, bool, u64)>,
+    next_label: u64,
     stats: DetectStats,
 }
 
@@ -345,8 +346,65 @@ impl ReferenceDetector {
             max_srcs,
             group_width,
             window: Vec::new(),
+            next_label: 0,
             stats: DetectStats::default(),
         }
+    }
+
+    /// Put `j`'s MOP into `i`'s.
+    fn merge(&mut self, i: usize, j: usize) {
+        let (keep, gone) = (self.window[i].3, self.window[j].3);
+        for w in &mut self.window {
+            if w.3 == gone {
+                w.3 = keep;
+            }
+        }
+    }
+
+    /// Would merging the MOPs of `i` and `j` leave a cycle among MOPs?
+    /// Nodes are MOP labels; `a` feeding `b` is an edge between their
+    /// MOPs. Kahn's algorithm: a cycle keeps some node from ever losing
+    /// all its in-edges.
+    fn merge_closes_cycle(&self, deps: &[u64], i: usize, j: usize) -> bool {
+        let n = self.window.len();
+        let (keep, gone) = (self.window[i].3, self.window[j].3);
+        let node = |p: usize| match self.window[p].3 {
+            l if l == gone => keep,
+            l => l,
+        };
+        let mut nodes: Vec<u64> = (0..n).map(node).collect();
+        nodes.sort_unstable();
+        nodes.dedup();
+        let mut edges = Vec::new();
+        for (b, &feeders) in deps.iter().enumerate() {
+            for a in 0..n {
+                if feeders & (1 << a) != 0 && node(a) != node(b) {
+                    edges.push((node(a), node(b)));
+                }
+            }
+        }
+        let mut indegree: Vec<usize> = nodes
+            .iter()
+            .map(|&v| edges.iter().filter(|e| e.1 == v).count())
+            .collect();
+        let mut ready: Vec<u64> = nodes
+            .iter()
+            .zip(&indegree)
+            .filter(|(_, &d)| d == 0)
+            .map(|(&v, _)| v)
+            .collect();
+        let mut removed = 0;
+        while let Some(v) = ready.pop() {
+            removed += 1;
+            for &(_, to) in edges.iter().filter(|e| e.0 == v) {
+                let k = nodes.binary_search(&to).expect("edge ends are nodes");
+                indegree[k] -= 1;
+                if indegree[k] == 0 {
+                    ready.push(to);
+                }
+            }
+        }
+        removed < nodes.len()
     }
 
     #[allow(clippy::needless_range_loop)] // positions index several tables
@@ -362,7 +420,8 @@ impl ReferenceDetector {
         }
         let cur_start = self.window.len();
         for inst in group.iter().take(self.group_width) {
-            self.window.push((*inst, false, false));
+            self.window.push((*inst, false, false, self.next_label));
+            self.next_label += 1;
         }
         let n = self.window.len();
 
@@ -379,19 +438,17 @@ impl ReferenceDetector {
             }
         }
         let feeds = |i: usize, j: usize| deps[j] & (1 << i) != 0;
-        let mut reach = vec![0u64; n];
-        for j in 0..n {
-            for i in 0..j {
-                if feeds(i, j) {
-                    reach[j] |= reach[i] | (1 << i);
-                }
-            }
-        }
 
+        // Columns propose against the membership the window had before
+        // this step. Each proposal is resolved before the next column
+        // proposes, so the precise cycle check sees the MOPs accepted
+        // earlier in the step.
+        let before: Vec<(bool, bool)> = self.window.iter().map(|w| (w.1, w.2)).collect();
         let mut out = Vec::new();
-        let mut proposals = Vec::new();
+        let mut row_taken = vec![false; n];
         for i in 0..n {
-            let (col, col_head, col_tail) = self.window[i];
+            let col = self.window[i].0;
+            let (col_head, col_tail) = before[i];
             if col_head || !col.is_valuegen || has_pointer(col.sidx) {
                 continue;
             }
@@ -400,14 +457,16 @@ impl ReferenceDetector {
             }
             let row_begin = (i + 1).max(if i < cur_start { cur_start } else { i + 1 });
             let mut mark_seen = (i + 1..row_begin).any(|j| feeds(i, j));
+            let mut proposal = None;
             for j in row_begin..n {
                 if !feeds(i, j) {
                     continue;
                 }
                 let first_mark = !mark_seen;
                 mark_seen = true;
-                let (row, row_head, row_tail) = &self.window[j];
-                if *row_head || *row_tail || !row.is_candidate {
+                let row = &self.window[j].0;
+                let (row_head, row_tail) = before[j];
+                if row_head || row_tail || !row.is_candidate {
                     continue;
                 }
                 if blacklisted(col.sidx, row.sidx) {
@@ -415,9 +474,7 @@ impl ReferenceDetector {
                 }
                 let cycle_ok = match self.config.cycle_detection {
                     CycleDetection::Heuristic => reference_srcs(row).len() <= 1 || first_mark,
-                    CycleDetection::Precise => {
-                        !((i + 1..j).any(|k| reach[k] & (1 << i) != 0 && reach[j] & (1 << k) != 0))
-                    }
+                    CycleDetection::Precise => !self.merge_closes_cycle(&deps, i, j),
                 };
                 if !cycle_ok {
                     self.stats.cycle_rejects += 1;
@@ -431,12 +488,12 @@ impl ReferenceDetector {
                     self.stats.flow_rejects += 1;
                     continue;
                 }
-                proposals.push((i, j));
+                proposal = Some(j);
                 break;
             }
-        }
-        let mut row_taken = vec![false; n];
-        for (i, j) in proposals {
+            let Some(j) = proposal else {
+                continue;
+            };
             if row_taken[j] {
                 continue;
             }
@@ -446,6 +503,7 @@ impl ReferenceDetector {
             row_taken[j] = true;
             self.window[i].1 = true;
             self.window[j].2 = true;
+            self.merge(i, j);
             let control = self.flow_between(i, j).expect("checked above");
             let (head, tail) = (&self.window[i].0, &self.window[j].0);
             out.push(DetectedPair {
@@ -478,13 +536,13 @@ impl ReferenceDetector {
                 }
             }
             for i in 0..n {
-                let (c, c_head, c_tail) = self.window[i];
+                let (c, c_head, c_tail, _) = self.window[i];
                 if c_head || c_tail || !c.is_candidate || has_pointer(c.sidx) {
                     continue;
                 }
                 let row_begin = (i + 1).max(if i < cur_start { cur_start } else { i + 1 });
                 for j in row_begin..n {
-                    let (r, r_head, r_tail) = self.window[j];
+                    let (r, r_head, r_tail, _) = self.window[j];
                     if r_head || r_tail || !r.is_candidate {
                         continue;
                     }
@@ -503,6 +561,7 @@ impl ReferenceDetector {
                     self.stats.independent_pairs += 1;
                     self.window[i].1 = true;
                     self.window[j].2 = true;
+                    self.merge(i, j);
                     break;
                 }
             }
@@ -530,7 +589,7 @@ impl ReferenceDetector {
             return None;
         }
         let mut taken_direct = 0;
-        for (inst, _, _) in &self.window[i..j] {
+        for (inst, ..) in &self.window[i..j] {
             match inst.ctrl_out {
                 CtrlOut::FallThrough => {}
                 CtrlOut::TakenDirect => taken_direct += 1,

@@ -1,9 +1,9 @@
-//! The differential oracle: run an RV32 program through the timing
-//! pipeline and through the architectural interpreter, then assert that
-//! (a) the pipeline committed exactly the interpreter's uop expansion, in
-//! order, and (b) replaying the pipeline's committed instructions
-//! functionally reproduces the interpreter's final register file and
-//! memory image.
+//! The differential oracle: run an RV32 program through the architectural
+//! interpreter once, feed the timing pipeline the interpreter's recorded
+//! steps, then assert that (a) the pipeline committed exactly the
+//! interpreter's uop expansion, in order, and (b) replaying the
+//! pipeline's committed instructions functionally reproduces the
+//! interpreter's final register file and memory image.
 //!
 //! The timing simulator is trace-driven — it never computes values — so
 //! check (a) pins the committed *sequence* (no lost, duplicated, or
@@ -12,14 +12,15 @@
 //! the oracle used and comparing final state.
 
 use std::fmt;
+use std::iter::Copied;
+use std::slice;
 use std::sync::Arc;
 
-use mos_isa::InstClass;
 use mos_sim::{CpiStack, MachineConfig, SharedCommitLog, SimStats, Simulator};
 
 use crate::inst::RvProgram;
-use crate::interp::{execute, RvInterp, RvState};
-use crate::lower::{lower, LowerError};
+use crate::interp::{execute, RvInterp, RvState, RvStep};
+use crate::lower::{lower, LowerError, Lowered};
 use crate::trace::RvTraceSource;
 
 /// A passed differential run's summary numbers.
@@ -110,33 +111,15 @@ pub fn run_differential(
 ) -> Result<DiffReport, DiffError> {
     let lowered = Arc::new(lower(rv)?);
 
-    // 1. Functional oracle: retire the whole program, keep every step.
-    let mut oracle = RvInterp::new(rv);
-    let steps = oracle.run_collect(max_steps);
-    if !oracle.stopped_cleanly() {
-        return Err(DiffError::DidNotHalt {
-            faulted: oracle.faulted(),
-            retired: oracle.retired(),
-        });
-    }
+    // 1. Functional oracle, the only interpretation of the program:
+    //    retire it whole and keep every step.
+    let (oracle, steps) = oracle_steps(rv, max_steps)?;
 
-    // 2. Its expected committed-uop expansion: every bundle uop except
-    //    nops, which the pipeline's decoder filters (halts never retire —
-    //    the interpreter stops before emitting them).
-    let mut expected: Vec<u32> = Vec::new();
-    for s in &steps {
-        for sidx in lowered.bundle(s.idx) {
-            let class = lowered.program.inst(sidx).expect("bundle in range").class();
-            if !matches!(class, InstClass::Nop | InstClass::Halt) {
-                expected.push(sidx);
-            }
-        }
-    }
-
-    // 3. Timing pipeline over the same program, commit log attached.
-    let trace = RvTraceSource::with_lowered(Arc::clone(&lowered), RvInterp::new(rv));
+    // 2. Timing pipeline over the oracle's recorded steps, expanded into
+    //    uops exactly as a live `RvTraceSource` expands them; commit log
+    //    attached.
     let issue_width = cfg.sched.issue_width as u64;
-    let mut sim = Simulator::new(cfg, trace);
+    let mut sim = Simulator::new(cfg, replayed(&lowered, &steps));
     // Slot accounting is observation-only (never changes simulated
     // cycles), so turning it on here keeps the differential untouched
     // while giving every report a sched_loop share.
@@ -146,38 +129,39 @@ pub fn run_differential(
     let stats = sim.run(u64::MAX);
     let got = log.take();
 
-    // 4. Committed sequence must equal the expansion exactly.
-    if expected != got {
-        let at = expected
-            .iter()
-            .zip(&got)
-            .position(|(e, g)| e != g)
-            .unwrap_or_else(|| expected.len().min(got.len()));
-        return Err(DiffError::TraceMismatch {
-            at,
-            expected: expected.get(at).copied(),
-            got: got.get(at).copied(),
-        });
+    // 3. The committed sequence must equal the oracle's expansion exactly:
+    //    every bundle uop except nops, which the pipeline's decoder
+    //    filters, and halts, which never retire (the interpreter stops
+    //    before emitting them).
+    let mut expected = steps
+        .iter()
+        .flat_map(|s| lowered.bundle(s.idx))
+        .filter(|&u| lowered.commits(u));
+    for at in 0.. {
+        let (e, g) = (expected.next(), got.get(at).copied());
+        if e != g {
+            return Err(DiffError::TraceMismatch {
+                at,
+                expected: e,
+                got: g,
+            });
+        }
+        if e.is_none() {
+            break;
+        }
     }
 
-    // 5. Replay the *pipeline's* committed uops as RV instructions
+    // 4. Replay the *pipeline's* committed uops as RV instructions
     //    through fresh architectural state and compare against the
-    //    oracle's final state.
+    //    oracle's final state. A bundle retires its RV instruction once:
+    //    on its retiring uop.
     let mut replay = RvState::new();
     for &(addr, byte) in &rv.data {
         replay.store8(addr, byte);
     }
     for &sidx in &got {
         let idx = lowered.rv_of(sidx);
-        // A bundle retires its RV instruction once: on its last
-        // committed uop.
-        let last_committed = lowered.bundle(idx).rev().find(|&u| {
-            !matches!(
-                lowered.program.inst(u).expect("in range").class(),
-                InstClass::Nop | InstClass::Halt
-            )
-        });
-        if last_committed == Some(sidx) {
+        if lowered.retiring(idx) == Some(sidx) {
             execute(&mut replay, &rv.insts[idx as usize], rv.pc_of(idx));
         }
     }
@@ -194,6 +178,31 @@ pub fn run_differential(
         sched_loop_share: stack.share(mos_core::SlotCause::SchedLoop),
         stats,
     })
+}
+
+/// Run the functional oracle over `rv` for at most `max_steps` steps; the
+/// finished interpreter and its steps, or [`DiffError::DidNotHalt`].
+fn oracle_steps(
+    rv: &RvProgram,
+    max_steps: usize,
+) -> Result<(RvInterp<'_>, Vec<RvStep>), DiffError> {
+    let mut oracle = RvInterp::new(rv);
+    let steps = oracle.run_collect(max_steps);
+    if !oracle.stopped_cleanly() {
+        return Err(DiffError::DidNotHalt {
+            faulted: oracle.faulted(),
+            retired: oracle.retired(),
+        });
+    }
+    Ok((oracle, steps))
+}
+
+/// The pipeline's input: the oracle's recorded steps as a trace source.
+fn replayed<'s>(
+    lowered: &Arc<Lowered>,
+    steps: &'s [RvStep],
+) -> RvTraceSource<Copied<slice::Iter<'s, RvStep>>> {
+    RvTraceSource::with_lowered(Arc::clone(lowered), steps.iter().copied())
 }
 
 fn compare_states(replay: &RvState, oracle: &RvState) -> Result<(), DiffError> {
@@ -225,6 +234,8 @@ fn compare_states(replay: &RvState, oracle: &RvState) -> Result<(), DiffError> {
 mod tests {
     use super::*;
     use crate::asm::assemble;
+    use crate::suite;
+    use mos_isa::DynInst;
     use mos_sim::{config_for, SCHED_KINDS};
 
     const SUM: &str = "_start:\nli t0, 50\nli a0, 0\nloop:\nadd a0, a0, t0\naddi t0, t0, -1\nbnez t0, loop\nebreak";
@@ -239,6 +250,22 @@ mod tests {
             assert_eq!(rep.rv_retired, 152, "{sched}");
             assert_eq!(rep.uops_committed, 152, "{sched}");
             assert!(rep.cycles > 0 && rep.ipc > 0.0, "{sched}");
+        }
+    }
+
+    #[test]
+    fn the_pipeline_sees_the_live_interpreters_stream() {
+        // run_differential feeds the simulator the oracle's recorded
+        // steps; their expansion must be the stream a live source makes.
+        for p in suite::PROGRAMS.iter().chain(&suite::KERNELS) {
+            let rv = p.assemble();
+            let lowered = Arc::new(lower(&rv).unwrap());
+            let (_, steps) = oracle_steps(&rv, 1_000_000).unwrap();
+            let fields = |d: DynInst| (d.sidx, d.next_sidx, d.taken, d.eff_addr);
+            let replay: Vec<_> = replayed(&lowered, &steps).map(fields).collect();
+            let live: Vec<_> = RvTraceSource::new(&rv).unwrap().map(fields).collect();
+            assert!(!live.is_empty(), "{}", p.name);
+            assert_eq!(replay, live, "{}", p.name);
         }
     }
 

@@ -18,7 +18,7 @@
 
 use std::fmt;
 
-use mos_isa::{Opcode, Program, Reg, StaticInst};
+use mos_isa::{InstClass, Opcode, Program, Reg, StaticInst};
 
 use crate::inst::{RvInst, RvOp, RvProgram};
 
@@ -79,6 +79,8 @@ pub struct Lowered {
     start: Vec<u32>,
     /// Uop index → RV instruction index.
     rv_of: Vec<u32>,
+    /// RV instruction index → its retiring uop (see [`Lowered::retiring`]).
+    retiring: Vec<Option<u32>>,
 }
 
 impl Lowered {
@@ -101,6 +103,20 @@ impl Lowered {
     /// Total number of uops.
     pub fn uops(&self) -> usize {
         self.rv_of.len()
+    }
+
+    /// The uop on whose commit RV instruction `idx` retires: the last of
+    /// its bundle that the pipeline commits, i.e. neither a nop (the
+    /// decoder filters those) nor a halt (never emitted). `None` for a
+    /// bundle of only such uops.
+    pub fn retiring(&self, idx: u32) -> Option<u32> {
+        self.retiring[idx as usize]
+    }
+
+    /// `true` when the pipeline commits uop `sidx` (neither nop nor halt).
+    pub fn commits(&self, sidx: u32) -> bool {
+        let class = self.program.inst(sidx).expect("uop in range").class();
+        !matches!(class, InstClass::Nop | InstClass::Halt)
     }
 }
 
@@ -245,18 +261,22 @@ pub fn lower(rv: &RvProgram) -> Result<Lowered, LowerError> {
     program
         .validate()
         .expect("lowered program structurally valid");
-    Ok(Lowered {
+    let mut low = Lowered {
         program,
         start,
         rv_of,
-    })
+        retiring: Vec::new(),
+    };
+    low.retiring = (0..rv.len() as u32)
+        .map(|idx| low.bundle(idx).rev().find(|&u| low.commits(u)))
+        .collect();
+    Ok(low)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::asm::assemble;
-    use mos_isa::InstClass;
 
     #[test]
     fn register_map_is_injective_and_role_preserving() {
@@ -302,6 +322,23 @@ mod tests {
         assert_eq!(li.opcode(), Opcode::Li);
         assert_eq!(li.imm(), i64::from(RvProgram::BASE_PC) + 4);
         assert_eq!(low.program.inst(1).unwrap().target(), Some(2));
+    }
+
+    #[test]
+    fn retiring_uop_is_the_last_committed_of_each_bundle() {
+        let rv = assemble(
+            "t",
+            "_start:\njal t0, next\nnext:\nfence\naddi a0, a0, 1\nebreak",
+        )
+        .unwrap();
+        let low = lower(&rv).unwrap();
+        // jal t0 -> li + jmp retires on the jmp; fence (a nop) and ebreak
+        // (a halt) never commit, so they have no retiring uop.
+        assert_eq!(low.retiring(0), Some(1));
+        assert_eq!(low.retiring(1), None);
+        assert_eq!(low.retiring(2), Some(3));
+        assert_eq!(low.retiring(3), None);
+        assert!(low.commits(0) && !low.commits(2) && !low.commits(4));
     }
 
     #[test]

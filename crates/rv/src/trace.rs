@@ -1,10 +1,12 @@
-//! Adapter from the RV32 interpreter to the simulator's committed-path
-//! uop stream: an [`RvTraceSource`] walks the functional oracle and
-//! expands each retired RV instruction into its lowered uop bundle,
-//! chaining `next_sidx` through the bundle and across instructions so the
-//! timing simulator's sequential-fetch invariant holds.
+//! Adapter from RV32 retired steps to the simulator's committed-path uop
+//! stream: an [`RvTraceSource`] expands each retired RV instruction into
+//! its lowered uop bundle, chaining `next_sidx` through the bundle and
+//! across instructions so the timing simulator's sequential-fetch
+//! invariant holds. The steps come from a live interpreter
+//! ([`RvTraceSource::new`]) or from any recorded sequence
+//! ([`RvTraceSource::with_lowered`]; the differential harness replays the
+//! oracle's own steps this way), through the same expansion.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use mos_isa::{DynInst, Program, TraceSource};
@@ -13,17 +15,21 @@ use crate::inst::RvProgram;
 use crate::interp::{RvInterp, RvStep};
 use crate::lower::{lower, LowerError, Lowered};
 
-/// A [`TraceSource`] over an RV32 program: the lowered uop program plus a
-/// committed-path uop stream produced by the architectural interpreter.
+/// A [`TraceSource`] over an RV32 program: the lowered uop program plus
+/// the committed-path uop stream of a sequence of retired RV steps, by
+/// default those of the architectural interpreter.
 #[derive(Debug, Clone)]
-pub struct RvTraceSource {
+pub struct RvTraceSource<S = RvInterp<'static>> {
     lowered: Arc<Lowered>,
-    interp: RvInterp,
-    pending: VecDeque<DynInst>,
+    steps: S,
+    /// The step being expanded; its uops `next..end` are still to come.
+    step: RvStep,
+    next: u32,
+    end: u32,
 }
 
 impl RvTraceSource {
-    /// Lower `rv` and build the stream.
+    /// Lower `rv` and stream it through an interpreter of its own.
     ///
     /// # Errors
     ///
@@ -32,18 +38,32 @@ impl RvTraceSource {
     pub fn new(rv: &RvProgram) -> Result<RvTraceSource, LowerError> {
         Ok(RvTraceSource::with_lowered(
             Arc::new(lower(rv)?),
-            RvInterp::new(rv),
+            RvInterp::owning(rv.clone()),
         ))
     }
 
-    /// Build from an already-lowered program and a fresh interpreter over
-    /// the same RV program (lets callers share one [`Lowered`] across
-    /// scheduler configurations).
-    pub fn with_lowered(lowered: Arc<Lowered>, interp: RvInterp) -> RvTraceSource {
+    /// The driving interpreter (its state is final once the stream ends).
+    pub fn interp(&self) -> &RvInterp<'static> {
+        &self.steps
+    }
+}
+
+impl<S: Iterator<Item = RvStep>> RvTraceSource<S> {
+    /// Stream `steps`, retired instructions of the RV program `lowered`
+    /// was lowered from (lets callers share one [`Lowered`] across
+    /// scheduler configurations, or replay steps already recorded).
+    pub fn with_lowered(lowered: Arc<Lowered>, steps: S) -> RvTraceSource<S> {
         RvTraceSource {
             lowered,
-            interp,
-            pending: VecDeque::new(),
+            steps,
+            step: RvStep {
+                idx: 0,
+                next_idx: 0,
+                taken: false,
+                eff_addr: None,
+            },
+            next: 0,
+            end: 0,
         }
     }
 
@@ -52,52 +72,54 @@ impl RvTraceSource {
         &self.lowered
     }
 
-    /// The driving interpreter (its state is final once the stream ends).
-    pub fn interp(&self) -> &RvInterp {
-        &self.interp
-    }
-
-    /// Expand one retired RV instruction into its uop bundle. Intra-bundle
-    /// uops fall through to the next uop; the last uop carries the
-    /// instruction's control outcome.
-    fn expand(&mut self, step: RvStep) {
+    /// Take the next step and aim the cursor at its bundle; `false` once
+    /// the steps run out. Out of line, so that with an interpreter behind
+    /// it the per-uop path of `next` stays small.
+    #[inline(never)]
+    fn advance(&mut self) -> bool {
+        let Some(step) = self.steps.next() else {
+            return false;
+        };
         let bundle = self.lowered.bundle(step.idx);
-        let last = bundle.end - 1;
-        let next = self.lowered.start_of(step.next_idx);
-        for sidx in bundle {
-            let is_last = sidx == last;
-            let inst = self
-                .lowered
-                .program
-                .inst(sidx)
-                .expect("bundle uop in range");
-            self.pending.push_back(DynInst {
-                sidx,
-                next_sidx: if is_last { next } else { sidx + 1 },
-                taken: is_last && step.taken,
-                eff_addr: if inst.class().is_mem() {
-                    step.eff_addr.map(u64::from)
-                } else {
-                    None
-                },
-            });
-        }
+        (self.step, self.next, self.end) = (step, bundle.start, bundle.end);
+        true
     }
 }
 
-impl Iterator for RvTraceSource {
+/// Each retired RV instruction becomes its uop bundle. Intra-bundle uops
+/// fall through to the next uop; the last uop carries the instruction's
+/// control outcome, and memory uops its effective address.
+impl<S: Iterator<Item = RvStep>> Iterator for RvTraceSource<S> {
     type Item = DynInst;
 
     fn next(&mut self) -> Option<DynInst> {
-        if self.pending.is_empty() {
-            let step = self.interp.step()?;
-            self.expand(step);
+        if self.next == self.end && !self.advance() {
+            return None;
         }
-        self.pending.pop_front()
+        let sidx = self.next;
+        self.next += 1;
+        let is_last = self.next == self.end;
+        let is_mem = |sidx| {
+            let inst = self.lowered.program.inst(sidx);
+            inst.expect("bundle uop in range").class().is_mem()
+        };
+        Some(DynInst {
+            sidx,
+            next_sidx: if is_last {
+                self.lowered.start_of(self.step.next_idx)
+            } else {
+                self.next
+            },
+            taken: is_last && self.step.taken,
+            eff_addr: match self.step.eff_addr {
+                Some(addr) if is_mem(sidx) => Some(u64::from(addr)),
+                _ => None,
+            },
+        })
     }
 }
 
-impl TraceSource for RvTraceSource {
+impl<S: Iterator<Item = RvStep>> TraceSource for RvTraceSource<S> {
     fn program(&self) -> &Program {
         &self.lowered.program
     }

@@ -188,6 +188,15 @@ struct Checkpoint {
     table: TableCheckpoint,
 }
 
+/// Execute-to-complete latency of any uop but a load: stores and branches
+/// complete a cycle after execute, everything else after its latency.
+fn fixed_latency(class: InstClass) -> u64 {
+    match class {
+        InstClass::Store | InstClass::CondBranch | InstClass::IndirectJump | InstClass::Return => 1,
+        _ => u64::from(class.exec_latency()),
+    }
+}
+
 /// Branches resolved at execute that can redirect fetch, and so carry a
 /// [`Checkpoint`]; direct jumps and calls are always predicted correctly.
 fn can_squash(class: InstClass) -> bool {
@@ -199,7 +208,9 @@ fn can_squash(class: InstClass) -> bool {
 
 #[derive(Debug, Clone)]
 enum Ev {
-    /// A uop reaches the execute stage (`gen` guards against replays).
+    /// A load, or a correct-path branch that can squash, reaches the
+    /// execute stage (`gen` guards against replays); other uops complete
+    /// at issue.
     Exec { id: UopId, gen: u32 },
     /// A load's DL1 outcome is known.
     LoadResolve {
@@ -259,6 +270,10 @@ pub struct Simulator<T: TraceSource> {
     /// In-flight store addresses (8-byte aligned) with refcounts, for
     /// store-to-load forwarding. Bounded by ROB stores; linear scan.
     store_inflight: Vec<(u64, u32)>,
+    /// The latest cycle at which an issued uop that needs no execute
+    /// event reaches execute: the pending-heads stall waits it out, as it
+    /// waits out pending events.
+    exec_horizon: u64,
 
     now: u64,
     last_commit_cycle: u64,
@@ -347,6 +362,7 @@ impl<T: TraceSource> Simulator<T> {
             now: 0,
             last_commit_cycle: 0,
             skipped_cycles: 0,
+            exec_horizon: 0,
             stats: SimStats::default(),
             obs: Observers::default(),
             metrics: None,
@@ -719,6 +735,9 @@ impl<T: TraceSource> Simulator<T> {
                 let n = g.insts.len();
                 if self.group_fits(n) || self.stalled_on_pending_heads() {
                     return;
+                }
+                if !self.entry_map.is_empty() && self.exec_horizon > now {
+                    next = next.min(self.exec_horizon);
                 }
                 true
             }
@@ -1099,6 +1118,7 @@ impl<T: TraceSource> Simulator<T> {
         !self.entry_map.is_empty()
             && self.queue.next_active() == u64::MAX
             && self.rob.head().is_none_or(|h| h.complete_at.is_none())
+            && self.exec_horizon <= self.now
             && self.events.iter().all(Vec::is_empty)
     }
 
@@ -1190,6 +1210,15 @@ impl<T: TraceSource> Simulator<T> {
                 }
             }
             let exec_at = iss.issue_cycle + u64::from(self.cfg.exec_offset) + k as u64;
+            // Only loads (the cache access and its resolution) and
+            // correct-path branches that can squash (their resolution) act
+            // at execute; any other uop's completion is known now.
+            let acts_at_exec = entry.class == InstClass::Load
+                || (can_squash(entry.class) && entry.dyn_.is_some() && !entry.branch_resolved);
+            if !acts_at_exec {
+                entry.complete_at = Some(exec_at + fixed_latency(entry.class));
+                self.exec_horizon = self.exec_horizon.max(exec_at);
+            }
             if self.obs.wants(EventKinds::ISSUE) {
                 self.obs.emit(TraceEvent::Issue {
                     cycle: iss.issue_cycle,
@@ -1199,7 +1228,9 @@ impl<T: TraceSource> Simulator<T> {
                     mop: is_mop,
                 });
             }
-            self.schedule(exec_at, Ev::Exec { id: uop.id, gen });
+            if acts_at_exec {
+                self.schedule(exec_at, Ev::Exec { id: uop.id, gen });
+            }
         }
     }
 
@@ -1336,11 +1367,7 @@ impl<T: TraceSource> Simulator<T> {
                 );
                 now + u64::from(latency)
             }
-            InstClass::Store
-            | InstClass::CondBranch
-            | InstClass::IndirectJump
-            | InstClass::Return => now + 1,
-            _ => now + u64::from(class.exec_latency()),
+            _ => now + fixed_latency(class),
         };
         let e = self.rob.get_mut(id).expect("checked above");
         e.complete_at = Some(complete_at);
@@ -1811,5 +1838,18 @@ mod tests {
             s.cycles
         );
         assert_eq!(s.queue.cycles, s.cycles, "the queue saw every cycle");
+    }
+
+    #[test]
+    fn precise_detection_runs_crafty_to_completion() {
+        // Precise detection once paired (i1, i4) around the MOP {i0, i2}
+        // here, which waits on i1 and feeds i4 through i3: a cycle of two
+        // MOPs that deadlocked after about 600 commits.
+        let program = spec2000::by_name("crafty").unwrap().build(42);
+        let mut cfg = MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 1);
+        cfg.sched.mop.cycle_detection = mos_core::CycleDetection::Precise;
+        let s = Simulator::new(cfg, program.walk(42)).run(30_000);
+        assert!(s.committed >= 30_000, "{} commits", s.committed);
+        assert!(s.detect.dependent_pairs > 0);
     }
 }

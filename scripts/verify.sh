@@ -7,7 +7,11 @@
 #      (debug builds compile that test to nothing: their oracle allocates)
 #      and the release-only commit-only subscription check (a run whose
 #      only observer is a commit log constructs no other event; debug
-#      builds never reach it, their oracle reads every kind), and the
+#      builds never reach it, their oracle reads every kind), the
+#      release-only precise-detection check (every SPEC model finishes
+#      30k commits under precise cycle detection at two walk seeds, both
+#      queue sizes and both wakeup styles; the debug suite runs crafty
+#      alone, the full matrix is too slow there), and the
 #      release observer-timing check (every observer leaves simulated
 #      results unchanged; debug runs already carry the oracle and slot
 #      accounting, so only release compares against a truly plain run),
@@ -62,6 +66,9 @@ cargo test -q --release -p mos-sim --test alloc_budget
 
 echo "== commit-only event subscription (release) =="
 cargo test -q --release -p mos-rv --test commit_only
+
+echo "== precise cycle detection never deadlocks (release, every SPEC model) =="
+cargo test -q --release -p mos-sim --test precise_detection
 
 echo "== observers keep simulated timing (release, truly plain baseline) =="
 cargo test -q --release --test observers_keep_timing
