@@ -20,7 +20,7 @@
 //! The table supports checkpoints so the pipeline can roll wrong-path
 //! renames back on a branch squash.
 
-use mos_isa::{InstClass, Reg, SmallList};
+use mos_isa::{FixedList, InstClass, Reg};
 
 use crate::pointer::MopPointer;
 use crate::uop::{GroupRole, SchedUop, Tag, UopId};
@@ -37,8 +37,8 @@ pub struct RenamedInst {
     /// Logical destination register (zero register writes excluded).
     pub dst: Option<Reg>,
     /// Logical source registers (zero register excluded); an instruction
-    /// names at most two, so the list stays inline.
-    pub srcs: SmallList<Reg, 2>,
+    /// names at most two.
+    pub srcs: FixedList<Reg, 2>,
     /// Control leaves this instruction taken (as fetched/predicted).
     pub taken: bool,
     /// Taken control transfer is indirect (pointers may not span it).
@@ -175,16 +175,16 @@ impl Former {
         t
     }
 
-    fn translate_srcs(&self, srcs: &[Reg]) -> SmallList<Tag, 2> {
-        let mut out = SmallList::new();
-        for r in srcs {
-            if let Some(t) = self.table[r.index()] {
-                if !out.contains(&t) {
-                    out.push(t);
-                }
-            }
+    /// The MOP tags `srcs` read, each once; registers with no in-flight
+    /// producer are omitted.
+    fn translate_srcs(&self, srcs: &[Reg]) -> FixedList<Tag, 2> {
+        let tag = |k: usize| srcs.get(k).and_then(|r| self.table[r.index()]);
+        let (a, b) = (tag(0), tag(1));
+        match (a, b.filter(|&b| Some(b) != a)) {
+            (Some(a), Some(b)) => FixedList::from_prefix([a, b], 2),
+            (Some(t), None) | (None, Some(t)) => FixedList::from_prefix([t, t], 1),
+            (None, None) => FixedList::new(),
         }
-        out
     }
 
     /// The uop for `inst`, whose sources translate to `srcs`; records its
@@ -192,7 +192,7 @@ impl Former {
     fn make_uop(
         &mut self,
         inst: &RenamedInst,
-        srcs: SmallList<Tag, 2>,
+        srcs: FixedList<Tag, 2>,
         dst: Option<Tag>,
         role: GroupRole,
     ) -> SchedUop {
@@ -202,10 +202,8 @@ impl Former {
         SchedUop {
             id: inst.id,
             class: inst.class,
-            fu: inst.class.fu(),
             dst,
             srcs,
-            sched_latency: inst.class.exec_latency(),
             is_load: inst.class == InstClass::Load,
             sidx: inst.sidx,
             role,
@@ -221,16 +219,18 @@ impl Former {
 
     /// Feed one renamed instruction of the current group, returning its
     /// steering decisions. Allocates the result; the simulator uses
-    /// [`Former::feed_into`] with a reusable buffer instead.
+    /// [`Former::feed_with`] instead.
     pub fn feed(&mut self, inst: &RenamedInst) -> Vec<FormedItem> {
         let mut items = Vec::with_capacity(2);
-        self.feed_into(inst, &mut items);
+        self.feed_with(inst, |item| items.push(item));
         items
     }
 
-    /// [`Former::feed`] without allocating: appends the steering decisions
-    /// to `items`.
-    pub fn feed_into(&mut self, inst: &RenamedInst, items: &mut Vec<FormedItem>) {
+    /// [`Former::feed`] without allocating: hands each steering decision
+    /// to `emit` as it is made, in order, so the caller can apply it at
+    /// once or append it to a buffer it reuses.
+    #[inline]
+    pub fn feed_with(&mut self, inst: &RenamedInst, mut emit: impl FnMut(FormedItem)) {
         let step_no = self.step_no;
         {
             let pos = self.pos;
@@ -267,7 +267,7 @@ impl Former {
                     && chain_safe;
                 if !matches {
                     self.pending.remove(k);
-                    items.push(FormedItem::Cancel { pair_id: p.pair_id });
+                    emit(FormedItem::Cancel { pair_id: p.pair_id });
                     self.stats.cancelled += 1;
                     continue; // same k now holds the next pending
                 }
@@ -278,7 +278,7 @@ impl Former {
                 } else {
                     GroupRole::MopNonValueGen
                 };
-                let tail = self.make_uop(inst, srcs.clone(), Some(p.mop_tag), role);
+                let tail = self.make_uop(inst, srcs, Some(p.mop_tag), role);
                 // Chain a further link (>2-wide MOPs) when the tail has
                 // its own pointer and the size limit allows.
                 let chain = if p.size + 1 < self.max_mop_size {
@@ -304,7 +304,7 @@ impl Former {
                     self.pending.remove(k);
                 }
                 self.stats.fused_pairs += 1;
-                items.push(FormedItem::TailFuse {
+                emit(FormedItem::TailFuse {
                     tail,
                     pair_id: p.pair_id,
                     chain_more,
@@ -345,7 +345,7 @@ impl Former {
                     size: 1,
                     born_step: step_no,
                 });
-                items.push(FormedItem::HeadPending { head, pair_id });
+                emit(FormedItem::HeadPending { head, pair_id });
                 self.account_taken(inst, pos);
                 return;
             }
@@ -362,7 +362,7 @@ impl Former {
                 GroupRole::NotCandidate
             };
             let uop = self.make_uop(inst, srcs, dst, role);
-            items.push(FormedItem::Single(uop));
+            emit(FormedItem::Single(uop));
             self.account_taken(inst, pos);
         }
     }
@@ -461,7 +461,7 @@ mod tests {
         f.begin_group();
         let mut items = Vec::new();
         for inst in group {
-            f.feed_into(inst, &mut items);
+            f.feed_with(inst, |item| items.push(item));
         }
         f.end_group_into(&mut items);
         items
@@ -608,7 +608,7 @@ mod tests {
             _ => panic!(),
         };
         let srcs_of = |k: usize| match &items[k] {
-            FormedItem::Single(u) => u.srcs.clone(),
+            FormedItem::Single(u) => u.srcs,
             _ => panic!(),
         };
         assert_eq!(srcs_of(2), vec![tag], "head consumer is a child of the MOP");

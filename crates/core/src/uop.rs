@@ -1,4 +1,4 @@
-use mos_isa::{FuKind, InstClass, SmallList};
+use mos_isa::{FixedList, InstClass};
 
 /// Unique identifier of one in-flight dynamic micro-operation, assigned in
 /// program order by the front end. Doubles as the age used for
@@ -30,26 +30,24 @@ pub enum GroupRole {
 }
 
 /// The scheduler-facing description of one micro-operation, produced by
-/// MOP formation at rename time.
-#[derive(Debug, Clone)]
+/// MOP formation at rename time. Plain `Copy` data: a queue entry holds
+/// its uops inline and a grant copies them out.
+#[derive(Debug, Clone, Copy)]
 pub struct SchedUop {
     /// Program-order identity / age.
     pub id: UopId,
-    /// Latency/resource class.
+    /// Latency/resource class; it implies the functional-unit pool
+    /// ([`InstClass::fu`]) and, but for loads, the latency the scheduler
+    /// assumes ([`InstClass::exec_latency`]).
     pub class: InstClass,
-    /// Functional-unit pool this uop issues to.
-    pub fu: FuKind,
     /// Destination tag (MOP ID) if the uop produces a value consumers wait
     /// on. `None` for branches and store address generations that were not
     /// merged into a value-generating MOP.
     pub dst: Option<Tag>,
-    /// Source tags still potentially in flight at rename. Architecturally
-    /// ready operands are simply omitted. Inline for the ISA's two source
-    /// registers, so a uop carries no heap allocation.
-    pub srcs: SmallList<Tag, 2>,
-    /// Latency assumed by the scheduler (for loads: address generation plus
-    /// the common-case DL1 hit, per Section 2.1).
-    pub sched_latency: u32,
+    /// Source tags still potentially in flight at rename, each once.
+    /// Architecturally ready operands are simply omitted. An instruction
+    /// names at most two source registers, so the list is fixed at two.
+    pub srcs: FixedList<Tag, 2>,
     /// `true` for loads, which broadcast speculatively and may trigger
     /// selective replay.
     pub is_load: bool,
@@ -70,16 +68,22 @@ impl SchedUop {
         SchedUop {
             id,
             class,
-            fu: class.fu(),
             dst,
-            srcs: SmallList::new(),
-            sched_latency: class.exec_latency(),
+            srcs: FixedList::new(),
             is_load: class == InstClass::Load,
             sidx: 0,
             role: GroupRole::NotGrouped,
             fetched_at: 0,
             wrong_path: false,
         }
+    }
+}
+
+/// A placeholder uop (a no-op leaf with id 0) that fills the unused
+/// slots of inline uop lists; it is never scheduled.
+impl Default for SchedUop {
+    fn default() -> SchedUop {
+        SchedUop::leaf(UopId(0), InstClass::Nop, None)
     }
 }
 
@@ -96,7 +100,7 @@ mod tests {
     fn leaf_defaults() {
         let u = SchedUop::leaf(UopId(1), InstClass::Load, Some(Tag(5)));
         assert!(u.is_load);
-        assert_eq!(u.fu, FuKind::MemPort);
+        assert_eq!(u.class.fu(), mos_isa::FuKind::MemPort);
         assert!(u.srcs.is_empty());
     }
 }

@@ -3,7 +3,7 @@
 //! A counting global allocator (this test binary's own) tallies heap
 //! allocations per thread. After a warm-up that lets every reusable
 //! buffer reach its working size, thousands of cycles of formation
-//! ([`Former::feed_into`] / [`Former::end_group_into`]) and queue work
+//! ([`Former::feed_with`] / [`Former::end_group_into`]) and queue work
 //! (insert, MOP head insert, tail fuse, cancel, `cycle_into` with its
 //! cached-readiness refresh, `load_resolved_into` with misses and
 //! replays, slot accounting, and idle-cycle skipping through
@@ -171,19 +171,28 @@ impl Core {
                     tail,
                     pair_id,
                     chain_more,
-                } => match self.heads.iter().position(|&(p, _)| p == pair_id) {
-                    Some(i) if self.queue.fuse_tail(self.heads[i].1, tail.clone()).is_ok() => {
-                        self.fused += 1;
-                        if chain_more {
-                            self.queue.mark_pending(self.heads[i].1);
-                        } else {
-                            self.heads.swap_remove(i);
-                        }
-                    }
-                    _ => {
+                } => {
+                    // A tail whose head is gone comes back to be inserted
+                    // alone.
+                    let lone = match self.heads.iter().position(|&(p, _)| p == pair_id) {
+                        Some(i) => match self.queue.fuse_tail(self.heads[i].1, tail) {
+                            Ok(()) => {
+                                self.fused += 1;
+                                if chain_more {
+                                    self.queue.mark_pending(self.heads[i].1);
+                                } else {
+                                    self.heads.swap_remove(i);
+                                }
+                                None
+                            }
+                            Err((_, tail)) => Some(tail),
+                        },
+                        None => Some(tail),
+                    };
+                    if let Some(tail) = lone {
                         self.queue.insert(tail).expect("space checked");
                     }
-                },
+                }
                 FormedItem::Cancel { pair_id } => {
                     if let Some(i) = self.heads.iter().position(|&(p, _)| p == pair_id) {
                         self.queue.cancel_pending(self.heads.swap_remove(i).1);
@@ -207,7 +216,8 @@ impl Core {
             for _ in 0..GROUP {
                 let (inst, ptr) = self.body[self.next_sidx];
                 let r = renamed(self.next_id, self.next_sidx as u32, &inst, ptr);
-                self.former.feed_into(&r, &mut self.items);
+                let items = &mut self.items;
+                self.former.feed_with(&r, |item| items.push(item));
                 self.next_id += 1;
                 self.next_sidx = (self.next_sidx + 1) % self.body.len();
             }

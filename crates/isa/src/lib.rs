@@ -17,8 +17,9 @@
 //!   addresses), produced by the RV32 frontend in `mos-rv`, the native
 //!   functional interpreter in `mos-asm`, or the synthetic workload walker
 //!   in `mos-workload`,
-//! * [`SmallList`] — an inline-first list for the short, bounded source
-//!   operand lists the per-instruction pipeline path carries.
+//! * [`FixedList`] and [`SmallList`] — inline lists for the short,
+//!   bounded source operand lists the per-instruction pipeline path
+//!   carries (fixed capacity, and inline-first with a heap spill).
 //!
 //! Macro-op scheduling vocabulary also starts here: [`StaticInst::is_mop_candidate`]
 //! identifies single-cycle operations eligible for grouping and
@@ -52,5 +53,5 @@ pub use inst::StaticInst;
 pub use opcode::Opcode;
 pub use program::{Program, ProgramBuildError};
 pub use reg::Reg;
-pub use small::SmallList;
+pub use small::{FixedList, SmallList};
 pub use trace::{DynInst, ReplayTrace, TraceSource};

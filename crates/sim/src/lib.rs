@@ -58,5 +58,5 @@ pub use events::{
 pub use metrics::SimMetrics;
 pub use oracle::{InvariantOracle, OracleMode, Violation};
 pub use report::RunReport;
-pub use sim::Simulator;
+pub use sim::{Simulator, StaticRecord};
 pub use stats::SimStats;

@@ -519,10 +519,9 @@ mod tests {
         q.set_tracing(true);
         let mut evs = Vec::new();
         // Producer uop 0 -> Tag(0); consumer uop 1 reads Tag(0).
-        let mut prod = mos_core::SchedUop::leaf(UopId(0), mos_isa::InstClass::IntAlu, Some(Tag(0)));
-        prod.sched_latency = 1;
+        // Both single-cycle: an integer ALU uop's class latency is 1.
+        let prod = mos_core::SchedUop::leaf(UopId(0), mos_isa::InstClass::IntAlu, Some(Tag(0)));
         let mut cons = mos_core::SchedUop::leaf(UopId(1), mos_isa::InstClass::IntAlu, Some(Tag(1)));
-        cons.sched_latency = 1;
         cons.srcs = [Tag(0)].into_iter().collect();
         let e0 = q.insert(prod).unwrap();
         let e1 = q.insert(cons).unwrap();
