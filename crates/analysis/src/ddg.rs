@@ -175,24 +175,23 @@ impl Ddg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mos_asm::Interpreter;
-    use mos_isa::{Program, Reg, StaticInst as I};
-    use std::iter::once;
+    use mos_rv::RvTraceSource;
 
-    fn r(n: u8) -> Reg {
-        Reg::int(n)
+    /// The graph of RV32 assembly `src` followed by an `ebreak`.
+    fn ddg_of(src: &str) -> Ddg {
+        let prog = mos_rv::assemble("t", &format!("{src}\nebreak")).expect("assembles");
+        Ddg::from_trace(RvTraceSource::new(&prog).expect("lowers"), 100)
     }
 
-    /// The graph of `insts` followed by a `halt`.
-    fn ddg_of(insts: impl IntoIterator<Item = I>) -> Ddg {
-        let p = Program::from_insts("t", insts.into_iter().chain([I::halt()]));
-        Ddg::from_trace(Interpreter::new(&p), 100)
+    /// `li t0, 0` followed by `n` dependent increments of `t0`.
+    fn chain(n: usize) -> String {
+        format!("li t0, 0\n{}", "addi t0, t0, 1\n".repeat(n))
     }
 
     #[test]
     fn serial_chain_critical_path() {
         // 6 dependent adds: path = 5 edges (the first has no producer).
-        let d = ddg_of(once(I::li(r(1), 0)).chain(vec![I::addi(r(1), r(1), 1); 5]));
+        let d = ddg_of(&chain(5));
         assert_eq!(d.len(), 6);
         assert_eq!(d.critical_path(EdgeCosts::atomic()), 5);
         assert_eq!(d.critical_path(EdgeCosts::two_cycle()), 10);
@@ -200,30 +199,21 @@ mod tests {
 
     #[test]
     fn independent_work_has_flat_paths() {
-        let d = ddg_of((1..=4).map(|k| I::li(r(k), i64::from(k))));
+        let d = ddg_of("li t0, 1\nli t1, 2\nli t2, 3\nli t3, 4");
         assert_eq!(d.critical_path(EdgeCosts::atomic()), 0);
     }
 
     #[test]
     fn load_edges_do_not_stretch_under_two_cycle() {
-        let d = ddg_of([
-            I::li(r(1), 0x100),
-            I::load(r(2), 0, r(1)),
-            I::addi(r(3), r(2), 1),
-        ]);
-        // li -> ld (1 or 2) then ld -> addi (3 either way).
+        let d = ddg_of("li t0, 0x100\nlw t1, 0(t0)\naddi t2, t1, 1");
+        // li -> lw (1 or 2) then lw -> addi (3 either way).
         assert_eq!(d.critical_path(EdgeCosts::atomic()), 1 + 3);
         assert_eq!(d.critical_path(EdgeCosts::two_cycle()), 2 + 3);
     }
 
     #[test]
     fn depths_are_monotone_in_the_floor() {
-        let d = ddg_of([
-            I::li(r(1), 1),
-            I::addi(r(2), r(1), 1),
-            I::load(r(3), 0, r(2)),
-            I::addi(r(4), r(3), 1),
-        ]);
+        let d = ddg_of("li t0, 1\naddi t1, t0, 1\nlw t2, 0(t1)\naddi t3, t2, 1");
         let a = d.depths(EdgeCosts::atomic());
         let b = d.depths(EdgeCosts::two_cycle());
         for (x, y) in a.iter().zip(&b) {
@@ -235,7 +225,7 @@ mod tests {
     fn window_depth_ignores_out_of_window_edges() {
         // A long serial chain: full-graph depth grows with length, but
         // a window of 4 sees at most 3 edges.
-        let d = ddg_of(once(I::li(r(1), 0)).chain(vec![I::addi(r(1), r(1), 1); 40]));
+        let d = ddg_of(&chain(40));
         let w = d.mean_window_depth(4, 1, EdgeCosts::atomic());
         assert!(w <= 3.0 + 1e-9, "window depth {w}");
         assert!(w > 2.0, "window depth {w}");
@@ -243,20 +233,15 @@ mod tests {
 
     #[test]
     fn single_cycle_edge_fraction() {
-        let d = ddg_of([
-            I::li(r(1), 0x100),
-            I::load(r(2), 0, r(1)),
-            I::addi(r(3), r(2), 1),
-            I::addi(r(4), r(3), 1),
-        ]);
-        // Edges: li->ld (single-cycle producer), ld->addi (load), addi->addi (single).
+        let d = ddg_of("li t0, 0x100\nlw t1, 0(t0)\naddi t2, t1, 1\naddi t3, t2, 1");
+        // Edges: li->lw (single-cycle producer), lw->addi (load), addi->addi (single).
         let f = d.single_cycle_edge_frac();
         assert!((f - 2.0 / 3.0).abs() < 1e-9, "{f}");
     }
 
     #[test]
     fn zero_register_carries_no_edges() {
-        let d = ddg_of([I::li(r(1), 1), I::add(r(2), Reg::ZERO, Reg::ZERO)]);
+        let d = ddg_of("li t0, 1\nadd t1, zero, zero");
         assert!(d.nodes()[1].preds.is_empty());
     }
 }

@@ -142,27 +142,22 @@ pub fn candidate_profile<T: TraceSource>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mos_asm::Interpreter;
-    use mos_isa::{Opcode, Program, Reg, StaticInst as I};
+    use mos_rv::RvTraceSource;
 
-    fn r(n: u8) -> Reg {
-        Reg::int(n)
+    /// The profile of RV32 assembly `src` followed by an `ebreak`,
+    /// looking `horizon` instructions ahead.
+    fn profile_within(src: &str, horizon: usize) -> CandidateProfile {
+        let prog = mos_rv::assemble("t", &format!("{src}\nebreak")).expect("assembles");
+        candidate_profile(RvTraceSource::new(&prog).expect("lowers"), 100_000, horizon)
     }
 
-    /// The profile of `insts` followed by a `halt`, looking `horizon`
-    /// instructions ahead.
-    fn profile_within(insts: impl IntoIterator<Item = I>, horizon: usize) -> CandidateProfile {
-        let p = Program::from_insts("t", insts.into_iter().chain([I::halt()]));
-        candidate_profile(Interpreter::new(&p), 100_000, horizon)
-    }
-
-    fn profile(insts: impl IntoIterator<Item = I>) -> CandidateProfile {
-        profile_within(insts, 64)
+    fn profile(src: &str) -> CandidateProfile {
+        profile_within(src, 64)
     }
 
     #[test]
     fn adjacent_pair_is_distance_one() {
-        let p = profile([I::li(r(1), 5), I::addi(r(2), r(1), 1)]);
+        let p = profile("li t0, 5\naddi t1, t0, 1");
         assert_eq!(p.valuegen, 2);
         assert_eq!(p.distance_histogram[1], 1, "li -> addi at distance 1");
         assert_eq!(p.dead, 1, "addi's value dies");
@@ -171,25 +166,20 @@ mod tests {
 
     #[test]
     fn load_consumer_is_not_a_tail() {
-        let p = profile([I::li(r(1), 0x100), I::load(r(2), 0, r(1))]);
+        let p = profile("li t0, 0x100\nlw t1, 0(t0)");
         assert_eq!(p.no_candidate_tail, 1, "only consumer is a load");
     }
 
     #[test]
     fn overwrite_kills_the_head() {
-        let p = profile([I::li(r(1), 1), I::li(r(1), 2), I::addi(r(2), r(1), 1)]);
+        let p = profile("li t0, 1\nli t0, 2\naddi t1, t0, 1");
         assert_eq!(p.dead, 2, "first li dies, addi's value dies");
         assert_eq!(p.distance_histogram[1], 1, "second li pairs with addi");
     }
 
     #[test]
     fn candidate_fractions_are_sane() {
-        let p = profile([
-            I::li(r(1), 0x100),
-            I::load(r(2), 0, r(1)),
-            I::alu(Opcode::Mul, r(3), r(2), r(2)),
-            I::addi(r(4), r(3), 1),
-        ]);
+        let p = profile("li t0, 0x100\nlw t1, 0(t0)\nmul t2, t1, t1\naddi t3, t2, 1");
         assert_eq!(p.total, 4);
         assert_eq!(p.candidates, 2, "li and addi");
         assert!((p.candidate_frac() - 0.5).abs() < 1e-9);
@@ -198,29 +188,30 @@ mod tests {
 
     #[test]
     fn a_tail_beyond_the_horizon_leaves_the_head_dead() {
-        // r1's head at position 1; its only reader is 5 instructions on.
-        let mut insts = vec![I::li(r(9), 0), I::li(r(1), 5)];
-        insts.extend((2..=5).map(|k| I::li(r(k), 0)));
-        insts.push(I::addi(r(6), r(1), 1));
-        let p = profile_within(insts, 4);
+        // x5's head at position 1; its only reader is 5 instructions on.
+        let p = profile_within(
+            "li x20, 0\nli x5, 5\nli x6, 0\nli x7, 0\nli x8, 0\nli x9, 0\naddi x10, x5, 1",
+            4,
+        );
         assert_eq!(p.valuegen, 7);
         assert_eq!(
             p.distance_histogram.iter().sum::<u64>(),
             0,
             "no tail within 4"
         );
-        assert_eq!(p.dead, 7, "r1 aged out unread at distance 4");
+        assert_eq!(p.dead, 7, "x5 aged out unread at distance 4");
     }
 
     #[test]
     fn totals_balance() {
-        let p = profile([
-            I::li(r(1), 2),
-            I::addi(r(2), r(1), 3), // 1: loop
-            I::alui(Opcode::Slli, r(3), r(2), 1),
-            I::addi(r(1), r(1), -1),
-            I::branch(Opcode::Bnez, r(1), 1),
-        ]);
+        let p = profile(
+            "    li t0, 2
+             loop:
+                 addi t1, t0, 3
+                 slli t2, t1, 1
+                 addi t0, t0, -1
+                 bnez t0, loop",
+        );
         let classified: u64 =
             p.distance_histogram.iter().sum::<u64>() + p.no_candidate_tail + p.dead;
         assert_eq!(classified, p.valuegen, "every head classified exactly once");

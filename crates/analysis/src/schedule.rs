@@ -111,23 +111,24 @@ impl ScheduleModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mos_asm::Interpreter;
-    use mos_isa::{Opcode, Program, Reg, StaticInst as I};
-    use std::iter::once;
+    use mos_rv::RvTraceSource;
 
-    fn r(n: u8) -> Reg {
-        Reg::int(n)
+    /// The graph of RV32 assembly `src` followed by an `ebreak`.
+    fn ddg_of(src: &str) -> Ddg {
+        let prog = mos_rv::assemble("t", &format!("{src}\nebreak")).expect("assembles");
+        Ddg::from_trace(RvTraceSource::new(&prog).expect("lowers"), 100_000)
     }
 
-    /// The graph of `insts` followed by a `halt`.
-    fn ddg_of(insts: impl IntoIterator<Item = I>) -> Ddg {
-        let p = Program::from_insts("t", insts.into_iter().chain([I::halt()]));
-        Ddg::from_trace(Interpreter::new(&p), 100_000)
+    /// `count` independent `li`s cycling over the eight registers x5..x12.
+    fn independent(count: u32) -> String {
+        (0..count)
+            .map(|i| format!("li x{}, {i}\n", 5 + i % 8))
+            .collect()
     }
 
     #[test]
     fn width_bound_dominates_flat_graphs() {
-        let d = ddg_of((1..=8).map(|k| I::li(r(k), i64::from(k))));
+        let d = ddg_of(&independent(8));
         let m = ScheduleModel::table1_atomic();
         assert_eq!(m.lower_bound_cycles(&d), 2, "8 insts / width 4");
         assert!((m.ipc_upper_bound(&d) - 4.0).abs() < 1e-9);
@@ -135,7 +136,7 @@ mod tests {
 
     #[test]
     fn chain_bound_dominates_serial_graphs() {
-        let d = ddg_of(once(I::li(r(1), 0)).chain(vec![I::addi(r(1), r(1), 1); 50]));
+        let d = ddg_of(&format!("li t0, 0\n{}", "addi t0, t0, 1\n".repeat(50)));
         let atomic = ScheduleModel::table1_atomic();
         let two = ScheduleModel::table1_two_cycle();
         assert_eq!(atomic.lower_bound_cycles(&d), 50);
@@ -147,15 +148,16 @@ mod tests {
 
     #[test]
     fn estimate_never_beats_the_bound() {
-        let d = ddg_of([
-            I::li(r(1), 30),
-            I::li(r(2), 0),
-            I::add(r(2), r(2), r(1)), // 2: loop
-            I::load(r(3), 0, r(2)),
-            I::add(r(2), r(2), r(3)),
-            I::addi(r(1), r(1), -1),
-            I::branch(Opcode::Bnez, r(1), 2),
-        ]);
+        let d = ddg_of(
+            "    li t0, 30
+                 li t1, 0
+             loop:
+                 add t1, t1, t0
+                 lw t2, 0(t1)
+                 add t1, t1, t2
+                 addi t0, t0, -1
+                 bnez t0, loop",
+        );
         for m in [
             ScheduleModel::table1_atomic(),
             ScheduleModel::table1_two_cycle(),
@@ -169,7 +171,7 @@ mod tests {
         // Independent instructions, tiny window: issue rate still capped
         // by completion of older work... with 1-cycle ops the window never
         // binds, so use a long-latency producer stream.
-        let d = ddg_of((0..16u8).map(|i| I::li(r(1 + i % 8), i64::from(i))));
+        let d = ddg_of(&independent(16));
         let narrow = ScheduleModel {
             width: 4,
             window: 4,
@@ -185,7 +187,7 @@ mod tests {
 
     #[test]
     fn empty_graph_is_trivial() {
-        let d = ddg_of([]);
+        let d = ddg_of("");
         let m = ScheduleModel::table1_atomic();
         assert_eq!(m.estimate_cycles(&d), 0);
         assert_eq!(m.lower_bound_cycles(&d), 0);

@@ -929,9 +929,9 @@ mod tests {
     fn same_register_different_producer_is_not_independent_pair() {
         // Both read r8, but i1 redefines r8 in between.
         let g = vec![
-            di(0, StaticInst::mov(r(1), r(8))),
+            di(0, StaticInst::addi(r(1), r(8), 0)),
             di(1, StaticInst::addi(r(8), r(8), 1)),
-            di(2, StaticInst::mov(r(2), r(8))),
+            di(2, StaticInst::addi(r(2), r(8), 0)),
         ];
         let mut d = det();
         let pairs = d.step(&g, no_ptr, no_bl);

@@ -77,32 +77,16 @@ impl StaticInst {
         StaticInst::new(Opcode::Li, Some(rd), [None, None], imm, None)
     }
 
-    /// `mov rd, rs`.
-    pub fn mov(rd: Reg, rs: Reg) -> StaticInst {
-        StaticInst::new(Opcode::Mov, Some(rd), [Some(rs), None], 0, None)
-    }
-
-    /// `not rd, rs`.
-    pub fn not(rd: Reg, rs: Reg) -> StaticInst {
-        StaticInst::new(Opcode::Not, Some(rd), [Some(rs), None], 0, None)
-    }
-
-    /// Load `ld rd, imm(rs)` (or `fld` when `rd` is floating point).
+    /// Load `ld rd, imm(rs)`.
     pub fn load(rd: Reg, imm: i64, rs: Reg) -> StaticInst {
-        let op = if rd.is_fp() { Opcode::Fld } else { Opcode::Ld };
-        StaticInst::new(op, Some(rd), [Some(rs), None], imm, None)
+        StaticInst::new(Opcode::Ld, Some(rd), [Some(rs), None], imm, None)
     }
 
-    /// Store `st rval, imm(rbase)` (or `fst` when `rval` is floating point).
+    /// Store `st rval, imm(rbase)`.
     ///
     /// `srcs[0]` is the address base, `srcs[1]` the stored value.
     pub fn store(rval: Reg, imm: i64, rbase: Reg) -> StaticInst {
-        let op = if rval.is_fp() {
-            Opcode::Fst
-        } else {
-            Opcode::St
-        };
-        StaticInst::new(op, None, [Some(rbase), Some(rval)], imm, None)
+        StaticInst::new(Opcode::St, None, [Some(rbase), Some(rval)], imm, None)
     }
 
     /// Conditional branch `op rs, target` where `target` is a static index.

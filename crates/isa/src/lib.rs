@@ -14,9 +14,9 @@
 //!   instruction cache (program counters are `4 * index`),
 //! * [`DynInst`] and [`TraceSource`] — the dynamic, committed-path oracle
 //!   trace a timing simulator consumes (branch outcomes and effective
-//!   addresses), produced by the RV32 frontend in `mos-rv`, the native
-//!   functional interpreter in `mos-asm`, or the synthetic workload walker
-//!   in `mos-workload`,
+//!   addresses), produced by the RV32 frontend in `mos-rv` or the
+//!   synthetic workload walker in `mos-workload`, or replayed from a
+//!   recording by [`ReplayTrace`],
 //! * [`FixedList`] and [`SmallList`] — inline lists for the short,
 //!   bounded source operand lists the per-instruction pipeline path
 //!   carries (fixed capacity, and inline-first with a heap spill).

@@ -21,7 +21,6 @@ pub enum Opcode {
     Ori,
     Xor,
     Xori,
-    Not,
     Sll,
     Slli,
     Srl,
@@ -32,11 +31,8 @@ pub enum Opcode {
     Slti,
     Sltiu,
     Srai,
-    Cmpeq,
     /// Load immediate into a register (`li rd, imm`).
     Li,
-    /// Register move (`mov rd, rs`).
-    Mov,
     // --- long-latency integer ---
     Mul,
     Div,
@@ -44,21 +40,11 @@ pub enum Opcode {
     Fadd,
     Fsub,
     Fmul,
-    Fdiv,
-    Fneg,
-    /// Convert integer register to floating point register.
-    Itof,
-    /// Convert floating point register to integer register.
-    Ftoi,
     // --- memory ---
     /// Integer load: `ld rd, imm(rs)`.
     Ld,
     /// Integer store: `st rs2, imm(rs1)`.
     St,
-    /// Floating-point load: `fld fd, imm(rs)`.
-    Fld,
-    /// Floating-point store: `fst fs2, imm(rs1)`.
-    Fst,
     // --- control ---
     /// Branch if equal zero: `beqz rs, label`.
     Beqz,
@@ -101,17 +87,14 @@ impl Opcode {
     pub fn class(self) -> InstClass {
         use Opcode::*;
         match self {
-            Add | Addi | Sub | Subi | And | Andi | Or | Ori | Xor | Xori | Not | Sll | Slli
-            | Srl | Srli | Sra | Srai | Slt | Sltu | Slti | Sltiu | Cmpeq | Li | Mov => {
-                InstClass::IntAlu
-            }
+            Add | Addi | Sub | Subi | And | Andi | Or | Ori | Xor | Xori | Sll | Slli | Srl
+            | Srli | Sra | Srai | Slt | Sltu | Slti | Sltiu | Li => InstClass::IntAlu,
             Mul => InstClass::IntMul,
             Div => InstClass::IntDiv,
-            Fadd | Fsub | Fneg | Itof | Ftoi => InstClass::FpAlu,
+            Fadd | Fsub => InstClass::FpAlu,
             Fmul => InstClass::FpMul,
-            Fdiv => InstClass::FpDiv,
-            Ld | Fld => InstClass::Load,
-            St | Fst => InstClass::Store,
+            Ld => InstClass::Load,
+            St => InstClass::Store,
             Beqz | Bnez | Bltz | Bgez | Beq | Bne | Blt | Bge | Bltu | Bgeu => {
                 InstClass::CondBranch
             }
@@ -138,7 +121,6 @@ impl Opcode {
             Ori => "ori",
             Xor => "xor",
             Xori => "xori",
-            Not => "not",
             Sll => "sll",
             Slli => "slli",
             Srl => "srl",
@@ -149,22 +131,14 @@ impl Opcode {
             Slti => "slti",
             Sltiu => "sltiu",
             Srai => "srai",
-            Cmpeq => "cmpeq",
             Li => "li",
-            Mov => "mov",
             Mul => "mul",
             Div => "div",
             Fadd => "fadd",
             Fsub => "fsub",
             Fmul => "fmul",
-            Fdiv => "fdiv",
-            Fneg => "fneg",
-            Itof => "itof",
-            Ftoi => "ftoi",
             Ld => "ld",
             St => "st",
-            Fld => "fld",
-            Fst => "fst",
             Beqz => "beqz",
             Bnez => "bnez",
             Bltz => "bltz",
@@ -188,10 +162,9 @@ impl Opcode {
     pub fn all() -> impl Iterator<Item = Opcode> {
         use Opcode::*;
         [
-            Add, Addi, Sub, Subi, And, Andi, Or, Ori, Xor, Xori, Not, Sll, Slli, Srl, Srli, Sra,
-            Srai, Slt, Sltu, Slti, Sltiu, Cmpeq, Li, Mov, Mul, Div, Fadd, Fsub, Fmul, Fdiv, Fneg,
-            Itof, Ftoi, Ld, St, Fld, Fst, Beqz, Bnez, Bltz, Bgez, Beq, Bne, Blt, Bge, Bltu, Bgeu,
-            Jmp, Call, Jr, Ret, Nop, Halt,
+            Add, Addi, Sub, Subi, And, Andi, Or, Ori, Xor, Xori, Sll, Slli, Srl, Srli, Sra, Srai,
+            Slt, Sltu, Slti, Sltiu, Li, Mul, Div, Fadd, Fsub, Fmul, Ld, St, Beqz, Bnez, Bltz, Bgez,
+            Beq, Bne, Blt, Bge, Bltu, Bgeu, Jmp, Call, Jr, Ret, Nop, Halt,
         ]
         .into_iter()
     }

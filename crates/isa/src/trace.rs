@@ -25,10 +25,9 @@ pub struct DynInst {
 
 /// A source of committed-path dynamic instructions over a static program.
 ///
-/// Implemented by the RV32 frontend in `mos-rv` and the native functional
-/// interpreter in `mos-asm` (both architecturally exact) and by the
-/// stochastic workload walker in `mos-workload` (statistically
-/// calibrated). Sources are `Iterator`s over [`DynInst`];
+/// Implemented by the RV32 frontend in `mos-rv` (architecturally exact),
+/// by the stochastic workload walker in `mos-workload` (statistically
+/// calibrated) and by [`ReplayTrace`] (a fixed recording). Sources are `Iterator`s over [`DynInst`];
 /// they must be deterministic for a given construction so that different
 /// scheduler configurations can be compared on identical streams.
 pub trait TraceSource: Iterator<Item = DynInst> {

@@ -370,11 +370,10 @@ pub struct RvStep {
 
 /// The RV32 functional interpreter.
 ///
-/// Mirrors the `mos-asm` interpreter's contract: `step` retires one
-/// instruction per call; `ecall`/`ebreak` stop the machine *without*
-/// retiring (their halt uop is likewise filtered by the pipeline's
-/// decoder), and an invalid dynamic jump target or running off the code
-/// image stops the machine with `faulted` set.
+/// `step` retires one instruction per call; `ecall`/`ebreak` stop the
+/// machine *without* retiring (their halt uop is likewise filtered by the
+/// pipeline's decoder), and an invalid dynamic jump target or running off
+/// the code image stops the machine with `faulted` set.
 ///
 /// [`RvInterp::new`] borrows the program; [`RvInterp::owning`] takes it,
 /// for an interpreter that must outlive the caller's copy (the live

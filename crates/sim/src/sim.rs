@@ -1566,19 +1566,18 @@ impl<T: TraceSource> Simulator<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mos_asm::Interpreter;
     use mos_core::WakeupStyle;
-    use mos_isa::{Opcode, Program, Reg, StaticInst};
+    use mos_isa::{DynInst, Opcode, Program, Reg, ReplayTrace, StaticInst};
     use mos_workload::spec2000;
 
     /// Sum `n..=1` in a counted loop, a tight chain of single-cycle ops,
     /// and return the run's statistics.
-    fn run_sum_loop(n: i64, cfg: MachineConfig) -> SimStats {
+    fn run_sum_loop(n: u32, cfg: MachineConfig) -> SimStats {
         let (r1, r2) = (Reg::int(1), Reg::int(2));
         let program = Program::from_insts(
             "sum_loop",
             [
-                StaticInst::li(r1, n),
+                StaticInst::li(r1, i64::from(n)),
                 StaticInst::li(r2, 0),
                 StaticInst::add(r2, r2, r1),
                 StaticInst::addi(r1, r1, -1),
@@ -1586,7 +1585,21 @@ mod tests {
                 StaticInst::halt(),
             ],
         );
-        Simulator::new(cfg, Interpreter::new(&program)).run(u64::MAX)
+        // The committed path: both `li`s, then `n` trips of add, addi and
+        // the branch, taken back to 2 on every trip but the last. The
+        // halt is never emitted.
+        let step = |sidx, next_sidx| DynInst {
+            sidx,
+            next_sidx,
+            taken: next_sidx != sidx + 1,
+            eff_addr: None,
+        };
+        let mut path = vec![step(0, 1), step(1, 2)];
+        for trip in (1..=n).rev() {
+            let back = if trip > 1 { 2 } else { 5 };
+            path.extend([step(2, 3), step(3, 4), step(4, back)]);
+        }
+        Simulator::new(cfg, ReplayTrace::new(program, path)).run(u64::MAX)
     }
 
     fn run_spec(name: &str, cfg: MachineConfig, n: u64) -> SimStats {

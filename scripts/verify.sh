@@ -24,7 +24,12 @@
 #      the build), and the mosbench package's tests (its
 #      pinned per-job results and smoke runs; the package is outside the
 #      workspace, so a queue API change or a moved simulated result would
-#      otherwise break only the benchmark)
+#      otherwise break only the benchmark), after which
+#      `mosbench/Cargo.lock` must still equal the committed file: that
+#      test run rewrites the lock silently whenever a crate it builds
+#      changes its dependencies, and only a change to the benchmark may
+#      change the lock (the empty `crates/asm` stub exists only to keep
+#      it pinned)
 #   4. `mossim trace --check` smoke per scheduler model
 #   5. `mossim report --json` + `mossim pipeview` smoke per scheduler model,
 #      the scheduler aliases in the plain and report modes, a queue
@@ -88,6 +93,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "== mosbench tests (pinned results + smoke runs) =="
 cargo test --manifest-path mosbench/Cargo.toml
+if ! git diff --exit-code -- mosbench/Cargo.lock; then
+    echo "  mosbench/Cargo.lock differs from the committed file" >&2
+    exit 1
+fi
+echo "  mosbench/Cargo.lock unchanged"
 
 echo "== trace --check smoke (atomic / pipelined / macro-op) =="
 for sched in base 2cycle mop-wor; do

@@ -8,7 +8,6 @@
 //! This facade crate re-exports the workspace members:
 //!
 //! * [`isa`] — the RISC-style instruction set, static programs and traces,
-//! * [`asm`] — the functional interpreter for native programs,
 //! * [`rv`] — the RV32I(+M) frontend: assembler, loader, lowering and the
 //!   differential functional oracle for running real RISC-V programs,
 //! * [`analysis`] — dataflow-graph analysis and analytical schedule bounds,
@@ -34,7 +33,6 @@
 //! ```
 
 pub use mos_analysis as analysis;
-pub use mos_asm as asm;
 pub use mos_core as core;
 pub use mos_experiments as experiments;
 pub use mos_isa as isa;

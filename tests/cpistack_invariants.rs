@@ -13,128 +13,12 @@
 
 use proptest::prelude::*;
 
-use mopsched::asm::Interpreter;
 use mopsched::core::{SlotCause, WakeupStyle};
-use mopsched::isa::{Opcode, Program, Reg, StaticInst};
-use mopsched::rv::{suite, RvTraceSource};
+use mopsched::rv::{self, suite, RvTraceSource};
 use mopsched::sim::cpistack::{self, CpiStack};
 use mopsched::sim::{MachineConfig, Simulator};
 use mos_testutil::json;
-
-/// Every scheduler configuration of Section 6.2, by CLI spelling.
-fn all_schedulers() -> [(&'static str, MachineConfig); 7] {
-    [
-        ("base", MachineConfig::base_32()),
-        ("2cycle", MachineConfig::two_cycle_32()),
-        (
-            "mop-2src",
-            MachineConfig::macro_op(WakeupStyle::CamTwoSource, Some(32), 1),
-        ),
-        (
-            "mop-wor",
-            MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 1),
-        ),
-        ("sf-squash", MachineConfig::select_free_squash_dep_32()),
-        ("sf-scoreboard", MachineConfig::select_free_scoreboard_32()),
-        ("spec-wakeup", MachineConfig::speculative_wakeup_32()),
-    ]
-}
-
-/// Run `program` under `cfg` with slot accounting on and return the stack.
-fn accounted_stack(name: &str, cfg: MachineConfig, program: &Program) -> CpiStack {
-    let width = cfg.sched.issue_width as u64;
-    let mut sim = Simulator::new(cfg, Interpreter::new(program));
-    sim.enable_slot_accounting();
-    let stats = sim.run(u64::MAX);
-    CpiStack::from_stats("random", name, width, &stats)
-}
-
-/// One random instruction inside a loop body (a trimmed version of the
-/// `random_programs` generator: enough variety to exercise loads, mul
-/// latencies, forward branches and dependence chains).
-#[derive(Debug, Clone)]
-enum BodyOp {
-    Alu { op: u8, dst: u8, a: u8, b: u8 },
-    Load { dst: u8, off: i64 },
-    Store { val: u8, off: i64 },
-    Mul { dst: u8, a: u8, b: u8 },
-    Skip { cond: u8, dist: u8 },
-}
-
-fn body_op() -> impl Strategy<Value = BodyOp> {
-    let r = 1u8..9;
-    prop_oneof![
-        (0u8..5, r.clone(), r.clone(), r.clone()).prop_map(|(op, dst, a, b)| BodyOp::Alu {
-            op,
-            dst,
-            a,
-            b
-        }),
-        (r.clone(), 0i64..16).prop_map(|(dst, off)| BodyOp::Load { dst, off: off * 8 }),
-        (r.clone(), 0i64..16).prop_map(|(val, off)| BodyOp::Store { val, off: off * 8 }),
-        (r.clone(), r.clone(), r.clone()).prop_map(|(dst, a, b)| BodyOp::Mul { dst, a, b }),
-        (r, 1u8..4).prop_map(|(cond, dist)| BodyOp::Skip { cond, dist }),
-    ]
-}
-
-/// A random, always-terminating program: a counted loop around a random
-/// body (skip branches only jump forward inside the body).
-fn program_strategy() -> impl Strategy<Value = Program> {
-    (2u32..16, prop::collection::vec(body_op(), 1..20)).prop_map(|(trips, body)| {
-        let mut p = Program::new("random");
-        let alu3 = [
-            Opcode::Add,
-            Opcode::Sub,
-            Opcode::And,
-            Opcode::Or,
-            Opcode::Xor,
-        ];
-        p.push(StaticInst::li(Reg::int(9), i64::from(trips))); // counter
-        p.push(StaticInst::li(Reg::int(20), 0x8000)); // memory base
-        for k in 1..9u8 {
-            p.push(StaticInst::li(Reg::int(k), i64::from(k)));
-        }
-        let top = p.len() as u32;
-        let body_len = body.len() as u32;
-        for (i, op) in body.iter().enumerate() {
-            match *op {
-                BodyOp::Alu { op, dst, a, b } => {
-                    p.push(StaticInst::alu(
-                        alu3[op as usize % alu3.len()],
-                        Reg::int(dst),
-                        Reg::int(a),
-                        Reg::int(b),
-                    ));
-                }
-                BodyOp::Load { dst, off } => {
-                    p.push(StaticInst::load(Reg::int(dst), off, Reg::int(20)));
-                }
-                BodyOp::Store { val, off } => {
-                    p.push(StaticInst::store(Reg::int(val), off, Reg::int(20)));
-                }
-                BodyOp::Mul { dst, a, b } => {
-                    p.push(StaticInst::alu(
-                        Opcode::Mul,
-                        Reg::int(dst),
-                        Reg::int(a),
-                        Reg::int(b),
-                    ));
-                }
-                BodyOp::Skip { cond, dist } => {
-                    let here = top + i as u32;
-                    let target = (here + 1 + u32::from(dist)).min(top + body_len);
-                    p.push(StaticInst::branch(Opcode::Bnez, Reg::int(cond), target));
-                }
-            }
-        }
-        p.push(StaticInst::addi(Reg::int(9), Reg::int(9), -1));
-        p.push(StaticInst::branch(Opcode::Bnez, Reg::int(9), top));
-        p.push(StaticInst::halt());
-        p.validate()
-            .expect("generated program is structurally valid");
-        p
-    })
-}
+use mos_testutil::rv_random::program_strategy;
 
 /// The RV32 suite's `sum_loop`: a 1-cycle dependence chain.
 fn sum_loop() -> RvTraceSource {
@@ -151,16 +35,21 @@ proptest! {
 
     /// Slot conservation holds on arbitrary programs under every
     /// scheduler: every issue slot of every cycle is charged to exactly
-    /// one cause.
+    /// one cause. The differential run accounts its slots, so its
+    /// statistics carry the counts.
     #[test]
-    fn slot_accounting_conserves_under_every_scheduler(program in program_strategy()) {
-        for (name, cfg) in all_schedulers() {
-            let st = accounted_stack(name, cfg, &program);
+    fn slot_accounting_conserves_under_every_scheduler(prog in program_strategy()) {
+        for sched in rv::SCHED_KINDS {
+            let cfg = rv::config_for(sched).expect("known scheduler");
+            let width = cfg.sched.issue_width as u64;
+            let report = rv::run_differential(&prog, sched, cfg, 2_000_000)
+                .unwrap_or_else(|e| panic!("{sched}: {e}"));
+            let st = CpiStack::from_stats(&prog.name, sched, width, &report.stats);
             st.check_conservation()
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
+                .unwrap_or_else(|e| panic!("{sched}: {e}"));
             prop_assert_eq!(st.slots.total(), st.cycles * st.issue_width);
             let share_sum: f64 = SlotCause::ALL.iter().map(|&c| st.share(c)).sum();
-            prop_assert!((share_sum - 1.0).abs() < 1e-9, "{}: shares sum to {}", name, share_sum);
+            prop_assert!((share_sum - 1.0).abs() < 1e-9, "{}: shares sum to {}", sched, share_sum);
         }
     }
 }

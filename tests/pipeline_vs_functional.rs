@@ -1,12 +1,9 @@
 //! Cross-crate integration: the timing pipeline must commit exactly the
 //! instruction stream the functional machine executes — for every kernel,
 //! every RV32 program and every scheduler — and must be deterministic.
-//! The RV32 functional machine is the interpreter behind `RvTraceSource`;
-//! small native programs run on the native interpreter.
+//! The functional machine is the RV32 interpreter behind `RvTraceSource`.
 
-use mopsched::asm::Interpreter;
 use mopsched::core::WakeupStyle;
-use mopsched::isa::{InstClass, Opcode, Program, Reg, StaticInst as I};
 use mopsched::rv::{self, suite};
 use mopsched::sim::{MachineConfig, Simulator};
 
@@ -31,12 +28,24 @@ fn all_schedulers() -> Vec<(&'static str, MachineConfig)> {
     ]
 }
 
-fn functional_commits(program: &Program) -> u64 {
-    let (trace, _) = Interpreter::new(program).run_collect(usize::MAX);
-    trace
+/// The uops the pipeline must commit for `prog`: the RV32 oracle's
+/// retired instructions expanded through the lowering, minus the nops the
+/// decoder filters and the halts that never retire. Returns the count and
+/// the finished oracle, which need not have halted cleanly.
+fn oracle_commits(prog: &rv::RvProgram) -> (u64, rv::RvInterp<'_>) {
+    let lowered = rv::lower(prog).expect("program lowers");
+    let mut interp = rv::RvInterp::new(prog);
+    let expected = interp
+        .run_collect(10_000_000)
         .iter()
-        .filter(|d| program.inst(d.sidx).expect("valid").class() != InstClass::Nop)
-        .count() as u64
+        .flat_map(|s| lowered.bundle(s.idx))
+        .filter(|&u| lowered.commits(u))
+        .count() as u64;
+    (expected, interp)
+}
+
+fn assemble(src: &str) -> rv::RvProgram {
+    rv::assemble("t", src).expect("program assembles")
 }
 
 fn rv_trace(name: &str) -> rv::RvTraceSource {
@@ -52,22 +61,8 @@ fn rv_trace(name: &str) -> rv::RvTraceSource {
 fn assert_commits_identically_under_every_scheduler(programs: &[suite::RvTestProgram]) {
     for p in programs {
         let prog = p.assemble();
-        let lowered = rv::lower(&prog).expect("suite program lowers");
-        let mut interp = rv::RvInterp::new(&prog);
-        let steps = interp.run_collect(10_000_000);
+        let (expected, interp) = oracle_commits(&prog);
         assert!(interp.stopped_cleanly(), "{}: oracle must halt", p.name);
-        let expected: u64 = steps
-            .iter()
-            .map(|s| {
-                lowered
-                    .bundle(s.idx)
-                    .filter(|&u| {
-                        let class = lowered.program.inst(u).expect("valid uop").class();
-                        class != InstClass::Nop
-                    })
-                    .count() as u64
-            })
-            .sum();
         for (label, cfg) in all_schedulers() {
             let trace = rv::RvTraceSource::new(&prog).expect("lowers");
             let stats = Simulator::new(cfg, trace).run(u64::MAX);
@@ -126,32 +121,27 @@ fn fused_pairs_do_not_change_architectural_behaviour() {
     // A dense chain of groupable single-cycle ops around memory and
     // branches: macro-op mode must commit the same count and the
     // program's functional result must hold regardless.
-    let r = Reg::int;
-    let program = Program::from_insts(
-        "chain",
-        [
-            I::li(r(1), 200),
-            I::li(r(2), 0),
-            I::li(r(3), 0x9000),
-            I::addi(r(4), r(1), 3), // 3: loop
-            I::sub(r(5), r(4), r(1)),
-            I::store(r(5), 0, r(3)),
-            I::load(r(6), 0, r(3)),
-            I::add(r(2), r(2), r(6)),
-            I::addi(r(3), r(3), 8),
-            I::addi(r(1), r(1), -1),
-            I::branch(Opcode::Bnez, r(1), 3),
-            I::mov(r(10), r(2)),
-            I::halt(),
-        ],
+    let prog = assemble(
+        "    li   t0, 200
+             li   a0, 0
+             li   t1, 0x9000
+         loop:
+             addi t2, t0, 3
+             sub  t3, t2, t0
+             sw   t3, 0(t1)
+             lw   t4, 0(t1)
+             add  a0, a0, t4
+             addi t1, t1, 8
+             addi t0, t0, -1
+             bnez t0, loop
+             ebreak",
     );
-    let (_, state) = Interpreter::new(&program).run_collect(1_000_000);
-    assert_eq!(state.int_reg(r(10)), 600, "3 * 200");
+    let (expected, interp) = oracle_commits(&prog);
+    assert_eq!(interp.state().reg(10), 600, "a0 = 3 * 200");
 
-    let expected = functional_commits(&program);
     let mop = Simulator::new(
         MachineConfig::macro_op(WakeupStyle::WiredOr, Some(32), 0),
-        Interpreter::new(&program),
+        rv::RvTraceSource::new(&prog).expect("lowers"),
     )
     .run(u64::MAX);
     assert_eq!(mop.committed, expected);
@@ -164,27 +154,22 @@ fn fused_pairs_do_not_change_architectural_behaviour() {
 
 #[test]
 fn tiny_and_degenerate_programs_drain_cleanly() {
-    let r1 = Reg::int(1);
-    for insts in [
-        vec![I::halt()],
-        vec![I::nop(), I::halt()],
-        vec![I::li(r1, 1), I::halt()],
-        vec![I::jmp(2), I::nop(), I::halt()],
+    for src in [
+        "ebreak",
+        "nop\nebreak",
+        "li a0, 1\nebreak",
+        "j over\nnop\nover: ebreak",
         // Loop executed zero times.
-        vec![
-            I::li(r1, 0),
-            I::branch(Opcode::Beqz, r1, 3),
-            I::nop(),
-            I::halt(),
-        ],
-        // No halt: the program runs off the end of its code.
-        vec![I::li(r1, 1), I::li(Reg::int(2), 2)],
+        "li t0, 0\nbeqz t0, done\nnop\ndone: ebreak",
+        // No ebreak: the program runs off the end of its code.
+        "li a0, 1\nli a1, 2",
     ] {
-        let program = Program::from_insts("tiny", insts);
-        let expected = functional_commits(&program);
+        let prog = assemble(src);
+        let (expected, _) = oracle_commits(&prog);
         for (label, cfg) in all_schedulers() {
-            let stats = Simulator::new(cfg, Interpreter::new(&program)).run(u64::MAX);
-            assert_eq!(stats.committed, expected, "{label} on:\n{program}");
+            let trace = rv::RvTraceSource::new(&prog).expect("lowers");
+            let stats = Simulator::new(cfg, trace).run(u64::MAX);
+            assert_eq!(stats.committed, expected, "{label} on:\n{src}");
         }
     }
 }
