@@ -859,6 +859,8 @@ impl<T: TraceSource> Simulator<T> {
                 }
                 true
             }
+            // The next insert stage gives up the pending heads.
+            None if self.oracle_done && !self.entry_map.is_empty() => return,
             None => false,
         };
         if let Some(at) = self.pointers.next_install_at() {
@@ -1083,6 +1085,12 @@ impl<T: TraceSource> Simulator<T> {
     fn insert_stage(&mut self) {
         let now = self.now;
         let Some(group) = self.front.front() else {
+            if self.oracle_done && !self.entry_map.is_empty() {
+                // The correct path has ended and every fetched group is
+                // renamed: no tail can still arrive, and no later group
+                // will expire the pending heads.
+                self.cancel_pending_heads();
+            }
             return;
         };
         if group.ready_at > now {
@@ -1093,10 +1101,7 @@ impl<T: TraceSource> Simulator<T> {
             if self.stalled_on_pending_heads() {
                 // The heads hold the room their own tails need: fuse
                 // nothing, so they issue as singletons and free it.
-                let mut items = std::mem::take(&mut self.form_buf);
-                self.former.cancel_pending_into(&mut items);
-                self.apply_form_items(&mut items);
-                self.form_buf = items;
+                self.cancel_pending_heads();
             }
             return;
         }
@@ -1232,6 +1237,14 @@ impl<T: TraceSource> Simulator<T> {
             && self.rob.head().is_none_or(|h| h.complete_at.is_none())
             && self.exec_horizon <= self.now
             && self.events.iter().all(Vec::is_empty)
+    }
+
+    /// Give up every pending MOP head: each issues as a singleton.
+    fn cancel_pending_heads(&mut self) {
+        let mut items = std::mem::take(&mut self.form_buf);
+        self.former.cancel_pending_into(&mut items);
+        self.apply_form_items(&mut items);
+        self.form_buf = items;
     }
 
     /// Apply (and drain) formation steering to the queue.

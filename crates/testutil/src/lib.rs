@@ -5,7 +5,9 @@
 //! the last events leading up to the problem — a minimized, replayable
 //! slice of machine state — instead of a bare statistics mismatch.
 //! [`rv_random::program_strategy`] generates the random RV32 programs
-//! that the property suites check against the functional oracle.
+//! that the property suites check against the functional oracle, and
+//! [`rv_random::off_preset_configs`] names the macro-op configurations
+//! beyond the presets that they run under.
 
 #![warn(missing_docs)]
 

@@ -1,11 +1,36 @@
 //! A generator of random RV32I(+M) programs that always terminate: a
 //! counted loop wraps a random body of ALU, immediate, memory and
-//! multiply/divide work plus bounded forward skip branches, and an
-//! `ebreak` follows the loop. The RV property suites check these
-//! programs against the functional oracle under every scheduler.
+//! multiply/divide work, `fence` no-ops (which the decoder drops, so
+//! formation meets gaps in the uop stream) and bounded forward skip
+//! branches, and an `ebreak` follows the loop. The RV property suites
+//! check these programs against the functional oracle under every
+//! scheduler and under [`off_preset_configs`].
 
+use mos_core::{CycleDetection, WakeupStyle};
 use mos_rv::{RvInst, RvOp, RvProgram};
+use mos_sim::MachineConfig;
 use proptest::prelude::*;
+
+/// Macro-op configurations beyond the seven presets, by report label:
+/// chains of three and four (the formation chain-safety rule must keep
+/// them deadlock-free on arbitrary dataflow), precise in-window cycle
+/// detection (the ablation arm), and a 16-entry queue that installs
+/// pointers with no detection delay.
+pub fn off_preset_configs() -> [(&'static str, MachineConfig); 4] {
+    let wired_or = |queue, delay| MachineConfig::macro_op(WakeupStyle::WiredOr, Some(queue), delay);
+    let mut chain3 = wired_or(32, 1);
+    chain3.sched.mop.max_mop_size = 3;
+    let mut chain4 = wired_or(32, 1);
+    chain4.sched.mop.max_mop_size = 4;
+    let mut precise = wired_or(32, 0);
+    precise.sched.mop.cycle_detection = CycleDetection::Precise;
+    [
+        ("mop-wor chain 3", chain3),
+        ("mop-wor chain 4", chain4),
+        ("mop-wor precise", precise),
+        ("mop-wor-16", wired_or(16, 0)),
+    ]
+}
 
 /// One random instruction inside the loop body.
 #[derive(Debug, Clone)]
@@ -17,6 +42,7 @@ enum BodyOp {
     Mul { op: u8, rd: u8, rs1: u8, rs2: u8 },
     Skip { op: u8, rs1: u8, dist: u8 },
     Lui { rd: u8, imm: i32 },
+    Fence,
 }
 
 fn body_op() -> impl Strategy<Value = BodyOp> {
@@ -55,6 +81,7 @@ fn body_op() -> impl Strategy<Value = BodyOp> {
         }),
         (0u8..4, r.clone(), 1u8..4).prop_map(|(op, rs1, dist)| BodyOp::Skip { op, rs1, dist }),
         (r, 0i32..256).prop_map(|(rd, imm)| BodyOp::Lui { rd, imm }),
+        Just(BodyOp::Fence),
     ]
 }
 
@@ -123,6 +150,7 @@ pub fn program_strategy() -> impl Strategy<Value = RvProgram> {
                     )
                 }
                 BodyOp::Lui { rd, imm } => RvInst::u(RvOp::Lui, rd, imm),
+                BodyOp::Fence => RvInst::sys(RvOp::Fence),
             };
             p.insts.push(inst);
         }

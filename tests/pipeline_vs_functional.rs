@@ -119,7 +119,8 @@ fn runs_are_deterministic() {
 #[test]
 fn fused_pairs_do_not_change_architectural_behaviour() {
     // A dense chain of groupable single-cycle ops around memory and
-    // branches: macro-op mode must commit the same count and the
+    // branches, with a no-op (`fence`, which the decoder drops) inside
+    // the chain: macro-op mode must commit the same count and the
     // program's functional result must hold regardless.
     let prog = assemble(
         "    li   t0, 200
@@ -128,6 +129,7 @@ fn fused_pairs_do_not_change_architectural_behaviour() {
          loop:
              addi t2, t0, 3
              sub  t3, t2, t0
+             fence
              sw   t3, 0(t1)
              lw   t4, 0(t1)
              add  a0, a0, t4
@@ -155,14 +157,49 @@ fn fused_pairs_do_not_change_architectural_behaviour() {
 #[test]
 fn tiny_and_degenerate_programs_drain_cleanly() {
     for src in [
+        // `fence` lowers to a no-op, which the decoder drops (RV's
+        // `nop` is `addi x0, x0, 0`, an ALU uop that commits).
         "ebreak",
-        "nop\nebreak",
+        "fence\nebreak",
         "li a0, 1\nebreak",
-        "j over\nnop\nover: ebreak",
+        "j over\nfence\nover: ebreak",
         // Loop executed zero times.
-        "li t0, 0\nbeqz t0, done\nnop\ndone: ebreak",
+        "li t0, 0\nbeqz t0, done\nfence\ndone: ebreak",
         // No ebreak: the program runs off the end of its code.
         "li a0, 1\nli a1, 2",
+        // In the loop's last trip the `lui` heads a macro-op whose tail,
+        // the `beq` at the loop top, never comes: the exit is predicted,
+        // so no wrong-path group follows to expire the pending head, and
+        // the correct path ends. The fences only place the fetch groups.
+        "    li   t4, 2
+             fence
+             li   t0, 5
+             fence
+             fence
+             fence
+             fence
+             fence
+             li   a1, 11
+             fence
+         loop:
+             fence
+             beq  a1, zero, mid
+             fence
+             fence
+         mid:
+             beq  t0, zero, end
+             fence
+             bne  s0, zero, end
+             fence
+         end:
+             fence
+             fence
+             fence
+             fence
+             lui  a1, 0xcf
+             addi t4, t4, -1
+             bnez t4, loop
+             ebreak",
     ] {
         let prog = assemble(src);
         let (expected, _) = oracle_commits(&prog);

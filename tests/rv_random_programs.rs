@@ -3,36 +3,13 @@
 //! ([`mos_testutil::rv_random`]) must survive the full differential check
 //! — identical committed uop traces and identical final architectural
 //! state between the pipeline and the functional oracle — under every
-//! scheduler kind, and under the off-preset macro-op configurations that
-//! only this suite runs.
+//! scheduler kind, and under the off-preset macro-op configurations
+//! ([`off_preset_configs`]).
 
 use proptest::prelude::*;
 
-use mopsched::core::{CycleDetection, WakeupStyle};
 use mopsched::rv;
-use mopsched::sim::MachineConfig;
-use mos_testutil::rv_random::program_strategy;
-
-/// Macro-op configurations beyond the seven presets, by report label:
-/// chains of three and four (the formation chain-safety rule must keep
-/// them deadlock-free on arbitrary dataflow), precise in-window cycle
-/// detection (the ablation arm), and a 16-entry queue that installs
-/// pointers with no detection delay.
-fn off_preset_configs() -> [(&'static str, MachineConfig); 4] {
-    let wired_or = |queue, delay| MachineConfig::macro_op(WakeupStyle::WiredOr, Some(queue), delay);
-    let mut chain3 = wired_or(32, 1);
-    chain3.sched.mop.max_mop_size = 3;
-    let mut chain4 = wired_or(32, 1);
-    chain4.sched.mop.max_mop_size = 4;
-    let mut precise = wired_or(32, 0);
-    precise.sched.mop.cycle_detection = CycleDetection::Precise;
-    [
-        ("mop-wor chain 3", chain3),
-        ("mop-wor chain 4", chain4),
-        ("mop-wor precise", precise),
-        ("mop-wor-16", wired_or(16, 0)),
-    ]
-}
+use mos_testutil::rv_random::{off_preset_configs, program_strategy};
 
 proptest! {
     #![proptest_config(ProptestConfig {
