@@ -168,8 +168,9 @@ type Fixup = (u32, String, usize);
 /// # Errors
 ///
 /// Returns an [`RvAsmError`] pinpointing the offending line for syntax
-/// errors, unknown mnemonics/registers, out-of-range immediates, or
-/// undefined or duplicate labels.
+/// errors, unknown mnemonics/registers, out-of-range immediates,
+/// undefined or duplicate labels, or an entry label with no instruction
+/// after it.
 pub fn assemble(name: &str, src: &str) -> Result<RvProgram, RvAsmError> {
     let mut prog = RvProgram::new(name);
     // Label -> (instruction index, defining line).
@@ -234,15 +235,24 @@ pub fn assemble(name: &str, src: &str) -> Result<RvProgram, RvAsmError> {
         }
         prog.insts[idx as usize].imm = offset as i32;
     }
-    if let Some((label, lineno)) = entry_label {
-        (prog.entry, _) = *labels
-            .get(&label)
-            .ok_or_else(|| RvAsmError::new(lineno, format!("undefined entry label `{label}`")))?;
-    } else if let Some(&(e, _)) = labels.get("_start") {
-        prog.entry = e;
-    }
     if prog.insts.is_empty() {
         return Err(RvAsmError::new(0, "program is empty"));
+    }
+    let entry = match entry_label {
+        Some((label, line)) => {
+            let undefined = || RvAsmError::new(line, format!("undefined entry label `{label}`"));
+            Some(labels.get_key_value(&label).ok_or_else(undefined)?)
+        }
+        None => labels.get_key_value("_start"),
+    };
+    if let Some((label, &(idx, lineno))) = entry {
+        if idx as usize == prog.insts.len() {
+            return Err(RvAsmError::new(
+                lineno,
+                format!("entry label `{label}` has no instruction after it"),
+            ));
+        }
+        prog.entry = idx;
     }
     Ok(prog)
 }
@@ -717,5 +727,20 @@ mod tests {
         assert_eq!(p.entry, 1);
         let p = assemble("t", ".entry main\nnop\nmain:\nebreak").unwrap();
         assert_eq!(p.entry, 1);
+    }
+
+    #[test]
+    fn an_entry_label_after_the_last_instruction_is_rejected_on_its_line() {
+        let err = assemble("t", "ebreak\n_start:").unwrap_err();
+        assert_eq!(err.line, 2);
+        assert!(
+            err.to_string()
+                .contains("entry label `_start` has no instruction after it"),
+            "{err}"
+        );
+        let err = assemble("t", ".entry main\nebreak\n\nmain: # the end\n").unwrap_err();
+        assert_eq!(err.line, 4);
+        // A label at the end that is not the entry stays legal.
+        assert!(assemble("t", "_start:\nebreak\nend:").is_ok());
     }
 }

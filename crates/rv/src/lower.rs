@@ -50,6 +50,13 @@ pub enum LowerError {
     },
     /// The program has no instructions.
     Empty,
+    /// The entry index names no instruction.
+    EntryOutOfRange {
+        /// The entry index.
+        entry: u32,
+        /// The program's instruction count.
+        len: usize,
+    },
 }
 
 impl fmt::Display for LowerError {
@@ -62,6 +69,9 @@ impl fmt::Display for LowerError {
                 )
             }
             LowerError::Empty => write!(f, "rv program is empty"),
+            LowerError::EntryOutOfRange { entry, len } => {
+                write!(f, "rv entry {entry} is past the last instruction ({len})")
+            }
         }
     }
 }
@@ -146,12 +156,18 @@ fn target_idx(prog: &RvProgram, idx: u32, offset: i32) -> Result<u32, LowerError
 ///
 /// # Errors
 ///
-/// Returns [`LowerError`] when the program is empty or a static transfer
-/// target leaves the code image.
+/// Returns [`LowerError`] when the program is empty, its entry names no
+/// instruction, or a static transfer target leaves the code image.
 pub fn lower(rv: &RvProgram) -> Result<Lowered, LowerError> {
     use RvOp::*;
     if rv.is_empty() {
         return Err(LowerError::Empty);
+    }
+    if rv.entry as usize >= rv.len() {
+        return Err(LowerError::EntryOutOfRange {
+            entry: rv.entry,
+            len: rv.len(),
+        });
     }
     // Pass 1: bundle start offsets, so pass 2 can aim branches at the
     // lowered index of their RV target.
@@ -258,9 +274,8 @@ pub fn lower(rv: &RvProgram) -> Result<Lowered, LowerError> {
         program.set_label(name.clone(), start[*idx as usize]);
     }
     program.set_entry(start[rv.entry as usize]);
-    program
-        .validate()
-        .expect("lowered program structurally valid");
+    // Every target and the entry were checked in RV index space above.
+    debug_assert_eq!(program.validate(), Ok(()));
     let mut low = Lowered {
         program,
         start,
@@ -375,5 +390,18 @@ mod tests {
             lower(&RvProgram::new("e")),
             Err(LowerError::Empty)
         ));
+    }
+
+    #[test]
+    fn an_entry_past_the_last_instruction_is_an_error() {
+        for entry in [1, 2, u32::MAX] {
+            let mut rv = RvProgram::new("t");
+            rv.insts.push(RvInst::sys(RvOp::Ebreak));
+            rv.entry = entry;
+            assert_eq!(
+                lower(&rv).unwrap_err(),
+                LowerError::EntryOutOfRange { entry, len: 1 }
+            );
+        }
     }
 }

@@ -46,7 +46,9 @@
 #      oracle over the whole suite (with its JSON report) and over each
 #      assembly kernel in tests/programs/kernels/, a program without
 #      `ebreak` that must drain (exit 0) while rvdiff names its unclean
-#      halt, and the base/2cycle/mop CPI stacks
+#      halt, a `_start:` after the last instruction refused with an
+#      `error:` line (exit 1, not a panic) by `--rv` and rvdiff, and the
+#      base/2cycle/mop CPI stacks
 #   8. run-ledger smoke against a throwaway root: save -> history ->
 #      diff (must be sim-identical)
 #   9. `experiments all` at a small budget, byte-identical at --jobs 1 and
@@ -222,6 +224,19 @@ status=0
 [[ "$status" == 1 ]]
 grep -q "did not halt cleanly after 1 insts (faulted: true)" /tmp/verify_no_ebreak_diff.txt
 echo "  --rv: exit 0; rvdiff: exit 1 with the faulted halt"
+
+echo "== an entry label after the last instruction is refused, not a panic =="
+printf 'ebreak\n_start:\n' > /tmp/verify_end_entry.s
+for mode in run rvdiff; do
+    args=(--rv /tmp/verify_end_entry.s)
+    [[ "$mode" == rvdiff ]] && args=(rvdiff "${args[@]}")
+    status=0
+    ./target/release/mossim "${args[@]}" > /dev/null 2> "/tmp/verify_end_entry_${mode}.txt" || status=$?
+    [[ "$status" == 1 ]]
+    grep -q "^error: .*line 2: entry label \`_start\` has no instruction after it" \
+        "/tmp/verify_end_entry_${mode}.txt"
+    echo "  $mode: exit 1 with an error line"
+done
 
 echo "== rv32 differential cpistack (base vs 2cycle vs mop) =="
 ./target/release/mossim cpistack --rv sum_loop --compare base,twocycle,mop \
