@@ -7,7 +7,7 @@ use std::collections::VecDeque;
 use mos_core::detect::{CtrlOut, DetectInst, MopDetector};
 use mos_core::form::{FormedItem, Former, RenamedInst, TableCheckpoint};
 use mos_core::pointer::{MopPointer, MopPointerStore};
-use mos_core::queue::{EntryId, IssueQueue, Issued};
+use mos_core::queue::{IssueQueue, Issued};
 use mos_core::{GroupRole, SlotCause, Tag, UopId};
 use mos_isa::{DynInst, FixedList, InstClass, Program, Reg, TraceSource};
 use mos_uarch::branch::{Btb, CombinedPredictor, RasSnapshot, ReturnAddressStack};
@@ -113,61 +113,6 @@ impl StaticRecord {
                 (true, false) => CtrlOut::TakenDirect,
                 (true, true) => CtrlOut::TakenIndirect,
             },
-        }
-    }
-}
-
-/// Apply one formation steering decision to `queue`, tracking pending
-/// MOP heads by pair id in `entry_map`. Returns the role of the uop it
-/// inserted or fused (the role recorded in the ROB); `None` for a cancel.
-fn apply_form_item(
-    queue: &mut IssueQueue,
-    entry_map: &mut Vec<(u64, EntryId)>,
-    item: FormedItem,
-) -> Option<GroupRole> {
-    match item {
-        FormedItem::Single(uop) => {
-            queue.insert(uop).expect("space checked before group");
-            Some(uop.role)
-        }
-        FormedItem::HeadPending { head, pair_id } => {
-            let eid = queue
-                .insert_mop_head(head)
-                .expect("space checked before group");
-            entry_map.push((pair_id, eid));
-            Some(head.role)
-        }
-        FormedItem::TailFuse {
-            tail,
-            pair_id,
-            chain_more,
-        } => {
-            let found = entry_map
-                .iter()
-                .position(|&(p, _)| p == pair_id)
-                .map(|i| (i, entry_map[i].1));
-            let Some((i, eid)) = found else {
-                queue.insert(tail).expect("space checked");
-                return Some(tail.role);
-            };
-            match queue.fuse_tail(eid, tail) {
-                Err((_, tail)) => {
-                    // Entry vanished (squash race): insert alone.
-                    queue.insert(tail).expect("space checked");
-                }
-                Ok(()) if chain_more => queue.mark_pending(eid),
-                Ok(()) => {
-                    entry_map.swap_remove(i);
-                }
-            }
-            Some(tail.role)
-        }
-        FormedItem::Cancel { pair_id } => {
-            if let Some(i) = entry_map.iter().position(|&(p, _)| p == pair_id) {
-                let (_, eid) = entry_map.swap_remove(i);
-                queue.cancel_pending(eid);
-            }
-            None
         }
     }
 }
@@ -371,10 +316,6 @@ pub struct Simulator<T: TraceSource> {
     pointers: MopPointerStore,
     detector: MopDetector,
     former: Former,
-    /// Pending MOP heads awaiting their tail, `(pair id, entry)`. Only a
-    /// handful are ever live at once (pairs fuse within a fetch group or
-    /// two), so a linear-scanned vector beats a hash map here.
-    entry_map: Vec<(u64, EntryId)>,
 
     // Back end.
     queue: IssueQueue,
@@ -473,7 +414,6 @@ impl<T: TraceSource> Simulator<T> {
                 cfg.fetch_width,
             ),
             former: Former::new(cfg.mops_enabled(), cfg.sched.mop.max_mop_size),
-            entry_map: Vec::new(),
             queue: IssueQueue::new(cfg.sched.clone()),
             rob: Rob::default(),
             checkpoints: VecDeque::new(),
@@ -854,13 +794,13 @@ impl<T: TraceSource> Simulator<T> {
                 if self.group_fits(n) || self.stalled_on_pending_heads() {
                     return;
                 }
-                if !self.entry_map.is_empty() && self.exec_horizon > now {
+                if self.queue.has_pending_heads() && self.exec_horizon > now {
                     next = next.min(self.exec_horizon);
                 }
                 true
             }
             // The next insert stage gives up the pending heads.
-            None if self.oracle_done && !self.entry_map.is_empty() => return,
+            None if self.oracle_done && self.queue.has_pending_heads() => return,
             None => false,
         };
         if let Some(at) = self.pointers.next_install_at() {
@@ -1085,7 +1025,7 @@ impl<T: TraceSource> Simulator<T> {
     fn insert_stage(&mut self) {
         let now = self.now;
         let Some(group) = self.front.front() else {
-            if self.oracle_done && !self.entry_map.is_empty() {
+            if self.oracle_done && self.queue.has_pending_heads() {
                 // The correct path has ended and every fetched group is
                 // renamed: no tail can still arrive, and no later group
                 // will expire the pending heads.
@@ -1135,9 +1075,9 @@ impl<T: TraceSource> Simulator<T> {
             };
             // Each steering decision goes to the queue as it is made.
             let mut role = GroupRole::NotCandidate;
-            let (queue, entry_map) = (&mut self.queue, &mut self.entry_map);
+            let queue = &mut self.queue;
             self.former.feed_with(&renamed, |item| {
-                if let Some(r) = apply_form_item(queue, entry_map, item) {
+                if let Some(r) = queue.steer(item) {
                     role = r;
                 }
             });
@@ -1186,7 +1126,9 @@ impl<T: TraceSource> Simulator<T> {
             }
         }
         self.former.end_group_into(&mut items);
-        self.apply_form_items(&mut items);
+        for item in items.drain(..) {
+            self.queue.steer(item);
+        }
         self.form_buf = items;
         self.recycle_group(group.insts);
 
@@ -1232,7 +1174,7 @@ impl<T: TraceSource> Simulator<T> {
     /// 5-entry queue under `mop-wor`); larger ones never do, since this
     /// state would otherwise last until the deadlock check fires.
     fn stalled_on_pending_heads(&mut self) -> bool {
-        !self.entry_map.is_empty()
+        self.queue.has_pending_heads()
             && self.queue.next_active() == u64::MAX
             && self.rob.head().is_none_or(|h| h.complete_at.is_none())
             && self.exec_horizon <= self.now
@@ -1243,15 +1185,10 @@ impl<T: TraceSource> Simulator<T> {
     fn cancel_pending_heads(&mut self) {
         let mut items = std::mem::take(&mut self.form_buf);
         self.former.cancel_pending_into(&mut items);
-        self.apply_form_items(&mut items);
-        self.form_buf = items;
-    }
-
-    /// Apply (and drain) formation steering to the queue.
-    fn apply_form_items(&mut self, items: &mut Vec<FormedItem>) {
         for item in items.drain(..) {
-            apply_form_item(&mut self.queue, &mut self.entry_map, item);
+            self.queue.steer(item);
         }
+        self.form_buf = items;
     }
 
     // ------------------------------------------------------------------
@@ -1491,7 +1428,6 @@ impl<T: TraceSource> Simulator<T> {
         while let Some(g) = self.front.pop_front() {
             self.recycle_group(g.insts);
         }
-        self.entry_map.clear();
         let k = self
             .checkpoints
             .binary_search_by_key(&id, |c| c.id)
