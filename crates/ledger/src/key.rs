@@ -210,6 +210,13 @@ pub fn run_key(ident: &RunIdent<'_>, cfg: Option<&MachineConfig>) -> RunKey {
     p.key()
 }
 
+/// Whether `key` can name a record: one or more hex digits. A record's
+/// file path is built from its key, so any other string is refused
+/// before it reaches the file system.
+pub fn is_hex_key(key: &str) -> bool {
+    !key.is_empty() && key.bytes().all(|b| b.is_ascii_hexdigit())
+}
+
 /// Short display form of a key (first 12 hex characters).
 pub fn short(key: &str) -> &str {
     &key[..key.len().min(12)]

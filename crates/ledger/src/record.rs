@@ -13,7 +13,7 @@ use mos_core::{SlotCause, SlotCounts};
 use mos_sim::{CpiStack, SimStats};
 
 use crate::json::{self, Value};
-use crate::key::SCHEMA_VERSION;
+use crate::key::{is_hex_key, SCHEMA_VERSION};
 
 /// The CPI-stack section of a record: issue width plus per-cause slots.
 #[derive(Debug, Clone, PartialEq)]
@@ -248,9 +248,13 @@ impl RunRecord {
                 .collect(),
             _ => Vec::new(),
         };
+        let key = field_str(&v, "key")?;
+        if !is_hex_key(&key) {
+            return Err(format!("record key `{key}` is not a hex string"));
+        }
         Ok(RunRecord {
             schema,
-            key: field_str(&v, "key")?,
+            key,
             kind: field_str(&v, "kind")?,
             bench: field_str(meta, "bench")?,
             source: field_str(meta, "source")?,
@@ -358,6 +362,14 @@ mod tests {
         rec.schema = SCHEMA_VERSION + 1;
         let err = RunRecord::parse(&rec.to_json()).unwrap_err();
         assert!(err.contains("schema"));
+    }
+
+    #[test]
+    fn non_hex_key_is_rejected() {
+        for key in ["../x", "€abcdef", ""] {
+            let err = RunRecord::parse(&sample(key, 1000).to_json()).unwrap_err();
+            assert!(err.contains("not a hex string"), "{key}: {err}");
+        }
     }
 
     #[test]

@@ -50,7 +50,9 @@
 #      `error:` line (exit 1, not a panic) by `--rv` and rvdiff, and the
 #      base/2cycle/mop CPI stacks
 #   8. run-ledger smoke against a throwaway root: save -> history ->
-#      diff (must be sim-identical)
+#      diff (must be sim-identical, with a note that both saves share one
+#      key), and an index line with a non-hex key refused by diff with an
+#      `error:` line (exit 1, not a panic)
 #   9. `experiments all` at a small budget, byte-identical at --jobs 1 and
 #      --jobs 4 and to the pinned stdout digest in
 #      tests/golden/experiments_all_2000.sha256 (it covers the studies the
@@ -255,9 +257,22 @@ trap 'rm -rf "$LEDGER_DIR"' EXIT
 ./target/release/mossim history --ledger-dir "$LEDGER_DIR" > /tmp/verify_ledger_history.md
 grep -q "| gzip | mop-wor |" /tmp/verify_ledger_history.md
 ./target/release/mossim diff latest-1 latest --ledger-dir "$LEDGER_DIR" \
-    > /tmp/verify_ledger_diff.md
+    > /tmp/verify_ledger_diff.md 2> /tmp/verify_ledger_diff.err
 grep -q "Verdict: sim-identical" /tmp/verify_ledger_diff.md
-echo "  save/history/diff ok (two saves of one config are sim-identical)"
+grep -q "^note: .* both name record" /tmp/verify_ledger_diff.err
+echo "  save/history/diff ok (two saves of one config share a key, and diff says so)"
+
+echo "== a non-hex key in the ledger index is an error, not a panic =="
+BAD_LEDGER_DIR=$(mktemp -d /tmp/verify_bad_ledger.XXXXXX)
+trap 'rm -rf "$LEDGER_DIR" "$BAD_LEDGER_DIR"' EXIT
+printf '%s\n' '{"key":"€abcdef","kind":"run","bench":"gzip","sched":"base","insts":1000,"git_rev":"abc1234","unix_time":1786000000}' \
+    > "$BAD_LEDGER_DIR/index.jsonl"
+status=0
+./target/release/mossim diff latest latest --ledger-dir "$BAD_LEDGER_DIR" \
+    > /dev/null 2> /tmp/verify_bad_ledger.txt || status=$?
+[[ "$status" == 1 ]]
+grep -q "^error: " /tmp/verify_bad_ledger.txt
+echo "  non-hex key: exit 1 with an error line"
 
 echo "== experiments all: --jobs 1 vs --jobs 4 vs the pinned digest =="
 ./target/release/experiments all --insts 2000 --jobs 1 > /tmp/verify_all_j1.txt
