@@ -41,7 +41,7 @@ use crate::config::{SchedConfig, SchedulerKind};
 use crate::events::TraceEvent;
 use crate::form::FormedItem;
 use crate::slots::{SlotCause, SlotCounts};
-use crate::uop::{GroupRole, SchedUop, Tag, UopId};
+use crate::uop::{SchedUop, Tag, UopId};
 
 mod ages;
 mod bits;
@@ -758,24 +758,21 @@ impl IssueQueue {
     /// head (which stays pending when the chain expects another member),
     /// or give a head up so it issues alone. A tail whose head is unknown
     /// or cannot take it is inserted alone, and its head stays
-    /// remembered. Returns the role of the uop inserted or fused; `None`
-    /// for a cancel.
+    /// remembered.
     ///
     /// # Panics
     ///
     /// If an insert finds the queue full: the caller checks that a whole
     /// group fits before steering it.
-    pub fn steer(&mut self, item: FormedItem) -> Option<GroupRole> {
+    pub fn steer(&mut self, item: FormedItem) {
         const ROOM: &str = "space checked before the group";
         match item {
             FormedItem::Single(uop) => {
                 self.insert(uop).expect(ROOM);
-                Some(uop.role)
             }
             FormedItem::HeadPending { head, pair_id } => {
                 let id = self.insert_mop_head(head).expect(ROOM);
                 self.heads.push((pair_id, id));
-                Some(head.role)
             }
             FormedItem::TailFuse {
                 tail,
@@ -784,7 +781,7 @@ impl IssueQueue {
             } => {
                 let Some(i) = self.heads.iter().position(|&(p, _)| p == pair_id) else {
                     self.insert(tail).expect(ROOM);
-                    return Some(tail.role);
+                    return;
                 };
                 let id = self.heads[i].1;
                 match self.fuse_tail(id, tail) {
@@ -796,14 +793,12 @@ impl IssueQueue {
                         self.heads.swap_remove(i);
                     }
                 }
-                Some(tail.role)
             }
             FormedItem::Cancel { pair_id } => {
                 if let Some(i) = self.heads.iter().position(|&(p, _)| p == pair_id) {
                     let (_, id) = self.heads.swap_remove(i);
                     self.cancel_pending(id);
                 }
-                None
             }
         }
     }

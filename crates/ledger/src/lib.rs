@@ -30,4 +30,4 @@ pub use key::{
     SCHEMA_VERSION,
 };
 pub use record::{CpiSection, RunRecord};
-pub use store::{IndexEntry, Ledger};
+pub use store::{IndexEntry, Ledger, Saved};

@@ -86,6 +86,16 @@ impl IndexEntry {
     }
 }
 
+/// The outcome of [`Ledger::save`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Saved {
+    /// The record file.
+    pub path: PathBuf,
+    /// Whether a record file for the key was already there and is now
+    /// replaced.
+    pub replaced: bool,
+}
+
 /// A ledger rooted at one directory.
 #[derive(Debug, Clone)]
 pub struct Ledger {
@@ -128,12 +138,13 @@ impl Ledger {
     }
 
     /// Persist `record` and append its index line. Returns the record
-    /// file path.
+    /// file path and whether it replaced a record already saved under the
+    /// key (saves of one run at one git revision share a key).
     ///
     /// The record is written to a temporary file in its shard directory
     /// and renamed over `shard/<key>.json`, so a crash or a concurrent
     /// save of the same key never leaves a truncated record behind.
-    pub fn save(&self, record: &RunRecord) -> Result<PathBuf, String> {
+    pub fn save(&self, record: &RunRecord) -> Result<Saved, String> {
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         let path = self.record_path(&record.key);
         let dir = path.parent().expect("record path has a shard directory");
@@ -146,6 +157,7 @@ impl Ledger {
         ));
         std::fs::write(&tmp, record.to_json())
             .map_err(|e| format!("write {}: {e}", tmp.display()))?;
+        let replaced = path.is_file();
         if let Err(e) = std::fs::rename(&tmp, &path) {
             let _ = std::fs::remove_file(&tmp);
             return Err(format!(
@@ -155,7 +167,7 @@ impl Ledger {
             ));
         }
         self.append_index(record)?;
-        Ok(path)
+        Ok(Saved { path, replaced })
     }
 
     /// Append an index line for `record` without rewriting its file —
@@ -375,14 +387,15 @@ mod tests {
     fn resaving_a_key_appends_but_keeps_one_record() {
         let ledger = Ledger::open(temp_root("resave"));
         let a = record("cc", "gzip");
-        ledger.save(&a).unwrap();
-        ledger.save(&a).unwrap();
+        assert!(!ledger.save(&a).unwrap().replaced);
+        assert!(ledger.save(&a).unwrap().replaced, "the second save says so");
         assert_eq!(ledger.index().len(), 2);
         assert_eq!(ledger.index()[1].seq, 2);
         assert_eq!(
             ledger.resolve("latest").unwrap(),
             ledger.resolve("latest-1").unwrap()
         );
+        assert!(!ledger.save(&record("cd", "gzip")).unwrap().replaced);
         let _ = std::fs::remove_dir_all(ledger.root());
     }
 
@@ -449,7 +462,7 @@ mod tests {
         let mut a = record("ee", "gzip");
         ledger.save(&a).unwrap();
         a.unix_time += 1;
-        let path = ledger.save(&a).unwrap();
+        let path = ledger.save(&a).unwrap().path;
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(
             RunRecord::parse(&text).unwrap(),

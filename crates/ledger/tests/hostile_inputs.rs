@@ -149,7 +149,7 @@ const CASES: usize = 3_000;
 fn mutated_record_files_never_panic_parsing_or_loading() {
     let ledger = Ledger::open(temp_root("record"));
     let rec = record();
-    let path = ledger.save(&rec).unwrap();
+    let path = ledger.save(&rec).unwrap().path;
     let text = rec.to_json();
     let rng = &mut Rng(0x5eed_1ed6);
     for case in 0..CASES {

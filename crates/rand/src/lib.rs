@@ -69,7 +69,7 @@ macro_rules! uniform_int {
         }
     )*};
 }
-uniform_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+uniform_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize, i128);
 
 /// The raw generator interface: a source of uniform 64-bit words.
 pub trait RngCore {

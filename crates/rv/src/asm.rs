@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::inst::{RvInst, RvOp, RvProgram};
+use crate::inst::{row_named, Format, RvInst, RvOp, RvProgram};
 
 /// Error produced by [`assemble`], carrying the 1-based source line.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -347,44 +347,8 @@ fn parse_inst(
         }
     };
     let reg = |i: usize| parse_reg(ops[i], line);
+    let imm_in = |i: usize, lo: i64, hi: i64| parse_imm_in(ops[i], line, lo, hi);
 
-    let r_type = |op: RvOp| -> Result<RvInst, RvAsmError> {
-        expect(3)?;
-        Ok(RvInst::r(op, reg(0)?, reg(1)?, reg(2)?))
-    };
-    let i_type = |op: RvOp| -> Result<RvInst, RvAsmError> {
-        expect(3)?;
-        Ok(RvInst::i(
-            op,
-            reg(0)?,
-            reg(1)?,
-            parse_imm_in(ops[2], line, -2048, 2047)?,
-        ))
-    };
-    let shift = |op: RvOp| -> Result<RvInst, RvAsmError> {
-        expect(3)?;
-        Ok(RvInst::i(
-            op,
-            reg(0)?,
-            reg(1)?,
-            parse_imm_in(ops[2], line, 0, 31)?,
-        ))
-    };
-    let load = |op: RvOp| -> Result<RvInst, RvAsmError> {
-        expect(2)?;
-        let (imm, base) = parse_mem(ops[1], line)?;
-        Ok(RvInst::load(op, reg(0)?, imm, base))
-    };
-    let store = |op: RvOp| -> Result<RvInst, RvAsmError> {
-        expect(2)?;
-        let (imm, base) = parse_mem(ops[1], line)?;
-        Ok(RvInst::store(op, reg(0)?, imm, base))
-    };
-    // Two-register branch; the label is returned for fixup.
-    let branch = |op: RvOp| -> Result<(RvInst, String), RvAsmError> {
-        expect(3)?;
-        Ok((RvInst::branch(op, reg(0)?, reg(1)?, 0), ops[2].to_owned()))
-    };
     // Compare-to-zero branch pseudo `bXXz rs, label`.
     let branch_z = |op: RvOp, swap: bool| -> Result<(RvInst, String), RvAsmError> {
         expect(2)?;
@@ -395,54 +359,6 @@ fn parse_inst(
 
     let mut pending: Option<String> = None;
     match mnemonic {
-        "add" => out.push(r_type(Add)?),
-        "sub" => out.push(r_type(Sub)?),
-        "sll" => out.push(r_type(Sll)?),
-        "slt" => out.push(r_type(Slt)?),
-        "sltu" => out.push(r_type(Sltu)?),
-        "xor" => out.push(r_type(Xor)?),
-        "srl" => out.push(r_type(Srl)?),
-        "sra" => out.push(r_type(Sra)?),
-        "or" => out.push(r_type(Or)?),
-        "and" => out.push(r_type(And)?),
-        "mul" => out.push(r_type(Mul)?),
-        "mulh" => out.push(r_type(Mulh)?),
-        "mulhsu" => out.push(r_type(Mulhsu)?),
-        "mulhu" => out.push(r_type(Mulhu)?),
-        "div" => out.push(r_type(Div)?),
-        "divu" => out.push(r_type(Divu)?),
-        "rem" => out.push(r_type(Rem)?),
-        "remu" => out.push(r_type(Remu)?),
-        "addi" => out.push(i_type(Addi)?),
-        "slti" => out.push(i_type(Slti)?),
-        "sltiu" => out.push(i_type(Sltiu)?),
-        "xori" => out.push(i_type(Xori)?),
-        "ori" => out.push(i_type(Ori)?),
-        "andi" => out.push(i_type(Andi)?),
-        "slli" => out.push(shift(Slli)?),
-        "srli" => out.push(shift(Srli)?),
-        "srai" => out.push(shift(Srai)?),
-        "lb" => out.push(load(Lb)?),
-        "lh" => out.push(load(Lh)?),
-        "lw" => out.push(load(Lw)?),
-        "lbu" => out.push(load(Lbu)?),
-        "lhu" => out.push(load(Lhu)?),
-        "sb" => out.push(store(Sb)?),
-        "sh" => out.push(store(Sh)?),
-        "sw" => out.push(store(Sw)?),
-        "beq" | "bne" | "blt" | "bge" | "bltu" | "bgeu" => {
-            let op = match mnemonic {
-                "beq" => Beq,
-                "bne" => Bne,
-                "blt" => Blt,
-                "bge" => Bge,
-                "bltu" => Bltu,
-                _ => Bgeu,
-            };
-            let (inst, label) = branch(op)?;
-            out.push(inst);
-            pending = Some(label);
-        }
         // `bgt/ble/bgtu/bleu rs, rt, label` — swapped-operand pseudos.
         "bgt" | "ble" | "bgtu" | "bleu" => {
             expect(3)?;
@@ -485,22 +401,6 @@ fn parse_inst(
             out.push(inst);
             pending = Some(label);
         }
-        "lui" => {
-            expect(2)?;
-            out.push(RvInst::u(
-                Lui,
-                reg(0)?,
-                parse_imm_in(ops[1], line, 0, 0xf_ffff)?,
-            ));
-        }
-        "auipc" => {
-            expect(2)?;
-            out.push(RvInst::u(
-                Auipc,
-                reg(0)?,
-                parse_imm_in(ops[1], line, 0, 0xf_ffff)?,
-            ));
-        }
         "jal" => match ops.len() {
             1 => {
                 out.push(RvInst::jal(1, 0));
@@ -523,12 +423,7 @@ fn parse_inst(
                 let (imm, base) = parse_mem(ops[1], line)?;
                 out.push(RvInst::i(Jalr, reg(0)?, base, imm));
             }
-            3 => out.push(RvInst::i(
-                Jalr,
-                reg(0)?,
-                reg(1)?,
-                parse_imm_in(ops[2], line, -2048, 2047)?,
-            )),
+            3 => out.push(RvInst::i(Jalr, reg(0)?, reg(1)?, imm_in(2, -2048, 2047)?)),
             n => {
                 return Err(RvAsmError::new(
                     line,
@@ -583,19 +478,36 @@ fn parse_inst(
             out.push(RvInst::i(Addi, 0, 0, 0));
         }
         "fence" => out.push(RvInst::sys(Fence)),
-        "ecall" => {
-            expect(0)?;
-            out.push(RvInst::sys(Ecall));
-        }
-        "ebreak" => {
-            expect(0)?;
-            out.push(RvInst::sys(Ebreak));
-        }
         _ => {
-            return Err(RvAsmError::new(
-                line,
-                format!("unknown mnemonic `{mnemonic}`"),
-            ));
+            let row = row_named(mnemonic)
+                .ok_or_else(|| RvAsmError::new(line, format!("unknown mnemonic `{mnemonic}`")))?;
+            let op = row.op;
+            let n = match row.format {
+                Format::R | Format::I | Format::Shift | Format::B => 3,
+                Format::Offset | Format::S | Format::U => 2,
+                Format::J | Format::Fence | Format::System => 0,
+            };
+            expect(n)?;
+            out.push(match row.format {
+                Format::R => RvInst::r(op, reg(0)?, reg(1)?, reg(2)?),
+                Format::I => RvInst::i(op, reg(0)?, reg(1)?, imm_in(2, -2048, 2047)?),
+                Format::Shift => RvInst::i(op, reg(0)?, reg(1)?, imm_in(2, 0, 31)?),
+                Format::Offset => {
+                    let (imm, base) = parse_mem(ops[1], line)?;
+                    RvInst::load(op, reg(0)?, imm, base)
+                }
+                Format::S => {
+                    let (imm, base) = parse_mem(ops[1], line)?;
+                    RvInst::store(op, reg(0)?, imm, base)
+                }
+                Format::B => {
+                    pending = Some(ops[2].to_owned());
+                    RvInst::branch(op, reg(0)?, reg(1)?, 0)
+                }
+                Format::U => RvInst::u(op, reg(0)?, imm_in(1, 0, 0xf_ffff)?),
+                Format::System => RvInst::sys(op),
+                Format::J | Format::Fence => unreachable!("`{mnemonic}` has its own arm"),
+            });
         }
     }
     Ok(pending)

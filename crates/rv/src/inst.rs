@@ -62,94 +62,200 @@ pub enum RvOp {
 impl RvOp {
     /// Canonical mnemonic.
     pub fn mnemonic(self) -> &'static str {
-        use RvOp::*;
-        match self {
-            Lui => "lui",
-            Auipc => "auipc",
-            Jal => "jal",
-            Jalr => "jalr",
-            Beq => "beq",
-            Bne => "bne",
-            Blt => "blt",
-            Bge => "bge",
-            Bltu => "bltu",
-            Bgeu => "bgeu",
-            Lb => "lb",
-            Lh => "lh",
-            Lw => "lw",
-            Lbu => "lbu",
-            Lhu => "lhu",
-            Sb => "sb",
-            Sh => "sh",
-            Sw => "sw",
-            Addi => "addi",
-            Slti => "slti",
-            Sltiu => "sltiu",
-            Xori => "xori",
-            Ori => "ori",
-            Andi => "andi",
-            Slli => "slli",
-            Srli => "srli",
-            Srai => "srai",
-            Add => "add",
-            Sub => "sub",
-            Sll => "sll",
-            Slt => "slt",
-            Sltu => "sltu",
-            Xor => "xor",
-            Srl => "srl",
-            Sra => "sra",
-            Or => "or",
-            And => "and",
-            Fence => "fence",
-            Ecall => "ecall",
-            Ebreak => "ebreak",
-            Mul => "mul",
-            Mulh => "mulh",
-            Mulhsu => "mulhsu",
-            Mulhu => "mulhu",
-            Div => "div",
-            Divu => "divu",
-            Rem => "rem",
-            Remu => "remu",
-        }
+        self.row().mnemonic
     }
 
     /// All operations, in declaration order (exhaustive-test helper).
     pub fn all() -> impl Iterator<Item = RvOp> {
-        use RvOp::*;
-        [
-            Lui, Auipc, Jal, Jalr, Beq, Bne, Blt, Bge, Bltu, Bgeu, Lb, Lh, Lw, Lbu, Lhu, Sb, Sh,
-            Sw, Addi, Slti, Sltiu, Xori, Ori, Andi, Slli, Srli, Srai, Add, Sub, Sll, Slt, Sltu,
-            Xor, Srl, Sra, Or, And, Fence, Ecall, Ebreak, Mul, Mulh, Mulhsu, Mulhu, Div, Divu, Rem,
-            Remu,
-        ]
-        .into_iter()
+        TABLE.iter().map(|row| row.op)
     }
 
-    /// `true` for the six conditional branches.
-    pub fn is_branch(self) -> bool {
-        use RvOp::*;
-        matches!(self, Beq | Bne | Blt | Bge | Bltu | Bgeu)
+    /// This operation's row of [`TABLE`].
+    pub(crate) fn row(self) -> &'static Row {
+        &TABLE[self as usize]
     }
+}
 
-    /// `true` for loads.
-    pub fn is_load(self) -> bool {
-        use RvOp::*;
-        matches!(self, Lb | Lh | Lw | Lbu | Lhu)
-    }
+/// How an instruction's operands sit in its machine word and in its
+/// assembly syntax. Together with a row's opcode and functs it is all the
+/// assembler, the encoder and the decoder know of an instruction.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Format {
+    /// `op rd, rs1, rs2` (R-type).
+    R,
+    /// `op rd, rs1, imm` with a 12-bit signed immediate (I-type).
+    I,
+    /// `op rd, rs1, shamt`: I-type whose top seven immediate bits are the
+    /// row's funct7.
+    Shift,
+    /// `op rd, imm(rs1)`: I-type loads and `jalr`.
+    Offset,
+    /// `op rs2, imm(rs1)` (S-type).
+    S,
+    /// `op rs1, rs2, offset` with an even 13-bit offset (B-type).
+    B,
+    /// `op rd, imm20` (U-type).
+    U,
+    /// `op rd, offset` with an even 21-bit offset (J-type).
+    J,
+    /// No operands; any word with the row's opcode decodes to it (the
+    /// model ignores `fence`'s ordering bits).
+    Fence,
+    /// No operands; the whole word is fixed.
+    System,
+}
 
-    /// `true` for stores.
-    pub fn is_store(self) -> bool {
-        use RvOp::*;
-        matches!(self, Sb | Sh | Sw)
+impl Format {
+    /// The bits a word's opcode and functs occupy in this format.
+    pub(crate) const fn fixed_mask(self) -> u32 {
+        use Format::*;
+        match self {
+            R | Shift => 0xfe00_707f,
+            I | Offset | S | B => 0x0000_707f,
+            U | J | Fence => 0x0000_007f,
+            System => 0xffff_ffff,
+        }
     }
+}
 
-    /// `true` for the RV32M multiply/divide extension.
-    pub fn is_m_ext(self) -> bool {
-        use RvOp::*;
-        matches!(self, Mul | Mulh | Mulhsu | Mulhu | Div | Divu | Rem | Remu)
+/// One row of [`TABLE`].
+#[derive(Debug)]
+pub(crate) struct Row {
+    pub(crate) op: RvOp,
+    pub(crate) mnemonic: &'static str,
+    pub(crate) format: Format,
+    /// Major opcode, bits 0–6.
+    pub(crate) opcode: u8,
+    /// funct3, bits 12–14 (0 where the format has none).
+    pub(crate) funct3: u8,
+    /// funct7 (bits 25–31) of `R` and `Shift` rows, funct12 (bits 20–31)
+    /// of `System` rows, 0 in the rest.
+    pub(crate) funct: u16,
+}
+
+impl Row {
+    /// The bits under [`Format::fixed_mask`] that every word of this
+    /// instruction holds.
+    pub(crate) const fn fixed_bits(&self) -> u32 {
+        let funct_at = if matches!(self.format, Format::System) {
+            20
+        } else {
+            25
+        };
+        (self.funct as u32) << funct_at | (self.funct3 as u32) << 12 | self.opcode as u32
     }
+}
+
+const fn row(
+    op: RvOp,
+    mnemonic: &'static str,
+    format: Format,
+    opcode: u8,
+    funct3: u8,
+    funct: u16,
+) -> Row {
+    Row {
+        op,
+        mnemonic,
+        format,
+        opcode,
+        funct3,
+        funct,
+    }
+}
+
+const LUI: u8 = 0b011_0111;
+const AUIPC: u8 = 0b001_0111;
+const JAL: u8 = 0b110_1111;
+const JALR: u8 = 0b110_0111;
+const BRANCH: u8 = 0b110_0011;
+const LOAD: u8 = 0b000_0011;
+const STORE: u8 = 0b010_0011;
+const OP_IMM: u8 = 0b001_0011;
+const OP: u8 = 0b011_0011;
+const MISC_MEM: u8 = 0b000_1111;
+const SYSTEM: u8 = 0b111_0011;
+
+/// Every RV32I/M instruction, one row each, in [`RvOp`] declaration order:
+/// the only place an instruction's mnemonic, format, opcode and functs are
+/// written. The assembler, [`Display`](fmt::Display) for [`RvInst`], the
+/// encoder and the decoder all read these rows.
+pub(crate) const TABLE: [Row; 48] = {
+    use Format as F;
+    use RvOp::*;
+    [
+        row(Lui, "lui", F::U, LUI, 0, 0),
+        row(Auipc, "auipc", F::U, AUIPC, 0, 0),
+        row(Jal, "jal", F::J, JAL, 0, 0),
+        row(Jalr, "jalr", F::Offset, JALR, 0, 0),
+        row(Beq, "beq", F::B, BRANCH, 0, 0),
+        row(Bne, "bne", F::B, BRANCH, 1, 0),
+        row(Blt, "blt", F::B, BRANCH, 4, 0),
+        row(Bge, "bge", F::B, BRANCH, 5, 0),
+        row(Bltu, "bltu", F::B, BRANCH, 6, 0),
+        row(Bgeu, "bgeu", F::B, BRANCH, 7, 0),
+        row(Lb, "lb", F::Offset, LOAD, 0, 0),
+        row(Lh, "lh", F::Offset, LOAD, 1, 0),
+        row(Lw, "lw", F::Offset, LOAD, 2, 0),
+        row(Lbu, "lbu", F::Offset, LOAD, 4, 0),
+        row(Lhu, "lhu", F::Offset, LOAD, 5, 0),
+        row(Sb, "sb", F::S, STORE, 0, 0),
+        row(Sh, "sh", F::S, STORE, 1, 0),
+        row(Sw, "sw", F::S, STORE, 2, 0),
+        row(Addi, "addi", F::I, OP_IMM, 0, 0),
+        row(Slti, "slti", F::I, OP_IMM, 2, 0),
+        row(Sltiu, "sltiu", F::I, OP_IMM, 3, 0),
+        row(Xori, "xori", F::I, OP_IMM, 4, 0),
+        row(Ori, "ori", F::I, OP_IMM, 6, 0),
+        row(Andi, "andi", F::I, OP_IMM, 7, 0),
+        row(Slli, "slli", F::Shift, OP_IMM, 1, 0),
+        row(Srli, "srli", F::Shift, OP_IMM, 5, 0),
+        row(Srai, "srai", F::Shift, OP_IMM, 5, 0b010_0000),
+        row(Add, "add", F::R, OP, 0, 0),
+        row(Sub, "sub", F::R, OP, 0, 0b010_0000),
+        row(Sll, "sll", F::R, OP, 1, 0),
+        row(Slt, "slt", F::R, OP, 2, 0),
+        row(Sltu, "sltu", F::R, OP, 3, 0),
+        row(Xor, "xor", F::R, OP, 4, 0),
+        row(Srl, "srl", F::R, OP, 5, 0),
+        row(Sra, "sra", F::R, OP, 5, 0b010_0000),
+        row(Or, "or", F::R, OP, 6, 0),
+        row(And, "and", F::R, OP, 7, 0),
+        row(Fence, "fence", F::Fence, MISC_MEM, 0, 0),
+        row(Ecall, "ecall", F::System, SYSTEM, 0, 0),
+        row(Ebreak, "ebreak", F::System, SYSTEM, 0, 1),
+        row(Mul, "mul", F::R, OP, 0, 1),
+        row(Mulh, "mulh", F::R, OP, 1, 1),
+        row(Mulhsu, "mulhsu", F::R, OP, 2, 1),
+        row(Mulhu, "mulhu", F::R, OP, 3, 1),
+        row(Div, "div", F::R, OP, 4, 1),
+        row(Divu, "divu", F::R, OP, 5, 1),
+        row(Rem, "rem", F::R, OP, 6, 1),
+        row(Remu, "remu", F::R, OP, 7, 1),
+    ]
+};
+
+// `RvOp::row` indexes the table by declaration order, and the decoder
+// takes the row whose fixed bits a word holds: rows are in order, their
+// fixed bits lie inside their format's mask, and no word matches two rows.
+const _: () = {
+    let mut i = 0;
+    while i < TABLE.len() {
+        let (a, mask_a) = (&TABLE[i], TABLE[i].format.fixed_mask());
+        assert!(a.op as usize == i && a.fixed_bits() & !mask_a == 0);
+        let mut j = 0;
+        while j < i {
+            let (b, mask_b) = (&TABLE[j], TABLE[j].format.fixed_mask());
+            assert!((a.fixed_bits() ^ b.fixed_bits()) & mask_a & mask_b != 0);
+            j += 1;
+        }
+        i += 1;
+    }
+};
+
+/// The row whose mnemonic is `mnemonic`, if any.
+pub(crate) fn row_named(mnemonic: &str) -> Option<&'static Row> {
+    TABLE.iter().find(|row| row.mnemonic == mnemonic)
 }
 
 impl fmt::Display for RvOp {
@@ -284,23 +390,18 @@ impl RvInst {
 
 impl fmt::Display for RvInst {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        use RvOp::*;
-        let m = self.op.mnemonic();
+        let row = self.op.row();
+        let m = row.mnemonic;
         let (rd, rs1, rs2) = (abi_name(self.rd), abi_name(self.rs1), abi_name(self.rs2));
-        match self.op {
-            Lui | Auipc => write!(f, "{m} {rd}, {:#x}", self.imm),
-            Jal => write!(f, "{m} {rd}, {:+}", self.imm),
-            Jalr => write!(f, "{m} {rd}, {}({rs1})", self.imm),
-            Beq | Bne | Blt | Bge | Bltu | Bgeu => {
-                write!(f, "{m} {rs1}, {rs2}, {:+}", self.imm)
-            }
-            Lb | Lh | Lw | Lbu | Lhu => write!(f, "{m} {rd}, {}({rs1})", self.imm),
-            Sb | Sh | Sw => write!(f, "{m} {rs2}, {}({rs1})", self.imm),
-            Addi | Slti | Sltiu | Xori | Ori | Andi | Slli | Srli | Srai => {
-                write!(f, "{m} {rd}, {rs1}, {}", self.imm)
-            }
-            Fence | Ecall | Ebreak => f.write_str(m),
-            _ => write!(f, "{m} {rd}, {rs1}, {rs2}"),
+        match row.format {
+            Format::U => write!(f, "{m} {rd}, {:#x}", self.imm),
+            Format::J => write!(f, "{m} {rd}, {:+}", self.imm),
+            Format::Offset => write!(f, "{m} {rd}, {}({rs1})", self.imm),
+            Format::B => write!(f, "{m} {rs1}, {rs2}, {:+}", self.imm),
+            Format::S => write!(f, "{m} {rs2}, {}({rs1})", self.imm),
+            Format::I | Format::Shift => write!(f, "{m} {rd}, {rs1}, {}", self.imm),
+            Format::Fence | Format::System => f.write_str(m),
+            Format::R => write!(f, "{m} {rd}, {rs1}, {rs2}"),
         }
     }
 }
@@ -423,12 +524,10 @@ mod tests {
     }
 
     #[test]
-    fn classification_predicates() {
-        assert!(RvOp::Beq.is_branch());
-        assert!(RvOp::Lbu.is_load());
-        assert!(RvOp::Sh.is_store());
-        assert!(RvOp::Remu.is_m_ext());
-        assert!(!RvOp::Add.is_m_ext());
+    fn the_table_names_every_operation_once() {
         assert_eq!(RvOp::all().count(), 48);
+        for op in RvOp::all() {
+            assert_eq!(row_named(op.mnemonic()).map(|row| row.op), Some(op));
+        }
     }
 }

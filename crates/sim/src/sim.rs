@@ -1074,13 +1074,8 @@ impl<T: TraceSource> Simulator<T> {
                 wrong_path: fi.dyn_.is_none(),
             };
             // Each steering decision goes to the queue as it is made.
-            let mut role = GroupRole::NotCandidate;
             let queue = &mut self.queue;
-            self.former.feed_with(&renamed, |item| {
-                if let Some(r) = queue.steer(item) {
-                    role = r;
-                }
-            });
+            self.former.feed_with(&renamed, |item| queue.steer(item));
 
             // Branches that can squash record recovery state.
             if rec.can_squash {
@@ -1098,7 +1093,8 @@ impl<T: TraceSource> Simulator<T> {
                 id,
                 sidx: fi.sidx,
                 dyn_: fi.dyn_,
-                role,
+                // Classified when the uop issues; only issued uops commit.
+                role: GroupRole::NotCandidate,
                 complete_at: None,
                 issue_gen: 0,
                 branch_resolved: false,

@@ -50,8 +50,9 @@
 #      `error:` line (exit 1, not a panic) by `--rv` and rvdiff, and the
 #      base/2cycle/mop CPI stacks
 #   8. run-ledger smoke against a throwaway root: save -> history ->
-#      diff (must be sim-identical, with a note that both saves share one
-#      key), and an index line with a non-hex key refused by diff with an
+#      diff (the second save must note that it replaced the first's
+#      record; the diff must be sim-identical, with a note that both saves
+#      share one key), and an index line with a non-hex key refused by diff with an
 #      `error:` line (exit 1, not a panic)
 #   9. `experiments all` at a small budget, byte-identical at --jobs 1 and
 #      --jobs 4 and to the pinned stdout digest in
@@ -253,14 +254,15 @@ trap 'rm -rf "$LEDGER_DIR"' EXIT
 ./target/release/mossim --bench gzip --sched mop-wor --insts 10000 \
     --save --ledger-dir "$LEDGER_DIR" > /dev/null
 ./target/release/mossim --bench gzip --sched mop-wor --insts 10000 \
-    --save --ledger-dir "$LEDGER_DIR" > /dev/null
+    --save --ledger-dir "$LEDGER_DIR" > /dev/null 2> /tmp/verify_ledger_save.err
+grep -q "^note: replaced record" /tmp/verify_ledger_save.err
 ./target/release/mossim history --ledger-dir "$LEDGER_DIR" > /tmp/verify_ledger_history.md
 grep -q "| gzip | mop-wor |" /tmp/verify_ledger_history.md
 ./target/release/mossim diff latest-1 latest --ledger-dir "$LEDGER_DIR" \
     > /tmp/verify_ledger_diff.md 2> /tmp/verify_ledger_diff.err
 grep -q "Verdict: sim-identical" /tmp/verify_ledger_diff.md
 grep -q "^note: .* both name record" /tmp/verify_ledger_diff.err
-echo "  save/history/diff ok (two saves of one config share a key, and diff says so)"
+echo "  save/history/diff ok (two saves of one config share a key, and save and diff say so)"
 
 echo "== a non-hex key in the ledger index is an error, not a panic =="
 BAD_LEDGER_DIR=$(mktemp -d /tmp/verify_bad_ledger.XXXXXX)

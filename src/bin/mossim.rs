@@ -460,12 +460,15 @@ fn save_record(
             .transpose()?,
     };
     let store = open_ledger(a);
-    let path = store.save(&record)?;
-    eprintln!(
-        "ledger: saved {} -> {}",
-        ledger::short(&key),
-        path.display()
-    );
+    let saved = store.save(&record)?;
+    let short = ledger::short(&key);
+    eprintln!("ledger: saved {short} -> {}", saved.path.display());
+    if saved.replaced {
+        eprintln!(
+            "note: replaced record {short}: saves of the same run at one git revision \
+             share a key, so an earlier save of this run was overwritten"
+        );
+    }
     Ok(())
 }
 

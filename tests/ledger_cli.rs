@@ -51,8 +51,13 @@ fn save_history_diff_pipeline() {
 
     // Two saves of the same (program, config, code): the acceptance
     // criterion is that their diff reports zero sim-side deltas.
-    save_once(&ledger);
-    save_once(&ledger);
+    let first = save_once(&ledger);
+    assert!(!first.contains("note:"), "{first}");
+    let second = save_once(&ledger);
+    assert!(
+        second.contains("note: replaced record"),
+        "the second save names the record it replaced: {second}"
+    );
 
     let (history, _) = run_ok(mossim().args(["history", "--ledger-dir", ledger.to_str().unwrap()]));
     assert!(history.contains("| gzip | mop-wor | 5000 |"), "{history}");
